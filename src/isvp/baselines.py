@@ -177,7 +177,7 @@ def _alg1_step_body(
 
         sigma_next = np.einsum("ji,ji->i", U_next[:, :n], (A_next @ V_next)[:, :n])
         J_next = approx_jacobian(U_next, V_next, instance)
-        b_next = alg1_offset_vector(U_next, V_next, instance.basis[0], n)
+        b_next = alg1_offset_vector(U_next, V_next, instance.A0, n)
         B_next = chebyshev_update(B, J_next)
         t_next = sigma_next - sigma
         s_next = sigma + t_next - J_next @ (B_next @ t_next)
@@ -213,7 +213,7 @@ def alg1_solve(
     A0 = evaluate_A(instance, c0)
     factors = full_svd(A0)
     J0 = approx_jacobian(factors.U, factors.V, instance)
-    b0 = alg1_offset_vector(factors.U, factors.V, instance.basis[0], instance.n)
+    b0 = alg1_offset_vector(factors.U, factors.V, instance.A0, instance.n)
     try:
         B0 = np.linalg.inv(J0)
     except np.linalg.LinAlgError as exc:

@@ -195,7 +195,7 @@ def _outer_step_body(
         V_next = multiplicative_refine(V_bar, second.right)
 
         J_next = approx_jacobian(U_next, V_next, instance)
-        b_next = generalized_residual_vector(U_next, V_next, instance.basis[0], sigma)
+        b_next = generalized_residual_vector(U_next, V_next, instance.A0, sigma)
         B_next = chebyshev_update(B, J_next)
     for name, a in (("U", U_next), ("V", V_next), ("B", B_next), ("J", J_next)):
         if not np.all(np.isfinite(a)):
@@ -224,7 +224,7 @@ def initialize(instance: IsvpInstance, c0, B0) -> tuple[SolverState, IterationRe
     factors = full_svd(A0)
     J0 = approx_jacobian(factors.U, factors.V, instance)
     b0 = generalized_residual_vector(
-        factors.U, factors.V, instance.basis[0], instance.sigma_star
+        factors.U, factors.V, instance.A0, instance.sigma_star
     )
     d0 = residual_d(factors.U, factors.V, A0, instance.sigma_star)
     cond0 = float(np.linalg.cond(J0, 2))

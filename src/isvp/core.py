@@ -4,16 +4,17 @@ An inverse singular value problem is described by basis matrices
 A_0, ..., A_n (all m x n) and a strictly decreasing positive target
 spectrum sigma*.  The affine family is A(c) = A_0 + sum_i c_i A_i and a
 solution is any c whose singular values equal sigma*.  This module owns
-the validated problem type, the matrix family evaluation, the full SVD
-with a deterministic sign convention, the approximate Jacobian
-[J]_ij = u_i^T A_j v_i, the generalized residual vector used by the
-solvers, and the Frobenius residual d = ||U^T A(c) V - Sigma*||_F.
+the validated problem type with its two basis forms (a dense stack, and
+the O(n) symmetric Toeplitz family with an FFT Jacobian), the matrix
+family evaluation, the full SVD with a deterministic sign convention,
+the approximate Jacobian [J]_ij = u_i^T A_j v_i, the generalized
+residual vector used by the solvers, and the Frobenius residual
+d = ||U^T A(c) V - Sigma*||_F.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -31,51 +32,141 @@ from .errors import (
 DEFAULT_MIN_GAP = 1e-10
 
 
-def _as_matrix(a) -> np.ndarray:
-    return np.array(a, dtype=float, copy=True, order="C")
-
-
 def _require_finite(name: str, a: np.ndarray) -> None:
     if not np.all(np.isfinite(a)):
         raise NonFiniteInput(f"{name} contains NaN or infinity")
 
 
-@dataclass(frozen=True)
-class IsvpInstance:
-    """Immutable problem statement: basis matrices plus target spectrum.
+class DenseBasis:
+    """A_0, ..., A_n stored once as one read-only (n+1, m, n) array.
 
-    ``basis[0]`` is the affine offset A_0 and ``basis[1:]`` are the n
-    coefficient matrices A_1, ..., A_n, all of shape (m, n) with m >= n.
-    ``sigma_star`` holds the n targets, strictly decreasing and positive
-    with consecutive gaps (and the gap to zero) above ``min_gap``.
+    Takes ownership of ``stack`` and marks it read-only, so ``basis[k]``
+    is a view of the one buffer and no caller can change it afterwards.
     """
 
-    m: int
-    n: int
-    basis: tuple[np.ndarray, ...]
+    def __init__(self, stack: np.ndarray):
+        stack.flags.writeable = False
+        self.basis = stack
+        _, self.m, self.n = stack.shape
+
+    @property
+    def A0(self) -> np.ndarray:
+        return self.basis[0]
+
+    def evaluate(self, c: np.ndarray) -> np.ndarray:
+        # ascending index order, so repeated evaluations are bit-identical
+        out = self.basis[0].copy()
+        for ci, Ai in zip(c, self.basis[1:]):
+            out += ci * Ai
+        return out
+
+    def jacobian(self, Un: np.ndarray, Vn: np.ndarray) -> np.ndarray:
+        m, n = self.m, self.n
+        # products[j, :, i] = A_j @ v_i, done as one BLAS call over the stack
+        products = (self.basis[1:].reshape(n * m, n) @ Vn).reshape(n, m, n)
+        return np.einsum("ri,jri->ij", Un, products)
+
+
+class ToeplitzBasis:
+    """A_0 = 0 and A_k the (k-1)-th symmetric Toeplitz shift, zero-padded
+    to m x n: [A_k]_rs = 1 where |r - s| = k - 1 and r, s < n.
+
+    Only (m, n) is stored.  A(c) is the n x n symmetric Toeplitz matrix
+    with first column c over m - n zero rows, and u^T A_k v is a
+    cross-correlation of the leading n entries of u and v, so the whole
+    Jacobian comes from one FFT per factor.
+    """
+
+    def __init__(self, m: int, n: int):
+        if m < n or n < 1:
+            raise DimensionMismatch(f"require m >= n >= 1, got m={m}, n={n}")
+        self.m, self.n = m, n
+
+    @property
+    def A0(self) -> np.ndarray:
+        out = np.zeros((self.m, self.n))
+        out.flags.writeable = False
+        return out
+
+    @property
+    def basis(self) -> np.ndarray:
+        """The dense (n+1, m, n) stack, built anew on every access."""
+        m, n = self.m, self.n
+        out = np.zeros((n + 1, m, n))
+        idx = np.arange(n)
+        for k in range(n):
+            out[k + 1, idx[: n - k], idx[k:]] = 1.0
+            out[k + 1, idx[k:], idx[: n - k]] = 1.0
+        out.flags.writeable = False
+        return out
+
+    def evaluate(self, c: np.ndarray) -> np.ndarray:
+        # Each entry of the dense sum has one term c_k * 1 and adds exact
+        # zeros otherwise, so writing c[|r - s|] is bit-identical to it.
+        n = self.n
+        out = np.zeros((self.m, n))
+        mirrored = np.concatenate([c[:0:-1], c])  # c_{n-1} .. c_1, c_0 .. c_{n-1}
+        out[:n] = np.lib.stride_tricks.sliding_window_view(mirrored, n)[::-1]
+        return out
+
+    def jacobian(self, Un: np.ndarray, Vn: np.ndarray) -> np.ndarray:
+        # J[i, k] = sum_r u_r v_{r+k} + u_{r+k} v_r over the leading n rows
+        # (the identity k = 0 counts once).  Its spectrum is
+        # 2 Re(conj(F u) F v); a length of at least 2n keeps the circular
+        # correlation free of wrap-around.
+        n = self.n
+        size = 1 << (2 * n - 1).bit_length()
+        fu = np.fft.rfft(Un[:n], size, axis=0)
+        fv = np.fft.rfft(Vn, size, axis=0)
+        corr = np.fft.irfft(2.0 * (fu.conj() * fv).real, size, axis=0)[:n]
+        corr[0] *= 0.5
+        return np.ascontiguousarray(corr.T)
+
+
+@dataclass(frozen=True)
+class IsvpInstance:
+    """Immutable problem statement: basis operator plus target spectrum.
+
+    ``operator`` is a :class:`DenseBasis` or a :class:`ToeplitzBasis`;
+    both give ``A0``, ``evaluate(c)``, ``jacobian(Un, Vn)`` and the dense
+    ``basis`` stack, whose entry 0 is the affine offset A_0 and entries
+    1..n are the coefficient matrices A_1, ..., A_n, all of shape (m, n)
+    with m >= n.  ``sigma_star`` holds the n targets, strictly decreasing
+    and positive with consecutive gaps (and the gap to zero) above
+    ``min_gap``.
+    """
+
+    operator: DenseBasis | ToeplitzBasis
     sigma_star: np.ndarray
     min_gap: float = DEFAULT_MIN_GAP
 
-    @cached_property
-    def stacked_basis(self) -> np.ndarray:
-        """A_1, ..., A_n stacked into one (n, m, n) array for the Jacobian kernel."""
-        return np.ascontiguousarray(np.stack(self.basis[1:]))
+    @property
+    def m(self) -> int:
+        return self.operator.m
 
-    @cached_property
-    def sigma_embedded(self) -> np.ndarray:
-        """sigma* embedded as the m x n diagonal matrix Sigma*."""
-        return diag_embed(self.sigma_star, self.m)
+    @property
+    def n(self) -> int:
+        return self.operator.n
+
+    @property
+    def A0(self) -> np.ndarray:
+        return self.operator.A0
+
+    @property
+    def basis(self) -> np.ndarray:
+        return self.operator.basis
 
 
 def build_instance(basis, sigma_star, min_gap: float = DEFAULT_MIN_GAP) -> IsvpInstance:
-    """Validate raw inputs and construct an :class:`IsvpInstance`.
+    """Validate raw inputs and construct a dense :class:`IsvpInstance`.
 
-    Raises ``DimensionMismatch`` for ragged bases or m < n,
-    ``ArityMismatch`` when ``len(sigma_star) != len(basis) - 1``,
-    ``NonpositiveSigma`` / ``DuplicateSigma`` when the targets violate
-    strict positivity or the minimum-gap requirement.
+    The basis is copied into one new array.  Raises ``DimensionMismatch``
+    for ragged bases or m < n, ``ArityMismatch`` when
+    ``len(sigma_star) != len(basis) - 1``, ``NonpositiveSigma`` /
+    ``DuplicateSigma`` when the targets violate strict positivity or the
+    minimum-gap requirement.
     """
-    mats = [_as_matrix(a) for a in basis]
+    mats = [np.asarray(a, dtype=float) for a in basis]
     if not mats:
         raise DimensionMismatch("basis must contain at least A_0")
     if mats[0].ndim != 2:
@@ -89,11 +180,20 @@ def build_instance(basis, sigma_star, min_gap: float = DEFAULT_MIN_GAP) -> IsvpI
         _require_finite(f"basis[{idx}]", a)
     if m < n or n < 1:
         raise DimensionMismatch(f"require m >= n >= 1, got m={m}, n={n}")
-    sigma = np.array(sigma_star, dtype=float, copy=True).reshape(-1)
-    if sigma.size != len(mats) - 1:
+    size = np.size(sigma_star)
+    if size != len(mats) - 1:
         raise ArityMismatch(
-            f"sigma_star has {sigma.size} entries but basis defines {len(mats) - 1}"
+            f"sigma_star has {size} entries but basis defines {len(mats) - 1}"
         )
+    return make_instance(DenseBasis(np.stack(mats)), sigma_star, min_gap)
+
+
+def make_instance(
+    operator: DenseBasis | ToeplitzBasis, sigma_star, min_gap: float = DEFAULT_MIN_GAP
+) -> IsvpInstance:
+    """Validate the targets against a basis operator and construct the instance."""
+    n = operator.n
+    sigma = np.array(sigma_star, dtype=float, copy=True).reshape(-1)
     if sigma.size != n:
         raise ArityMismatch(f"sigma_star must have n={n} entries, got {sigma.size}")
     _require_finite("sigma_star", sigma)
@@ -104,10 +204,8 @@ def build_instance(basis, sigma_star, min_gap: float = DEFAULT_MIN_GAP) -> IsvpI
         raise DuplicateSigma(
             f"minimum target gap {gaps.min():.3e} is not above min_gap={min_gap:.3e}"
         )
-    for a in mats:
-        a.flags.writeable = False
     sigma.flags.writeable = False
-    return IsvpInstance(m=m, n=n, basis=tuple(mats), sigma_star=sigma, min_gap=min_gap)
+    return IsvpInstance(operator=operator, sigma_star=sigma, min_gap=min_gap)
 
 
 def diag_embed(sigma: np.ndarray, m: int) -> np.ndarray:
@@ -121,17 +219,13 @@ def diag_embed(sigma: np.ndarray, m: int) -> np.ndarray:
 def evaluate_A(instance: IsvpInstance, c) -> np.ndarray:
     """Evaluate A(c) = A_0 + sum_i c_i A_i.
 
-    The sum runs in ascending index order so repeated evaluations are
-    bit-identical.
+    The result is bit-identical across repeated evaluations.
     """
     c = np.asarray(c, dtype=float).reshape(-1)
     if c.size != instance.n:
         raise DimensionMismatch(f"c must have length {instance.n}, got {c.size}")
     _require_finite("c", c)
-    out = instance.basis[0].copy()
-    for ci, Ai in zip(c, instance.basis[1:]):
-        out += ci * Ai
-    return out
+    return instance.operator.evaluate(c)
 
 
 @dataclass(frozen=True)
@@ -184,15 +278,10 @@ def full_svd(A) -> SvdFactorization:
 
 def approx_jacobian(U: np.ndarray, V: np.ndarray, instance: IsvpInstance) -> np.ndarray:
     """Approximate Jacobian [J]_ij = u_i^T A_j v_i from the leading columns of U, V."""
-    m, n = instance.m, instance.n
+    n = instance.n
     _require_finite("U", U)
     _require_finite("V", V)
-    Un = U[:, :n]
-    Vn = V[:, :n]
-    stacked = instance.stacked_basis
-    # products[j, :, i] = A_j @ v_i, done as one BLAS call over the stack
-    products = (stacked.reshape(n * m, n) @ Vn).reshape(n, m, n)
-    return np.einsum("ri,jri->ij", Un, products)
+    return instance.operator.jacobian(U[:, :n], V[:, :n])
 
 
 def generalized_residual_vector(
@@ -222,46 +311,14 @@ def residual_d(
     return float(np.linalg.norm(M))
 
 
-@dataclass(frozen=True)
-class IndexSets:
-    """Boolean masks partitioning the (i, j) pairs of an m x m matrix.
-
-    i1: both indices in the leading n x n block, off-diagonal.
-    i2: row in the trailing block, column in the leading block.
-    i3: transpose of i2.
-    i4: both indices in the trailing block, off-diagonal.
-    diag: the diagonal.  The five parts are disjoint and cover everything.
-    """
-
-    m: int
-    n: int
-    i1: np.ndarray
-    i2: np.ndarray
-    i3: np.ndarray
-    i4: np.ndarray
-    diag: np.ndarray
-
-
-def index_sets(m: int, n: int) -> IndexSets:
-    if m < n or n < 1:
-        raise DimensionMismatch(f"require m >= n >= 1, got m={m}, n={n}")
-    rows = np.arange(m)[:, None]
-    cols = np.arange(m)[None, :]
-    off = rows != cols
-    i1 = (rows < n) & (cols < n) & off
-    i2 = (rows >= n) & (cols < n)
-    i3 = (rows < n) & (cols >= n)
-    i4 = (rows >= n) & (cols >= n) & off
-    diag = rows == cols
-    return IndexSets(m=m, n=n, i1=i1, i2=i2, i3=i3, i4=i4, diag=diag)
-
-
 def save_instance(instance: IsvpInstance, path) -> None:
     """Write the instance text format.
 
     Line 1 holds "m n"; then n+1 blocks of m lines with n space-separated
     values each (row-major A_0..A_n); the final line holds sigma*.  Values
-    carry 17 significant digits so a round-trip is exact.
+    carry 17 significant digits so a round-trip is exact.  Every basis
+    form is written densely, so a Toeplitz instance reads back as a dense
+    one with the same A(c).
     """
     lines = [f"{instance.m} {instance.n}"]
     for a in instance.basis:

@@ -28,11 +28,13 @@ from .baselines import alg1_solve, newton_exact_solve
 from .cayley_free import SolverConfig, solve as cayley_free_solve
 from .core import (
     DEFAULT_MIN_GAP,
+    DenseBasis,
     IsvpInstance,
+    ToeplitzBasis,
     approx_jacobian,
-    build_instance,
     evaluate_A,
     full_svd,
+    make_instance,
 )
 from .errors import (
     DegenerateDraw,
@@ -140,14 +142,11 @@ def generate_instance(
     """
     for attempt in range(max_retries):
         rng = _rng(seed, _ROLE_GENERATE, attempt)
-        basis = [rng.random((m, n)) for _ in range(n + 1)]
+        operator = DenseBasis(rng.random((n + 1, m, n)))
         c_star = rng.random(n)
-        A_star = basis[0].copy()
-        for ci, Ai in zip(c_star, basis[1:]):
-            A_star += ci * Ai
-        sigma = full_svd(A_star).sigma
+        sigma = full_svd(operator.evaluate(c_star)).sigma
         try:
-            instance = build_instance(basis, sigma, min_gap=min_gap)
+            instance = make_instance(operator, sigma, min_gap=min_gap)
         except (DuplicateSigma, NonpositiveSigma):
             continue
         return instance, c_star
@@ -162,21 +161,15 @@ def generate_toeplitz_instance(
     max_retries: int = 8,
 ) -> tuple[IsvpInstance, np.ndarray]:
     """Structured alternative: A_0 = 0 and A_k the k-th symmetric Toeplitz
-    shift (A_1 = I), zero-padded to m x n.  Only c* is random."""
-    basis = [np.zeros((m, n))]
-    for k in range(n):
-        T = np.zeros((m, n))
-        idx = np.arange(n - k)
-        T[idx, idx + k] = 1.0
-        T[idx + k, idx] = 1.0
-        basis.append(T)
+    shift (A_1 = I), zero-padded to m x n.  Only c* is random.  The
+    instance keeps the O(n) Toeplitz form of the basis."""
+    operator = ToeplitzBasis(m, n)
     for attempt in range(max_retries):
         rng = _rng(seed, _ROLE_GENERATE, attempt)
         c_star = rng.random(n)
-        A_star = sum(ci * Ai for ci, Ai in zip(c_star, basis[1:]))
-        sigma = full_svd(A_star).sigma
+        sigma = full_svd(operator.evaluate(c_star)).sigma
         try:
-            instance = build_instance(basis, sigma, min_gap=min_gap)
+            instance = make_instance(operator, sigma, min_gap=min_gap)
         except (DuplicateSigma, NonpositiveSigma):
             continue
         return instance, c_star

@@ -195,7 +195,7 @@ def check_residual_affinity(trials: int, seed: int) -> CheckResult:
         c = rng.uniform(-2.0, 2.0, n)
         lhs = generalized_residual_vector(U, V, evaluate_A(instance, c), instance.sigma_star)
         J = approx_jacobian(U, V, instance)
-        rhs = J @ c + generalized_residual_vector(U, V, instance.basis[0], instance.sigma_star)
+        rhs = J @ c + generalized_residual_vector(U, V, instance.A0, instance.sigma_star)
         rel = np.linalg.norm(lhs - rhs) / (1.0 + np.linalg.norm(lhs))
         worst = max(worst, rel)
     return CheckResult("residual affinity J c + b", worst <= 1e-13, worst, 1e-13)

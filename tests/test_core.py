@@ -290,24 +290,6 @@ class TestResidualAffinity:
             assert np.linalg.norm(lhs - rhs) <= 1e-13 * (1 + np.linalg.norm(lhs))
 
 
-class TestIndexSets:
-    @pytest.mark.parametrize("m,n", [(5, 3), (4, 4), (6, 1)])
-    def test_partition_covers_and_disjoint(self, m, n):
-        s = isvp.index_sets(m, n)
-        total = (
-            s.i1.astype(int)
-            + s.i2.astype(int)
-            + s.i3.astype(int)
-            + s.i4.astype(int)
-            + s.diag.astype(int)
-        )
-        np.testing.assert_array_equal(total, np.ones((m, m), dtype=int))
-
-    def test_square_case_has_empty_tail_sets(self):
-        s = isvp.index_sets(4, 4)
-        assert not s.i2.any() and not s.i3.any() and not s.i4.any()
-
-
 class TestInstanceFile:
     def test_round_trip_exact(self, tmp_path, small_instance):
         inst, _ = small_instance
