@@ -15,13 +15,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cayley_free import SolverConfig, chebyshev_update
+from .cayley_free import SolverConfig, _exact_point, _iterate, chebyshev_update
 from .core import (
     DEFAULT_MIN_GAP,
     IsvpInstance,
     approx_jacobian,
     evaluate_A,
-    full_svd,
     residual_d,
 )
 from .errors import (
@@ -33,7 +32,7 @@ from .errors import (
     SingularSystem,
     SingularValueCollision,
 )
-from .report import IterationRecord, SolveReport, SolveStatus
+from .report import IterationRecord, SolveReport
 
 
 @dataclass
@@ -121,7 +120,7 @@ def cayley_orthogonalize(Q: np.ndarray, S: np.ndarray) -> np.ndarray:
 
 
 def alg1_outer_step(
-    state: Alg1State, instance: IsvpInstance, config: SolverConfig
+    state: Alg1State, instance: IsvpInstance
 ) -> tuple[Alg1State, IterationRecord]:
     """One outer iteration of the Cayley baseline.
 
@@ -203,62 +202,68 @@ def alg1_solve(
     """Run the Cayley baseline from c0.
 
     Unlike the Cayley-free solver, B_0 is always the exact LU inverse of
-    J_0 and the initial shift vector is sigma*.
+    J_0 and the initial shift vector is sigma*.  A singular J_0 raises
+    ``SingularJacobian``.
     """
-    config = config or SolverConfig()
     t_start = time.perf_counter()
-    sigma = instance.sigma_star
-    t0 = time.perf_counter()
     c0 = np.asarray(c0, dtype=float).reshape(-1)
-    A0 = evaluate_A(instance, c0)
-    factors = full_svd(A0)
-    J0 = approx_jacobian(factors.U, factors.V, instance)
+    factors, J0, d0, cond0 = _exact_point(instance, c0)
     b0 = alg1_offset_vector(factors.U, factors.V, instance.A0, instance.n)
     try:
         B0 = np.linalg.inv(J0)
     except np.linalg.LinAlgError as exc:
         raise SingularJacobian(f"initial Jacobian is singular: {exc}") from exc
-    d0 = residual_d(factors.U, factors.V, A0, sigma)
-    rec0 = IterationRecord(
-        k=0,
-        d=d0,
-        cond_j=float(np.linalg.cond(J0, 2)),
-        wall_ms=(time.perf_counter() - t0) * 1e3,
-    )
-    if c_star is not None:
-        rec0.err_c = float(np.linalg.norm(c0 - c_star))
+    wall_ms = (time.perf_counter() - t_start) * 1e3
+    rec0 = IterationRecord(k=0, d=d0, cond_j=cond0, wall_ms=wall_ms)
     state = Alg1State(
-        k=0, c=c0.copy(), U=factors.U, V=factors.V, B=B0, J=J0, b=b0, s=sigma.copy()
+        k=0, c=c0.copy(), U=factors.U, V=factors.V, B=B0, J=J0, b=b0, s=instance.sigma_star.copy()
     )
-    records = [rec0]
-    d = d0
-    while True:
-        if d <= config.tol:
-            status = SolveStatus.CONVERGED
-            break
-        if state.k >= config.max_iter:
-            status = SolveStatus.MAX_ITERATIONS
-            break
-        if not np.isfinite(d) or d > config.divergence_factor * max(d0, 1.0):
-            status = SolveStatus.DIVERGED
-            break
-        try:
-            state, rec = alg1_outer_step(state, instance, config)
-        except (NumericalBreakdown, DegenerateShift, SingularSystem):
-            status = SolveStatus.DIVERGED
-            break
-        if c_star is not None:
-            rec.err_c = float(np.linalg.norm(state.c - c_star))
-        records.append(rec)
-        d = rec.d
-    total_ms = (time.perf_counter() - t_start) * 1e3
-    return SolveReport(
-        status=status,
-        records=records,
-        c_final=state.c,
-        iterations=state.k,
-        total_ms=total_ms,
-    )
+    return _iterate(alg1_outer_step, state, rec0, instance, config, c_star, t_start)
+
+
+@dataclass
+class _NewtonState:
+    """Newton iterate: c with the singular values and Jacobian at A(c)."""
+
+    k: int
+    c: np.ndarray
+    sigma: np.ndarray
+    J: np.ndarray
+
+
+def _newton_point(
+    instance: IsvpInstance, c: np.ndarray, k: int, t0: float
+) -> tuple[_NewtonState, IterationRecord]:
+    """Exact SVD and Jacobian at c; the record's time runs from t0.
+
+    Singular values are matched to the targets by sorted order, so they
+    must stay simple (gap above the instance's min_gap).
+    """
+    factors, J, d, cond_j = _exact_point(instance, c)
+    gaps = np.diff(-np.concatenate([factors.sigma, [0.0]]))
+    if gaps.min() <= instance.min_gap:
+        raise SingularValueCollision(
+            f"singular values too close along the path (gap {gaps.min():.3e})"
+        )
+    wall_ms = (time.perf_counter() - t0) * 1e3
+    state = _NewtonState(k=k, c=c, sigma=factors.sigma, J=J)
+    return state, IterationRecord(k=k, d=d, cond_j=cond_j, wall_ms=wall_ms)
+
+
+def _newton_step(
+    state: _NewtonState, instance: IsvpInstance
+) -> tuple[_NewtonState, IterationRecord]:
+    """Solve the Newton equation at c_k, then evaluate the new point."""
+    t0 = time.perf_counter()
+    f = state.sigma - instance.sigma_star
+    try:
+        delta = np.linalg.solve(state.J, -f)
+    except np.linalg.LinAlgError as exc:
+        raise SingularJacobian(f"Newton Jacobian is singular: {exc}") from exc
+    try:
+        return _newton_point(instance, state.c + delta, state.k + 1, t0)
+    except NonFiniteInput as exc:
+        raise NumericalBreakdown(str(exc)) from exc
 
 
 def newton_exact_solve(
@@ -269,61 +274,13 @@ def newton_exact_solve(
 ) -> SolveReport:
     """Classical Newton iteration on f(c) = sigma(c) - sigma*.
 
-    Every iteration recomputes a full SVD of A(c), forms the exact
-    Jacobian from the exact singular vectors, and solves the Newton
-    equation by dense LU.  Singular values are matched to the targets by
-    sorted order, so the path must keep them simple (gap above the
-    instance's min_gap), else ``SingularValueCollision`` is raised.
+    Every iteration solves the Newton equation by dense LU, recomputes a
+    full SVD of A(c) and forms the exact Jacobian from the exact singular
+    vectors.  A collision of singular values at c0 raises
+    ``SingularValueCollision``; later in the run it, like a singular
+    Jacobian, ends the solve as ``DIVERGED``.
     """
-    config = config or SolverConfig()
     t_start = time.perf_counter()
-    sigma = instance.sigma_star
     c = np.asarray(c0, dtype=float).reshape(-1).copy()
-    records: list[IterationRecord] = []
-    d0 = None
-    status = None
-    while True:
-        t0 = time.perf_counter()
-        A_c = evaluate_A(instance, c)
-        factors = full_svd(A_c)
-        gaps = np.diff(-np.concatenate([factors.sigma, [0.0]]))
-        if gaps.min() <= instance.min_gap:
-            raise SingularValueCollision(
-                f"singular values too close along the path (gap {gaps.min():.3e})"
-            )
-        J = approx_jacobian(factors.U, factors.V, instance)
-        d = residual_d(factors.U, factors.V, A_c, sigma)
-        rec = IterationRecord(
-            k=len(records),
-            d=d,
-            cond_j=float(np.linalg.cond(J, 2)),
-            wall_ms=(time.perf_counter() - t0) * 1e3,
-        )
-        if c_star is not None:
-            rec.err_c = float(np.linalg.norm(c - c_star))
-        records.append(rec)
-        if d0 is None:
-            d0 = d
-        if d <= config.tol:
-            status = SolveStatus.CONVERGED
-            break
-        if rec.k >= config.max_iter:
-            status = SolveStatus.MAX_ITERATIONS
-            break
-        if not np.isfinite(d) or d > config.divergence_factor * max(d0, 1.0):
-            status = SolveStatus.DIVERGED
-            break
-        f = factors.sigma - sigma
-        try:
-            delta = np.linalg.solve(J, -f)
-        except np.linalg.LinAlgError as exc:
-            raise SingularJacobian(f"Newton Jacobian is singular: {exc}") from exc
-        c = c + delta
-    total_ms = (time.perf_counter() - t_start) * 1e3
-    return SolveReport(
-        status=status,
-        records=records,
-        c_final=c,
-        iterations=records[-1].k,
-        total_ms=total_ms,
-    )
+    state, rec0 = _newton_point(instance, c, 0, t_start)
+    return _iterate(_newton_step, state, rec0, instance, config, c_star, t_start)

@@ -13,6 +13,9 @@ index pairs: both indices in the leading n x n block (gap-weighted
 mixing of W, U^T U and V^T V), the two off blocks coupling the trailing
 rows of U (divisions by single targets), the trailing off-diagonal block
 (symmetric, from U^T U alone), and the diagonals.
+
+The module also holds the stopping rule (:class:`SolverConfig`) and the
+iteration driver that the Cayley baseline and the Newton oracle share.
 """
 
 from __future__ import annotations
@@ -24,14 +27,34 @@ import numpy as np
 
 from .core import (
     IsvpInstance,
+    SvdFactorization,
     approx_jacobian,
     evaluate_A,
     full_svd,
     generalized_residual_vector,
     residual_d,
 )
-from .errors import DimensionMismatch, NonFiniteInput, NumericalBreakdown
+from .errors import (
+    DegenerateShift,
+    DimensionMismatch,
+    NonFiniteInput,
+    NumericalBreakdown,
+    NumericalFailure,
+    SingularJacobian,
+    SingularSystem,
+    SingularValueCollision,
+)
 from .report import IterationRecord, SolveReport, SolveStatus
+
+# numerical failures that end a solve as DIVERGED when an outer step raises them
+_STEP_FAILURES = (
+    NumericalBreakdown,
+    DegenerateShift,
+    SingularSystem,
+    SingularJacobian,
+    SingularValueCollision,
+    NumericalFailure,
+)
 
 
 @dataclass(frozen=True)
@@ -56,20 +79,61 @@ class SolverConfig:
             raise ValueError("divergence_factor must be positive")
 
 
+def _iterate(step, state, rec0, instance, config, c_star, t_start) -> SolveReport:
+    """Run ``step(state, instance)`` from the k = 0 ``state`` until the
+    stopping rule of ``config`` ends the solve.
+
+    A step that raises one of the numerical failures ends it as
+    ``DIVERGED``.  When ``c_star`` is given, every record carries the
+    distance of its iterate to it.  ``t_start`` is when the solve began.
+    """
+    config = config or SolverConfig()
+    records, rec, status = [], rec0, None
+    while status is None:
+        if c_star is not None:
+            rec.err_c = float(np.linalg.norm(state.c - c_star))
+        records.append(rec)
+        if rec.d <= config.tol:
+            status = SolveStatus.CONVERGED
+        elif state.k >= config.max_iter:
+            status = SolveStatus.MAX_ITERATIONS
+        elif not np.isfinite(rec.d) or rec.d > config.divergence_factor * max(rec0.d, 1.0):
+            status = SolveStatus.DIVERGED
+        else:
+            try:
+                state, rec = step(state, instance)
+            except _STEP_FAILURES:
+                status = SolveStatus.DIVERGED
+    total_ms = (time.perf_counter() - t_start) * 1e3
+    return SolveReport(status, records, c_final=state.c, iterations=state.k, total_ms=total_ms)
+
+
+def _exact_point(
+    instance: IsvpInstance, c: np.ndarray
+) -> tuple[SvdFactorization, np.ndarray, float, float]:
+    """Exact SVD of A(c), the Jacobian from it, d and cond(J) at c."""
+    A_c = evaluate_A(instance, c)
+    factors = full_svd(A_c)
+    J = approx_jacobian(factors.U, factors.V, instance)
+    d = residual_d(factors.U, factors.V, A_c, instance.sigma_star)
+    return factors, J, d, float(np.linalg.cond(J, 2))
+
+
 @dataclass
 class SolverState:
     """Complete mutable state of one outer iteration.
 
     ``B`` approximates the inverse of the approximate Jacobian ``J``; ``b``
     is the corrected affine offset so that J c + b plays the role of the
-    residual function at c.
+    residual function at c.  ``B`` is ``None`` from :func:`initialize`
+    until the caller chooses B_0.
     """
 
     k: int
     c: np.ndarray
     U: np.ndarray
     V: np.ndarray
-    B: np.ndarray
+    B: np.ndarray | None
     J: np.ndarray
     b: np.ndarray
 
@@ -149,7 +213,7 @@ def chebyshev_update(B: np.ndarray, J_next: np.ndarray) -> np.ndarray:
 
 
 def outer_step(
-    state: SolverState, instance: IsvpInstance, config: SolverConfig
+    state: SolverState, instance: IsvpInstance
 ) -> tuple[SolverState, IterationRecord]:
     """Advance one outer iteration and report its diagnostics.
 
@@ -211,25 +275,19 @@ def _outer_step_body(
     return new_state, record
 
 
-def initialize(instance: IsvpInstance, c0, B0) -> tuple[SolverState, IterationRecord]:
-    """Build the k = 0 state from an exact SVD of A(c0) and a supplied B0."""
+def initialize(instance: IsvpInstance, c0) -> tuple[SolverState, IterationRecord]:
+    """Build the k = 0 state from an exact SVD of A(c0).
+
+    ``B`` is left ``None``; the caller sets it, typically from ``state.J``.
+    """
     t0 = time.perf_counter()
     c0 = np.asarray(c0, dtype=float).reshape(-1)
-    B0 = np.asarray(B0, dtype=float)
-    if B0.shape != (instance.n, instance.n):
-        raise DimensionMismatch(f"B0 must be {instance.n} x {instance.n}")
-    if not np.all(np.isfinite(B0)):
-        raise NonFiniteInput("B0 contains NaN or infinity")
-    A0 = evaluate_A(instance, c0)
-    factors = full_svd(A0)
-    J0 = approx_jacobian(factors.U, factors.V, instance)
+    factors, J0, d0, cond0 = _exact_point(instance, c0)
     b0 = generalized_residual_vector(
         factors.U, factors.V, instance.A0, instance.sigma_star
     )
-    d0 = residual_d(factors.U, factors.V, A0, instance.sigma_star)
-    cond0 = float(np.linalg.cond(J0, 2))
     wall_ms = (time.perf_counter() - t0) * 1e3
-    state = SolverState(k=0, c=c0.copy(), U=factors.U, V=factors.V, B=B0.copy(), J=J0, b=b0)
+    state = SolverState(k=0, c=c0.copy(), U=factors.U, V=factors.V, B=None, J=J0, b=b0)
     return state, IterationRecord(k=0, d=d0, cond_j=cond0, wall_ms=wall_ms)
 
 
@@ -242,42 +300,17 @@ def solve(
 ) -> SolveReport:
     """Run the Cayley-free iteration from c0 with the supplied B0.
 
-    Returns a report whose records include the k = 0 diagnostics.  Any
-    numerical breakdown is converted to a ``DIVERGED`` status rather than
-    propagated.  When ``c_star`` is given, records carry the distance to it.
+    Returns a report whose records include the k = 0 diagnostics.  A
+    numerical failure inside an outer step becomes a ``DIVERGED`` status
+    rather than an exception.  When ``c_star`` is given, records carry
+    the distance to it.
     """
-    config = config or SolverConfig()
     t_start = time.perf_counter()
-    state, rec0 = initialize(instance, c0, B0)
-    if c_star is not None:
-        rec0.err_c = float(np.linalg.norm(state.c - c_star))
-    records = [rec0]
-    d0 = rec0.d
-    d = d0
-    while True:
-        if d <= config.tol:
-            status = SolveStatus.CONVERGED
-            break
-        if state.k >= config.max_iter:
-            status = SolveStatus.MAX_ITERATIONS
-            break
-        if not np.isfinite(d) or d > config.divergence_factor * max(d0, 1.0):
-            status = SolveStatus.DIVERGED
-            break
-        try:
-            state, rec = outer_step(state, instance, config)
-        except NumericalBreakdown:
-            status = SolveStatus.DIVERGED
-            break
-        if c_star is not None:
-            rec.err_c = float(np.linalg.norm(state.c - c_star))
-        records.append(rec)
-        d = rec.d
-    total_ms = (time.perf_counter() - t_start) * 1e3
-    return SolveReport(
-        status=status,
-        records=records,
-        c_final=state.c,
-        iterations=state.k,
-        total_ms=total_ms,
-    )
+    B0 = np.asarray(B0, dtype=float)
+    if B0.shape != (instance.n, instance.n):
+        raise DimensionMismatch(f"B0 must be {instance.n} x {instance.n}")
+    if not np.all(np.isfinite(B0)):
+        raise NonFiniteInput("B0 contains NaN or infinity")
+    state, rec0 = initialize(instance, c0)
+    state.B = B0.copy()
+    return _iterate(outer_step, state, rec0, instance, config, c_star, t_start)

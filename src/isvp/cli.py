@@ -19,18 +19,17 @@ from pathlib import Path
 
 import numpy as np
 
-from .baselines import alg1_solve, newton_exact_solve
-from .cayley_free import SolverConfig, solve as cayley_free_solve
-from .core import approx_jacobian, evaluate_A, full_svd, load_instance, save_instance
+from .cayley_free import SolverConfig
+from .core import load_instance, save_instance
 from .errors import ArityMismatch, DimensionMismatch, IoFailure, IsvpError
 from .harness import (
     Algorithm,
     ExperimentConfig,
-    build_B0,
     emit_reports,
     generate_instance,
     perturb_c_star,
     run_experiment,
+    run_solver,
 )
 from .report import SolveStatus
 from .verification import run_all_checks
@@ -182,16 +181,9 @@ def _cmd_solve(args) -> int:
         raise IoFailure(f"start vector has {c0.size} entries, instance needs {instance.n}")
 
     config = SolverConfig(tol=args.tol, max_iter=args.max_iter)
-    algorithm = Algorithm(args.algorithm)
-    if algorithm is Algorithm.CAYLEY_FREE:
-        factors = full_svd(evaluate_A(instance, c0))
-        J0 = approx_jacobian(factors.U, factors.V, instance)
-        B0 = build_B0(J0, args.mu, args.seed)
-        report = cayley_free_solve(instance, c0, B0, config)
-    elif algorithm is Algorithm.ALG1:
-        report = alg1_solve(instance, c0, config)
-    else:
-        report = newton_exact_solve(instance, c0, config)
+    report, _ = run_solver(
+        Algorithm(args.algorithm), instance, c0, config, args.mu, args.seed
+    )
     for rec in report.records:
         print(f"k={rec.k} d={rec.d:.5e} cond_J={rec.cond_j:.5e}")
     print(f"{report.status.value} after {report.iterations} iterations")

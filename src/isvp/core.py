@@ -334,20 +334,19 @@ def save_instance(instance: IsvpInstance, path) -> None:
 def load_instance(path, min_gap: float = DEFAULT_MIN_GAP) -> IsvpInstance:
     """Read the instance text format written by :func:`save_instance`."""
     try:
-        text = Path(path).read_text()
+        fh = open(path)
     except OSError as exc:
         raise IoFailure(f"cannot read instance from {path}: {exc}") from exc
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    try:
-        m, n = (int(tok) for tok in lines[0].split())
-        values = [[float(tok) for tok in ln.split()] for ln in lines[1:]]
-        expected = (n + 1) * m + 1
-        if len(values) != expected:
-            raise ValueError(f"expected {expected} data lines, found {len(values)}")
-        basis = [
-            np.array(values[k * m : (k + 1) * m], dtype=float) for k in range(n + 1)
-        ]
-        sigma = np.array(values[(n + 1) * m], dtype=float)
-    except (ValueError, IndexError) as exc:
-        raise IoFailure(f"malformed instance file {path}: {exc}") from exc
-    return build_instance(basis, sigma, min_gap=min_gap)
+    with fh:
+        try:
+            m, n = (int(tok) for tok in fh.readline().split())
+            values = np.loadtxt(fh, ndmin=2)
+            expected = (n + 1) * m + 1
+            if values.shape != (expected, n):
+                raise ValueError(
+                    f"expected {expected} data lines of {n} values, "
+                    f"found {values.shape[0]} of {values.shape[1]}"
+                )
+        except (ValueError, OSError) as exc:
+            raise IoFailure(f"malformed instance file {path}: {exc}") from exc
+    return build_instance(values[:-1].reshape(n + 1, m, n), values[-1], min_gap=min_gap)

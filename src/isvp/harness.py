@@ -16,6 +16,7 @@ import csv
 import io
 import json
 import statistics
+import time
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from enum import Enum
@@ -23,16 +24,14 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__
+from . import __version__, cayley_free
 from .baselines import alg1_solve, newton_exact_solve
-from .cayley_free import SolverConfig, solve as cayley_free_solve
+from .cayley_free import SolverConfig
 from .core import (
     DEFAULT_MIN_GAP,
     DenseBasis,
     IsvpInstance,
     ToeplitzBasis,
-    approx_jacobian,
-    evaluate_A,
     full_svd,
     make_instance,
 )
@@ -243,26 +242,44 @@ def estimate_root_rate(d) -> float:
     return float(np.mean(ratios))
 
 
+def run_solver(
+    algorithm: Algorithm,
+    instance: IsvpInstance,
+    c0,
+    config: SolverConfig,
+    mu: float,
+    seed: int,
+    c_star=None,
+) -> tuple[SolveReport, float | None]:
+    """Solve from c0 with one algorithm; return the report and, for the
+    Cayley-free method, the achieved ||I - B_0 J_0||_2.
+
+    The Cayley-free B_0 comes from :func:`build_B0` with ``mu`` and
+    ``seed``, applied to the J_0 that initialization computes, and its
+    construction counts towards the solve time.
+    """
+    if algorithm is Algorithm.ALG1:
+        return alg1_solve(instance, c0, config, c_star=c_star), None
+    if algorithm is Algorithm.NEWTON:
+        return newton_exact_solve(instance, c0, config, c_star=c_star), None
+    t_start = time.perf_counter()
+    state, rec0 = cayley_free.initialize(instance, c0)
+    state.B = build_B0(state.J, mu, seed)
+    report = cayley_free._iterate(
+        cayley_free.outer_step, state, rec0, instance, config, c_star, t_start
+    )
+    achieved_mu = float(np.linalg.norm(np.eye(instance.n) - state.B @ state.J, 2))
+    return report, achieved_mu
+
+
 def run_trial(config: ExperimentConfig, seed: int) -> TrialResult:
     """Generate, perturb, initialize and solve one seed of a sweep."""
     try:
         instance, c_star = generate_instance(config.m, config.n, seed)
         c0 = perturb_c_star(c_star, config.beta, seed)
-        solver_config = config.solver_config()
-        achieved_mu = None
-        if config.algorithm is Algorithm.CAYLEY_FREE:
-            A0 = evaluate_A(instance, c0)
-            factors = full_svd(A0)
-            J0 = approx_jacobian(factors.U, factors.V, instance)
-            B0 = build_B0(J0, config.mu, seed)
-            achieved_mu = float(
-                np.linalg.norm(np.eye(config.n) - B0 @ J0, 2)
-            )
-            report = cayley_free_solve(instance, c0, B0, solver_config, c_star=c_star)
-        elif config.algorithm is Algorithm.ALG1:
-            report = alg1_solve(instance, c0, solver_config, c_star=c_star)
-        else:
-            report = newton_exact_solve(instance, c0, solver_config, c_star=c_star)
+        report, achieved_mu = run_solver(
+            config.algorithm, instance, c0, config.solver_config(), config.mu, seed, c_star
+        )
     except IsvpError as exc:
         return TrialResult(
             seed=seed,

@@ -43,20 +43,3 @@ class SolveReport:
     def residuals(self) -> list[float]:
         return [rec.d for rec in self.records]
 
-    def to_dict(self) -> dict:
-        return {
-            "status": self.status.value,
-            "iterations": self.iterations,
-            "total_ms": self.total_ms,
-            "c_final": None if self.c_final is None else self.c_final.tolist(),
-            "records": [
-                {
-                    "k": rec.k,
-                    "d": rec.d,
-                    "cond_j": rec.cond_j,
-                    "err_c": rec.err_c,
-                    "wall_ms": rec.wall_ms,
-                }
-                for rec in self.records
-            ],
-        }

@@ -15,9 +15,11 @@ import ast
 import csv
 import inspect
 import json
+import os
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -292,7 +294,7 @@ def test_criterion_5_structural_no_solves(monkeypatch):
         s=inst.sigma_star.copy(),
     )
     counting_solve.calls = counting_solve.rhs_columns = 0
-    alg1_outer_step(state, inst, SolverConfig())
+    alg1_outer_step(state, inst)
     assert counting_solve.calls == 4
     assert counting_solve.rhs_columns == 2 * (m + n)
     _report(
@@ -342,7 +344,10 @@ def test_criterion_8_cli_determinism(tmp_path):
             "--seeds", "1..3", "--algorithm", "cayley-free",
             "--out", str(out), "--format", "csv,json",
         ]
-        proc = subprocess.run(cmd, capture_output=True, text=True)
+        # the child finds the package where this process imported it from
+        src = str(Path(isvp.__file__).resolve().parent.parent)
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        proc = subprocess.run(cmd, capture_output=True, text=True, env=env)
         assert proc.returncode == 0, proc.stderr
         return out
 

@@ -127,7 +127,7 @@ class TestAlg1OuterStep:
     def test_fixed_point_at_exact_solution(self, small_instance):
         inst, c_star = small_instance
         state = self._exact_state(inst, c_star)
-        next_state, rec = alg1_outer_step(state, inst, SolverConfig())
+        next_state, rec = alg1_outer_step(state, inst)
         assert np.linalg.norm(next_state.c - c_star) <= 1e-10 * (1 + np.linalg.norm(c_star))
         assert rec.d <= 1e-12 * np.linalg.norm(inst.sigma_star)
 
@@ -171,7 +171,7 @@ class TestAlg1OuterStep:
         B1 = B + B @ (2 * eye_n - J1 @ B) @ (eye_n - J1 @ B)
         s1 = sigma + (eye_n - J1 @ B1) @ (sigma1 - sigma)
 
-        next_state, _ = alg1_outer_step(state, inst, SolverConfig())
+        next_state, _ = alg1_outer_step(state, inst)
         for got, want in [
             (next_state.c, c1),
             (next_state.U, U1),
@@ -215,7 +215,7 @@ class TestAlg1Solve:
             s=inst.sigma_star.copy(),
         )
         for _ in range(3):
-            state, _ = alg1_outer_step(state, inst, SolverConfig())
+            state, _ = alg1_outer_step(state, inst)
             assert np.linalg.norm(state.U.T @ state.U - np.eye(inst.m)) <= 1e-10 * inst.m
             assert np.linalg.norm(state.V.T @ state.V - np.eye(inst.n)) <= 1e-10 * inst.n
 

@@ -131,6 +131,26 @@ class TestGenAndSolve:
         np.testing.assert_array_equal(sidecar, c_star)
 
 
+    def test_solve_matches_run_trial(self, tmp_path, capsys):
+        # same (instance, c0, mu, seed) through `isvp solve` and the sweep harness
+        inst_path = tmp_path / "instance.txt"
+        main(["gen", "--m", "16", "--n", "6", "--seed", "4", "--out", str(inst_path)])
+        capsys.readouterr()
+        code = main([
+            "solve", "--instance", str(inst_path), "--beta", "1e-3", "--mu", "0.3",
+            "--seed", "4",
+        ])
+        assert code == EXIT_OK
+        printed = [ln for ln in capsys.readouterr().out.splitlines() if ln.startswith("k=")]
+        config = isvp.ExperimentConfig(m=16, n=6, beta=1e-3, mu=0.3, seeds=(4,))
+        trial = isvp.harness.run_trial(config, 4)
+        assert trial.achieved_mu == pytest.approx(0.3, rel=1e-12)
+        assert printed == [
+            f"k={rec.k} d={rec.d:.5e} cond_J={rec.cond_j:.5e}" for rec in trial.report.records
+        ]
+        assert len(printed) >= 2
+
+
 class TestVerifyCommand:
     def test_verify_passes(self, capsys):
         code = main(["verify", "--trials", "8", "--seed", "3"])

@@ -307,6 +307,25 @@ class TestInstanceFile:
         with pytest.raises(IoFailure):
             isvp.load_instance(path)
 
+    def test_ragged_row(self, tmp_path, small_instance):
+        inst, _ = small_instance
+        path = tmp_path / "instance.txt"
+        isvp.save_instance(inst, path)
+        lines = path.read_text().splitlines()
+        lines[3] += " 0.5"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(IoFailure):
+            isvp.load_instance(path)
+
+    def test_missing_sigma_line(self, tmp_path, small_instance):
+        inst, _ = small_instance
+        path = tmp_path / "instance.txt"
+        isvp.save_instance(inst, path)
+        lines = path.read_text().splitlines()
+        path.write_text("\n".join(lines[:-1]) + "\n")
+        with pytest.raises(IoFailure):
+            isvp.load_instance(path)
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(IoFailure):
             isvp.load_instance(tmp_path / "nope.txt")
