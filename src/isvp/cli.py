@@ -8,7 +8,7 @@ invariant suite on synthetic fixtures.
 
 Exit codes: 0 on success, 1 when any trial failed to converge (unless
 ``--allow-nonconverged``) or a verify check failed, 2 on usage or IO
-errors.
+errors, invalid inputs included.
 """
 
 from __future__ import annotations
@@ -21,7 +21,15 @@ import numpy as np
 
 from .cayley_free import SolverConfig
 from .core import load_instance, save_instance
-from .errors import ArityMismatch, DimensionMismatch, IoFailure, IsvpError
+from .errors import (
+    ArityMismatch,
+    DimensionMismatch,
+    DuplicateSigma,
+    IoFailure,
+    IsvpError,
+    NonFiniteInput,
+    NonpositiveSigma,
+)
 from .harness import (
     Algorithm,
     ExperimentConfig,
@@ -210,8 +218,18 @@ def main(argv=None) -> int:
         return handlers[args.command](args)
     except (IsvpError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        # malformed inputs and files exit 2, solver-side failures exit 1
-        usage_like = (IoFailure, DimensionMismatch, ArityMismatch, ValueError)
+        # malformed inputs and files exit 2, solver-side failures exit 1; a
+        # failure inside a step already ends as `diverged`, so the
+        # validation errors below can only come from the inputs
+        usage_like = (
+            IoFailure,
+            DimensionMismatch,
+            ArityMismatch,
+            NonFiniteInput,
+            NonpositiveSigma,
+            DuplicateSigma,
+            ValueError,
+        )
         return EXIT_USAGE if isinstance(exc, usage_like) else EXIT_NONCONVERGED
 
 

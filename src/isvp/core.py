@@ -37,34 +37,46 @@ def _require_finite(name: str, a: np.ndarray) -> None:
         raise NonFiniteInput(f"{name} contains NaN or infinity")
 
 
+# Bytes of A_j v_i products the dense Jacobian holds at once: a block of
+# basis matrices this size stays in cache between its GEMM and its einsum.
+_JACOBIAN_BLOCK_BYTES = 2 << 20
+
+
 class DenseBasis:
     """A_0, ..., A_n stored once as one read-only (n+1, m, n) array.
 
     Takes ownership of ``stack`` and marks it read-only, so ``basis[k]``
     is a view of the one buffer and no caller can change it afterwards.
+    A(c) is one GEMV over the stack.  The Jacobian walks the stack in
+    blocks of about 2 MiB of products (one GEMM and one einsum each), so
+    its working memory does not grow with the basis.
     """
 
     def __init__(self, stack: np.ndarray):
+        _, m, n = stack.shape
+        if m < n or n < 1:
+            raise DimensionMismatch(f"require m >= n >= 1, got m={m}, n={n}")
         stack.flags.writeable = False
         self.basis = stack
-        _, self.m, self.n = stack.shape
+        self.m, self.n = m, n
 
     @property
     def A0(self) -> np.ndarray:
         return self.basis[0]
 
     def evaluate(self, c: np.ndarray) -> np.ndarray:
-        # ascending index order, so repeated evaluations are bit-identical
-        out = self.basis[0].copy()
-        for ci, Ai in zip(c, self.basis[1:]):
-            out += ci * Ai
-        return out
+        return self.basis[0] + np.tensordot(c, self.basis[1:], 1)
 
     def jacobian(self, Un: np.ndarray, Vn: np.ndarray) -> np.ndarray:
         m, n = self.m, self.n
-        # products[j, :, i] = A_j @ v_i, done as one BLAS call over the stack
-        products = (self.basis[1:].reshape(n * m, n) @ Vn).reshape(n, m, n)
-        return np.einsum("ri,jri->ij", Un, products)
+        step = max(1, _JACOBIAN_BLOCK_BYTES // (m * n * 8))
+        J = np.empty((n, n))
+        for j0 in range(0, n, step):
+            block = self.basis[1 + j0 : 1 + j0 + step]
+            # products[j, :, i] = A_{j0+j} @ v_i
+            products = (block.reshape(-1, n) @ Vn).reshape(len(block), m, n)
+            J[:, j0 : j0 + len(block)] = np.einsum("ri,jri->ij", Un, products)
+        return J
 
 
 class ToeplitzBasis:
@@ -178,14 +190,13 @@ def build_instance(basis, sigma_star, min_gap: float = DEFAULT_MIN_GAP) -> IsvpI
                 f"basis[{idx}] has shape {a.shape}, expected {(m, n)}"
             )
         _require_finite(f"basis[{idx}]", a)
-    if m < n or n < 1:
-        raise DimensionMismatch(f"require m >= n >= 1, got m={m}, n={n}")
+    operator = DenseBasis(np.stack(mats))
     size = np.size(sigma_star)
     if size != len(mats) - 1:
         raise ArityMismatch(
             f"sigma_star has {size} entries but basis defines {len(mats) - 1}"
         )
-    return make_instance(DenseBasis(np.stack(mats)), sigma_star, min_gap)
+    return make_instance(operator, sigma_star, min_gap)
 
 
 def make_instance(
@@ -349,4 +360,7 @@ def load_instance(path, min_gap: float = DEFAULT_MIN_GAP) -> IsvpInstance:
                 )
         except (ValueError, OSError) as exc:
             raise IoFailure(f"malformed instance file {path}: {exc}") from exc
-    return build_instance(values[:-1].reshape(n + 1, m, n), values[-1], min_gap=min_gap)
+    # the basis rows become the instance's stack as they are, without a copy
+    stack = values[:-1].reshape(n + 1, m, n)
+    _require_finite("basis", stack)
+    return make_instance(DenseBasis(stack), values[-1], min_gap)

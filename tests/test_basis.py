@@ -1,11 +1,14 @@
-"""The two basis forms: one shared dense buffer, and the O(n) Toeplitz
-form checked against a dense oracle built from its own materialized basis."""
+"""The two basis forms: one shared dense buffer with its blocked kernels,
+and the O(n) Toeplitz form checked against a dense oracle built from its
+own materialized basis."""
+
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import isvp
-from isvp.core import DenseBasis, ToeplitzBasis
+from isvp.core import _JACOBIAN_BLOCK_BYTES, DenseBasis, ToeplitzBasis
 from isvp.errors import DimensionMismatch
 from isvp.report import SolveStatus
 
@@ -103,6 +106,52 @@ class TestDenseStorage:
         assert not any(np.shares_memory(a, inst.basis) for a in basis)
         with pytest.raises(ValueError):
             inst.basis[-1][0, 0] = 1.0
+
+
+class TestDenseKernels:
+    # (120, 100) and (100, 100) split into several blocks with a shorter
+    # last one; (60, 30) is one block; then n = 1 and m == n
+    @pytest.mark.parametrize("m,n,blocks", [
+        (120, 100, 5), (100, 100, 4), (60, 30, 1), (4, 1, 1), (6, 6, 1),
+    ])
+    def test_jacobian_matches_per_entry_oracle(self, m, n, blocks):
+        per_block = max(1, _JACOBIAN_BLOCK_BYTES // (m * n * 8))
+        assert -(-n // per_block) == blocks
+        inst, _ = isvp.generate_instance(m, n, 5)
+        rng = np.random.default_rng(m * 1000 + n)
+        U = near_orthogonal(rng, m)
+        V = near_orthogonal(rng, n)
+        J = isvp.approx_jacobian(U, V, inst)
+        oracle = np.empty((n, n))
+        for j in range(n):
+            AV = inst.basis[j + 1] @ V
+            oracle[:, j] = [U[:, i] @ AV[:, i] for i in range(n)]
+        assert J.shape == (n, n)
+        assert np.linalg.norm(J - oracle) <= 1e-13 * np.linalg.norm(oracle)
+
+    def test_jacobian_working_memory_is_a_fraction_of_the_basis(self):
+        inst, _ = isvp.generate_instance(200, 100, 1)
+        rng = np.random.default_rng(7)
+        U = near_orthogonal(rng, 200)
+        V = near_orthogonal(rng, 100)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            isvp.approx_jacobian(U, V, inst)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        # a products array for the whole stack alone is n m n * 8 bytes,
+        # about the size of the basis
+        assert peak < 0.5 * inst.basis.nbytes
+
+    def test_repeated_evaluations_are_bitwise_equal(self):
+        inst, c_star = isvp.generate_instance(40, 25, 3)
+        rng = np.random.default_rng(9)
+        for c in [c_star] + [rng.uniform(-2.0, 2.0, 25) for _ in range(3)]:
+            first = isvp.evaluate_A(inst, c)
+            for _ in range(3):
+                np.testing.assert_array_equal(isvp.evaluate_A(inst, c), first)
 
 
 class TestToeplitzRoundTrip:

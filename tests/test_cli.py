@@ -118,6 +118,23 @@ class TestGenAndSolve:
         code = main(["solve", "--instance", str(tmp_path / "nope.txt"), "--beta", "1e-3"])
         assert code == EXIT_USAGE
 
+    def test_solve_nonfinite_start_is_a_usage_error(self, tmp_path):
+        inst_path = tmp_path / "instance.txt"
+        main(["gen", "--m", "6", "--n", "3", "--seed", "3", "--out", str(inst_path)])
+        c0_path = tmp_path / "c0.txt"
+        c0_path.write_text("nan 1 2\n")
+        code = main(["solve", "--instance", str(inst_path), "--c0", str(c0_path)])
+        assert code == EXIT_USAGE
+
+    def test_solve_nonfinite_instance_is_a_usage_error(self, tmp_path):
+        inst_path = tmp_path / "instance.txt"
+        main(["gen", "--m", "6", "--n", "3", "--seed", "3", "--out", str(inst_path)])
+        lines = inst_path.read_text().splitlines()
+        lines[2] = " ".join(["nan"] + lines[2].split()[1:])
+        inst_path.write_text("\n".join(lines) + "\n")
+        code = main(["solve", "--instance", str(inst_path), "--beta", "1e-3"])
+        assert code == EXIT_USAGE
+
     def test_gen_matches_library(self, tmp_path):
         inst_path = tmp_path / "instance.txt"
         main(["gen", "--m", "8", "--n", "3", "--seed", "11", "--out", str(inst_path)])

@@ -82,7 +82,8 @@ class TestEvaluateA:
                 for i in range(2):
                     acc = acc + c[i] * basis[i + 1][r, col]
                 expected[r, col] = acc
-        # identical ascending summation order, so the match is exact
+        # A(c) is one GEMV over the stack, whose summation order need not
+        # be this loop's, so the two agree to roundoff rather than exactly
         np.testing.assert_allclose(got, expected, rtol=1e-15, atol=0.0)
 
     def test_nonfinite_rejected(self):

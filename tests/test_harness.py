@@ -215,6 +215,25 @@ class TestRunExperiment:
             bundle = isvp.run_experiment(config)
             assert bundle.aggregate()["converged_fraction"] == 1.0
 
+    @pytest.mark.parametrize(
+        "algorithm,floors",
+        [
+            (isvp.Algorithm.CAYLEY_FREE, (36, 25)),
+            (isvp.Algorithm.ALG1, (36, 24)),
+            (isvp.Algorithm.NEWTON, (40, 37)),
+        ],
+    )
+    def test_robustness_grid_keeps_its_converged_counts(self, algorithm, floors):
+        # the 60x30 grid of the known divergence defect, failing seeds kept:
+        # a kernel change that loses convergence lowers these counts
+        for beta, floor in zip((1e-3, 1e-2), floors):
+            config = self._config(
+                m=60, n=30, beta=beta, seeds=tuple(range(1, 41)), algorithm=algorithm
+            )
+            trials = isvp.run_experiment(config).trials
+            converged = sum(t.status == "converged" for t in trials)
+            assert converged >= floor, (beta, converged)
+
 
 class TestEmitReports:
     def _bundle(self, seeds=(1, 2)):
