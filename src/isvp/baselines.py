@@ -16,32 +16,27 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cayley_free import SolverConfig, _exact_point, _iterate, chebyshev_update
-from .core import (
-    DEFAULT_MIN_GAP,
-    IsvpInstance,
-    approx_jacobian,
-    evaluate_A,
-    residual_d,
-)
+from .core import DEFAULT_MIN_GAP, IsvpInstance, approx_jacobian, evaluate_A
 from .errors import (
     DegenerateShift,
     DimensionMismatch,
-    NonFiniteInput,
     NumericalBreakdown,
     SingularJacobian,
     SingularSystem,
     SingularValueCollision,
 )
-from .report import IterationRecord, SolveReport
+from .report import SolveReport
 
 
 @dataclass
 class Alg1State:
     """State of the Cayley baseline: vectors stay orthogonal, and a shift
-    vector s replaces the targets inside the skew-matrix denominators."""
+    vector s replaces the targets inside the skew-matrix denominators.
+    ``A`` is A(c)."""
 
     k: int
     c: np.ndarray
+    A: np.ndarray
     U: np.ndarray
     V: np.ndarray
     B: np.ndarray
@@ -119,26 +114,13 @@ def cayley_orthogonalize(Q: np.ndarray, S: np.ndarray) -> np.ndarray:
     return Qt.T
 
 
-def alg1_outer_step(
-    state: Alg1State, instance: IsvpInstance
-) -> tuple[Alg1State, IterationRecord]:
+def alg1_outer_step(state: Alg1State, instance: IsvpInstance) -> Alg1State:
     """One outer iteration of the Cayley baseline.
 
     Two skew/Cayley correction rounds bracket the two coefficient
     updates; the shift vector is refreshed from the Chebyshev-updated B.
+    A non-finite update raises ``NumericalBreakdown``.
     """
-    t0 = time.perf_counter()
-    # as in the Cayley-free step, breakdown is detected by finiteness
-    # checks rather than numpy warnings
-    try:
-        return _alg1_step_body(state, instance, t0)
-    except NonFiniteInput as exc:
-        raise NumericalBreakdown(str(exc)) from exc
-
-
-def _alg1_step_body(
-    state: Alg1State, instance: IsvpInstance, t0: float
-) -> tuple[Alg1State, IterationRecord]:
     sigma = instance.sigma_star
     n = instance.n
     c, U, V, B, J, b, s = (
@@ -184,13 +166,10 @@ def _alg1_step_body(
         if not np.all(np.isfinite(a)):
             raise NumericalBreakdown(f"updated {name} is non-finite")
 
-    d = residual_d(U_next, V_next, A_next, sigma)
-    cond_j = float(np.linalg.cond(J_next, 2))
-    wall_ms = (time.perf_counter() - t0) * 1e3
-    new_state = Alg1State(
-        k=state.k + 1, c=c_next, U=U_next, V=V_next, B=B_next, J=J_next, b=b_next, s=s_next
+    return Alg1State(
+        k=state.k + 1, c=c_next, A=A_next, U=U_next, V=V_next,
+        B=B_next, J=J_next, b=b_next, s=s_next,
     )
-    return new_state, IterationRecord(k=new_state.k, d=d, cond_j=cond_j, wall_ms=wall_ms)
 
 
 def alg1_solve(
@@ -207,63 +186,55 @@ def alg1_solve(
     """
     t_start = time.perf_counter()
     c0 = np.asarray(c0, dtype=float).reshape(-1)
-    factors, J0, d0, cond0 = _exact_point(instance, c0)
+    A_c, factors, J0 = _exact_point(instance, c0)
     b0 = alg1_offset_vector(factors.U, factors.V, instance.A0, instance.n)
     try:
         B0 = np.linalg.inv(J0)
     except np.linalg.LinAlgError as exc:
         raise SingularJacobian(f"initial Jacobian is singular: {exc}") from exc
-    wall_ms = (time.perf_counter() - t_start) * 1e3
-    rec0 = IterationRecord(k=0, d=d0, cond_j=cond0, wall_ms=wall_ms)
     state = Alg1State(
-        k=0, c=c0.copy(), U=factors.U, V=factors.V, B=B0, J=J0, b=b0, s=instance.sigma_star.copy()
+        k=0, c=c0.copy(), A=A_c, U=factors.U, V=factors.V,
+        B=B0, J=J0, b=b0, s=instance.sigma_star.copy(),
     )
-    return _iterate(alg1_outer_step, state, rec0, instance, config, c_star, t_start)
+    return _iterate(alg1_outer_step, state, instance, config, c_star, t_start)
 
 
 @dataclass
 class _NewtonState:
-    """Newton iterate: c with the singular values and Jacobian at A(c)."""
+    """Newton iterate: c with A(c), its exact SVD and the Jacobian from it."""
 
     k: int
     c: np.ndarray
+    A: np.ndarray
+    U: np.ndarray
+    V: np.ndarray
     sigma: np.ndarray
     J: np.ndarray
 
 
-def _newton_point(
-    instance: IsvpInstance, c: np.ndarray, k: int, t0: float
-) -> tuple[_NewtonState, IterationRecord]:
-    """Exact SVD and Jacobian at c; the record's time runs from t0.
+def _newton_point(instance: IsvpInstance, c: np.ndarray, k: int) -> _NewtonState:
+    """Exact SVD and Jacobian at c.
 
     Singular values are matched to the targets by sorted order, so they
     must stay simple (gap above the instance's min_gap).
     """
-    factors, J, d, cond_j = _exact_point(instance, c)
+    A_c, factors, J = _exact_point(instance, c)
     gaps = np.diff(-np.concatenate([factors.sigma, [0.0]]))
     if gaps.min() <= instance.min_gap:
         raise SingularValueCollision(
             f"singular values too close along the path (gap {gaps.min():.3e})"
         )
-    wall_ms = (time.perf_counter() - t0) * 1e3
-    state = _NewtonState(k=k, c=c, sigma=factors.sigma, J=J)
-    return state, IterationRecord(k=k, d=d, cond_j=cond_j, wall_ms=wall_ms)
+    return _NewtonState(k=k, c=c, A=A_c, U=factors.U, V=factors.V, sigma=factors.sigma, J=J)
 
 
-def _newton_step(
-    state: _NewtonState, instance: IsvpInstance
-) -> tuple[_NewtonState, IterationRecord]:
+def _newton_step(state: _NewtonState, instance: IsvpInstance) -> _NewtonState:
     """Solve the Newton equation at c_k, then evaluate the new point."""
-    t0 = time.perf_counter()
     f = state.sigma - instance.sigma_star
     try:
         delta = np.linalg.solve(state.J, -f)
     except np.linalg.LinAlgError as exc:
         raise SingularJacobian(f"Newton Jacobian is singular: {exc}") from exc
-    try:
-        return _newton_point(instance, state.c + delta, state.k + 1, t0)
-    except NonFiniteInput as exc:
-        raise NumericalBreakdown(str(exc)) from exc
+    return _newton_point(instance, state.c + delta, state.k + 1)
 
 
 def newton_exact_solve(
@@ -282,5 +253,5 @@ def newton_exact_solve(
     """
     t_start = time.perf_counter()
     c = np.asarray(c0, dtype=float).reshape(-1).copy()
-    state, rec0 = _newton_point(instance, c, 0, t_start)
-    return _iterate(_newton_step, state, rec0, instance, config, c_star, t_start)
+    state = _newton_point(instance, c, 0)
+    return _iterate(_newton_step, state, instance, config, c_star, t_start)

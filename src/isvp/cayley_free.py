@@ -46,9 +46,11 @@ from .errors import (
 )
 from .report import IterationRecord, SolveReport, SolveStatus
 
-# numerical failures that end a solve as DIVERGED when an outer step raises them
+# numerical failures that end a solve as DIVERGED when an outer step raises them;
+# breakdown is found by finiteness checks, so kernels report overflow as NonFiniteInput
 _STEP_FAILURES = (
     NumericalBreakdown,
+    NonFiniteInput,
     DegenerateShift,
     SingularSystem,
     SingularJacobian,
@@ -56,52 +58,59 @@ _STEP_FAILURES = (
     NumericalFailure,
 )
 
+# a solve diverges once d_k exceeds this multiple of max(d_0, 1)
+_DIVERGENCE_FACTOR = 1e6
+
 
 @dataclass(frozen=True)
 class SolverConfig:
     """Stopping rule shared by all solvers in this package.
 
     Iterations stop when the residual d_k drops to ``tol``, when ``max_iter``
-    outer iterations have run, or when d_k exceeds ``divergence_factor``
+    outer iterations have run, or when d_k is non-finite or exceeds 1e6
     times max(d_0, 1).
     """
 
     tol: float = 1e-10
     max_iter: int = 50
-    divergence_factor: float = 1e6
 
     def __post_init__(self):
         if not self.tol > 0.0:
             raise ValueError("tol must be positive")
         if self.max_iter < 1:
             raise ValueError("max_iter must be at least 1")
-        if not self.divergence_factor > 0.0:
-            raise ValueError("divergence_factor must be positive")
 
 
-def _iterate(step, state, rec0, instance, config, c_star, t_start) -> SolveReport:
-    """Run ``step(state, instance)`` from the k = 0 ``state`` until the
-    stopping rule of ``config`` ends the solve.
+def _iterate(step, state, instance, config, c_star, t_start) -> SolveReport:
+    """Run ``step(state, instance) -> state`` from the k = 0 ``state``
+    until the stopping rule of ``config`` ends the solve.
 
-    A step that raises one of the numerical failures ends it as
-    ``DIVERGED``.  When ``c_star`` is given, every record carries the
-    distance of its iterate to it.  ``t_start`` is when the solve began.
+    Every iterate gets one record: d_k from its ``U``, ``V`` and ``A``,
+    cond(J_k), the time since the previous record (since ``t_start``,
+    when the solve began, for k = 0) and, when ``c_star`` is given, the
+    distance of c_k to it.  A step that raises one of the numerical
+    failures ends the solve as ``DIVERGED``.
     """
     config = config or SolverConfig()
-    records, rec, status = [], rec0, None
+    records, status, t_prev = [], None, t_start
     while status is None:
+        d = residual_d(state.U, state.V, state.A, instance.sigma_star)
+        cond_j = float(np.linalg.cond(state.J, 2))
+        t_now = time.perf_counter()
+        rec = IterationRecord(k=state.k, d=d, cond_j=cond_j, wall_ms=(t_now - t_prev) * 1e3)
+        t_prev = t_now
         if c_star is not None:
             rec.err_c = float(np.linalg.norm(state.c - c_star))
         records.append(rec)
-        if rec.d <= config.tol:
+        if d <= config.tol:
             status = SolveStatus.CONVERGED
         elif state.k >= config.max_iter:
             status = SolveStatus.MAX_ITERATIONS
-        elif not np.isfinite(rec.d) or rec.d > config.divergence_factor * max(rec0.d, 1.0):
+        elif not np.isfinite(d) or d > _DIVERGENCE_FACTOR * max(records[0].d, 1.0):
             status = SolveStatus.DIVERGED
         else:
             try:
-                state, rec = step(state, instance)
+                state = step(state, instance)
             except _STEP_FAILURES:
                 status = SolveStatus.DIVERGED
     total_ms = (time.perf_counter() - t_start) * 1e3
@@ -110,27 +119,26 @@ def _iterate(step, state, rec0, instance, config, c_star, t_start) -> SolveRepor
 
 def _exact_point(
     instance: IsvpInstance, c: np.ndarray
-) -> tuple[SvdFactorization, np.ndarray, float, float]:
-    """Exact SVD of A(c), the Jacobian from it, d and cond(J) at c."""
+) -> tuple[np.ndarray, SvdFactorization, np.ndarray]:
+    """A(c), its exact SVD and the Jacobian from it."""
     A_c = evaluate_A(instance, c)
     factors = full_svd(A_c)
-    J = approx_jacobian(factors.U, factors.V, instance)
-    d = residual_d(factors.U, factors.V, A_c, instance.sigma_star)
-    return factors, J, d, float(np.linalg.cond(J, 2))
+    return A_c, factors, approx_jacobian(factors.U, factors.V, instance)
 
 
 @dataclass
 class SolverState:
     """Complete mutable state of one outer iteration.
 
-    ``B`` approximates the inverse of the approximate Jacobian ``J``; ``b``
-    is the corrected affine offset so that J c + b plays the role of the
-    residual function at c.  ``B`` is ``None`` from :func:`initialize`
-    until the caller chooses B_0.
+    ``A`` is A(c).  ``B`` approximates the inverse of the approximate
+    Jacobian ``J``; ``b`` is the corrected affine offset so that J c + b
+    plays the role of the residual function at c.  ``B`` is ``None`` from
+    :func:`initialize` until the caller chooses B_0.
     """
 
     k: int
     c: np.ndarray
+    A: np.ndarray
     U: np.ndarray
     V: np.ndarray
     B: np.ndarray | None
@@ -212,30 +220,15 @@ def chebyshev_update(B: np.ndarray, J_next: np.ndarray) -> np.ndarray:
     return B + B @ ((np.eye(n) + R) @ R)
 
 
-def outer_step(
-    state: SolverState, instance: IsvpInstance
-) -> tuple[SolverState, IterationRecord]:
-    """Advance one outer iteration and report its diagnostics.
+def outer_step(state: SolverState, instance: IsvpInstance) -> SolverState:
+    """Advance one outer iteration.
 
     Substeps: first coefficient update from (J, b); first correction pair
     from W at the predicted point; multiplicative refinement; second
     coefficient update from the refined residual rho; second correction
     pair from the updated point; second refinement; new J, b; Chebyshev
-    update of B.
+    update of B.  A non-finite update raises ``NumericalBreakdown``.
     """
-    t0 = time.perf_counter()
-    # overflow inside the kernels surfaces as NonFiniteInput and is
-    # converted here; breakdown detection works by finiteness checks,
-    # so numpy's own overflow warnings stay silenced
-    try:
-        return _outer_step_body(state, instance, t0)
-    except NonFiniteInput as exc:
-        raise NumericalBreakdown(str(exc)) from exc
-
-
-def _outer_step_body(
-    state: SolverState, instance: IsvpInstance, t0: float
-) -> tuple[SolverState, IterationRecord]:
     sigma = instance.sigma_star
     c, U, V, B, J, b = state.c, state.U, state.V, state.B, state.J, state.b
     with np.errstate(over="ignore", invalid="ignore"):
@@ -265,30 +258,22 @@ def _outer_step_body(
         if not np.all(np.isfinite(a)):
             raise NumericalBreakdown(f"updated {name} is non-finite")
 
-    d = residual_d(U_next, V_next, A_next, sigma)
-    cond_j = float(np.linalg.cond(J_next, 2))
-    wall_ms = (time.perf_counter() - t0) * 1e3
-    new_state = SolverState(
-        k=state.k + 1, c=c_next, U=U_next, V=V_next, B=B_next, J=J_next, b=b_next
+    return SolverState(
+        k=state.k + 1, c=c_next, A=A_next, U=U_next, V=V_next, B=B_next, J=J_next, b=b_next
     )
-    record = IterationRecord(k=new_state.k, d=d, cond_j=cond_j, wall_ms=wall_ms)
-    return new_state, record
 
 
-def initialize(instance: IsvpInstance, c0) -> tuple[SolverState, IterationRecord]:
+def initialize(instance: IsvpInstance, c0) -> SolverState:
     """Build the k = 0 state from an exact SVD of A(c0).
 
     ``B`` is left ``None``; the caller sets it, typically from ``state.J``.
     """
-    t0 = time.perf_counter()
     c0 = np.asarray(c0, dtype=float).reshape(-1)
-    factors, J0, d0, cond0 = _exact_point(instance, c0)
+    A_c, factors, J0 = _exact_point(instance, c0)
     b0 = generalized_residual_vector(
         factors.U, factors.V, instance.A0, instance.sigma_star
     )
-    wall_ms = (time.perf_counter() - t0) * 1e3
-    state = SolverState(k=0, c=c0.copy(), U=factors.U, V=factors.V, B=None, J=J0, b=b0)
-    return state, IterationRecord(k=0, d=d0, cond_j=cond0, wall_ms=wall_ms)
+    return SolverState(k=0, c=c0.copy(), A=A_c, U=factors.U, V=factors.V, B=None, J=J0, b=b0)
 
 
 def solve(
@@ -311,6 +296,6 @@ def solve(
         raise DimensionMismatch(f"B0 must be {instance.n} x {instance.n}")
     if not np.all(np.isfinite(B0)):
         raise NonFiniteInput("B0 contains NaN or infinity")
-    state, rec0 = initialize(instance, c0)
+    state = initialize(instance, c0)
     state.B = B0.copy()
-    return _iterate(outer_step, state, rec0, instance, config, c_star, t_start)
+    return _iterate(outer_step, state, instance, config, c_star, t_start)

@@ -71,11 +71,14 @@ class DenseBasis:
         m, n = self.m, self.n
         step = max(1, _JACOBIAN_BLOCK_BYTES // (m * n * 8))
         J = np.empty((n, n))
+        # every block's products go into this one buffer, so one block is alive at a time
+        buf = np.empty((min(step, n) * m, n))
         for j0 in range(0, n, step):
             block = self.basis[1 + j0 : 1 + j0 + step]
+            k = len(block)
             # products[j, :, i] = A_{j0+j} @ v_i
-            products = (block.reshape(-1, n) @ Vn).reshape(len(block), m, n)
-            J[:, j0 : j0 + len(block)] = np.einsum("ri,jri->ij", Un, products)
+            products = np.matmul(block.reshape(-1, n), Vn, out=buf[: k * m]).reshape(k, m, n)
+            J[:, j0 : j0 + k] = np.einsum("ri,jri->ij", Un, products)
         return J
 
 

@@ -49,6 +49,7 @@ from .report import SolveReport, SolveStatus
 _ROLE_GENERATE = 0
 _ROLE_PERTURB = 1
 _ROLE_B0 = 2
+_MAX_DRAWS = 8
 
 _ROUNDOFF_FLOOR_FACTOR = 100.0
 _MAX_RATIO_BASE = 0.5
@@ -125,54 +126,42 @@ def _rng(seed: int, *key: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=key))
 
 
-def generate_instance(
-    m: int,
-    n: int,
-    seed: int,
-    min_gap: float = DEFAULT_MIN_GAP,
-    max_retries: int = 8,
-) -> tuple[IsvpInstance, np.ndarray]:
-    """Draw one random instance and its generating vector c*.
+def _draw_instance(draw, seed: int, min_gap: float) -> tuple[IsvpInstance, np.ndarray]:
+    """Build an instance from ``draw(rng) -> (operator, c*)``.
 
-    If the resulting spectrum violates the gap requirement the draw is
-    retried on a fresh derived stream; for random dense matrices that is
+    If the spectrum of A(c*) violates the gap requirement the draw is
+    retried on a fresh derived stream; for random draws that is
     practically unreachable, and ``DegenerateDraw`` is raised only after
-    ``max_retries`` failures.
+    ``_MAX_DRAWS`` failures.
     """
-    for attempt in range(max_retries):
-        rng = _rng(seed, _ROLE_GENERATE, attempt)
-        operator = DenseBasis(rng.random((n + 1, m, n)))
-        c_star = rng.random(n)
+    for attempt in range(_MAX_DRAWS):
+        operator, c_star = draw(_rng(seed, _ROLE_GENERATE, attempt))
         sigma = full_svd(operator.evaluate(c_star)).sigma
         try:
-            instance = make_instance(operator, sigma, min_gap=min_gap)
+            return make_instance(operator, sigma, min_gap=min_gap), c_star
         except (DuplicateSigma, NonpositiveSigma):
-            continue
-        return instance, c_star
-    raise DegenerateDraw(f"no valid spectrum after {max_retries} draws for seed {seed}")
+            pass
+    raise DegenerateDraw(f"no valid spectrum after {_MAX_DRAWS} draws for seed {seed}")
+
+
+def generate_instance(
+    m: int, n: int, seed: int, min_gap: float = DEFAULT_MIN_GAP
+) -> tuple[IsvpInstance, np.ndarray]:
+    """Draw one random instance and its generating vector c*."""
+    # the basis is drawn before c*, from the same stream
+    return _draw_instance(
+        lambda rng: (DenseBasis(rng.random((n + 1, m, n))), rng.random(n)), seed, min_gap
+    )
 
 
 def generate_toeplitz_instance(
-    m: int,
-    n: int,
-    seed: int,
-    min_gap: float = DEFAULT_MIN_GAP,
-    max_retries: int = 8,
+    m: int, n: int, seed: int, min_gap: float = DEFAULT_MIN_GAP
 ) -> tuple[IsvpInstance, np.ndarray]:
     """Structured alternative: A_0 = 0 and A_k the k-th symmetric Toeplitz
     shift (A_1 = I), zero-padded to m x n.  Only c* is random.  The
     instance keeps the O(n) Toeplitz form of the basis."""
     operator = ToeplitzBasis(m, n)
-    for attempt in range(max_retries):
-        rng = _rng(seed, _ROLE_GENERATE, attempt)
-        c_star = rng.random(n)
-        sigma = full_svd(operator.evaluate(c_star)).sigma
-        try:
-            instance = make_instance(operator, sigma, min_gap=min_gap)
-        except (DuplicateSigma, NonpositiveSigma):
-            continue
-        return instance, c_star
-    raise DegenerateDraw(f"no valid spectrum after {max_retries} draws for seed {seed}")
+    return _draw_instance(lambda rng: (operator, rng.random(n)), seed, min_gap)
 
 
 def perturb_c_star(c_star: np.ndarray, beta: float, seed: int) -> np.ndarray:
@@ -263,11 +252,9 @@ def run_solver(
     if algorithm is Algorithm.NEWTON:
         return newton_exact_solve(instance, c0, config, c_star=c_star), None
     t_start = time.perf_counter()
-    state, rec0 = cayley_free.initialize(instance, c0)
+    state = cayley_free.initialize(instance, c0)
     state.B = build_B0(state.J, mu, seed)
-    report = cayley_free._iterate(
-        cayley_free.outer_step, state, rec0, instance, config, c_star, t_start
-    )
+    report = cayley_free._iterate(cayley_free.outer_step, state, instance, config, c_star, t_start)
     achieved_mu = float(np.linalg.norm(np.eye(instance.n) - state.B @ state.J, 2))
     return report, achieved_mu
 

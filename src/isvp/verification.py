@@ -225,9 +225,9 @@ def check_solver_fixed_points(trials: int, seed: int) -> CheckResult:
         m = int(rng.integers(8, 25))
         n = int(rng.integers(3, min(m, 10) + 1))
         instance, c_star = generate_instance(m, n, seed * 7919 + t)
-        state, _ = initialize(instance, c_star)
+        state = initialize(instance, c_star)
         state.B = np.linalg.inv(state.J)
-        next_state, _ = outer_step(state, instance)
+        next_state = outer_step(state, instance)
         drift = np.linalg.norm(next_state.c - c_star) / (1.0 + np.linalg.norm(c_star))
         worst = max(worst, drift)
         report = alg1_solve(instance, c_star)

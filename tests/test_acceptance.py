@@ -285,10 +285,11 @@ def test_criterion_5_structural_no_solves(monkeypatch):
     assert counting_solve.calls == 0
     assert counting_inv.calls == 0
 
-    factors = isvp.full_svd(isvp.evaluate_A(inst, c0))
+    A_c0 = isvp.evaluate_A(inst, c0)
+    factors = isvp.full_svd(A_c0)
     J0 = isvp.approx_jacobian(factors.U, factors.V, inst)
     state = Alg1State(
-        k=0, c=c0.copy(), U=factors.U, V=factors.V,
+        k=0, c=c0.copy(), A=A_c0, U=factors.U, V=factors.V,
         B=np.linalg.inv(J0), J=J0,
         b=alg1_offset_vector(factors.U, factors.V, inst.basis[0], n),
         s=inst.sigma_star.copy(),

@@ -4,6 +4,7 @@ import pytest
 import isvp
 from isvp.baselines import alg1_offset_vector, alg1_outer_step, Alg1State
 from isvp.cayley_free import SolverConfig
+from isvp.core import residual_d
 from isvp.errors import (
     DegenerateShift,
     NumericalBreakdown,
@@ -116,6 +117,7 @@ class TestAlg1OuterStep:
         return Alg1State(
             k=0,
             c=c_star.copy(),
+            A=A_star,
             U=f.U,
             V=f.V,
             B=np.linalg.inv(J),
@@ -127,9 +129,10 @@ class TestAlg1OuterStep:
     def test_fixed_point_at_exact_solution(self, small_instance):
         inst, c_star = small_instance
         state = self._exact_state(inst, c_star)
-        next_state, rec = alg1_outer_step(state, inst)
-        assert np.linalg.norm(next_state.c - c_star) <= 1e-10 * (1 + np.linalg.norm(c_star))
-        assert rec.d <= 1e-12 * np.linalg.norm(inst.sigma_star)
+        s = alg1_outer_step(state, inst)
+        assert np.linalg.norm(s.c - c_star) <= 1e-10 * (1 + np.linalg.norm(c_star))
+        sigma = inst.sigma_star
+        assert residual_d(s.U, s.V, s.A, sigma) <= 1e-12 * np.linalg.norm(sigma)
 
     def test_matches_transliteration_oracle(self):
         inst, c_star = isvp.generate_instance(4, 2, 31)
@@ -140,7 +143,7 @@ class TestAlg1OuterStep:
         b = alg1_offset_vector(f.U, f.V, inst.basis[0], inst.n)
         B = np.linalg.inv(J)
         sigma = inst.sigma_star
-        state = Alg1State(k=0, c=c0.copy(), U=f.U, V=f.V, B=B, J=J, b=b, s=sigma.copy())
+        state = Alg1State(k=0, c=c0.copy(), A=A0, U=f.U, V=f.V, B=B, J=J, b=b, s=sigma.copy())
 
         # straight-line re-implementation with loop-built pieces
         n = inst.n
@@ -171,7 +174,7 @@ class TestAlg1OuterStep:
         B1 = B + B @ (2 * eye_n - J1 @ B) @ (eye_n - J1 @ B)
         s1 = sigma + (eye_n - J1 @ B1) @ (sigma1 - sigma)
 
-        next_state, _ = alg1_outer_step(state, inst)
+        next_state = alg1_outer_step(state, inst)
         for got, want in [
             (next_state.c, c1),
             (next_state.U, U1),
@@ -207,6 +210,7 @@ class TestAlg1Solve:
         state = Alg1State(
             k=0,
             c=c0.copy(),
+            A=A0,
             U=f.U,
             V=f.V,
             B=np.linalg.inv(J),
@@ -215,7 +219,7 @@ class TestAlg1Solve:
             s=inst.sigma_star.copy(),
         )
         for _ in range(3):
-            state, _ = alg1_outer_step(state, inst)
+            state = alg1_outer_step(state, inst)
             assert np.linalg.norm(state.U.T @ state.U - np.eye(inst.m)) <= 1e-10 * inst.m
             assert np.linalg.norm(state.V.T @ state.V - np.eye(inst.n)) <= 1e-10 * inst.n
 

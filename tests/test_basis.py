@@ -144,6 +144,8 @@ class TestDenseKernels:
         # a products array for the whole stack alone is n m n * 8 bytes,
         # about the size of the basis
         assert peak < 0.5 * inst.basis.nbytes
+        # one block of products at a time, plus J itself
+        assert peak <= 1.25 * _JACOBIAN_BLOCK_BYTES + 100 * 100 * 8
 
     def test_repeated_evaluations_are_bitwise_equal(self):
         inst, c_star = isvp.generate_instance(40, 25, 3)

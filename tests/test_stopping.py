@@ -85,3 +85,23 @@ def test_newton_failure_after_k0_is_diverged(column, monkeypatch):
     assert report.iterations == 1
     assert len(report.records) == 2
     assert report.records[-1].err_c == float(np.linalg.norm(report.c_final - c_star))
+
+
+@pytest.mark.parametrize("name", SOLVERS)
+def test_nonfinite_A_inside_a_step_is_diverged(name, monkeypatch):
+    # A(c) is exact at c0, so the k = 0 state builds, and all-inf anywhere
+    # else, so the first step meets a non-finite matrix
+    inst, c_star = isvp.generate_instance(20, 8, 2)
+    c0 = isvp.perturb_c_star(c_star, 1e-2, 2)
+    exact = inst.operator.evaluate
+
+    def overflow_away_from_c0(c):
+        A = exact(c)
+        return A if np.array_equal(c, c0) else np.full_like(A, np.inf)
+
+    monkeypatch.setattr(inst.operator, "evaluate", overflow_away_from_c0)
+    report = SOLVERS[name](inst, c0, c_star=c_star)
+    assert report.status is SolveStatus.DIVERGED
+    assert report.iterations == 0
+    assert len(report.records) == 1
+    assert report.records[-1].err_c == float(np.linalg.norm(report.c_final - c_star))
