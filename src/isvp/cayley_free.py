@@ -94,8 +94,10 @@ def _iterate(step, state, instance, config, c_star, t_start) -> SolveReport:
     config = config or SolverConfig()
     records, status, t_prev = [], None, t_start
     while status is None:
-        d = residual_d(state.U, state.V, state.A, instance.sigma_star)
-        cond_j = float(np.linalg.cond(state.J, 2))
+        # a blowing-up iterate overflows here; the rule below reads d = inf as divergence
+        with np.errstate(over="ignore", invalid="ignore"):
+            d = residual_d(state.U, state.V, state.A, instance.sigma_star)
+            cond_j = float(np.linalg.cond(state.J, 2))
         t_now = time.perf_counter()
         rec = IterationRecord(k=state.k, d=d, cond_j=cond_j, wall_ms=(t_now - t_prev) * 1e3)
         t_prev = t_now

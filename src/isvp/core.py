@@ -4,16 +4,17 @@ An inverse singular value problem is described by basis matrices
 A_0, ..., A_n (all m x n) and a strictly decreasing positive target
 spectrum sigma*.  The affine family is A(c) = A_0 + sum_i c_i A_i and a
 solution is any c whose singular values equal sigma*.  This module owns
-the validated problem type with its two basis forms (a dense stack, and
-the O(n) symmetric Toeplitz family with an FFT Jacobian), the matrix
-family evaluation, the full SVD with a deterministic sign convention,
-the approximate Jacobian [J]_ij = u_i^T A_j v_i, the generalized
-residual vector used by the solvers, and the Frobenius residual
-d = ||U^T A(c) V - Sigma*||_F.
+the validated problem type with its two basis forms (a dense row-major
+array, and the O(n) symmetric Toeplitz family with an FFT Jacobian), the
+matrix family evaluation, the full SVD with a deterministic sign
+convention, the approximate Jacobian [J]_ij = u_i^T A_j v_i, the
+generalized residual vector used by the solvers, and the Frobenius
+residual d = ||U^T A(c) V - Sigma*||_F.
 """
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -37,48 +38,57 @@ def _require_finite(name: str, a: np.ndarray) -> None:
         raise NonFiniteInput(f"{name} contains NaN or infinity")
 
 
-# Bytes of A_j v_i products the dense Jacobian holds at once: a block of
-# basis matrices this size stays in cache between its GEMM and its einsum.
+# Bytes of u_i^T A_j products the dense Jacobian holds at once: each
+# block of basis matrices this size stays in cache between its GEMM and
+# its einsum.
 _JACOBIAN_BLOCK_BYTES = 2 << 20
 
 
 class DenseBasis:
-    """A_0, ..., A_n stored once as one read-only (n+1, m, n) array.
+    """A_0, ..., A_n stored once, row-major, as one read-only (m, n+1, n) array.
 
-    Takes ownership of ``stack`` and marks it read-only, so ``basis[k]``
-    is a view of the one buffer and no caller can change it afterwards.
-    A(c) is one GEMV over the stack.  The Jacobian walks the stack in
-    blocks of about 2 MiB of products (one GEMM and one einsum each), so
-    its working memory does not grow with the basis.
+    ``rows[r, k]`` is row r of A_k, and ``basis`` is the (n+1, m, n) view
+    of the same buffer, so ``basis[k]`` is A_k without a copy.  Takes
+    ownership of ``rows`` and marks it read-only, so no caller can change
+    it afterwards.  A(c) is one GEMV per row.  The Jacobian walks the
+    matrices in blocks of about 2 MiB of products, each one GEMM of U_n^T
+    against the (m, k n) view of the block (inner dimension m) and one
+    einsum against V_n, so its working memory does not grow with the
+    basis.
     """
 
-    def __init__(self, stack: np.ndarray):
-        _, m, n = stack.shape
+    def __init__(self, rows: np.ndarray):
+        m, depth, n = rows.shape
         if m < n or n < 1:
             raise DimensionMismatch(f"require m >= n >= 1, got m={m}, n={n}")
-        stack.flags.writeable = False
-        self.basis = stack
+        if depth != n + 1:
+            raise ArityMismatch(f"n={n} needs {n + 1} basis matrices, got {depth}")
+        rows.flags.writeable = False
+        self.rows = rows
+        self.basis = rows.transpose(1, 0, 2)
         self.m, self.n = m, n
 
     @property
     def A0(self) -> np.ndarray:
-        return self.basis[0]
+        return self.rows[:, 0]
 
     def evaluate(self, c: np.ndarray) -> np.ndarray:
-        return self.basis[0] + np.tensordot(c, self.basis[1:], 1)
+        return self.rows[:, 0] + c @ self.rows[:, 1:]
 
     def jacobian(self, Un: np.ndarray, Vn: np.ndarray) -> np.ndarray:
         m, n = self.m, self.n
-        step = max(1, _JACOBIAN_BLOCK_BYTES // (m * n * 8))
+        step = max(1, _JACOBIAN_BLOCK_BYTES // (n * n * 8))
         J = np.empty((n, n))
         # every block's products go into this one buffer, so one block is alive at a time
-        buf = np.empty((min(step, n) * m, n))
+        buf = np.empty(n * min(step, n) * n)
         for j0 in range(0, n, step):
-            block = self.basis[1 + j0 : 1 + j0 + step]
-            k = len(block)
-            # products[j, :, i] = A_{j0+j} @ v_i
-            products = np.matmul(block.reshape(-1, n), Vn, out=buf[: k * m]).reshape(k, m, n)
-            J[:, j0 : j0 + k] = np.einsum("ri,jri->ij", Un, products)
+            block = self.rows[:, 1 + j0 : 1 + j0 + step]
+            k = block.shape[1]
+            # products[i, j, s] = (u_i^T A_{j0+j})_s
+            products = np.matmul(
+                Un.T, block.reshape(m, k * n), out=buf[: n * k * n].reshape(n, k * n)
+            )
+            J[:, j0 : j0 + k] = np.einsum("ijs,si->ij", products.reshape(n, k, n), Vn)
         return J
 
 
@@ -175,31 +185,30 @@ class IsvpInstance:
 def build_instance(basis, sigma_star, min_gap: float = DEFAULT_MIN_GAP) -> IsvpInstance:
     """Validate raw inputs and construct a dense :class:`IsvpInstance`.
 
-    The basis is copied into one new array.  Raises ``DimensionMismatch``
-    for ragged bases or m < n, ``ArityMismatch`` when
-    ``len(sigma_star) != len(basis) - 1``, ``NonpositiveSigma`` /
+    The basis is copied, one matrix at a time, into one new row-major
+    array.  Raises ``DimensionMismatch`` for ragged bases or m < n,
+    ``ArityMismatch`` when the basis does not hold n + 1 matrices or
+    ``sigma_star`` does not hold n values, ``NonpositiveSigma`` /
     ``DuplicateSigma`` when the targets violate strict positivity or the
     minimum-gap requirement.
     """
-    mats = [np.asarray(a, dtype=float) for a in basis]
+    mats = list(basis)
     if not mats:
         raise DimensionMismatch("basis must contain at least A_0")
-    if mats[0].ndim != 2:
+    first = np.asarray(mats[0], dtype=float)
+    if first.ndim != 2:
         raise DimensionMismatch("basis matrices must be two-dimensional")
-    m, n = mats[0].shape
+    m, n = first.shape
+    rows = np.empty((m, len(mats), n))
     for idx, a in enumerate(mats):
+        a = np.asarray(a, dtype=float)
         if a.shape != (m, n):
             raise DimensionMismatch(
                 f"basis[{idx}] has shape {a.shape}, expected {(m, n)}"
             )
         _require_finite(f"basis[{idx}]", a)
-    operator = DenseBasis(np.stack(mats))
-    size = np.size(sigma_star)
-    if size != len(mats) - 1:
-        raise ArityMismatch(
-            f"sigma_star has {size} entries but basis defines {len(mats) - 1}"
-        )
-    return make_instance(operator, sigma_star, min_gap)
+        rows[:, idx] = a
+    return make_instance(DenseBasis(rows), sigma_star, min_gap)
 
 
 def make_instance(
@@ -251,14 +260,21 @@ class SvdFactorization:
     sigma: np.ndarray
 
 
+def _pivot_signs(X: np.ndarray) -> np.ndarray:
+    """-1 for each column of X whose entry of largest magnitude (lowest
+    row index on ties) is negative, +1 otherwise."""
+    pivots = np.argmax(np.abs(X), axis=0)
+    return np.where(X[pivots, np.arange(X.shape[1])] < 0.0, -1.0, 1.0)
+
+
 def full_svd(A) -> SvdFactorization:
-    """Full SVD with a deterministic sign and completion convention.
+    """Full SVD with a deterministic sign convention, from one LAPACK call.
 
     For each right singular vector the entry of largest magnitude is made
     positive (ties broken by lowest row index) and the paired left vector
-    is flipped in tandem.  When m > n the trailing columns of U are a
-    Householder-QR completion of the orthogonal complement of u_1..u_n,
-    again sign-normalized, so reruns produce identical factors.
+    is flipped in tandem.  When m > n the trailing columns of U are the
+    orthonormal completion LAPACK returns with the full SVD, each
+    sign-normalized by the same rule, so reruns produce identical factors.
     """
     A = np.asarray(A, dtype=float)
     if A.ndim != 2:
@@ -268,25 +284,12 @@ def full_svd(A) -> SvdFactorization:
         raise DimensionMismatch(f"require m >= n, got {A.shape}")
     _require_finite("A", A)
     try:
-        U1, sigma, Vt = np.linalg.svd(A, full_matrices=False)
+        U, sigma, Vt = np.linalg.svd(A)
     except np.linalg.LinAlgError as exc:
         raise NumericalFailure(f"SVD did not converge: {exc}") from exc
-    V = Vt.T
-    cols = np.arange(n)
-    pivots = np.argmax(np.abs(V), axis=0)
-    signs = np.where(V[pivots, cols] < 0.0, -1.0, 1.0)
-    V = V * signs
-    U1 = U1 * signs
-    if m > n:
-        # Householder QR of U1: trailing columns of Q span the complement.
-        Q = np.linalg.qr(U1, mode="complete")[0]
-        tail = Q[:, n:]
-        tcols = np.arange(m - n)
-        tpivots = np.argmax(np.abs(tail), axis=0)
-        tsigns = np.where(tail[tpivots, tcols] < 0.0, -1.0, 1.0)
-        U = np.concatenate([U1, tail * tsigns], axis=1)
-    else:
-        U = U1
+    signs = _pivot_signs(Vt.T)
+    V = Vt.T * signs
+    U *= np.concatenate([signs, _pivot_signs(U[:, n:])])
     return SvdFactorization(U=U, V=V, sigma=sigma)
 
 
@@ -345,25 +348,38 @@ def save_instance(instance: IsvpInstance, path) -> None:
         raise IoFailure(f"cannot write instance to {path}: {exc}") from exc
 
 
+def _read_block(fh, shape: tuple[int, int], what: str, max_rows: int | None = None):
+    """Parse the next ``max_rows`` data lines of ``fh`` (all that are left
+    for None) and require them to form an array of ``shape``."""
+    block = np.loadtxt(fh, max_rows=max_rows, ndmin=2)
+    if block.shape != shape:
+        raise ValueError(
+            f"{what}: expected {shape[0]} lines of {shape[1]} values, "
+            f"found {block.shape[0]} of {block.shape[1]}"
+        )
+    return block
+
+
 def load_instance(path, min_gap: float = DEFAULT_MIN_GAP) -> IsvpInstance:
-    """Read the instance text format written by :func:`save_instance`."""
+    """Read the instance text format written by :func:`save_instance`.
+
+    Each basis matrix is parsed on its own and written straight into the
+    instance's row-major array, so loading holds one basis-sized array.
+    """
     try:
         fh = open(path)
     except OSError as exc:
         raise IoFailure(f"cannot read instance from {path}: {exc}") from exc
-    with fh:
+    with fh, warnings.catch_warnings():
+        # loadtxt only warns when the file ends before a block; that is malformed too
+        warnings.simplefilter("error", UserWarning)
         try:
             m, n = (int(tok) for tok in fh.readline().split())
-            values = np.loadtxt(fh, ndmin=2)
-            expected = (n + 1) * m + 1
-            if values.shape != (expected, n):
-                raise ValueError(
-                    f"expected {expected} data lines of {n} values, "
-                    f"found {values.shape[0]} of {values.shape[1]}"
-                )
-        except (ValueError, OSError) as exc:
+            rows = np.empty((m, n + 1, n))
+            for k in range(n + 1):
+                rows[:, k] = _read_block(fh, (m, n), f"A_{k}", max_rows=m)
+            sigma = _read_block(fh, (1, n), "sigma*")[0]
+        except (ValueError, OSError, UserWarning) as exc:
             raise IoFailure(f"malformed instance file {path}: {exc}") from exc
-    # the basis rows become the instance's stack as they are, without a copy
-    stack = values[:-1].reshape(n + 1, m, n)
-    _require_finite("basis", stack)
-    return make_instance(DenseBasis(stack), values[-1], min_gap)
+    _require_finite("basis", rows)
+    return make_instance(DenseBasis(rows), sigma, min_gap)

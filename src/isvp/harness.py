@@ -32,7 +32,6 @@ from .core import (
     DenseBasis,
     IsvpInstance,
     ToeplitzBasis,
-    full_svd,
     make_instance,
 )
 from .errors import (
@@ -42,6 +41,7 @@ from .errors import (
     IoFailure,
     IsvpError,
     NonpositiveSigma,
+    NumericalFailure,
     SingularJacobian,
 )
 from .report import SolveReport, SolveStatus
@@ -50,6 +50,8 @@ _ROLE_GENERATE = 0
 _ROLE_PERTURB = 1
 _ROLE_B0 = 2
 _MAX_DRAWS = 8
+# bytes of basis matrices drawn at a time before they are moved into place
+_DRAW_BLOCK_BYTES = 2 << 20
 
 _ROUNDOFF_FLOOR_FACTOR = 100.0
 _MAX_RATIO_BASE = 0.5
@@ -136,7 +138,10 @@ def _draw_instance(draw, seed: int, min_gap: float) -> tuple[IsvpInstance, np.nd
     """
     for attempt in range(_MAX_DRAWS):
         operator, c_star = draw(_rng(seed, _ROLE_GENERATE, attempt))
-        sigma = full_svd(operator.evaluate(c_star)).sigma
+        try:
+            sigma = np.linalg.svd(operator.evaluate(c_star), compute_uv=False)
+        except np.linalg.LinAlgError as exc:
+            raise NumericalFailure(f"SVD did not converge: {exc}") from exc
         try:
             return make_instance(operator, sigma, min_gap=min_gap), c_star
         except (DuplicateSigma, NonpositiveSigma):
@@ -148,10 +153,17 @@ def generate_instance(
     m: int, n: int, seed: int, min_gap: float = DEFAULT_MIN_GAP
 ) -> tuple[IsvpInstance, np.ndarray]:
     """Draw one random instance and its generating vector c*."""
-    # the basis is drawn before c*, from the same stream
-    return _draw_instance(
-        lambda rng: (DenseBasis(rng.random((n + 1, m, n))), rng.random(n)), seed, min_gap
-    )
+
+    def draw(rng):
+        # A_0..A_n row-major, a few matrices at a time, then c* from the same stream
+        rows = np.empty((m, n + 1, n))
+        step = max(1, _DRAW_BLOCK_BYTES // (m * n * 8))
+        for k in range(0, n + 1, step):
+            chunk = rng.random((min(step, n + 1 - k), m, n))
+            rows[:, k : k + len(chunk)] = chunk.transpose(1, 0, 2)
+        return DenseBasis(rows), rng.random(n)
+
+    return _draw_instance(draw, seed, min_gap)
 
 
 def generate_toeplitz_instance(

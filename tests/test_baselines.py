@@ -1,9 +1,11 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 import isvp
 from isvp.baselines import alg1_offset_vector, alg1_outer_step, Alg1State
-from isvp.cayley_free import SolverConfig
+from isvp.cayley_free import SolverConfig, initialize
 from isvp.core import residual_d
 from isvp.errors import (
     DegenerateShift,
@@ -305,3 +307,41 @@ class TestCrossSolverAgreement:
         for a in finals:
             for b in finals:
                 assert np.linalg.norm(a - b) <= 1e-8 * (1 + np.linalg.norm(b))
+
+
+def _k0_state(method, inst, c0):
+    """The k = 0 state each two-step solver starts from (B_0 = inv(J_0))."""
+    if method == "cayley-free":
+        state = initialize(inst, c0)
+        state.B = np.linalg.inv(state.J)
+        return state
+    A = isvp.evaluate_A(inst, c0)
+    f = isvp.full_svd(A)
+    J = isvp.approx_jacobian(f.U, f.V, inst)
+    return Alg1State(
+        k=0, c=c0.copy(), A=A, U=f.U, V=f.V, B=np.linalg.inv(J), J=J,
+        b=alg1_offset_vector(f.U, f.V, inst.A0, inst.n), s=inst.sigma_star.copy(),
+    )
+
+
+@pytest.mark.parametrize("method", ["cayley-free", "alg1"])
+def test_two_step_methods_ignore_the_tail_basis_of_U(method):
+    # full_svd may complete u_1..u_n with any orthonormal basis of the
+    # complement; rotating that tail must not change the iterates
+    step = isvp.outer_step if method == "cayley-free" else alg1_outer_step
+    inst, c_star = isvp.generate_instance(60, 30, 4)
+    c0 = isvp.perturb_c_star(c_star, 1e-3, 4)
+    state = _k0_state(method, inst, c0)
+    Q = np.linalg.qr(np.random.default_rng(11).standard_normal((30, 30)))[0]
+    U = state.U.copy()
+    U[:, 30:] = U[:, 30:] @ Q
+    rotated = replace(state, U=U)
+    for _ in range(3):
+        state = step(state, inst)
+        rotated = step(rotated, inst)
+        scale = np.linalg.norm(state.c)
+        assert np.linalg.norm(rotated.c - state.c) <= 1e-12 * scale
+        d = residual_d(state.U, state.V, state.A, inst.sigma_star)
+        d_rot = residual_d(rotated.U, rotated.V, rotated.A, inst.sigma_star)
+        if d > 1e-8:
+            assert d_rot == pytest.approx(d, rel=1e-6)

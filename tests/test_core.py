@@ -152,6 +152,10 @@ class TestFullSvd:
         for i in range(4):
             pivot = np.argmax(np.abs(f1.V[:, i]))
             assert f1.V[pivot, i] > 0
+        # the completion columns of U follow the same rule on their own
+        for j in range(4, 7):
+            pivot = np.argmax(np.abs(f1.U[:, j]))
+            assert f1.U[pivot, j] > 0
 
     def test_wide_rejected(self):
         with pytest.raises(DimensionMismatch):

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import isvp
+from isvp import harness
 from isvp.errors import DegenerateDraw, InsufficientData, SingularJacobian
 from isvp.harness import TRACE_HEADER, run_trial, summary_dict, trace_rows
 from isvp.report import SolveStatus
@@ -20,6 +21,14 @@ class TestGenerateInstance:
             np.testing.assert_array_equal(x, y)
         np.testing.assert_array_equal(a.sigma_star, b.sigma_star)
         np.testing.assert_array_equal(ca, cb)
+
+    def test_basis_then_c_star_from_one_stream(self):
+        # 200 x 100 is drawn in several chunks; the values must be those of
+        # one draw of the whole (n+1, m, n) stack followed by c*
+        inst, c_star = isvp.generate_instance(200, 100, 6)
+        rng = harness._rng(6, harness._ROLE_GENERATE, 0)
+        np.testing.assert_array_equal(inst.basis, rng.random((101, 200, 100)))
+        np.testing.assert_array_equal(c_star, rng.random(100))
 
     def test_different_seeds_differ(self):
         a, _ = isvp.generate_instance(8, 4, 1)

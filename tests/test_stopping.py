@@ -1,10 +1,13 @@
 """The stopping rule and failure contract that all three solvers share."""
 
+import warnings
+
 import numpy as np
 import pytest
 
 import isvp
 from isvp.cayley_free import SolverConfig
+from isvp.harness import Algorithm, ExperimentConfig, run_trial
 from isvp.report import SolveStatus
 
 from conftest import solved_start
@@ -105,3 +108,16 @@ def test_nonfinite_A_inside_a_step_is_diverged(name, monkeypatch):
     assert report.iterations == 0
     assert len(report.records) == 1
     assert report.records[-1].err_c == float(np.linalg.norm(report.c_final - c_star))
+
+
+def test_overflowing_residual_is_diverged_without_a_warning():
+    # this run blows up until U^T A(c) V has entries near 1e154, where the
+    # Frobenius norm of the record's residual overflows to inf
+    config = ExperimentConfig(
+        m=60, n=30, beta=1e-2, mu=0.3, seeds=(9,), algorithm=Algorithm.CAYLEY_FREE
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        trial = run_trial(config, 9)
+    assert trial.status == SolveStatus.DIVERGED.value
+    assert trial.report.records[-1].d == np.inf
