@@ -41,19 +41,20 @@ class Alg1State:
     V: np.ndarray
     B: np.ndarray
     J: np.ndarray
-    b: np.ndarray
     s: np.ndarray
 
 
-def alg1_offset_vector(U: np.ndarray, V: np.ndarray, A0: np.ndarray, n: int) -> np.ndarray:
-    """Uncorrected affine offset [b]_i = u_i^T A_0 v_i.
+def alg1_offset_vector(U: np.ndarray, V: np.ndarray, M: np.ndarray, n: int) -> np.ndarray:
+    """The vector [u_i^T M v_i] over the leading n columns of U and V.
 
-    Deliberately different from the corrected offset used by the
-    Cayley-free solver (core.generalized_residual_vector with M = A_0):
-    the baseline keeps its vectors orthogonal, so the norm correction
-    term is identically zero there and the method omits it.
+    With M = A(c) it equals J c + b with b = [u_i^T A_0 v_i], the
+    baseline's linear model of the singular values at c.  Deliberately
+    different from the corrected residual of the Cayley-free solver
+    (core.generalized_residual_vector): the baseline keeps its vectors
+    orthogonal, so the norm correction term is identically zero there and
+    the method omits it.
     """
-    return np.einsum("ji,ji->i", U[:, :n], (A0 @ V)[:, :n])
+    return np.einsum("ji,ji->i", U[:, :n], M @ V[:, :n])
 
 
 def _check_shift(s: np.ndarray, min_gap: float) -> None:
@@ -123,17 +124,9 @@ def alg1_outer_step(state: Alg1State, instance: IsvpInstance) -> Alg1State:
     """
     sigma = instance.sigma_star
     n = instance.n
-    c, U, V, B, J, b, s = (
-        state.c,
-        state.U,
-        state.V,
-        state.B,
-        state.J,
-        state.b,
-        state.s,
-    )
+    c, U, V, B, J, s = state.c, state.U, state.V, state.B, state.J, state.s
     with np.errstate(over="ignore", invalid="ignore"):
-        y = c - B @ (J @ c + b - sigma)
+        y = c - B @ (alg1_offset_vector(U, V, state.A, n) - sigma)
         if not np.all(np.isfinite(y)):
             raise NumericalBreakdown("first coefficient update is non-finite")
         A_y = evaluate_A(instance, y)
@@ -156,9 +149,8 @@ def alg1_outer_step(state: Alg1State, instance: IsvpInstance) -> Alg1State:
         U_next = cayley_orthogonalize(Z, X_bar)
         V_next = cayley_orthogonalize(N, Y_bar)
 
-        sigma_next = np.einsum("ji,ji->i", U_next[:, :n], (A_next @ V_next)[:, :n])
+        sigma_next = alg1_offset_vector(U_next, V_next, A_next, n)
         J_next = approx_jacobian(U_next, V_next, instance)
-        b_next = alg1_offset_vector(U_next, V_next, instance.A0, n)
         B_next = chebyshev_update(B, J_next)
         t_next = sigma_next - sigma
         s_next = sigma + t_next - J_next @ (B_next @ t_next)
@@ -167,8 +159,7 @@ def alg1_outer_step(state: Alg1State, instance: IsvpInstance) -> Alg1State:
             raise NumericalBreakdown(f"updated {name} is non-finite")
 
     return Alg1State(
-        k=state.k + 1, c=c_next, A=A_next, U=U_next, V=V_next,
-        B=B_next, J=J_next, b=b_next, s=s_next,
+        k=state.k + 1, c=c_next, A=A_next, U=U_next, V=V_next, B=B_next, J=J_next, s=s_next
     )
 
 
@@ -187,14 +178,13 @@ def alg1_solve(
     t_start = time.perf_counter()
     c0 = np.asarray(c0, dtype=float).reshape(-1)
     A_c, factors, J0 = _exact_point(instance, c0)
-    b0 = alg1_offset_vector(factors.U, factors.V, instance.A0, instance.n)
     try:
         B0 = np.linalg.inv(J0)
     except np.linalg.LinAlgError as exc:
         raise SingularJacobian(f"initial Jacobian is singular: {exc}") from exc
     state = Alg1State(
-        k=0, c=c0.copy(), A=A_c, U=factors.U, V=factors.V,
-        B=B0, J=J0, b=b0, s=instance.sigma_star.copy(),
+        k=0, c=c0.copy(), A=A_c, U=factors.U, V=factors.V, B=B0, J=J0,
+        s=instance.sigma_star.copy(),
     )
     return _iterate(alg1_outer_step, state, instance, config, c_star, t_start)
 

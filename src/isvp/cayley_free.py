@@ -132,10 +132,10 @@ def _exact_point(
 class SolverState:
     """Complete mutable state of one outer iteration.
 
-    ``A`` is A(c).  ``B`` approximates the inverse of the approximate
-    Jacobian ``J``; ``b`` is the corrected affine offset so that J c + b
-    plays the role of the residual function at c.  ``B`` is ``None`` from
-    :func:`initialize` until the caller chooses B_0.
+    ``A`` is A(c), so the generalized residual g(U, V, A) is the residual
+    model J c + b of the paper.  ``B`` approximates the inverse of the
+    approximate Jacobian ``J``; it is ``None`` from :func:`initialize`
+    until the caller chooses B_0.
     """
 
     k: int
@@ -145,7 +145,6 @@ class SolverState:
     V: np.ndarray
     B: np.ndarray | None
     J: np.ndarray
-    b: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -225,16 +224,17 @@ def chebyshev_update(B: np.ndarray, J_next: np.ndarray) -> np.ndarray:
 def outer_step(state: SolverState, instance: IsvpInstance) -> SolverState:
     """Advance one outer iteration.
 
-    Substeps: first coefficient update from (J, b); first correction pair
-    from W at the predicted point; multiplicative refinement; second
-    coefficient update from the refined residual rho; second correction
-    pair from the updated point; second refinement; new J, b; Chebyshev
-    update of B.  A non-finite update raises ``NumericalBreakdown``.
+    Substeps: first coefficient update from the generalized residual at
+    the iterate, g(U, V, A(c)) = J c + b; first correction pair from W at
+    the predicted point; multiplicative refinement; second coefficient
+    update from the refined residual rho; second correction pair from the
+    updated point; second refinement; new J; Chebyshev update of B.  A
+    non-finite update raises ``NumericalBreakdown``.
     """
     sigma = instance.sigma_star
-    c, U, V, B, J, b = state.c, state.U, state.V, state.B, state.J, state.b
+    c, U, V, B = state.c, state.U, state.V, state.B
     with np.errstate(over="ignore", invalid="ignore"):
-        c_bar = c - B @ (J @ c + b)
+        c_bar = c - B @ generalized_residual_vector(U, V, state.A, sigma)
         if not np.all(np.isfinite(c_bar)):
             raise NumericalBreakdown("first coefficient update is non-finite")
         A_bar = evaluate_A(instance, c_bar)
@@ -254,15 +254,12 @@ def outer_step(state: SolverState, instance: IsvpInstance) -> SolverState:
         V_next = multiplicative_refine(V_bar, second.right)
 
         J_next = approx_jacobian(U_next, V_next, instance)
-        b_next = generalized_residual_vector(U_next, V_next, instance.A0, sigma)
         B_next = chebyshev_update(B, J_next)
     for name, a in (("U", U_next), ("V", V_next), ("B", B_next), ("J", J_next)):
         if not np.all(np.isfinite(a)):
             raise NumericalBreakdown(f"updated {name} is non-finite")
 
-    return SolverState(
-        k=state.k + 1, c=c_next, A=A_next, U=U_next, V=V_next, B=B_next, J=J_next, b=b_next
-    )
+    return SolverState(k=state.k + 1, c=c_next, A=A_next, U=U_next, V=V_next, B=B_next, J=J_next)
 
 
 def initialize(instance: IsvpInstance, c0) -> SolverState:
@@ -272,10 +269,7 @@ def initialize(instance: IsvpInstance, c0) -> SolverState:
     """
     c0 = np.asarray(c0, dtype=float).reshape(-1)
     A_c, factors, J0 = _exact_point(instance, c0)
-    b0 = generalized_residual_vector(
-        factors.U, factors.V, instance.A0, instance.sigma_star
-    )
-    return SolverState(k=0, c=c0.copy(), A=A_c, U=factors.U, V=factors.V, B=None, J=J0, b=b0)
+    return SolverState(k=0, c=c0.copy(), A=A_c, U=factors.U, V=factors.V, B=None, J=J0)
 
 
 def solve(

@@ -14,9 +14,9 @@ residual d = ||U^T A(c) V - Sigma*||_F.
 
 from __future__ import annotations
 
+import os
 import warnings
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -68,10 +68,6 @@ class DenseBasis:
         self.basis = rows.transpose(1, 0, 2)
         self.m, self.n = m, n
 
-    @property
-    def A0(self) -> np.ndarray:
-        return self.rows[:, 0]
-
     def evaluate(self, c: np.ndarray) -> np.ndarray:
         return self.rows[:, 0] + c @ self.rows[:, 1:]
 
@@ -106,12 +102,6 @@ class ToeplitzBasis:
         if m < n or n < 1:
             raise DimensionMismatch(f"require m >= n >= 1, got m={m}, n={n}")
         self.m, self.n = m, n
-
-    @property
-    def A0(self) -> np.ndarray:
-        out = np.zeros((self.m, self.n))
-        out.flags.writeable = False
-        return out
 
     @property
     def basis(self) -> np.ndarray:
@@ -153,7 +143,7 @@ class IsvpInstance:
     """Immutable problem statement: basis operator plus target spectrum.
 
     ``operator`` is a :class:`DenseBasis` or a :class:`ToeplitzBasis`;
-    both give ``A0``, ``evaluate(c)``, ``jacobian(Un, Vn)`` and the dense
+    both give ``evaluate(c)``, ``jacobian(Un, Vn)`` and the dense
     ``basis`` stack, whose entry 0 is the affine offset A_0 and entries
     1..n are the coefficient matrices A_1, ..., A_n, all of shape (m, n)
     with m >= n.  ``sigma_star`` holds the n targets, strictly decreasing
@@ -172,10 +162,6 @@ class IsvpInstance:
     @property
     def n(self) -> int:
         return self.operator.n
-
-    @property
-    def A0(self) -> np.ndarray:
-        return self.operator.A0
 
     @property
     def basis(self) -> np.ndarray:
@@ -306,7 +292,8 @@ def generalized_residual_vector(
 ) -> np.ndarray:
     """Entries g_i = u_i^T M v_i - sigma*_i (u_i^T u_i + v_i^T v_i) / 2.
 
-    With M = A_0 this is the corrected affine offset b; with M = A(c) and
+    It is affine in c: with M = A(c) it equals J c + g(U, V, A_0), the
+    residual model that drives the first coefficient update; with
     refined vectors it is the second-step residual rho.
     """
     n = sigma_star.size
@@ -337,13 +324,12 @@ def save_instance(instance: IsvpInstance, path) -> None:
     form is written densely, so a Toeplitz instance reads back as a dense
     one with the same A(c).
     """
-    lines = [f"{instance.m} {instance.n}"]
-    for a in instance.basis:
-        for row in a:
-            lines.append(" ".join(format(x, ".17g") for x in row))
-    lines.append(" ".join(format(x, ".17g") for x in instance.sigma_star))
     try:
-        Path(path).write_text("\n".join(lines) + "\n")
+        with open(path, "w") as fh:
+            fh.write(f"{instance.m} {instance.n}\n")
+            for a in instance.basis:
+                np.savetxt(fh, a, fmt="%.17g")
+            np.savetxt(fh, instance.sigma_star[None], fmt="%.17g")
     except OSError as exc:
         raise IoFailure(f"cannot write instance to {path}: {exc}") from exc
 
@@ -375,11 +361,15 @@ def load_instance(path, min_gap: float = DEFAULT_MIN_GAP) -> IsvpInstance:
         warnings.simplefilter("error", UserWarning)
         try:
             m, n = (int(tok) for tok in fh.readline().split())
+            # every value takes at least one digit and one separator; a pipe
+            # reports size 0, so only the allocation can reject its header
+            if 0 < os.fstat(fh.fileno()).st_size < 2 * ((n + 1) * m * n + n):
+                raise ValueError(f"header {m} {n} asks for more values than the file holds")
             rows = np.empty((m, n + 1, n))
             for k in range(n + 1):
                 rows[:, k] = _read_block(fh, (m, n), f"A_{k}", max_rows=m)
             sigma = _read_block(fh, (1, n), "sigma*")[0]
-        except (ValueError, OSError, UserWarning) as exc:
+        except (ValueError, OSError, UserWarning, MemoryError) as exc:
             raise IoFailure(f"malformed instance file {path}: {exc}") from exc
     _require_finite("basis", rows)
     return make_instance(DenseBasis(rows), sigma, min_gap)

@@ -26,7 +26,7 @@ import pytest
 
 import isvp
 import isvp.cayley_free as cayley_free_module
-from isvp.baselines import Alg1State, alg1_offset_vector, alg1_outer_step
+from isvp.baselines import Alg1State, alg1_outer_step
 from isvp.cayley_free import SolverConfig, initialize, outer_step
 from isvp.report import SolveStatus
 
@@ -290,9 +290,7 @@ def test_criterion_5_structural_no_solves(monkeypatch):
     J0 = isvp.approx_jacobian(factors.U, factors.V, inst)
     state = Alg1State(
         k=0, c=c0.copy(), A=A_c0, U=factors.U, V=factors.V,
-        B=np.linalg.inv(J0), J=J0,
-        b=alg1_offset_vector(factors.U, factors.V, inst.basis[0], n),
-        s=inst.sigma_star.copy(),
+        B=np.linalg.inv(J0), J=J0, s=inst.sigma_star.copy(),
     )
     counting_solve.calls = counting_solve.rhs_columns = 0
     alg1_outer_step(state, inst)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import isvp
-from isvp.baselines import alg1_offset_vector, alg1_outer_step, Alg1State
+from isvp.baselines import alg1_outer_step, Alg1State
 from isvp.cayley_free import SolverConfig, initialize
 from isvp.core import residual_d
 from isvp.errors import (
@@ -115,7 +115,6 @@ class TestAlg1OuterStep:
         A_star = isvp.evaluate_A(instance, c_star)
         f = isvp.full_svd(A_star)
         J = isvp.approx_jacobian(f.U, f.V, instance)
-        b = alg1_offset_vector(f.U, f.V, instance.basis[0], instance.n)
         return Alg1State(
             k=0,
             c=c_star.copy(),
@@ -124,7 +123,6 @@ class TestAlg1OuterStep:
             V=f.V,
             B=np.linalg.inv(J),
             J=J,
-            b=b,
             s=instance.sigma_star.copy(),
         )
 
@@ -142,13 +140,14 @@ class TestAlg1OuterStep:
         A0 = isvp.evaluate_A(inst, c0)
         f = isvp.full_svd(A0)
         J = isvp.approx_jacobian(f.U, f.V, inst)
-        b = alg1_offset_vector(f.U, f.V, inst.basis[0], inst.n)
         B = np.linalg.inv(J)
         sigma = inst.sigma_star
-        state = Alg1State(k=0, c=c0.copy(), A=A0, U=f.U, V=f.V, B=B, J=J, b=b, s=sigma.copy())
+        state = Alg1State(k=0, c=c0.copy(), A=A0, U=f.U, V=f.V, B=B, J=J, s=sigma.copy())
 
-        # straight-line re-implementation with loop-built pieces
+        # straight-line re-implementation with loop-built pieces, keeping
+        # the paper's first update from J c + b
         n = inst.n
+        b = np.array([f.U[:, i] @ inst.basis[0] @ f.V[:, i] for i in range(n)])
         y = c0 - B @ (J @ c0 + b - sigma)
         A_y = isvp.evaluate_A(inst, y)
         D = f.U.T @ A_y @ f.V
@@ -172,7 +171,6 @@ class TestAlg1OuterStep:
                 for i in range(n)
             ]
         )
-        b1 = np.array([U1[:, i] @ inst.basis[0] @ V1[:, i] for i in range(n)])
         B1 = B + B @ (2 * eye_n - J1 @ B) @ (eye_n - J1 @ B)
         s1 = sigma + (eye_n - J1 @ B1) @ (sigma1 - sigma)
 
@@ -182,7 +180,6 @@ class TestAlg1OuterStep:
             (next_state.U, U1),
             (next_state.V, V1),
             (next_state.J, J1),
-            (next_state.b, b1),
             (next_state.B, B1),
             (next_state.s, s1),
         ]:
@@ -217,7 +214,6 @@ class TestAlg1Solve:
             V=f.V,
             B=np.linalg.inv(J),
             J=J,
-            b=alg1_offset_vector(f.U, f.V, inst.basis[0], inst.n),
             s=inst.sigma_star.copy(),
         )
         for _ in range(3):
@@ -320,7 +316,7 @@ def _k0_state(method, inst, c0):
     J = isvp.approx_jacobian(f.U, f.V, inst)
     return Alg1State(
         k=0, c=c0.copy(), A=A, U=f.U, V=f.V, B=np.linalg.inv(J), J=J,
-        b=alg1_offset_vector(f.U, f.V, inst.A0, inst.n), s=inst.sigma_star.copy(),
+        s=inst.sigma_star.copy(),
     )
 
 

@@ -64,9 +64,9 @@ class TestToeplitzForm:
 
     def test_offset_is_read_only_zero(self):
         inst, _ = isvp.generate_toeplitz_instance(5, 3, 1)
-        np.testing.assert_array_equal(inst.A0, np.zeros((5, 3)))
+        np.testing.assert_array_equal(inst.basis[0], np.zeros((5, 3)))
         with pytest.raises(ValueError):
-            inst.A0[0, 0] = 1.0
+            inst.basis[0][0, 0] = 1.0
 
     def test_rejects_wide_shape(self):
         with pytest.raises(DimensionMismatch):
@@ -137,6 +137,18 @@ class TestDenseStorage:
             tracemalloc.stop()
         # parsing the whole file and then transposing it would hold two bases
         assert peak <= 1.5 * inst.basis.nbytes
+
+    def test_save_holds_no_basis_sized_text(self, tmp_path):
+        inst, _ = isvp.generate_instance(100, 50, 1)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            isvp.save_instance(inst, tmp_path / "instance.txt")
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        # the text of the whole file is several times the basis bytes
+        assert peak <= 0.5 * inst.basis.nbytes
 
 
 class TestDenseKernels:

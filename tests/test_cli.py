@@ -1,5 +1,9 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -134,6 +138,25 @@ class TestGenAndSolve:
         inst_path.write_text("\n".join(lines) + "\n")
         code = main(["solve", "--instance", str(inst_path), "--beta", "1e-3"])
         assert code == EXIT_USAGE
+
+    def test_solve_oversized_header_is_a_usage_error(self, tmp_path, capsys):
+        # the header asks for a 7 TiB basis that two lines cannot hold
+        inst_path = tmp_path / "instance.txt"
+        inst_path.write_text("1000000 1000\n1 2\n")
+        code = main(["solve", "--instance", str(inst_path), "--beta", "1e-3"])
+        assert code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
+
+    def test_solve_oversized_header_from_a_pipe_is_a_usage_error(self):
+        # a pipe has no size to check, so the failed allocation is what rejects it
+        env = {**os.environ, "PYTHONPATH": str(Path(isvp.__file__).parents[1])}
+        proc = subprocess.run(
+            [sys.executable, "-m", "isvp", "solve", "--instance", "/dev/stdin", "--beta", "1e-3"],
+            input="1000000 1000\n1 2\n", capture_output=True, text=True, env=env,
+        )
+        assert proc.returncode == EXIT_USAGE
+        assert proc.stderr.startswith("error:") and "Traceback" not in proc.stderr
 
     def test_gen_matches_library(self, tmp_path):
         inst_path = tmp_path / "instance.txt"

@@ -244,6 +244,46 @@ class TestRunExperiment:
             assert converged >= floor, (beta, converged)
 
 
+class TestOneStepOrder:
+    """The order of the k = 0 -> 1 map, fitted across starting distances.
+
+    The slope of log ||c_1 - c*|| against log ||c_0 - c*|| is the order
+    of convergence: 3 for both two-step methods from B_0 = J_0^{-1}, 2
+    for Newton.  Points at the roundoff floor are dropped.
+    """
+
+    BETAS = np.logspace(-2, -5, 7)
+    SEEDS = range(1, 11)
+
+    def _slope(self, algorithm, seed):
+        inst, c_star = isvp.generate_instance(20, 10, seed)
+        config = isvp.SolverConfig(tol=1e-300, max_iter=1)
+        floor = 1e-13 * max(1.0, float(np.linalg.norm(c_star)))
+        points = []
+        for beta in self.BETAS:
+            c0 = isvp.perturb_c_star(c_star, beta, seed)
+            report, _ = harness.run_solver(algorithm, inst, c0, config, 0.0, seed, c_star)
+            err0, err1 = (rec.err_c for rec in report.records)
+            if err1 > floor:
+                points.append((np.log(err0), np.log(err1)))
+        assert len(points) >= 3, (algorithm, seed, points)
+        x, y = np.array(points).T
+        return np.polyfit(x, y, 1)[0]
+
+    @pytest.mark.parametrize(
+        "algorithm,order",
+        [
+            (isvp.Algorithm.CAYLEY_FREE, 3.0),
+            (isvp.Algorithm.ALG1, 3.0),
+            (isvp.Algorithm.NEWTON, 2.0),
+        ],
+    )
+    def test_fitted_order(self, algorithm, order):
+        slopes = [self._slope(algorithm, seed) for seed in self.SEEDS]
+        assert abs(np.median(slopes) - order) <= 0.15, slopes
+        assert min(slopes) > order - 0.25, slopes
+
+
 class TestEmitReports:
     def _bundle(self, seeds=(1, 2)):
         config = isvp.ExperimentConfig(
