@@ -34,29 +34,12 @@ from .core import (
     generalized_residual_vector,
     residual_d,
 )
-from .errors import (
-    DegenerateShift,
-    DimensionMismatch,
-    NonFiniteInput,
-    NumericalBreakdown,
-    NumericalFailure,
-    SingularJacobian,
-    SingularSystem,
-    SingularValueCollision,
-)
+from .errors import DimensionMismatch, NonFiniteInput, NumericalBreakdown, NumericalError
 from .report import IterationRecord, SolveReport, SolveStatus
 
-# numerical failures that end a solve as DIVERGED when an outer step raises them;
-# breakdown is found by finiteness checks, so kernels report overflow as NonFiniteInput
-_STEP_FAILURES = (
-    NumericalBreakdown,
-    NonFiniteInput,
-    DegenerateShift,
-    SingularSystem,
-    SingularJacobian,
-    SingularValueCollision,
-    NumericalFailure,
-)
+# failures that end a solve as DIVERGED when an outer step raises them; kernels
+# check their inputs, so an overflowed intermediate arrives as NonFiniteInput
+_STEP_FAILURES = (NumericalError, NonFiniteInput)
 
 # a solve diverges once d_k exceeds this multiple of max(d_0, 1)
 _DIVERGENCE_FACTOR = 1e6

@@ -7,8 +7,9 @@ runs one solver on an instance file, and ``verify`` executes the
 invariant suite on synthetic fixtures.
 
 Exit codes: 0 on success, 1 when any trial failed to converge (unless
-``--allow-nonconverged``) or a verify check failed, 2 on usage or IO
-errors, invalid inputs included.
+``--allow-nonconverged``), a verify check failed or any other
+``IsvpError`` ended the command, 2 on usage errors, ``ValueError`` and
+every ``InputError`` (bad data, files or paths).
 """
 
 from __future__ import annotations
@@ -21,15 +22,7 @@ import numpy as np
 
 from .cayley_free import SolverConfig
 from .core import load_instance, save_instance
-from .errors import (
-    ArityMismatch,
-    DimensionMismatch,
-    DuplicateSigma,
-    IoFailure,
-    IsvpError,
-    NonFiniteInput,
-    NonpositiveSigma,
-)
+from .errors import InputError, IoFailure, IsvpError
 from .harness import (
     Algorithm,
     ExperimentConfig,
@@ -218,19 +211,9 @@ def main(argv=None) -> int:
         return handlers[args.command](args)
     except (IsvpError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        # malformed inputs and files exit 2, solver-side failures exit 1; a
-        # failure inside a step already ends as `diverged`, so the
-        # validation errors below can only come from the inputs
-        usage_like = (
-            IoFailure,
-            DimensionMismatch,
-            ArityMismatch,
-            NonFiniteInput,
-            NonpositiveSigma,
-            DuplicateSigma,
-            ValueError,
-        )
-        return EXIT_USAGE if isinstance(exc, usage_like) else EXIT_NONCONVERGED
+        # an InputError (the caller's data, file or path) exits 2, any other
+        # failure exits 1; a failure inside a step already ended as `diverged`
+        return EXIT_USAGE if isinstance(exc, (InputError, ValueError)) else EXIT_NONCONVERGED
 
 
 if __name__ == "__main__":

@@ -17,7 +17,7 @@ import io
 import json
 import statistics
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
 from enum import Enum
 from pathlib import Path
@@ -40,6 +40,7 @@ from .errors import (
     InsufficientData,
     IoFailure,
     IsvpError,
+    NonFiniteInput,
     NonpositiveSigma,
     NumericalFailure,
     SingularJacobian,
@@ -78,8 +79,8 @@ class ExperimentConfig:
         object.__setattr__(self, "seeds", tuple(self.seeds))
         if not (self.m >= self.n >= 1):
             raise ValueError("require m >= n >= 1")
-        if self.beta < 0.0:
-            raise ValueError("beta must be nonnegative")
+        if not (0.0 <= self.beta < np.inf):
+            raise ValueError("beta must be finite and nonnegative")
         if not (0.0 <= self.mu < 1.0):
             raise ValueError("mu must lie in [0, 1)")
 
@@ -178,10 +179,14 @@ def generate_toeplitz_instance(
 
 def perturb_c_star(c_star: np.ndarray, beta: float, seed: int) -> np.ndarray:
     """Perturb each entry uniformly on [-max_j|c*_j| beta, +max_j|c*_j| beta]."""
-    if beta < 0.0:
-        raise ValueError("beta must be nonnegative")
+    if not (0.0 <= beta < np.inf):
+        raise ValueError("beta must be finite and nonnegative")
     c_star = np.asarray(c_star, dtype=float)
+    if not np.all(np.isfinite(c_star)):
+        raise NonFiniteInput("c* contains NaN or infinity")
     radius = float(np.max(np.abs(c_star))) * beta
+    if not np.isfinite(2.0 * radius):
+        raise ValueError(f"perturbation radius {radius:.3g} is too large")
     rng = _rng(seed, _ROLE_PERTURB)
     return c_star + rng.uniform(-radius, radius, c_star.size)
 
@@ -339,31 +344,10 @@ TRACE_HEADER = ["seed", "algorithm", "k", "d_k", "cond_J", "err_c", "wall_ms"]
 
 
 def summary_dict(bundle: ExperimentBundle) -> dict:
-    cfg = bundle.config
     return {
         "schema": "isvp-summary/1",
-        "config": {
-            "m": cfg.m,
-            "n": cfg.n,
-            "beta": cfg.beta,
-            "mu": cfg.mu,
-            "seeds": list(cfg.seeds),
-            "algorithm": cfg.algorithm.value,
-            "tol": cfg.tol,
-            "max_iter": cfg.max_iter,
-        },
-        "trials": [
-            {
-                "seed": t.seed,
-                "status": t.status,
-                "iterations": t.iterations,
-                "total_ms": t.total_ms,
-                "achieved_mu": t.achieved_mu,
-                "root_rate": t.root_rate,
-                "error": t.error,
-            }
-            for t in bundle.trials
-        ],
+        "config": asdict(bundle.config),
+        "trials": [{k: v for k, v in vars(t).items() if k != "report"} for t in bundle.trials],
         "aggregate": bundle.aggregate(),
         "library_version": __version__,
         "timestamp": datetime.now(timezone.utc).isoformat(),

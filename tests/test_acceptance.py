@@ -338,7 +338,7 @@ def test_criterion_7_fixed_points():
 def test_criterion_8_cli_determinism(tmp_path):
     def run(out):
         cmd = [
-            sys.executable, "-m", "isvp", "run",
+            sys.executable, "-W", "error", "-m", "isvp", "run",
             "--m", "30", "--n", "12", "--beta", "1e-3", "--mu", "0.005",
             "--seeds", "1..3", "--algorithm", "cayley-free",
             "--out", str(out), "--format", "csv,json",

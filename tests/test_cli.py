@@ -73,6 +73,15 @@ class TestRunCommand:
         ]
         assert main(argv) == EXIT_USAGE
 
+    def test_nonfinite_beta_rejected(self, capsys, tmp_path):
+        argv = [
+            "run", "--m", "6", "--n", "3", "--beta", "nan",
+            "--seeds", "1..2", "--out", str(tmp_path / "out"),
+        ]
+        assert main(argv) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
+
     def test_bad_seed_expression_rejected(self, capsys, tmp_path):
         argv = [
             "run", "--m", "8", "--n", "4", "--beta", "1e-3",
@@ -139,6 +148,20 @@ class TestGenAndSolve:
         code = main(["solve", "--instance", str(inst_path), "--beta", "1e-3"])
         assert code == EXIT_USAGE
 
+    def test_solve_nonfinite_c_star_is_a_usage_error(self, tmp_path, capsys):
+        inst_path = tmp_path / "instance.txt"
+        main(["gen", "--m", "6", "--n", "3", "--seed", "3", "--out", str(inst_path)])
+        cstar_path = tmp_path / "cstar.txt"
+        cstar_path.write_text("0.5 nan 0.25\n")
+        capsys.readouterr()
+        code = main([
+            "solve", "--instance", str(inst_path), "--beta", "1e-3",
+            "--c-star", str(cstar_path),
+        ])
+        assert code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
+
     def test_solve_oversized_header_is_a_usage_error(self, tmp_path, capsys):
         # the header asks for a 7 TiB basis that two lines cannot hold
         inst_path = tmp_path / "instance.txt"
@@ -152,7 +175,10 @@ class TestGenAndSolve:
         # a pipe has no size to check, so the failed allocation is what rejects it
         env = {**os.environ, "PYTHONPATH": str(Path(isvp.__file__).parents[1])}
         proc = subprocess.run(
-            [sys.executable, "-m", "isvp", "solve", "--instance", "/dev/stdin", "--beta", "1e-3"],
+            [
+                sys.executable, "-W", "error", "-m", "isvp",
+                "solve", "--instance", "/dev/stdin", "--beta", "1e-3",
+            ],
             input="1000000 1000\n1 2\n", capture_output=True, text=True, env=env,
         )
         assert proc.returncode == EXIT_USAGE

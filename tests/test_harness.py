@@ -6,7 +6,7 @@ import pytest
 
 import isvp
 from isvp import harness
-from isvp.errors import DegenerateDraw, InsufficientData, SingularJacobian
+from isvp.errors import DegenerateDraw, InsufficientData, NonFiniteInput, SingularJacobian
 from isvp.harness import TRACE_HEADER, run_trial, summary_dict, trace_rows
 from isvp.report import SolveStatus
 
@@ -81,6 +81,23 @@ class TestPerturb:
         a = isvp.perturb_c_star(c_star, 1e-2, 11)
         b = isvp.perturb_c_star(c_star, 1e-2, 11)
         np.testing.assert_array_equal(a, b)
+
+    @pytest.mark.parametrize("beta", [-1e-3, np.nan, np.inf])
+    def test_rejects_bad_beta(self, beta):
+        with pytest.raises(ValueError):
+            isvp.perturb_c_star(np.array([0.5, 0.25]), beta, 1)
+        with pytest.raises(ValueError):
+            isvp.ExperimentConfig(m=6, n=3, beta=beta, mu=0.0, seeds=(1,))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_nonfinite_c_star(self, bad):
+        with pytest.raises(NonFiniteInput):
+            isvp.perturb_c_star(np.array([0.5, bad, 0.25]), 1e-3, 1)
+
+    def test_rejects_a_radius_that_overflows(self):
+        # the radius 1e308 is finite, the width of the interval is not
+        with pytest.raises(ValueError):
+            isvp.perturb_c_star(np.ones(3), 1e308, 1)
 
 
 class TestBuildB0:
@@ -178,6 +195,38 @@ class TestRunExperiment:
             bundle = isvp.run_experiment(self._config(algorithm=algorithm, seeds=(1, 2)))
             assert all(t.status == "converged" for t in bundle.trials)
             assert all(t.achieved_mu is None for t in bundle.trials)
+
+    def test_a_raising_seed_becomes_an_error_trial(self, monkeypatch, tmp_path):
+        # the second solve of the sweep (seed 2) raises before any record exists
+        calls = []
+
+        def fail_on_second_call(*args, **kwargs):
+            calls.append(1)
+            if len(calls) == 2:
+                raise SingularJacobian("J0 is singular")
+            return isvp.alg1_solve(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "alg1_solve", fail_on_second_call)
+        bundle = isvp.run_experiment(self._config(algorithm=isvp.Algorithm.ALG1))
+        failed = bundle.trials[1]
+        assert failed.seed == 2
+        assert failed.status == "error:SingularJacobian"
+        assert failed.report is None
+        completed = [bundle.trials[0], bundle.trials[2]]
+        assert all(t.report is not None for t in completed)
+
+        agg = bundle.aggregate()
+        assert agg["trials"] == 3
+        assert agg["mean_iterations"] == pytest.approx(np.mean([t.iterations for t in completed]))
+        assert {row[0] for row in trace_rows(bundle)} == {"1", "3"}
+
+        isvp.emit_reports(bundle, ["json"], tmp_path)
+        summary = json.loads((tmp_path / "summary.json").read_text())
+        entry = summary["trials"][1]
+        assert entry["seed"] == 2
+        assert entry["status"] == "error:SingularJacobian"
+        assert entry["error"] == "J0 is singular"
+        assert "report" not in entry
 
     def test_trial_determinism_excluding_time(self):
         a = run_trial(self._config(), 1)
