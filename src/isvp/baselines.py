@@ -15,8 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cayley_free import SolverConfig, _exact_point, _iterate, chebyshev_update
-from .core import DEFAULT_MIN_GAP, IsvpInstance, approx_jacobian, evaluate_A
+from .cayley_free import SolverConfig, SolverState, _exact_point, _iterate, chebyshev_update
+from .core import MIN_GAP, IsvpInstance, approx_jacobian, evaluate_A, spectral_gap
 from .errors import (
     DegenerateShift,
     DimensionMismatch,
@@ -29,18 +29,10 @@ from .report import SolveReport
 
 
 @dataclass
-class Alg1State:
+class Alg1State(SolverState):
     """State of the Cayley baseline: vectors stay orthogonal, and a shift
-    vector s replaces the targets inside the skew-matrix denominators.
-    ``A`` is A(c)."""
+    vector s replaces the targets inside the skew-matrix denominators."""
 
-    k: int
-    c: np.ndarray
-    A: np.ndarray
-    U: np.ndarray
-    V: np.ndarray
-    B: np.ndarray
-    J: np.ndarray
     s: np.ndarray
 
 
@@ -57,21 +49,19 @@ def alg1_offset_vector(U: np.ndarray, V: np.ndarray, M: np.ndarray, n: int) -> n
     return np.einsum("ji,ji->i", U[:, :n], M @ V[:, :n])
 
 
-def _check_shift(s: np.ndarray, min_gap: float) -> None:
-    if np.any(np.abs(s) <= min_gap):
+def _check_shift(s: np.ndarray) -> None:
+    if np.any(np.abs(s) <= MIN_GAP):
         raise DegenerateShift("shift entry too close to zero")
     diff = np.abs(s[:, None] - s[None, :])
     np.fill_diagonal(diff, np.inf)
-    if diff.min() <= min_gap:
+    if diff.min() <= MIN_GAP:
         raise DegenerateShift("two shift entries collide")
     ssum = np.abs(s[:, None] + s[None, :])
-    if ssum.min() <= min_gap:
+    if ssum.min() <= MIN_GAP:
         raise DegenerateShift("two shift entries cancel")
 
 
-def alg1_skew_pair(
-    D: np.ndarray, s: np.ndarray, min_gap: float = DEFAULT_MIN_GAP
-) -> tuple[np.ndarray, np.ndarray]:
+def alg1_skew_pair(D: np.ndarray, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Skew-symmetric correction pair (X m x m, Y n x n) from D and shifts s.
 
     Entries are staged in one triangle and mirrored, so X = -X^T and
@@ -80,7 +70,7 @@ def alg1_skew_pair(
     m, n = D.shape
     if s.shape != (n,):
         raise DimensionMismatch("shift vector length must match D's column count")
-    _check_shift(s, min_gap)
+    _check_shift(s)
     den = s[None, :] ** 2 - s[:, None] ** 2
     np.fill_diagonal(den, 1.0)
     Dn = D[:n, :n]
@@ -131,7 +121,7 @@ def alg1_outer_step(state: Alg1State, instance: IsvpInstance) -> Alg1State:
             raise NumericalBreakdown("first coefficient update is non-finite")
         A_y = evaluate_A(instance, y)
         D = U.T @ (A_y @ V)
-        X, Y = alg1_skew_pair(D, s, instance.min_gap)
+        X, Y = alg1_skew_pair(D, s)
         Z = cayley_orthogonalize(U, X)
         N = cayley_orthogonalize(V, Y)
         A_y_N = A_y @ N
@@ -145,7 +135,7 @@ def alg1_outer_step(state: Alg1State, instance: IsvpInstance) -> Alg1State:
 
         A_next = evaluate_A(instance, c_next)
         D_bar = U.T @ (A_next @ V) - D + Z.T @ A_y_N
-        X_bar, Y_bar = alg1_skew_pair(D_bar, s_bar, instance.min_gap)
+        X_bar, Y_bar = alg1_skew_pair(D_bar, s_bar)
         U_next = cayley_orthogonalize(Z, X_bar)
         V_next = cayley_orthogonalize(N, Y_bar)
 
@@ -206,14 +196,12 @@ def _newton_point(instance: IsvpInstance, c: np.ndarray, k: int) -> _NewtonState
     """Exact SVD and Jacobian at c.
 
     Singular values are matched to the targets by sorted order, so they
-    must stay simple (gap above the instance's min_gap).
+    must stay simple (gap above ``MIN_GAP``).
     """
     A_c, factors, J = _exact_point(instance, c)
-    gaps = np.diff(-np.concatenate([factors.sigma, [0.0]]))
-    if gaps.min() <= instance.min_gap:
-        raise SingularValueCollision(
-            f"singular values too close along the path (gap {gaps.min():.3e})"
-        )
+    gap = spectral_gap(factors.sigma)
+    if gap <= MIN_GAP:
+        raise SingularValueCollision(f"singular values too close along the path (gap {gap:.3e})")
     return _NewtonState(k=k, c=c, A=A_c, U=factors.U, V=factors.V, sigma=factors.sigma, J=J)
 
 

@@ -69,21 +69,24 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="isvp")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    run = sub.add_parser("run", help="run a seeded experiment sweep")
-    run.add_argument("--m", type=int, required=True)
-    run.add_argument("--n", type=int, required=True)
-    run.add_argument("--beta", type=float, required=True)
-    run.add_argument("--mu", type=float, default=0.0)
-    run.add_argument(
-        "--seeds", type=parse_seeds, required=True, help='e.g. "1..10" or "1,4,9"'
-    )
-    run.add_argument(
+    # the solver options shared by run and solve
+    solver = argparse.ArgumentParser(add_help=False)
+    solver.add_argument("--mu", type=float, default=0.0)
+    solver.add_argument(
         "--algorithm",
         choices=[a.value for a in Algorithm],
         default=Algorithm.CAYLEY_FREE.value,
     )
-    run.add_argument("--tol", type=float, default=1e-10)
-    run.add_argument("--max-iter", type=int, default=50)
+    solver.add_argument("--tol", type=float, default=SolverConfig.tol)
+    solver.add_argument("--max-iter", type=int, default=SolverConfig.max_iter)
+
+    run = sub.add_parser("run", parents=[solver], help="run a seeded experiment sweep")
+    run.add_argument("--m", type=int, required=True)
+    run.add_argument("--n", type=int, required=True)
+    run.add_argument("--beta", type=float, required=True)
+    run.add_argument(
+        "--seeds", type=parse_seeds, required=True, help='e.g. "1..10" or "1,4,9"'
+    )
     run.add_argument("--out", type=Path, required=True)
     run.add_argument("--format", type=str, default="csv,json")
     run.add_argument("--allow-nonconverged", action="store_true")
@@ -94,20 +97,12 @@ def _build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--seed", type=int, required=True)
     gen.add_argument("--out", type=Path, required=True)
 
-    slv = sub.add_parser("solve", help="solve one instance file")
+    slv = sub.add_parser("solve", parents=[solver], help="solve one instance file")
     slv.add_argument("--instance", type=Path, required=True)
     slv.add_argument("--c0", type=Path, help="file with the start vector")
     slv.add_argument("--beta", type=float, help="perturb the generating vector instead")
     slv.add_argument("--c-star", type=Path, help="generating vector (defaults to INSTANCE.cstar)")
-    slv.add_argument("--mu", type=float, default=0.0)
     slv.add_argument("--seed", type=int, default=0)
-    slv.add_argument(
-        "--algorithm",
-        choices=[a.value for a in Algorithm],
-        default=Algorithm.CAYLEY_FREE.value,
-    )
-    slv.add_argument("--tol", type=float, default=1e-10)
-    slv.add_argument("--max-iter", type=int, default=50)
 
     ver = sub.add_parser("verify", help="run the invariant suite")
     ver.add_argument("--trials", type=int, default=50)

@@ -30,7 +30,8 @@ from .errors import (
     NumericalFailure,
 )
 
-DEFAULT_MIN_GAP = 1e-10
+# singular values closer than this, or this close to zero, collide
+MIN_GAP = 1e-10
 
 
 def _require_finite(name: str, a: np.ndarray) -> None:
@@ -147,13 +148,11 @@ class IsvpInstance:
     ``basis`` stack, whose entry 0 is the affine offset A_0 and entries
     1..n are the coefficient matrices A_1, ..., A_n, all of shape (m, n)
     with m >= n.  ``sigma_star`` holds the n targets, strictly decreasing
-    and positive with consecutive gaps (and the gap to zero) above
-    ``min_gap``.
+    and positive with a :func:`spectral_gap` above ``MIN_GAP``.
     """
 
     operator: DenseBasis | ToeplitzBasis
     sigma_star: np.ndarray
-    min_gap: float = DEFAULT_MIN_GAP
 
     @property
     def m(self) -> int:
@@ -168,15 +167,20 @@ class IsvpInstance:
         return self.operator.basis
 
 
-def build_instance(basis, sigma_star, min_gap: float = DEFAULT_MIN_GAP) -> IsvpInstance:
+def spectral_gap(sigma: np.ndarray) -> float:
+    """Smallest gap of a decreasing spectrum, the gap to zero included."""
+    return float(np.diff(-np.concatenate([sigma, [0.0]])).min())
+
+
+def build_instance(basis, sigma_star) -> IsvpInstance:
     """Validate raw inputs and construct a dense :class:`IsvpInstance`.
 
     The basis is copied, one matrix at a time, into one new row-major
     array.  Raises ``DimensionMismatch`` for ragged bases or m < n,
     ``ArityMismatch`` when the basis does not hold n + 1 matrices or
     ``sigma_star`` does not hold n values, ``NonpositiveSigma`` /
-    ``DuplicateSigma`` when the targets violate strict positivity or the
-    minimum-gap requirement.
+    ``DuplicateSigma`` when the targets are not positive or a gap is at
+    most ``MIN_GAP``.
     """
     mats = list(basis)
     if not mats:
@@ -194,12 +198,10 @@ def build_instance(basis, sigma_star, min_gap: float = DEFAULT_MIN_GAP) -> IsvpI
             )
         _require_finite(f"basis[{idx}]", a)
         rows[:, idx] = a
-    return make_instance(DenseBasis(rows), sigma_star, min_gap)
+    return make_instance(DenseBasis(rows), sigma_star)
 
 
-def make_instance(
-    operator: DenseBasis | ToeplitzBasis, sigma_star, min_gap: float = DEFAULT_MIN_GAP
-) -> IsvpInstance:
+def make_instance(operator: DenseBasis | ToeplitzBasis, sigma_star) -> IsvpInstance:
     """Validate the targets against a basis operator and construct the instance."""
     n = operator.n
     sigma = np.array(sigma_star, dtype=float, copy=True).reshape(-1)
@@ -208,13 +210,11 @@ def make_instance(
     _require_finite("sigma_star", sigma)
     if np.any(sigma <= 0.0):
         raise NonpositiveSigma("target singular values must be strictly positive")
-    gaps = np.diff(-np.concatenate([sigma, [0.0]]))
-    if np.any(gaps <= min_gap):
-        raise DuplicateSigma(
-            f"minimum target gap {gaps.min():.3e} is not above min_gap={min_gap:.3e}"
-        )
+    gap = spectral_gap(sigma)
+    if gap <= MIN_GAP:
+        raise DuplicateSigma(f"minimum target gap {gap:.3e} is not above {MIN_GAP:.0e}")
     sigma.flags.writeable = False
-    return IsvpInstance(operator=operator, sigma_star=sigma, min_gap=min_gap)
+    return IsvpInstance(operator=operator, sigma_star=sigma)
 
 
 def diag_embed(sigma: np.ndarray, m: int) -> np.ndarray:
@@ -346,7 +346,7 @@ def _read_block(fh, shape: tuple[int, int], what: str, max_rows: int | None = No
     return block
 
 
-def load_instance(path, min_gap: float = DEFAULT_MIN_GAP) -> IsvpInstance:
+def load_instance(path) -> IsvpInstance:
     """Read the instance text format written by :func:`save_instance`.
 
     Each basis matrix is parsed on its own and written straight into the
@@ -372,4 +372,4 @@ def load_instance(path, min_gap: float = DEFAULT_MIN_GAP) -> IsvpInstance:
         except (ValueError, OSError, UserWarning, MemoryError) as exc:
             raise IoFailure(f"malformed instance file {path}: {exc}") from exc
     _require_finite("basis", rows)
-    return make_instance(DenseBasis(rows), sigma, min_gap)
+    return make_instance(DenseBasis(rows), sigma)

@@ -39,7 +39,7 @@ class NonpositiveSigma(InputError):
 
 
 class DuplicateSigma(InputError):
-    """Two target singular values are closer than the configured gap."""
+    """Two targets, or the smallest target and zero, are within ``MIN_GAP``."""
 
 
 class NonFiniteInput(InputError):
@@ -75,7 +75,7 @@ class SingularValueCollision(NumericalError):
 
 
 class DegenerateDraw(IsvpError):
-    """Random instance generation kept producing degenerate spectra."""
+    """A randomly drawn instance has a degenerate spectrum."""
 
 
 class InsufficientData(IsvpError):

@@ -5,9 +5,10 @@ vector c* uniformly from [0, 1) and set the targets to the singular
 values of A(c*).  The PRNG is numpy's PCG64; each role (generation,
 perturbation, B_0 noise) derives an independent stream from the trial
 seed via ``SeedSequence(entropy=seed, spawn_key=(role, ...))``, with the
-draw order fixed as A_0 row-major, then A_1..A_n, then c*.  Identical
-configurations therefore reproduce identical traces apart from wall
-times.
+draw order fixed as A_0 row-major, then A_1..A_n, then c*.  Each seed is
+drawn once: a spectrum with a gap at or below ``core.MIN_GAP`` raises
+``DegenerateDraw`` rather than being redrawn.  Identical configurations
+therefore reproduce identical traces apart from wall times.
 """
 
 from __future__ import annotations
@@ -27,13 +28,7 @@ import numpy as np
 from . import __version__, cayley_free
 from .baselines import alg1_solve, newton_exact_solve
 from .cayley_free import SolverConfig
-from .core import (
-    DEFAULT_MIN_GAP,
-    DenseBasis,
-    IsvpInstance,
-    ToeplitzBasis,
-    make_instance,
-)
+from .core import DenseBasis, IsvpInstance, ToeplitzBasis, make_instance
 from .errors import (
     DegenerateDraw,
     DuplicateSigma,
@@ -50,9 +45,6 @@ from .report import SolveReport, SolveStatus
 _ROLE_GENERATE = 0
 _ROLE_PERTURB = 1
 _ROLE_B0 = 2
-_MAX_DRAWS = 8
-# bytes of basis matrices drawn at a time before they are moved into place
-_DRAW_BLOCK_BYTES = 2 << 20
 
 _ROUNDOFF_FLOOR_FACTOR = 100.0
 _MAX_RATIO_BASE = 0.5
@@ -72,8 +64,8 @@ class ExperimentConfig:
     mu: float
     seeds: tuple[int, ...]
     algorithm: Algorithm = Algorithm.CAYLEY_FREE
-    tol: float = 1e-10
-    max_iter: int = 50
+    tol: float = SolverConfig.tol
+    max_iter: int = SolverConfig.max_iter
 
     def __post_init__(self):
         object.__setattr__(self, "seeds", tuple(self.seeds))
@@ -129,52 +121,45 @@ def _rng(seed: int, *key: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=key))
 
 
-def _draw_instance(draw, seed: int, min_gap: float) -> tuple[IsvpInstance, np.ndarray]:
-    """Build an instance from ``draw(rng) -> (operator, c*)``.
+def _draw_instance(draw, seed: int) -> tuple[IsvpInstance, np.ndarray]:
+    """Build an instance from ``draw(rng) -> (operator, c*)`` on the
+    seed's generation stream.
 
-    If the spectrum of A(c*) violates the gap requirement the draw is
-    retried on a fresh derived stream; for random draws that is
-    practically unreachable, and ``DegenerateDraw`` is raised only after
-    ``_MAX_DRAWS`` failures.
+    A spectrum of A(c*) with a gap at or below ``core.MIN_GAP`` raises
+    ``DegenerateDraw``; for random draws that is practically unreachable.
     """
-    for attempt in range(_MAX_DRAWS):
-        operator, c_star = draw(_rng(seed, _ROLE_GENERATE, attempt))
-        try:
-            sigma = np.linalg.svd(operator.evaluate(c_star), compute_uv=False)
-        except np.linalg.LinAlgError as exc:
-            raise NumericalFailure(f"SVD did not converge: {exc}") from exc
-        try:
-            return make_instance(operator, sigma, min_gap=min_gap), c_star
-        except (DuplicateSigma, NonpositiveSigma):
-            pass
-    raise DegenerateDraw(f"no valid spectrum after {_MAX_DRAWS} draws for seed {seed}")
+    operator, c_star = draw(_rng(seed, _ROLE_GENERATE, 0))
+    try:
+        sigma = np.linalg.svd(operator.evaluate(c_star), compute_uv=False)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalFailure(f"SVD did not converge: {exc}") from exc
+    try:
+        return make_instance(operator, sigma), c_star
+    except (DuplicateSigma, NonpositiveSigma) as exc:
+        raise DegenerateDraw(f"degenerate spectrum for seed {seed}: {exc}") from exc
 
 
-def generate_instance(
-    m: int, n: int, seed: int, min_gap: float = DEFAULT_MIN_GAP
-) -> tuple[IsvpInstance, np.ndarray]:
+def generate_instance(m: int, n: int, seed: int) -> tuple[IsvpInstance, np.ndarray]:
     """Draw one random instance and its generating vector c*."""
 
     def draw(rng):
-        # A_0..A_n row-major, a few matrices at a time, then c* from the same stream
+        # A_0..A_n row-major, one matrix at a time through one buffer, then c*
+        # from the same stream
         rows = np.empty((m, n + 1, n))
-        step = max(1, _DRAW_BLOCK_BYTES // (m * n * 8))
-        for k in range(0, n + 1, step):
-            chunk = rng.random((min(step, n + 1 - k), m, n))
-            rows[:, k : k + len(chunk)] = chunk.transpose(1, 0, 2)
+        buf = np.empty((m, n))
+        for k in range(n + 1):
+            rows[:, k] = rng.random(out=buf)
         return DenseBasis(rows), rng.random(n)
 
-    return _draw_instance(draw, seed, min_gap)
+    return _draw_instance(draw, seed)
 
 
-def generate_toeplitz_instance(
-    m: int, n: int, seed: int, min_gap: float = DEFAULT_MIN_GAP
-) -> tuple[IsvpInstance, np.ndarray]:
+def generate_toeplitz_instance(m: int, n: int, seed: int) -> tuple[IsvpInstance, np.ndarray]:
     """Structured alternative: A_0 = 0 and A_k the k-th symmetric Toeplitz
     shift (A_1 = I), zero-padded to m x n.  Only c* is random.  The
     instance keeps the O(n) Toeplitz form of the basis."""
     operator = ToeplitzBasis(m, n)
-    return _draw_instance(lambda rng: (operator, rng.random(n)), seed, min_gap)
+    return _draw_instance(lambda rng: (operator, rng.random(n)), seed)
 
 
 def perturb_c_star(c_star: np.ndarray, beta: float, seed: int) -> np.ndarray:

@@ -197,7 +197,7 @@ def test_criterion_4_algebraic_invariants():
         n = int(rng.integers(2, 11))
         m = int(rng.integers(n, 51))
         try:
-            inst, c_star = isvp.generate_instance(m, n, seed, min_gap=0.1)
+            inst, c_star = isvp.generate_instance(m, n, seed)
         except isvp.errors.DegenerateDraw:
             continue
         factors = isvp.full_svd(isvp.evaluate_A(inst, c_star))

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import isvp
+from isvp import verification
 from isvp.cli import EXIT_NONCONVERGED, EXIT_OK, EXIT_USAGE, main, parse_seeds
 
 
@@ -223,6 +224,12 @@ class TestVerifyCommand:
         out = capsys.readouterr().out
         assert code == EXIT_OK
         assert out.count("PASS") == len(out.strip().splitlines())
+
+    @pytest.mark.parametrize("seed", [63, 112, 130, 137])
+    def test_finite_difference_check_draws_every_seed(self, seed):
+        # the check skips spectra with a gap below 0.1 itself; these seeds draw some
+        result = verification.check_jacobian_finite_difference(50, seed)
+        assert result.passed
 
 
 class TestRunDeterminism:

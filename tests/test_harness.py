@@ -6,7 +6,14 @@ import pytest
 
 import isvp
 from isvp import harness
-from isvp.errors import DegenerateDraw, InsufficientData, NonFiniteInput, SingularJacobian
+from isvp.core import DenseBasis
+from isvp.errors import (
+    DegenerateDraw,
+    InsufficientData,
+    NonFiniteInput,
+    NonpositiveSigma,
+    SingularJacobian,
+)
 from isvp.harness import TRACE_HEADER, run_trial, summary_dict, trace_rows
 from isvp.report import SolveStatus
 
@@ -46,10 +53,19 @@ class TestGenerateInstance:
             assert a.min() >= 0.0 and a.max() < 1.0
         assert c_star.min() >= 0.0 and c_star.max() < 1.0
 
-    def test_retries_exhausted(self):
-        # an unreachable gap requirement forces every retry to fail
-        with pytest.raises(DegenerateDraw):
-            isvp.generate_instance(4, 2, 1, min_gap=1e6)
+    def test_degenerate_draw_is_not_redrawn(self):
+        # a zero basis gives A(c*) = 0, whose spectrum fails on the one draw
+        operator = DenseBasis(np.zeros((4, 3, 2)))
+        draws = []
+
+        def draw(rng):
+            draws.append(rng)
+            return operator, rng.random(2)
+
+        with pytest.raises(DegenerateDraw) as info:
+            harness._draw_instance(draw, 1)
+        assert isinstance(info.value.__cause__, NonpositiveSigma)
+        assert len(draws) == 1
 
     def test_toeplitz_family(self):
         inst, c_star = isvp.generate_toeplitz_instance(7, 4, 3)
