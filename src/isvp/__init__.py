@@ -4,7 +4,6 @@ __version__ = "0.1.0"
 
 from .core import (
     IsvpInstance,
-    SvdFactorization,
     approx_jacobian,
     build_instance,
     diag_embed,
@@ -16,28 +15,17 @@ from .core import (
     save_instance,
 )
 from .cayley_free import (
-    CorrectionPair,
     SolverConfig,
-    SolverState,
     chebyshev_update,
     correction_matrices,
     multiplicative_refine,
     outer_step,
     solve,
 )
-from .baselines import (
-    Alg1State,
-    alg1_outer_step,
-    alg1_skew_pair,
-    alg1_solve,
-    cayley_orthogonalize,
-    newton_exact_solve,
-)
+from .baselines import alg1_skew_pair, alg1_solve, cayley_orthogonalize, newton_exact_solve
 from .harness import (
     Algorithm,
-    ExperimentBundle,
     ExperimentConfig,
-    TrialResult,
     build_B0,
     emit_reports,
     estimate_root_rate,
@@ -47,48 +35,4 @@ from .harness import (
     residual_log_ratios,
     run_experiment,
 )
-from .report import IterationRecord, SolveReport, SolveStatus
-
-__all__ = [
-    "__version__",
-    "IsvpInstance",
-    "SvdFactorization",
-    "approx_jacobian",
-    "build_instance",
-    "diag_embed",
-    "evaluate_A",
-    "full_svd",
-    "generalized_residual_vector",
-    "load_instance",
-    "residual_d",
-    "save_instance",
-    "CorrectionPair",
-    "SolverConfig",
-    "SolverState",
-    "chebyshev_update",
-    "correction_matrices",
-    "multiplicative_refine",
-    "outer_step",
-    "solve",
-    "Alg1State",
-    "alg1_outer_step",
-    "alg1_skew_pair",
-    "alg1_solve",
-    "cayley_orthogonalize",
-    "newton_exact_solve",
-    "Algorithm",
-    "ExperimentBundle",
-    "ExperimentConfig",
-    "TrialResult",
-    "build_B0",
-    "emit_reports",
-    "estimate_root_rate",
-    "generate_instance",
-    "generate_toeplitz_instance",
-    "perturb_c_star",
-    "residual_log_ratios",
-    "run_experiment",
-    "IterationRecord",
-    "SolveReport",
-    "SolveStatus",
-]
+from .report import SolveReport, SolveStatus

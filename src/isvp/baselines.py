@@ -36,8 +36,8 @@ class Alg1State(SolverState):
     s: np.ndarray
 
 
-def alg1_offset_vector(U: np.ndarray, V: np.ndarray, M: np.ndarray, n: int) -> np.ndarray:
-    """The vector [u_i^T M v_i] over the leading n columns of U and V.
+def alg1_offset_vector(W: np.ndarray) -> np.ndarray:
+    """The diagonal [u_i^T M v_i] of an aligned product W = U^T M V.
 
     With M = A(c) it equals J c + b with b = [u_i^T A_0 v_i], the
     baseline's linear model of the singular values at c.  Deliberately
@@ -46,7 +46,7 @@ def alg1_offset_vector(U: np.ndarray, V: np.ndarray, M: np.ndarray, n: int) -> n
     orthogonal, so the norm correction term is identically zero there and
     the method omits it.
     """
-    return np.einsum("ji,ji->i", U[:, :n], M @ V[:, :n])
+    return np.diagonal(W)
 
 
 def _check_shift(s: np.ndarray) -> None:
@@ -113,10 +113,9 @@ def alg1_outer_step(state: Alg1State, instance: IsvpInstance) -> Alg1State:
     A non-finite update raises ``NumericalBreakdown``.
     """
     sigma = instance.sigma_star
-    n = instance.n
     c, U, V, B, J, s = state.c, state.U, state.V, state.B, state.J, state.s
     with np.errstate(over="ignore", invalid="ignore"):
-        y = c - B @ (alg1_offset_vector(U, V, state.A, n) - sigma)
+        y = c - B @ (alg1_offset_vector(state.W) - sigma)
         if not np.all(np.isfinite(y)):
             raise NumericalBreakdown("first coefficient update is non-finite")
         A_y = evaluate_A(instance, y)
@@ -124,8 +123,8 @@ def alg1_outer_step(state: Alg1State, instance: IsvpInstance) -> Alg1State:
         X, Y = alg1_skew_pair(D, s)
         Z = cayley_orthogonalize(U, X)
         N = cayley_orthogonalize(V, Y)
-        A_y_N = A_y @ N
-        sigma_bar = np.einsum("ji,ji->i", Z[:, :n], A_y_N[:, :n])
+        W_y = Z.T @ (A_y @ N)
+        sigma_bar = alg1_offset_vector(W_y)
 
         c_next = y - B @ (sigma_bar - sigma)
         if not np.all(np.isfinite(c_next)):
@@ -134,12 +133,13 @@ def alg1_outer_step(state: Alg1State, instance: IsvpInstance) -> Alg1State:
         s_bar = sigma + t_bar - J @ (B @ t_bar)
 
         A_next = evaluate_A(instance, c_next)
-        D_bar = U.T @ (A_next @ V) - D + Z.T @ A_y_N
+        D_bar = U.T @ (A_next @ V) - D + W_y
         X_bar, Y_bar = alg1_skew_pair(D_bar, s_bar)
         U_next = cayley_orthogonalize(Z, X_bar)
         V_next = cayley_orthogonalize(N, Y_bar)
 
-        sigma_next = alg1_offset_vector(U_next, V_next, A_next, n)
+        W_next = U_next.T @ (A_next @ V_next)
+        sigma_next = alg1_offset_vector(W_next)
         J_next = approx_jacobian(U_next, V_next, instance)
         B_next = chebyshev_update(B, J_next)
         t_next = sigma_next - sigma
@@ -149,7 +149,7 @@ def alg1_outer_step(state: Alg1State, instance: IsvpInstance) -> Alg1State:
             raise NumericalBreakdown(f"updated {name} is non-finite")
 
     return Alg1State(
-        k=state.k + 1, c=c_next, A=A_next, U=U_next, V=V_next, B=B_next, J=J_next, s=s_next
+        k=state.k + 1, c=c_next, W=W_next, U=U_next, V=V_next, B=B_next, J=J_next, s=s_next
     )
 
 
@@ -167,29 +167,24 @@ def alg1_solve(
     """
     t_start = time.perf_counter()
     c0 = np.asarray(c0, dtype=float).reshape(-1)
-    A_c, factors, J0 = _exact_point(instance, c0)
+    W0, factors, J0 = _exact_point(instance, c0)
     try:
         B0 = np.linalg.inv(J0)
     except np.linalg.LinAlgError as exc:
         raise SingularJacobian(f"initial Jacobian is singular: {exc}") from exc
     state = Alg1State(
-        k=0, c=c0.copy(), A=A_c, U=factors.U, V=factors.V, B=B0, J=J0,
+        k=0, c=c0.copy(), W=W0, U=factors.U, V=factors.V, B=B0, J=J0,
         s=instance.sigma_star.copy(),
     )
     return _iterate(alg1_outer_step, state, instance, config, c_star, t_start)
 
 
 @dataclass
-class _NewtonState:
-    """Newton iterate: c with A(c), its exact SVD and the Jacobian from it."""
+class _NewtonState(SolverState):
+    """Newton iterate: c with W from the exact SVD of A(c), the singular
+    values ``sigma`` and the Jacobian from it; ``B`` stays ``None``."""
 
-    k: int
-    c: np.ndarray
-    A: np.ndarray
-    U: np.ndarray
-    V: np.ndarray
     sigma: np.ndarray
-    J: np.ndarray
 
 
 def _newton_point(instance: IsvpInstance, c: np.ndarray, k: int) -> _NewtonState:
@@ -198,11 +193,13 @@ def _newton_point(instance: IsvpInstance, c: np.ndarray, k: int) -> _NewtonState
     Singular values are matched to the targets by sorted order, so they
     must stay simple (gap above ``MIN_GAP``).
     """
-    A_c, factors, J = _exact_point(instance, c)
+    W, factors, J = _exact_point(instance, c)
     gap = spectral_gap(factors.sigma)
     if gap <= MIN_GAP:
         raise SingularValueCollision(f"singular values too close along the path (gap {gap:.3e})")
-    return _NewtonState(k=k, c=c, A=A_c, U=factors.U, V=factors.V, sigma=factors.sigma, J=J)
+    return _NewtonState(
+        k=k, c=c, W=W, U=factors.U, V=factors.V, B=None, J=J, sigma=factors.sigma
+    )
 
 
 def _newton_step(state: _NewtonState, instance: IsvpInstance) -> _NewtonState:

@@ -68,18 +68,18 @@ def _iterate(step, state, instance, config, c_star, t_start) -> SolveReport:
     """Run ``step(state, instance) -> state`` from the k = 0 ``state``
     until the stopping rule of ``config`` ends the solve.
 
-    Every iterate gets one record: d_k from its ``U``, ``V`` and ``A``,
-    cond(J_k), the time since the previous record (since ``t_start``,
-    when the solve began, for k = 0) and, when ``c_star`` is given, the
-    distance of c_k to it.  A step that raises one of the numerical
-    failures ends the solve as ``DIVERGED``.
+    Every iterate gets one record: d_k from its ``W``, cond(J_k), the
+    time since the previous record (since ``t_start``, when the solve
+    began, for k = 0) and, when ``c_star`` is given, the distance of c_k
+    to it.  A step that raises one of the numerical failures ends the
+    solve as ``DIVERGED``.
     """
     config = config or SolverConfig()
     records, status, t_prev = [], None, t_start
     while status is None:
         # a blowing-up iterate overflows here; the rule below reads d = inf as divergence
         with np.errstate(over="ignore", invalid="ignore"):
-            d = residual_d(state.U, state.V, state.A, instance.sigma_star)
+            d = residual_d(state.W, instance.sigma_star)
             cond_j = float(np.linalg.cond(state.J, 2))
         t_now = time.perf_counter()
         rec = IterationRecord(k=state.k, d=d, cond_j=cond_j, wall_ms=(t_now - t_prev) * 1e3)
@@ -105,25 +105,26 @@ def _iterate(step, state, instance, config, c_star, t_start) -> SolveReport:
 def _exact_point(
     instance: IsvpInstance, c: np.ndarray
 ) -> tuple[np.ndarray, SvdFactorization, np.ndarray]:
-    """A(c), its exact SVD and the Jacobian from it."""
+    """W = U^T A(c) V from the exact SVD of A(c), the SVD and the Jacobian from it."""
     A_c = evaluate_A(instance, c)
     factors = full_svd(A_c)
-    return A_c, factors, approx_jacobian(factors.U, factors.V, instance)
+    W = factors.U.T @ (A_c @ factors.V)
+    return W, factors, approx_jacobian(factors.U, factors.V, instance)
 
 
 @dataclass
 class SolverState:
     """Complete mutable state of one outer iteration.
 
-    ``A`` is A(c), so the generalized residual g(U, V, A) is the residual
-    model J c + b of the paper.  ``B`` approximates the inverse of the
-    approximate Jacobian ``J``; it is ``None`` from :func:`initialize`
-    until the caller chooses B_0.
+    ``W`` is U^T A(c) V, formed once per iterate: its diagonal is the
+    paper's residual model J c + b, and the driver reads d_k off it.
+    ``B`` approximates the inverse of the approximate Jacobian ``J``; it
+    is ``None`` from :func:`initialize` until the caller chooses B_0.
     """
 
     k: int
     c: np.ndarray
-    A: np.ndarray
+    W: np.ndarray
     U: np.ndarray
     V: np.ndarray
     B: np.ndarray | None
@@ -207,17 +208,16 @@ def chebyshev_update(B: np.ndarray, J_next: np.ndarray) -> np.ndarray:
 def outer_step(state: SolverState, instance: IsvpInstance) -> SolverState:
     """Advance one outer iteration.
 
-    Substeps: first coefficient update from the generalized residual at
-    the iterate, g(U, V, A(c)) = J c + b; first correction pair from W at
-    the predicted point; multiplicative refinement; second coefficient
-    update from the refined residual rho; second correction pair from the
-    updated point; second refinement; new J; Chebyshev update of B.  A
-    non-finite update raises ``NumericalBreakdown``.
+    Substeps: first coefficient update from J c + b, the diagonal of W;
+    first correction pair from U^T A V at the predicted point; refinement;
+    second coefficient update from the refined residual rho; second
+    correction pair from the updated point; second refinement; new J, B
+    and W.  A non-finite update raises ``NumericalBreakdown``.
     """
     sigma = instance.sigma_star
     c, U, V, B = state.c, state.U, state.V, state.B
     with np.errstate(over="ignore", invalid="ignore"):
-        c_bar = c - B @ generalized_residual_vector(U, V, state.A, sigma)
+        c_bar = c - B @ generalized_residual_vector(U, V, np.diagonal(state.W), sigma)
         if not np.all(np.isfinite(c_bar)):
             raise NumericalBreakdown("first coefficient update is non-finite")
         A_bar = evaluate_A(instance, c_bar)
@@ -226,7 +226,8 @@ def outer_step(state: SolverState, instance: IsvpInstance) -> SolverState:
         U_bar = multiplicative_refine(U, first.left)
         V_bar = multiplicative_refine(V, first.right)
 
-        rho = generalized_residual_vector(U_bar, V_bar, A_bar, sigma)
+        w_bar = np.einsum("ji,ji->i", U_bar[:, : sigma.size], A_bar @ V_bar)
+        rho = generalized_residual_vector(U_bar, V_bar, w_bar, sigma)
         c_next = c_bar - B @ rho
         if not np.all(np.isfinite(c_next)):
             raise NumericalBreakdown("second coefficient update is non-finite")
@@ -238,11 +239,12 @@ def outer_step(state: SolverState, instance: IsvpInstance) -> SolverState:
 
         J_next = approx_jacobian(U_next, V_next, instance)
         B_next = chebyshev_update(B, J_next)
+        W_next = U_next.T @ (A_next @ V_next)
     for name, a in (("U", U_next), ("V", V_next), ("B", B_next), ("J", J_next)):
         if not np.all(np.isfinite(a)):
             raise NumericalBreakdown(f"updated {name} is non-finite")
 
-    return SolverState(k=state.k + 1, c=c_next, A=A_next, U=U_next, V=V_next, B=B_next, J=J_next)
+    return SolverState(k=state.k + 1, c=c_next, W=W_next, U=U_next, V=V_next, B=B_next, J=J_next)
 
 
 def initialize(instance: IsvpInstance, c0) -> SolverState:
@@ -251,8 +253,8 @@ def initialize(instance: IsvpInstance, c0) -> SolverState:
     ``B`` is left ``None``; the caller sets it, typically from ``state.J``.
     """
     c0 = np.asarray(c0, dtype=float).reshape(-1)
-    A_c, factors, J0 = _exact_point(instance, c0)
-    return SolverState(k=0, c=c0.copy(), A=A_c, U=factors.U, V=factors.V, B=None, J=J0)
+    W0, factors, J0 = _exact_point(instance, c0)
+    return SolverState(k=0, c=c0.copy(), W=W0, U=factors.U, V=factors.V, B=None, J=J0)
 
 
 def solve(

@@ -288,29 +288,29 @@ def approx_jacobian(U: np.ndarray, V: np.ndarray, instance: IsvpInstance) -> np.
 
 
 def generalized_residual_vector(
-    U: np.ndarray, V: np.ndarray, M: np.ndarray, sigma_star: np.ndarray
+    U: np.ndarray, V: np.ndarray, w: np.ndarray, sigma_star: np.ndarray
 ) -> np.ndarray:
-    """Entries g_i = u_i^T M v_i - sigma*_i (u_i^T u_i + v_i^T v_i) / 2.
+    """Entries g_i = w_i - sigma*_i (u_i^T u_i + v_i^T v_i) / 2, where the
+    n entries w_i = u_i^T M v_i are the diagonal of U^T M V.
 
-    It is affine in c: with M = A(c) it equals J c + g(U, V, A_0), the
-    residual model that drives the first coefficient update; with
-    refined vectors it is the second-step residual rho.
+    With M = A(c) it is affine in c, J c + g(U, V, diag(U^T A_0 V)): the
+    model of the first coefficient update.  With refined vectors it is the
+    second-step residual rho.  Raises ``DimensionMismatch`` for any other w.
     """
     n = sigma_star.size
+    if w.shape != (n,):
+        raise DimensionMismatch(f"w must have shape ({n},), got {w.shape}")
     Un = U[:, :n]
     Vn = V[:, :n]
-    diag = np.einsum("ji,ji->i", Un, M @ Vn)
     uu = np.einsum("ji,ji->i", Un, Un)
     vv = np.einsum("ji,ji->i", Vn, Vn)
-    return diag - 0.5 * sigma_star * (uu + vv)
+    return w - 0.5 * sigma_star * (uu + vv)
 
 
-def residual_d(
-    U: np.ndarray, V: np.ndarray, A_of_c: np.ndarray, sigma_star: np.ndarray
-) -> float:
-    """Frobenius residual d = ||U^T A(c) V - Sigma*||_F."""
+def residual_d(W: np.ndarray, sigma_star: np.ndarray) -> float:
+    """Frobenius residual d = ||W - Sigma*||_F of the aligned product W = U^T A(c) V."""
     n = sigma_star.size
-    M = U.T @ (A_of_c @ V)
+    M = W.copy()
     M[np.arange(n), np.arange(n)] -= sigma_star
     return float(np.linalg.norm(M))
 

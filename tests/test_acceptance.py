@@ -289,7 +289,7 @@ def test_criterion_5_structural_no_solves(monkeypatch):
     factors = isvp.full_svd(A_c0)
     J0 = isvp.approx_jacobian(factors.U, factors.V, inst)
     state = Alg1State(
-        k=0, c=c0.copy(), A=A_c0, U=factors.U, V=factors.V,
+        k=0, c=c0.copy(), W=factors.U.T @ (A_c0 @ factors.V), U=factors.U, V=factors.V,
         B=np.linalg.inv(J0), J=J0, s=inst.sigma_star.copy(),
     )
     counting_solve.calls = counting_solve.rhs_columns = 0

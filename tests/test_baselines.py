@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 import isvp
+import isvp.baselines as baselines
+import isvp.cayley_free as cayley_free
 from isvp.baselines import alg1_outer_step, Alg1State
 from isvp.cayley_free import SolverConfig, initialize
 from isvp.core import residual_d
@@ -13,6 +15,7 @@ from isvp.errors import (
     SingularJacobian,
     SingularValueCollision,
 )
+from isvp.harness import Algorithm, run_solver
 from isvp.report import SolveStatus
 
 from conftest import solved_start
@@ -118,7 +121,7 @@ class TestAlg1OuterStep:
         return Alg1State(
             k=0,
             c=c_star.copy(),
-            A=A_star,
+            W=f.U.T @ (A_star @ f.V),
             U=f.U,
             V=f.V,
             B=np.linalg.inv(J),
@@ -132,7 +135,7 @@ class TestAlg1OuterStep:
         s = alg1_outer_step(state, inst)
         assert np.linalg.norm(s.c - c_star) <= 1e-10 * (1 + np.linalg.norm(c_star))
         sigma = inst.sigma_star
-        assert residual_d(s.U, s.V, s.A, sigma) <= 1e-12 * np.linalg.norm(sigma)
+        assert residual_d(s.W, sigma) <= 1e-12 * np.linalg.norm(sigma)
 
     def test_matches_transliteration_oracle(self):
         inst, c_star = isvp.generate_instance(4, 2, 31)
@@ -142,7 +145,8 @@ class TestAlg1OuterStep:
         J = isvp.approx_jacobian(f.U, f.V, inst)
         B = np.linalg.inv(J)
         sigma = inst.sigma_star
-        state = Alg1State(k=0, c=c0.copy(), A=A0, U=f.U, V=f.V, B=B, J=J, s=sigma.copy())
+        W = f.U.T @ (A0 @ f.V)
+        state = Alg1State(k=0, c=c0.copy(), W=W, U=f.U, V=f.V, B=B, J=J, s=sigma.copy())
 
         # straight-line re-implementation with loop-built pieces, keeping
         # the paper's first update from J c + b
@@ -209,7 +213,7 @@ class TestAlg1Solve:
         state = Alg1State(
             k=0,
             c=c0.copy(),
-            A=A0,
+            W=f.U.T @ (A0 @ f.V),
             U=f.U,
             V=f.V,
             B=np.linalg.inv(J),
@@ -280,7 +284,7 @@ class TestNewtonOracle:
         assert fitted and all(np.isfinite(fitted))
 
     def test_singular_value_collision_detected(self):
-        # A(0) has two nearly equal singular values below min_gap
+        # A(0) has two nearly equal singular values closer than MIN_GAP
         base = isvp.diag_embed(np.array([2.0, 2.0 + 1e-12, 1.0]), 4)
         rng = np.random.default_rng(9)
         basis = [base] + [1e-3 * rng.random((4, 3)) for _ in range(3)]
@@ -315,7 +319,7 @@ def _k0_state(method, inst, c0):
     f = isvp.full_svd(A)
     J = isvp.approx_jacobian(f.U, f.V, inst)
     return Alg1State(
-        k=0, c=c0.copy(), A=A, U=f.U, V=f.V, B=np.linalg.inv(J), J=J,
+        k=0, c=c0.copy(), W=f.U.T @ (A @ f.V), U=f.U, V=f.V, B=np.linalg.inv(J), J=J,
         s=inst.sigma_star.copy(),
     )
 
@@ -331,13 +335,43 @@ def test_two_step_methods_ignore_the_tail_basis_of_U(method):
     Q = np.linalg.qr(np.random.default_rng(11).standard_normal((30, 30)))[0]
     U = state.U.copy()
     U[:, 30:] = U[:, 30:] @ Q
-    rotated = replace(state, U=U)
+    rotated = replace(state, U=U, W=U.T @ (isvp.evaluate_A(inst, c0) @ state.V))
     for _ in range(3):
         state = step(state, inst)
         rotated = step(rotated, inst)
         scale = np.linalg.norm(state.c)
         assert np.linalg.norm(rotated.c - state.c) <= 1e-12 * scale
-        d = residual_d(state.U, state.V, state.A, inst.sigma_star)
-        d_rot = residual_d(rotated.U, rotated.V, rotated.A, inst.sigma_star)
+        d = residual_d(state.W, inst.sigma_star)
+        d_rot = residual_d(rotated.W, inst.sigma_star)
         if d > 1e-8:
             assert d_rot == pytest.approx(d, rel=1e-6)
+
+
+_STEPS = {
+    "cayley-free": (cayley_free, "outer_step"),
+    "alg1": (baselines, "alg1_outer_step"),
+    "newton": (baselines, "_newton_step"),
+}
+
+
+@pytest.mark.parametrize("method", sorted(_STEPS))
+def test_every_iterate_carries_W_and_its_record_reads_d_off_it(method, monkeypatch):
+    inst, c_star = isvp.generate_instance(40, 20, 2)
+    c0 = isvp.perturb_c_star(c_star, 1e-3, 2)
+    module, step = _STEPS[method]
+    states = []
+    original = getattr(module, step)
+
+    def spy(state, instance):
+        if not states:
+            states.append(state)
+        states.append(original(state, instance))
+        return states[-1]
+
+    monkeypatch.setattr(module, step, spy)
+    report, _ = run_solver(Algorithm(method), inst, c0, SolverConfig(), 0.0, 2)
+    assert report.iterations >= 2 and len(states) == len(report.records)
+    for state, record in zip(states, report.records):
+        W = state.U.T @ (isvp.evaluate_A(inst, state.c) @ state.V)
+        assert np.linalg.norm(state.W - W) <= 1e-14 * np.linalg.norm(W)
+        assert record.d == residual_d(state.W, inst.sigma_star)

@@ -213,7 +213,9 @@ class TestMultiplicativeRefine:
         state.B = B0
         state = outer_step(state, inst)
         # state.U is now first-order orthogonal; one more correction round
-        g = isvp.generalized_residual_vector(state.U, state.V, state.A, inst.sigma_star)
+        g = isvp.generalized_residual_vector(
+            state.U, state.V, np.diagonal(state.W), inst.sigma_star
+        )
         c_bar = state.c - state.B @ g
         A_bar = isvp.evaluate_A(inst, c_bar)
         W = state.U.T @ (A_bar @ state.V)
@@ -256,10 +258,19 @@ class TestOuterStep:
         state = initialize(inst, c_star)
         state.B = B0
         sigma = inst.sigma_star
-        assert residual_d(state.U, state.V, state.A, sigma) <= 1e-12 * np.linalg.norm(sigma)
+        assert residual_d(state.W, sigma) <= 1e-12 * np.linalg.norm(sigma)
         s = outer_step(state, inst)
         assert np.linalg.norm(s.c - c_star) <= 1e-10 * (1 + np.linalg.norm(c_star))
-        assert residual_d(s.U, s.V, s.A, sigma) <= 1e-12 * np.linalg.norm(sigma)
+        assert residual_d(s.W, sigma) <= 1e-12 * np.linalg.norm(sigma)
+
+    def test_state_carries_the_aligned_product(self, medium_instance):
+        inst, c_star = medium_instance
+        c0 = isvp.perturb_c_star(c_star, 1e-3, 2)
+        state = initialize(inst, c0)
+        state.B = np.linalg.inv(state.J)
+        for s in (state, outer_step(state, inst)):
+            W = s.U.T @ (isvp.evaluate_A(inst, s.c) @ s.V)
+            assert np.linalg.norm(s.W - W) <= 1e-14 * np.linalg.norm(W)
 
     def test_matches_transliteration_oracle(self):
         inst, c_star = isvp.generate_instance(4, 2, 31)
@@ -270,7 +281,9 @@ class TestOuterStep:
         oracle = loop_outer_step(inst, state)
 
         # stage by stage against the public operations
-        g = isvp.generalized_residual_vector(state.U, state.V, state.A, inst.sigma_star)
+        g = isvp.generalized_residual_vector(
+            state.U, state.V, np.diagonal(state.W), inst.sigma_star
+        )
         c_bar = state.c - state.B @ g
         assert_close(c_bar, oracle["c_bar"])
         A_bar = isvp.evaluate_A(inst, c_bar)
@@ -283,7 +296,8 @@ class TestOuterStep:
         V_bar = isvp.multiplicative_refine(state.V, pair1.right)
         assert_close(U_bar, oracle["U_bar"])
         assert_close(V_bar, oracle["V_bar"])
-        rho = isvp.generalized_residual_vector(U_bar, V_bar, A_bar, inst.sigma_star)
+        w_bar = np.diagonal(U_bar.T @ (A_bar @ V_bar))
+        rho = isvp.generalized_residual_vector(U_bar, V_bar, w_bar, inst.sigma_star)
         assert_close(rho, oracle["rho"])
         c_next = c_bar - state.B @ rho
         assert_close(c_next, oracle["c_next"])

@@ -42,8 +42,8 @@ class TestBuildInstance:
         with pytest.raises(DimensionMismatch):
             isvp.build_instance([np.ones((2, 3))] * 4, [3.0, 2.0, 1.0])
 
-    def test_min_gap_to_zero_enforced(self):
-        # smallest target must clear min_gap above zero
+    def test_gap_to_zero_enforced(self):
+        # smallest target must clear MIN_GAP above zero
         basis = [np.ones((3, 2))] * 3
         with pytest.raises(DuplicateSigma):
             isvp.build_instance(basis, [1.0, 1e-12])
@@ -205,16 +205,16 @@ class TestApproxJacobian:
 class TestGeneralizedResidualVector:
     def test_zero_at_embedded_targets(self):
         sigma = np.array([3.0, 2.0, 1.0])
-        g = isvp.generalized_residual_vector(
-            np.eye(5), np.eye(3), isvp.diag_embed(sigma, 5), sigma
-        )
+        w = np.diagonal(isvp.diag_embed(sigma, 5))
+        g = isvp.generalized_residual_vector(np.eye(5), np.eye(3), w, sigma)
         np.testing.assert_array_equal(g, np.zeros(3))
 
     def test_zero_at_exact_solution(self, small_instance):
         inst, c_star = small_instance
         A_star = isvp.evaluate_A(inst, c_star)
         f = isvp.full_svd(A_star)
-        g = isvp.generalized_residual_vector(f.U, f.V, A_star, inst.sigma_star)
+        w = np.diagonal(f.U.T @ A_star @ f.V)
+        g = isvp.generalized_residual_vector(f.U, f.V, w, inst.sigma_star)
         assert np.linalg.norm(g) <= 1e-12 * np.linalg.norm(inst.sigma_star)
 
     def test_matches_loop_oracle(self):
@@ -224,7 +224,7 @@ class TestGeneralizedResidualVector:
         V = rng.random((n, n))
         M = rng.random((m, n))
         sigma = np.array([4.0, 3.0, 2.0, 1.0])
-        got = isvp.generalized_residual_vector(U, V, M, sigma)
+        got = isvp.generalized_residual_vector(U, V, np.diagonal(U.T @ M @ V), sigma)
         expected = np.empty(n)
         for i in range(n):
             u = U[:, i]
@@ -232,13 +232,20 @@ class TestGeneralizedResidualVector:
             expected[i] = u @ M @ v - sigma[i] * (u @ u + v @ v) / 2
         np.testing.assert_allclose(got, expected, rtol=1e-14, atol=1e-15)
 
+    def test_rejects_the_matrix_in_place_of_its_diagonal(self):
+        sigma = np.array([3.0, 2.0, 1.0])
+        # an m x n matrix would broadcast against the length-n terms into a wrong result
+        for w in (isvp.diag_embed(sigma, 3), isvp.diag_embed(sigma, 5), sigma[:2]):
+            with pytest.raises(DimensionMismatch):
+                isvp.generalized_residual_vector(np.eye(5), np.eye(3), w, sigma)
+
 
 class TestResidualD:
     def test_zero_at_exact_solution(self, small_instance):
         inst, c_star = small_instance
         A_star = isvp.evaluate_A(inst, c_star)
         f = isvp.full_svd(A_star)
-        d = isvp.residual_d(f.U, f.V, A_star, inst.sigma_star)
+        d = isvp.residual_d(f.U.T @ A_star @ f.V, inst.sigma_star)
         assert d <= 1e-12 * np.linalg.norm(inst.sigma_star)
 
     def test_collapses_to_perturbation_norm(self):
@@ -246,7 +253,7 @@ class TestResidualD:
         sigma = np.array([3.0, 1.5])
         E = rng.standard_normal((4, 2))
         A = isvp.diag_embed(sigma, 4) + E
-        d = isvp.residual_d(np.eye(4), np.eye(2), A, sigma)
+        d = isvp.residual_d(A, sigma)
         np.testing.assert_allclose(d, np.linalg.norm(E), rtol=1e-14)
 
     def test_matches_sum_of_squares_oracle(self):
@@ -256,7 +263,7 @@ class TestResidualD:
         V = rng.random((n, n))
         A = rng.random((m, n))
         sigma = np.array([3.0, 2.0, 1.0])
-        got = isvp.residual_d(U, V, A, sigma)
+        got = isvp.residual_d(U.T @ A @ V, sigma)
         R = U.T @ A @ V - isvp.diag_embed(sigma, m)
         expected = np.sqrt(sum(R[i, j] ** 2 for i in range(m) for j in range(n)))
         np.testing.assert_allclose(got, expected, rtol=1e-14)
@@ -268,13 +275,13 @@ class TestResidualD:
         V = rng.standard_normal((n, n))
         A = rng.standard_normal((m, n))
         sigma = np.array([3.0, 2.0, 1.0])
-        d1 = isvp.residual_d(U, V, A, sigma)
+        d1 = isvp.residual_d(U.T @ A @ V, sigma)
         flips = np.array([-1.0, 1.0, -1.0])
         U2 = U.copy()
         V2 = V.copy()
         U2[:, :n] *= flips
         V2 *= flips
-        d2 = isvp.residual_d(U2, V2, A, sigma)
+        d2 = isvp.residual_d(U2.T @ A @ V2, sigma)
         np.testing.assert_allclose(d2, d1, rtol=1e-14)
 
 
@@ -285,11 +292,13 @@ class TestResidualAffinity:
         U = np.linalg.qr(rng.standard_normal((8, 8)))[0] + 0.05 * rng.standard_normal((8, 8))
         V = np.linalg.qr(rng.standard_normal((4, 4)))[0] + 0.05 * rng.standard_normal((4, 4))
         J = isvp.approx_jacobian(U, V, inst)
-        b = isvp.generalized_residual_vector(U, V, inst.basis[0], inst.sigma_star)
+        b = isvp.generalized_residual_vector(
+            U, V, np.diagonal(U.T @ inst.basis[0] @ V), inst.sigma_star
+        )
         for _ in range(20):
             c = rng.uniform(-2, 2, 4)
             lhs = isvp.generalized_residual_vector(
-                U, V, isvp.evaluate_A(inst, c), inst.sigma_star
+                U, V, np.diagonal(U.T @ isvp.evaluate_A(inst, c) @ V), inst.sigma_star
             )
             rhs = J @ c + b
             assert np.linalg.norm(lhs - rhs) <= 1e-13 * (1 + np.linalg.norm(lhs))

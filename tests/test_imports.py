@@ -1,4 +1,5 @@
-"""Every name a module of the package imports is used in that module."""
+"""Every name a module of the package imports is used in that module, and
+every name a function of the package assigns is read."""
 
 import ast
 from pathlib import Path
@@ -25,6 +26,39 @@ def unused_imports(source: str) -> list[str]:
     return [f"{name} (line {line})" for name, line in imported.items() if name not in used]
 
 
+_SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda, ast.ClassDef)
+
+
+def _own_scope(node):
+    """The nodes below ``node`` outside any nested function, lambda or class."""
+    for child in ast.iter_child_nodes(node):
+        if not isinstance(child, _SCOPES):
+            yield child
+            yield from _own_scope(child)
+
+
+def dead_locals(source: str) -> list[str]:
+    """Names a function assigns and neither it nor a nested function reads."""
+    hits = []
+    for fn in ast.walk(ast.parse(source)):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        stored = {}
+        for node in _own_scope(fn):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+                stored.setdefault(node.id, node.lineno)
+        read = {
+            node.id for node in ast.walk(fn)
+            if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store)
+        }
+        hits += [
+            f"{fn.name}: {name} (line {line})"
+            for name, line in stored.items()
+            if name != "_" and name not in read
+        ]
+    return hits
+
+
 def test_the_check_sees_an_unused_import():
     assert unused_imports("import os\nfrom a import b, c as d\nd()\n") == [
         "os (line 1)",
@@ -32,6 +66,24 @@ def test_the_check_sees_an_unused_import():
     ]
 
 
+def test_the_check_sees_a_dead_local():
+    source = (
+        "def f(a):\n"
+        "    n = len(a)\n"
+        "    b, _ = a\n"
+        "    kept = 2\n"
+        "    def g():\n"
+        "        unused = kept\n"
+        "    return g\n"
+    )
+    assert dead_locals(source) == ["f: n (line 2)", "f: b (line 3)", "g: unused (line 6)"]
+
+
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_dead_locals(path):
+    assert dead_locals(path.read_text()) == []

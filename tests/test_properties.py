@@ -82,8 +82,8 @@ def test_residual_d_sign_flip_invariance(params):
     U2 = U.copy()
     U2[:, :n] *= flips
     V2 = V * flips
-    d1 = isvp.residual_d(U, V, A, sigma)
-    d2 = isvp.residual_d(U2, V2, A, sigma)
+    d1 = isvp.residual_d(U.T @ A @ V, sigma)
+    d2 = isvp.residual_d(U2.T @ A @ V2, sigma)
     assert abs(d1 - d2) <= 1e-14 * (1.0 + d1)
 
 
