@@ -5,6 +5,11 @@ property of the kernels and returns the worst violation seen, so the CLI
 can print one line per property.  The trial distributions keep the
 factors near-orthogonal and the target spectra well separated, which is
 the regime the identities are used in.
+
+These checks are the one implementation of each identity: acceptance
+criterion 4 of the test suite runs them (100 trials, seed 41) and gates
+on exactly what ``isvp verify`` prints.  The draw helpers below are also
+the ones the tests use.
 """
 
 from __future__ import annotations
@@ -34,13 +39,22 @@ from .harness import generate_instance
 @dataclass
 class CheckResult:
     name: str
-    passed: bool
     worst: float
     bound: float
+
+    @property
+    def passed(self) -> bool:
+        # False for a NaN worst
+        return bool(self.worst <= self.bound)
 
     def line(self) -> str:
         verdict = "PASS" if self.passed else "FAIL"
         return f"{verdict}  {self.name}: worst {self.worst:.3e} (bound {self.bound:.3e})"
+
+
+def _worst(*values: float) -> float:
+    """Largest value; NaN when any value is NaN, where ``max`` would drop it."""
+    return float(np.max(values))
 
 
 def _random_shape(rng: np.random.Generator, max_m: int = 50, max_n: int = 30):
@@ -49,21 +63,24 @@ def _random_shape(rng: np.random.Generator, max_m: int = 50, max_n: int = 30):
     return m, n
 
 
-def _well_separated_sigma(rng: np.random.Generator, n: int) -> np.ndarray:
+def separated_sigma(rng: np.random.Generator, n: int) -> np.ndarray:
+    """Strictly decreasing positive targets with O(0.1) gaps."""
     gaps = rng.uniform(0.1, 0.3, n)
     return np.cumsum(gaps[::-1])[::-1] + 0.5
 
 
-def _near_orthogonal(rng: np.random.Generator, side: int) -> np.ndarray:
+def near_orthogonal(rng: np.random.Generator, side: int) -> np.ndarray:
+    """Orthogonal matrix plus a small perturbation, the regime the
+    correction formulas operate in."""
     Q = np.linalg.qr(rng.standard_normal((side, side)))[0]
     return Q + 0.1 * rng.standard_normal((side, side)) / np.sqrt(side)
 
 
 def _correction_inputs(rng: np.random.Generator):
     m, n = _random_shape(rng)
-    sigma = _well_separated_sigma(rng, n)
-    U = _near_orthogonal(rng, m)
-    V = _near_orthogonal(rng, n)
+    sigma = separated_sigma(rng, n)
+    U = near_orthogonal(rng, m)
+    V = near_orthogonal(rng, n)
     W = diag_embed(sigma, m) + 0.3 * rng.standard_normal((m, n))
     return m, n, sigma, U, V, W
 
@@ -77,8 +94,8 @@ def check_correction_symmetrization(trials: int, seed: int) -> CheckResult:
         pair = correction_matrices(U, V, W, sigma)
         res_l = np.linalg.norm(pair.left + pair.left.T - (U.T @ U - np.eye(m)))
         res_r = np.linalg.norm(pair.right + pair.right.T - (V.T @ V - np.eye(n)))
-        worst = max(worst, res_l / m, res_r / m)
-    return CheckResult("correction symmetrization", worst <= 1e-12, worst, 1e-12)
+        worst = _worst(worst, res_l / m, res_r / m)
+    return CheckResult("correction symmetrization", worst, 1e-12)
 
 
 def check_correction_linear_system(trials: int, seed: int) -> CheckResult:
@@ -98,8 +115,8 @@ def check_correction_linear_system(trials: int, seed: int) -> CheckResult:
         rhs2 = S @ pair.right.T - pair.left.T @ S
         rel1 = np.linalg.norm((lhs1 - rhs1)[mask]) / (1.0 + np.linalg.norm(lhs1[mask]))
         rel2 = np.linalg.norm((lhs2 - rhs2)[mask]) / (1.0 + np.linalg.norm(lhs2[mask]))
-        worst = max(worst, rel1, rel2)
-    return CheckResult("correction linear system", worst <= 1e-10, worst, 1e-10)
+        worst = _worst(worst, rel1, rel2)
+    return CheckResult("correction linear system", worst, 1e-10)
 
 
 def check_chebyshev_cubing(trials: int, seed: int) -> CheckResult:
@@ -115,8 +132,8 @@ def check_chebyshev_cubing(trials: int, seed: int) -> CheckResult:
         lhs = np.eye(n) - B_next @ J
         gap = np.linalg.norm(lhs - R @ R @ R)
         scale = 1.0 + np.linalg.norm(R) ** 3
-        worst = max(worst, gap / scale)
-    return CheckResult("chebyshev cubing identity", worst <= 1e-12, worst, 1e-12)
+        worst = _worst(worst, gap / scale)
+    return CheckResult("chebyshev cubing identity", worst, 1e-12)
 
 
 def check_skew_exactness(trials: int, seed: int) -> CheckResult:
@@ -125,12 +142,12 @@ def check_skew_exactness(trials: int, seed: int) -> CheckResult:
     failures = 0
     for _ in range(trials):
         m, n = _random_shape(rng)
-        sigma = _well_separated_sigma(rng, n)
+        sigma = separated_sigma(rng, n)
         D = rng.standard_normal((m, n))
         X, Y = alg1_skew_pair(D, sigma)
         if not (np.array_equal(X, -X.T) and np.array_equal(Y, -Y.T)):
             failures += 1
-    return CheckResult("skew pair exactness", failures == 0, float(failures), 0.0)
+    return CheckResult("skew pair exactness", float(failures), 0.0)
 
 
 def check_cayley_orthogonality(trials: int, seed: int) -> CheckResult:
@@ -145,8 +162,8 @@ def check_cayley_orthogonality(trials: int, seed: int) -> CheckResult:
         S = S - S.T
         Q_next = cayley_orthogonalize(Q, S)
         res = np.linalg.norm(Q_next.T @ Q_next - np.eye(side)) / side
-        worst = max(worst, res)
-    return CheckResult("cayley orthogonality", worst <= 1e-10, worst, 1e-10)
+        worst = _worst(worst, res)
+    return CheckResult("cayley orthogonality", worst, 1e-10)
 
 
 def check_jacobian_finite_difference(trials: int, seed: int) -> CheckResult:
@@ -158,7 +175,7 @@ def check_jacobian_finite_difference(trials: int, seed: int) -> CheckResult:
     done = 0
     attempt = 0
     while done < trials:
-        m, n = _random_shape(rng, max_m=30, max_n=10)
+        m, n = _random_shape(rng, max_n=10)
         instance, c_star = generate_instance(m, n, seed * 100003 + attempt)
         attempt += 1
         c = c_star
@@ -176,9 +193,9 @@ def check_jacobian_finite_difference(trials: int, seed: int) -> CheckResult:
             sm = np.linalg.svd(evaluate_A(instance, cm), compute_uv=False)
             J_fd[:, j] = (sp - sm) / (2.0 * step)
         rel = np.linalg.norm(J_fd - J) / (1.0 + np.linalg.norm(J))
-        worst = max(worst, rel)
+        worst = _worst(worst, rel)
         done += 1
-    return CheckResult("jacobian vs finite differences", worst <= 1e-4, worst, 1e-4)
+    return CheckResult("jacobian vs finite differences", worst, 1e-4)
 
 
 def check_residual_affinity(trials: int, seed: int) -> CheckResult:
@@ -193,15 +210,15 @@ def check_residual_affinity(trials: int, seed: int) -> CheckResult:
     for t in range(trials):
         m, n = _random_shape(rng, max_m=20, max_n=8)
         instance, _ = generate_instance(m, n, seed * 99991 + t)
-        U = _near_orthogonal(rng, m)
-        V = _near_orthogonal(rng, n)
+        U = near_orthogonal(rng, m)
+        V = near_orthogonal(rng, n)
         c = rng.uniform(-2.0, 2.0, n)
         lhs = np.diagonal(U.T @ (evaluate_A(instance, c) @ V))
         J = approx_jacobian(U, V, instance)
         rhs = J @ c + np.diagonal(U.T @ (instance.basis[0] @ V))
         rel = np.linalg.norm(lhs - rhs) / (1.0 + np.linalg.norm(lhs))
-        worst = max(worst, rel)
-    return CheckResult("residual affinity J c + b", worst <= 1e-13, worst, 1e-13)
+        worst = _worst(worst, rel)
+    return CheckResult("residual affinity J c + b", worst, 1e-13)
 
 
 def check_svd_factorization(trials: int, seed: int) -> CheckResult:
@@ -217,8 +234,8 @@ def check_svd_factorization(trials: int, seed: int) -> CheckResult:
         rec = np.linalg.norm(f.U.T @ A @ f.V - diag_embed(f.sigma, m)) / (
             1e-10 * np.linalg.norm(A)
         )
-        worst = max(worst, res_u, res_v, rec)
-    return CheckResult("svd factorization invariants", worst <= 1.0, worst, 1.0)
+        worst = _worst(worst, res_u, res_v, rec)
+    return CheckResult("svd factorization invariants", worst, 1.0)
 
 
 def check_solver_fixed_points(trials: int, seed: int) -> CheckResult:
@@ -233,10 +250,10 @@ def check_solver_fixed_points(trials: int, seed: int) -> CheckResult:
         state.B = np.linalg.inv(state.J)
         next_state = outer_step(state, instance)
         drift = np.linalg.norm(next_state.c - c_star) / (1.0 + np.linalg.norm(c_star))
-        worst = max(worst, drift)
+        worst = _worst(worst, drift)
         report = alg1_solve(instance, c_star)
-        worst = max(worst, report.records[0].d / (1.0 + np.linalg.norm(instance.sigma_star)))
-    return CheckResult("solver fixed points", worst <= 1e-10, worst, 1e-10)
+        worst = _worst(worst, report.records[0].d / (1.0 + np.linalg.norm(instance.sigma_star)))
+    return CheckResult("solver fixed points", worst, 1e-10)
 
 
 ALL_CHECKS: list[Callable[[int, int], CheckResult]] = [
@@ -253,4 +270,6 @@ ALL_CHECKS: list[Callable[[int, int], CheckResult]] = [
 
 
 def run_all_checks(trials: int = 50, seed: int = 20240601) -> list[CheckResult]:
+    if trials < 1:
+        raise ValueError("trials must be at least 1")
     return [check(trials, seed) for check in ALL_CHECKS]

@@ -1,20 +1,9 @@
-import numpy as np
 import pytest
 
 import isvp
 
-
-def near_orthogonal(rng: np.random.Generator, side: int, scale: float = 0.1) -> np.ndarray:
-    """Orthogonal matrix plus a small perturbation, the regime the
-    correction formulas operate in."""
-    Q = np.linalg.qr(rng.standard_normal((side, side)))[0]
-    return Q + scale * rng.standard_normal((side, side)) / np.sqrt(side)
-
-
-def separated_sigma(rng: np.random.Generator, n: int) -> np.ndarray:
-    """Strictly decreasing positive targets with O(0.1) gaps."""
-    gaps = rng.uniform(0.1, 0.3, n)
-    return np.cumsum(gaps[::-1])[::-1] + 0.5
+# the draw helpers of the `isvp verify` checks, shared with the test modules
+from isvp.verification import near_orthogonal, separated_sigma  # noqa: F401
 
 
 def solved_start(instance, c0, mu=0.0, seed=0):

@@ -2,11 +2,15 @@
 
 Each test implements one acceptance criterion at its stated tolerance and
 prints one PASS line when it holds (pytest reports the failure line
-otherwise).  Fixture seeds are fixed: the random-matrix family has draws
-whose Jacobian at the start is too ill conditioned for any locally
-convergent method, so the benchmark uses starts inside the convergence
-basin and the harness reports convergence fractions rather than hiding
-divergent draws.
+otherwise).  Criterion 4 runs the ``isvp verify`` checks of
+``isvp.verification``, the one implementation of each algebraic
+identity, so it gates exactly what that command prints.
+
+Fixture seeds are fixed: the random-matrix family has draws whose
+Jacobian at the start is too ill conditioned for any locally convergent
+method, so the benchmark uses starts inside the convergence basin and
+the harness reports convergence fractions rather than hiding divergent
+draws.
 
 Run with ``pytest -s tests/test_acceptance.py`` to see the PASS lines.
 """
@@ -29,8 +33,9 @@ import isvp.cayley_free as cayley_free_module
 from isvp.baselines import Alg1State, alg1_outer_step
 from isvp.cayley_free import SolverConfig, initialize, outer_step
 from isvp.report import SolveStatus
+from isvp.verification import run_all_checks
 
-from conftest import near_orthogonal, separated_sigma, solved_start
+from conftest import solved_start
 
 EPS = np.finfo(float).eps
 
@@ -122,110 +127,10 @@ def test_criterion_3_oracle_equivalence():
 
 
 def test_criterion_4_algebraic_invariants():
-    trials = 100
-    rng = np.random.default_rng(41)
-
-    # (i) + (ii): correction symmetrization and linearized alignment equations
-    worst_sym = worst_lin = 0.0
-    for _ in range(trials):
-        n = int(rng.integers(2, 31))
-        m = int(rng.integers(n, 51))
-        sigma = separated_sigma(rng, n)
-        U = near_orthogonal(rng, m)
-        V = near_orthogonal(rng, n)
-        W = isvp.diag_embed(sigma, m) + 0.3 * rng.standard_normal((m, n))
-        pair = isvp.correction_matrices(U, V, W, sigma)
-        sym = max(
-            np.linalg.norm(pair.left + pair.left.T - (U.T @ U - np.eye(m))),
-            np.linalg.norm(pair.right + pair.right.T - (V.T @ V - np.eye(n))),
-        )
-        assert sym <= 1e-12 * m
-        worst_sym = max(worst_sym, sym / m)
-        S = isvp.diag_embed(sigma, m)
-        mask = np.ones((m, n), dtype=bool)
-        mask[np.arange(n), np.arange(n)] = False
-        lhs1 = (U.T @ U) @ S - W
-        rhs1 = pair.left @ S - S @ pair.right
-        lhs2 = S @ (V.T @ V) - W
-        rhs2 = S @ pair.right.T - pair.left.T @ S
-        lin = max(
-            np.linalg.norm((lhs1 - rhs1)[mask]) / (1 + np.linalg.norm(lhs1[mask])),
-            np.linalg.norm((lhs2 - rhs2)[mask]) / (1 + np.linalg.norm(lhs2[mask])),
-        )
-        assert lin <= 1e-10
-        worst_lin = max(worst_lin, lin)
-
-    # (iii) Chebyshev cubing
-    worst_cube = 0.0
-    for _ in range(trials):
-        n = int(rng.integers(1, 31))
-        B = rng.uniform(-1, 1, (n, n))
-        J = rng.uniform(-1, 1, (n, n))
-        R = np.eye(n) - B @ J
-        gap = np.linalg.norm(
-            (np.eye(n) - isvp.chebyshev_update(B, J) @ J) - R @ R @ R
-        ) / (1 + np.linalg.norm(R) ** 3)
-        assert gap <= 1e-12
-        worst_cube = max(worst_cube, gap)
-
-    # (iv) exact skewness
-    for _ in range(trials):
-        n = int(rng.integers(2, 31))
-        m = int(rng.integers(n, 51))
-        sigma = separated_sigma(rng, n)
-        X, Y = isvp.alg1_skew_pair(rng.standard_normal((m, n)), sigma)
-        assert np.array_equal(X, -X.T) and np.array_equal(Y, -Y.T)
-
-    # (v) Cayley orthogonality
-    worst_cayley = 0.0
-    for _ in range(trials):
-        side = int(rng.integers(2, 51))
-        Q = np.linalg.qr(rng.standard_normal((side, side)))[0]
-        S = np.triu(rng.standard_normal((side, side)), 1)
-        S = S - S.T
-        Qn = isvp.cayley_orthogonalize(Q, S)
-        res = np.linalg.norm(Qn.T @ Qn - np.eye(side)) / side
-        assert res <= 1e-10
-        worst_cayley = max(worst_cayley, res)
-
-    # (vi) Jacobian against central differences at exact SVD points
-    worst_fd = 0.0
-    done = 0
-    seed = 9000
-    while done < trials:
-        seed += 1
-        n = int(rng.integers(2, 11))
-        m = int(rng.integers(n, 51))
-        try:
-            inst, c_star = isvp.generate_instance(m, n, seed)
-        except isvp.errors.DegenerateDraw:
-            continue
-        factors = isvp.full_svd(isvp.evaluate_A(inst, c_star))
-        if np.diff(-np.concatenate([factors.sigma, [0.0]])).min() < 0.1:
-            continue
-        J = isvp.approx_jacobian(factors.U, factors.V, inst)
-        step = 1e-6
-        J_fd = np.empty_like(J)
-        for j in range(n):
-            cp = c_star.copy()
-            cp[j] += step
-            cm = c_star.copy()
-            cm[j] -= step
-            sp = np.linalg.svd(isvp.evaluate_A(inst, cp), compute_uv=False)
-            sm = np.linalg.svd(isvp.evaluate_A(inst, cm), compute_uv=False)
-            J_fd[:, j] = (sp - sm) / (2 * step)
-        rel = np.linalg.norm(J_fd - J) / (1 + np.linalg.norm(J))
-        assert rel <= 1e-4
-        worst_fd = max(worst_fd, rel)
-        done += 1
-
-    _report(
-        4,
-        "100-trial suites: sym {:.1e}, linear {:.1e}, cubing {:.1e}, skew exact, "
-        "cayley {:.1e}, jacobian-fd {:.1e}".format(
-            worst_sym, worst_lin, worst_cube, worst_cayley, worst_fd
-        ),
-    )
+    # the `isvp verify` checks themselves, with 100 trials each at seed 41
+    results = run_all_checks(trials=100, seed=41)
+    assert all(r.passed for r in results), [r.line() for r in results if not r.passed]
+    _report(4, "100-trial checks: " + ", ".join(f"{r.name} {r.worst:.1e}" for r in results))
 
 
 class _CountingSolve:

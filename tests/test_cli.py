@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import os
 import subprocess
@@ -10,6 +11,8 @@ import pytest
 
 import isvp
 from isvp import verification
+from isvp.baselines import alg1_skew_pair
+from isvp.cayley_free import correction_matrices, outer_step
 from isvp.cli import EXIT_NONCONVERGED, EXIT_OK, EXIT_USAGE, main, parse_seeds
 
 
@@ -218,12 +221,73 @@ class TestGenAndSolve:
         assert len(printed) >= 2
 
 
+def _doubled_left(U, V, W, sigma_star):
+    pair = correction_matrices(U, V, W, sigma_star)
+    return dataclasses.replace(pair, left=2.0 * pair.left)
+
+
+def _non_skew_pair(D, sigma):
+    X, Y = alg1_skew_pair(D, sigma)
+    return X + 1e-3 * np.eye(len(X)), Y
+
+
+def _doubled_sigma(A):
+    factors = isvp.full_svd(A)
+    return dataclasses.replace(factors, sigma=2.0 * factors.sigma)
+
+
+def _transposed_jacobian(U, V, instance):
+    return isvp.approx_jacobian(U, V, instance).T
+
+
+def _drifting_step(state, instance):
+    next_state = outer_step(state, instance)
+    next_state.c = next_state.c + 1e-3
+    return next_state
+
+
+# for each check: the kernel name `verification` imports, and a wrong variant of it
+WRONG_KERNELS = {
+    verification.check_correction_symmetrization: ("correction_matrices", _doubled_left),
+    verification.check_correction_linear_system: ("correction_matrices", _doubled_left),
+    verification.check_chebyshev_cubing: (
+        "chebyshev_update", lambda B, J: B + B @ (np.eye(len(B)) - B @ J)
+    ),
+    verification.check_skew_exactness: ("alg1_skew_pair", _non_skew_pair),
+    verification.check_cayley_orthogonality: ("cayley_orthogonalize", lambda Q, S: Q + S),
+    verification.check_jacobian_finite_difference: ("approx_jacobian", _transposed_jacobian),
+    verification.check_residual_affinity: ("approx_jacobian", _transposed_jacobian),
+    verification.check_svd_factorization: ("full_svd", _doubled_sigma),
+    verification.check_solver_fixed_points: ("outer_step", _drifting_step),
+}
+
+
 class TestVerifyCommand:
     def test_verify_passes(self, capsys):
         code = main(["verify", "--trials", "8", "--seed", "3"])
         out = capsys.readouterr().out
         assert code == EXIT_OK
         assert out.count("PASS") == len(out.strip().splitlines())
+
+    @pytest.mark.parametrize("check", verification.ALL_CHECKS, ids=lambda c: c.__name__)
+    def test_each_check_fails_on_a_wrong_kernel(self, check, monkeypatch, capsys):
+        name, wrong = WRONG_KERNELS[check]
+        monkeypatch.setattr(verification, name, wrong)
+        result = check(4, 3)
+        assert result.passed is False
+        assert main(["verify", "--trials", "4"]) == EXIT_NONCONVERGED
+        assert f"FAIL  {result.name}:" in capsys.readouterr().out
+
+    def test_a_nan_violation_fails_its_check(self, monkeypatch):
+        monkeypatch.setattr(verification, "chebyshev_update", lambda B, J: B * np.nan)
+        result = verification.check_chebyshev_cubing(4, 3)
+        assert result.passed is False
+        assert result.line().startswith("FAIL  chebyshev cubing identity: worst nan")
+
+    @pytest.mark.parametrize("trials", ["0", "-3"])
+    def test_trials_below_one_is_a_usage_error(self, trials, capsys):
+        assert main(["verify", "--trials", trials]) == EXIT_USAGE
+        assert "trials must be at least 1" in capsys.readouterr().err
 
     @pytest.mark.parametrize("seed", [63, 112, 130, 137])
     def test_finite_difference_check_draws_every_seed(self, seed):
