@@ -153,29 +153,34 @@ def alg1_outer_step(state: Alg1State, instance: IsvpInstance) -> Alg1State:
     )
 
 
-def alg1_solve(
-    instance: IsvpInstance,
-    c0,
-    config: SolverConfig | None = None,
-    c_star=None,
-) -> SolveReport:
-    """Run the Cayley baseline from c0.
+def alg1_initialize(instance: IsvpInstance, c0) -> Alg1State:
+    """Build the k = 0 state from an exact SVD of A(c0).
 
     Unlike the Cayley-free solver, B_0 is always the exact LU inverse of
     J_0 and the initial shift vector is sigma*.  A singular J_0 raises
     ``SingularJacobian``.
     """
-    t_start = time.perf_counter()
     c0 = np.asarray(c0, dtype=float).reshape(-1)
     W0, factors, J0 = _exact_point(instance, c0)
     try:
         B0 = np.linalg.inv(J0)
     except np.linalg.LinAlgError as exc:
         raise SingularJacobian(f"initial Jacobian is singular: {exc}") from exc
-    state = Alg1State(
+    return Alg1State(
         k=0, c=c0.copy(), W=W0, U=factors.U, V=factors.V, B=B0, J=J0,
         s=instance.sigma_star.copy(),
     )
+
+
+def alg1_solve(
+    instance: IsvpInstance,
+    c0,
+    config: SolverConfig | None = None,
+    c_star=None,
+) -> SolveReport:
+    """Run the Cayley baseline from the state :func:`alg1_initialize` builds at c0."""
+    t_start = time.perf_counter()
+    state = alg1_initialize(instance, c0)
     return _iterate(alg1_outer_step, state, instance, config, c_star, t_start)
 
 

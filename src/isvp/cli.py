@@ -88,7 +88,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--seeds", type=parse_seeds, required=True, help='e.g. "1..10" or "1,4,9"'
     )
     run.add_argument("--out", type=Path, required=True)
-    run.add_argument("--format", type=str, default="csv,json")
     run.add_argument("--allow-nonconverged", action="store_true")
 
     gen = sub.add_parser("gen", help="generate an instance file")
@@ -111,10 +110,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_run(args) -> int:
-    formats = [f.strip() for f in args.format.split(",") if f.strip()]
-    unknown = set(formats) - {"csv", "json"}
-    if unknown:
-        raise ValueError(f"unknown report format(s): {', '.join(sorted(unknown))}")
     config = ExperimentConfig(
         m=args.m,
         n=args.n,
@@ -126,7 +121,7 @@ def _cmd_run(args) -> int:
         max_iter=args.max_iter,
     )
     bundle = run_experiment(config)
-    paths = emit_reports(bundle, formats, args.out)
+    paths = emit_reports(bundle, args.out)
     agg = bundle.aggregate()
     for trial in bundle.trials:
         print(

@@ -339,28 +339,22 @@ def summary_dict(bundle: ExperimentBundle) -> dict:
     }
 
 
-def emit_reports(bundle: ExperimentBundle, formats, out_dir) -> list[Path]:
-    """Write trace.csv and/or summary.json under ``out_dir``.
+def emit_reports(bundle: ExperimentBundle, out_dir) -> list[Path]:
+    """Write trace.csv and summary.json under ``out_dir``.
 
     Bytes are deterministic for a fixed configuration apart from the
     wall-time columns and the summary timestamp.
     """
     out_dir = Path(out_dir)
-    written: list[Path] = []
+    trace, summary = out_dir / "trace.csv", out_dir / "summary.json"
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(TRACE_HEADER)
+    writer.writerows(trace_rows(bundle))
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
-        if "csv" in formats:
-            buf = io.StringIO()
-            writer = csv.writer(buf, lineterminator="\n")
-            writer.writerow(TRACE_HEADER)
-            writer.writerows(trace_rows(bundle))
-            path = out_dir / "trace.csv"
-            path.write_text(buf.getvalue())
-            written.append(path)
-        if "json" in formats:
-            path = out_dir / "summary.json"
-            path.write_text(json.dumps(summary_dict(bundle), indent=2) + "\n")
-            written.append(path)
+        trace.write_text(buf.getvalue())
+        summary.write_text(json.dumps(summary_dict(bundle), indent=2) + "\n")
     except OSError as exc:
         raise IoFailure(f"cannot write reports under {out_dir}: {exc}") from exc
-    return written
+    return [trace, summary]

@@ -30,12 +30,12 @@ import pytest
 
 import isvp
 import isvp.cayley_free as cayley_free_module
-from isvp.baselines import Alg1State, alg1_outer_step
-from isvp.cayley_free import SolverConfig, initialize, outer_step
+from isvp.baselines import alg1_initialize, alg1_outer_step
+from isvp.cayley_free import SolverConfig
 from isvp.report import SolveStatus
 from isvp.verification import run_all_checks
 
-from conftest import solved_start
+from conftest import solve, solved_start
 
 EPS = np.finfo(float).eps
 
@@ -108,12 +108,7 @@ def test_criterion_3_oracle_equivalence():
     for m, n, seed in ORACLE_CASES:
         inst, c_star = isvp.generate_instance(m, n, seed)
         c0 = isvp.perturb_c_star(c_star, 1e-3, seed)
-        _, B0 = solved_start(inst, c0)
-        finals = [
-            isvp.solve(inst, c0, B0, config).c_final,
-            isvp.alg1_solve(inst, c0, config).c_final,
-            isvp.newton_exact_solve(inst, c0, config).c_final,
-        ]
+        finals = [solve(algorithm, inst, c0, config).c_final for algorithm in isvp.Algorithm]
         scale = 1.0 + np.linalg.norm(c_star)
         for a in finals:
             for b in finals:
@@ -169,7 +164,7 @@ def test_criterion_5_structural_no_solves(monkeypatch):
                 called.add(func.id)
     forbidden = {
         "solve", "inv", "pinv", "lstsq", "tensorsolve", "tensorinv",
-        "lu_factor", "lu_solve", "cho_factor", "cho_solve", "qr", "cholesky",
+        "lu_factor", "lu_solve", "cho_factor", "cho_solve", "spsolve", "qr", "cholesky",
     }
     assert not (called & forbidden)
 
@@ -190,13 +185,7 @@ def test_criterion_5_structural_no_solves(monkeypatch):
     assert counting_solve.calls == 0
     assert counting_inv.calls == 0
 
-    A_c0 = isvp.evaluate_A(inst, c0)
-    factors = isvp.full_svd(A_c0)
-    J0 = isvp.approx_jacobian(factors.U, factors.V, inst)
-    state = Alg1State(
-        k=0, c=c0.copy(), W=factors.U.T @ (A_c0 @ factors.V), U=factors.U, V=factors.V,
-        B=np.linalg.inv(J0), J=J0, s=inst.sigma_star.copy(),
-    )
+    state = alg1_initialize(inst, c0)
     counting_solve.calls = counting_solve.rhs_columns = 0
     alg1_outer_step(state, inst)
     assert counting_solve.calls == 4
@@ -228,16 +217,11 @@ def test_criterion_6_timing_direction():
 
 def test_criterion_7_fixed_points():
     inst, c_star = isvp.generate_instance(CASE_A["m"], CASE_A["n"], 2)
-    _, B0 = solved_start(inst, c_star)
-    reports = {
-        "cayley-free": isvp.solve(inst, c_star, B0),
-        "alg1": isvp.alg1_solve(inst, c_star),
-        "newton": isvp.newton_exact_solve(inst, c_star),
-    }
-    for name, report in reports.items():
-        assert report.status is SolveStatus.CONVERGED, name
-        assert report.iterations == 0, name
-    _report(7, "beta=0 starts: all three solvers converge at k=0")
+    for algorithm in isvp.Algorithm:
+        report = solve(algorithm, inst, c_star)
+        assert report.status is SolveStatus.CONVERGED, algorithm
+        assert report.iterations == 0, algorithm
+    _report(7, "beta=0 starts: every solver converges at k=0")
 
 
 def test_criterion_8_cli_determinism(tmp_path):
@@ -246,7 +230,7 @@ def test_criterion_8_cli_determinism(tmp_path):
             sys.executable, "-W", "error", "-m", "isvp", "run",
             "--m", "30", "--n", "12", "--beta", "1e-3", "--mu", "0.005",
             "--seeds", "1..3", "--algorithm", "cayley-free",
-            "--out", str(out), "--format", "csv,json",
+            "--out", str(out),
         ]
         # the child finds the package where this process imported it from
         src = str(Path(isvp.__file__).resolve().parent.parent)

@@ -11,9 +11,11 @@ import pytest
 import isvp
 from isvp.core import _JACOBIAN_BLOCK_BYTES, DenseBasis, ToeplitzBasis
 from isvp.errors import DimensionMismatch
+from isvp.harness import Algorithm
 from isvp.report import SolveStatus
+from isvp.verification import near_orthogonal
 
-from conftest import near_orthogonal, solved_start
+from conftest import solve
 
 # n = 1, m == n and m > n; (11, 7) and (40, 33) pad the FFT past 2n
 SHAPES = [(1, 1), (3, 1), (6, 6), (11, 7), (40, 33)]
@@ -72,20 +74,12 @@ class TestToeplitzForm:
         with pytest.raises(DimensionMismatch):
             isvp.generate_toeplitz_instance(3, 4, 1)
 
-    @pytest.mark.parametrize("algorithm", ["cf", "alg1", "newton"])
+    @pytest.mark.parametrize("algorithm", list(Algorithm))
     def test_solvers_take_the_steps_of_the_dense_twin(self, algorithm):
         inst, c_star = isvp.generate_toeplitz_instance(30, 20, 3)
         c0 = isvp.perturb_c_star(c_star, 1e-5, 3)
-        reports = []
-        for instance in (inst, dense_twin(inst)):
-            if algorithm == "cf":
-                _, B0 = solved_start(instance, c0, seed=3)
-                reports.append(isvp.solve(instance, c0, B0))
-            elif algorithm == "alg1":
-                reports.append(isvp.alg1_solve(instance, c0))
-            else:
-                reports.append(isvp.newton_exact_solve(instance, c0))
-        structured, dense = reports
+        structured = solve(algorithm, inst, c0)
+        dense = solve(algorithm, dense_twin(inst), c0)
         assert structured.status is SolveStatus.CONVERGED
         assert dense.status is SolveStatus.CONVERGED
         assert structured.iterations == dense.iterations

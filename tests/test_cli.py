@@ -32,16 +32,12 @@ class TestParseSeeds:
 
 
 class TestRunCommand:
-    def _run(self, out, extra=()):
+    def test_success_and_outputs(self, tmp_path, capsys):
         argv = [
             "run", "--m", "16", "--n", "6", "--beta", "1e-3", "--mu", "0",
-            "--seeds", "1..3", "--algorithm", "cayley-free", "--out", str(out),
+            "--seeds", "1..3", "--algorithm", "cayley-free", "--out", str(tmp_path / "out"),
         ]
-        return main(argv + list(extra))
-
-    def test_success_and_outputs(self, tmp_path, capsys):
-        code = self._run(tmp_path / "out")
-        assert code == EXIT_OK
+        assert main(argv) == EXIT_OK
         assert (tmp_path / "out" / "trace.csv").exists()
         assert (tmp_path / "out" / "summary.json").exists()
         assert "converged 100%" in capsys.readouterr().out
@@ -59,16 +55,6 @@ class TestRunCommand:
             assert main(argv + ["--allow-nonconverged"]) == EXIT_OK
         else:
             assert code == EXIT_OK
-
-    def test_csv_format_only(self, tmp_path):
-        code = self._run(tmp_path / "out", ["--format", "csv"])
-        assert code == EXIT_OK
-        assert (tmp_path / "out" / "trace.csv").exists()
-        assert not (tmp_path / "out" / "summary.json").exists()
-
-    def test_unknown_format_rejected(self, tmp_path):
-        code = self._run(tmp_path / "out", ["--format", "xml"])
-        assert code == EXIT_USAGE
 
     def test_invalid_mu_rejected(self, tmp_path):
         argv = [

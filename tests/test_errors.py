@@ -6,12 +6,14 @@ import numpy as np
 import pytest
 
 import isvp
+import isvp.cayley_free as cayley_free
 from isvp import cli, errors
 from isvp.cli import EXIT_NONCONVERGED, EXIT_USAGE
-from isvp.errors import InputError, IsvpError, NumericalError
+from isvp.errors import InputError, IsvpError, NonFiniteInput, NumericalError, NumericalFailure
+from isvp.harness import Algorithm
 from isvp.report import SolveStatus
 
-from conftest import solved_start
+from conftest import solve
 
 FAMILIES = {
     InputError: {
@@ -60,17 +62,6 @@ def test_cli_exit_code_follows_the_family(exc_type, monkeypatch, capsys):
     assert capsys.readouterr().err == "error: boom\n"
 
 
-def cayley_free(instance, c0, c_star=None):
-    _, B0 = solved_start(instance, c0)
-    return isvp.solve(instance, c0, B0, c_star=c_star)
-
-
-SOLVERS = {
-    "cayley-free": cayley_free,
-    "alg1": isvp.alg1_solve,
-    "newton": isvp.newton_exact_solve,
-}
-
 STEP_FAILURES = [LEAVES[name] for name in sorted(FAMILIES[NumericalError])]
 STEP_FAILURES.append(LEAVES["NonFiniteInput"])
 
@@ -91,10 +82,10 @@ def _raise_away_from_c0(monkeypatch, exc_type):
 
 
 @pytest.mark.parametrize("exc_type", STEP_FAILURES, ids=lambda t: t.__name__)
-@pytest.mark.parametrize("name", SOLVERS)
-def test_step_failure_is_diverged(name, exc_type, monkeypatch):
+@pytest.mark.parametrize("algorithm", list(Algorithm))
+def test_step_failure_is_diverged(algorithm, exc_type, monkeypatch):
     inst, c_star, c0 = _raise_away_from_c0(monkeypatch, exc_type)
-    report = SOLVERS[name](inst, c0, c_star=c_star)
+    report = solve(algorithm, inst, c0, c_star=c_star)
     assert report.status is SolveStatus.DIVERGED
     assert report.iterations == 0
     assert len(report.records) == 1
@@ -103,8 +94,26 @@ def test_step_failure_is_diverged(name, exc_type, monkeypatch):
 @pytest.mark.parametrize(
     "exc_type", [LEAVES["DimensionMismatch"], LEAVES["DegenerateDraw"]], ids=lambda t: t.__name__
 )
-@pytest.mark.parametrize("name", SOLVERS)
-def test_other_errors_in_a_step_propagate(name, exc_type, monkeypatch):
+@pytest.mark.parametrize("algorithm", list(Algorithm))
+def test_other_errors_in_a_step_propagate(algorithm, exc_type, monkeypatch):
     inst, c_star, c0 = _raise_away_from_c0(monkeypatch, exc_type)
     with pytest.raises(exc_type, match="raised inside a step"):
-        SOLVERS[name](inst, c0, c_star=c_star)
+        solve(algorithm, inst, c0, c_star=c_star)
+
+
+@pytest.mark.parametrize("algorithm", list(Algorithm))
+def test_failures_while_building_k0_raise(algorithm, monkeypatch):
+    # every solver builds its k = 0 state through the exact SVD of A(c0)
+    inst, c_star = isvp.generate_instance(12, 5, 7)
+    c0 = isvp.perturb_c_star(c_star, 1e-2, 2)
+    c_nan = c0.copy()
+    c_nan[0] = np.nan
+    with pytest.raises(NonFiniteInput):
+        solve(algorithm, inst, c_nan)
+
+    def fail(A):
+        raise NumericalFailure("SVD did not converge")
+
+    monkeypatch.setattr(cayley_free, "full_svd", fail)
+    with pytest.raises(NumericalFailure, match="SVD did not converge"):
+        solve(algorithm, inst, c0, c_star=c_star)

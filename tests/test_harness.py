@@ -236,7 +236,7 @@ class TestRunExperiment:
         assert agg["mean_iterations"] == pytest.approx(np.mean([t.iterations for t in completed]))
         assert {row[0] for row in trace_rows(bundle)} == {"1", "3"}
 
-        isvp.emit_reports(bundle, ["json"], tmp_path)
+        isvp.emit_reports(bundle, tmp_path)
         summary = json.loads((tmp_path / "summary.json").read_text())
         entry = summary["trials"][1]
         assert entry["seed"] == 2
@@ -359,7 +359,7 @@ class TestEmitReports:
 
     def test_files_written(self, tmp_path):
         bundle = self._bundle()
-        paths = isvp.emit_reports(bundle, ["csv", "json"], tmp_path)
+        paths = isvp.emit_reports(bundle, tmp_path)
         assert sorted(p.name for p in paths) == ["summary.json", "trace.csv"]
         with open(tmp_path / "trace.csv") as fh:
             rows = list(csv.reader(fh))
@@ -372,7 +372,7 @@ class TestEmitReports:
             algorithm=isvp.Algorithm.CAYLEY_FREE,
         )
         bundle = isvp.run_experiment(config)
-        isvp.emit_reports(bundle, ["csv", "json"], tmp_path)
+        isvp.emit_reports(bundle, tmp_path)
         with open(tmp_path / "trace.csv") as fh:
             rows = list(csv.reader(fh))
         assert rows == [TRACE_HEADER]
@@ -381,7 +381,7 @@ class TestEmitReports:
 
     def test_csv_json_consistency(self, tmp_path):
         bundle = self._bundle()
-        isvp.emit_reports(bundle, ["csv", "json"], tmp_path)
+        isvp.emit_reports(bundle, tmp_path)
         summary = json.loads((tmp_path / "summary.json").read_text())
         with open(tmp_path / "trace.csv") as fh:
             reader = csv.DictReader(fh)

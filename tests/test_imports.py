@@ -1,15 +1,15 @@
-"""Every name a module of the package imports is used in that module, and
-every name a function of the package assigns is read."""
+"""Every name a module of the package or of its tests imports is used in
+that module, and every name a function there assigns is read."""
 
 import ast
 from pathlib import Path
 
 import pytest
 
+_TESTS = Path(__file__).parent
 SOURCES = sorted(
-    p for p in (Path(__file__).parent.parent / "src" / "isvp").glob("*.py")
-    if p.name != "__init__.py"
-)
+    p for p in (_TESTS.parent / "src" / "isvp").glob("*.py") if p.name != "__init__.py"
+) + sorted(_TESTS.glob("*.py"))
 
 
 def unused_imports(source: str) -> list[str]:

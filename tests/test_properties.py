@@ -5,8 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import isvp
-
-from conftest import near_orthogonal, separated_sigma
+from isvp.verification import near_orthogonal, separated_sigma
 
 
 @st.composite
@@ -20,7 +19,7 @@ def seeded_shape(draw, max_m=30, max_n=12):
 @given(seeded_shape())
 @settings(max_examples=60, deadline=None)
 def test_chebyshev_cubing_identity(params):
-    m, n, rng = params
+    _, n, rng = params
     B = rng.uniform(-1.0, 1.0, (n, n))
     J = rng.uniform(-1.0, 1.0, (n, n))
     B_next = isvp.chebyshev_update(B, J)

@@ -10,19 +10,7 @@ from isvp.cayley_free import SolverConfig
 from isvp.harness import Algorithm, ExperimentConfig, run_trial
 from isvp.report import SolveStatus
 
-from conftest import solved_start
-
-
-def cayley_free(instance, c0, config=None, c_star=None):
-    _, B0 = solved_start(instance, c0)
-    return isvp.solve(instance, c0, B0, config, c_star=c_star)
-
-
-SOLVERS = {
-    "cayley-free": cayley_free,
-    "alg1": isvp.alg1_solve,
-    "newton": isvp.newton_exact_solve,
-}
+from conftest import solve
 
 
 @pytest.fixture(scope="module")
@@ -31,10 +19,10 @@ def poor_start():
     return inst, c_star, isvp.perturb_c_star(c_star, 1e-2, 2)
 
 
-@pytest.mark.parametrize("name", SOLVERS)
-def test_one_iteration_budget(name, poor_start):
+@pytest.mark.parametrize("algorithm", list(Algorithm))
+def test_one_iteration_budget(algorithm, poor_start):
     inst, c_star, c0 = poor_start
-    report = SOLVERS[name](inst, c0, SolverConfig(max_iter=1), c_star=c_star)
+    report = solve(algorithm, inst, c0, SolverConfig(max_iter=1), c_star=c_star)
     assert report.status in (SolveStatus.MAX_ITERATIONS, SolveStatus.DIVERGED)
     if report.status is SolveStatus.MAX_ITERATIONS:
         assert report.iterations == 1
@@ -42,24 +30,24 @@ def test_one_iteration_budget(name, poor_start):
     assert [rec.k for rec in report.records] == list(range(report.iterations + 1))
 
 
-@pytest.mark.parametrize("name", SOLVERS)
-def test_start_at_solution_converges_at_k0(name, small_instance):
+@pytest.mark.parametrize("algorithm", list(Algorithm))
+def test_start_at_solution_converges_at_k0(algorithm, small_instance):
     inst, c_star = small_instance
-    report = SOLVERS[name](inst, c_star)
+    report = solve(algorithm, inst, c_star)
     assert report.status is SolveStatus.CONVERGED
     assert report.iterations == 0
     assert len(report.records) == 1
 
 
-@pytest.mark.parametrize("name", SOLVERS)
-def test_err_c_on_every_record(name, poor_start):
+@pytest.mark.parametrize("algorithm", list(Algorithm))
+def test_err_c_on_every_record(algorithm, poor_start):
     inst, c_star, c0 = poor_start
-    report = SOLVERS[name](inst, c0, c_star=c_star)
+    report = solve(algorithm, inst, c0, c_star=c_star)
     assert len(report.records) >= 2
     assert report.records[0].err_c == float(np.linalg.norm(c0 - c_star))
     assert all(rec.err_c is not None for rec in report.records)
     assert report.records[-1].err_c == float(np.linalg.norm(report.c_final - c_star))
-    assert all(rec.err_c is None for rec in SOLVERS[name](inst, c0).records)
+    assert all(rec.err_c is None for rec in solve(algorithm, inst, c0).records)
 
 
 @pytest.mark.parametrize(
@@ -90,8 +78,8 @@ def test_newton_failure_after_k0_is_diverged(column, monkeypatch):
     assert report.records[-1].err_c == float(np.linalg.norm(report.c_final - c_star))
 
 
-@pytest.mark.parametrize("name", SOLVERS)
-def test_nonfinite_A_inside_a_step_is_diverged(name, monkeypatch):
+@pytest.mark.parametrize("algorithm", list(Algorithm))
+def test_nonfinite_A_inside_a_step_is_diverged(algorithm, monkeypatch):
     # A(c) is exact at c0, so the k = 0 state builds, and all-inf anywhere
     # else, so the first step meets a non-finite matrix
     inst, c_star = isvp.generate_instance(20, 8, 2)
@@ -103,7 +91,7 @@ def test_nonfinite_A_inside_a_step_is_diverged(name, monkeypatch):
         return A if np.array_equal(c, c0) else np.full_like(A, np.inf)
 
     monkeypatch.setattr(inst.operator, "evaluate", overflow_away_from_c0)
-    report = SOLVERS[name](inst, c0, c_star=c_star)
+    report = solve(algorithm, inst, c0, c_star=c_star)
     assert report.status is SolveStatus.DIVERGED
     assert report.iterations == 0
     assert len(report.records) == 1
