@@ -15,8 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cayley_free import SolverConfig, SolverState, _exact_point, _iterate, chebyshev_update
-from .core import MIN_GAP, IsvpInstance, approx_jacobian, evaluate_A, spectral_gap
+from .cayley_free import SolverConfig, SolverState, _exact_point, _iterate, chebyshev_update, initialize
+from .core import MIN_GAP, IsvpInstance, approx_jacobian, evaluate_A, jacobian_inverse, spectral_gap
 from .errors import (
     DegenerateShift,
     DimensionMismatch,
@@ -154,22 +154,13 @@ def alg1_outer_step(state: Alg1State, instance: IsvpInstance) -> Alg1State:
 
 
 def alg1_initialize(instance: IsvpInstance, c0) -> Alg1State:
-    """Build the k = 0 state from an exact SVD of A(c0).
-
-    Unlike the Cayley-free solver, B_0 is always the exact LU inverse of
-    J_0 and the initial shift vector is sigma*.  A singular J_0 raises
-    ``SingularJacobian``.
+    """The k = 0 state of :func:`initialize` with the baseline's start:
+    B_0 is always the exact inverse of J_0 and the shift vector is sigma*.
+    A singular J_0 raises ``SingularJacobian``.
     """
-    c0 = np.asarray(c0, dtype=float).reshape(-1)
-    W0, factors, J0 = _exact_point(instance, c0)
-    try:
-        B0 = np.linalg.inv(J0)
-    except np.linalg.LinAlgError as exc:
-        raise SingularJacobian(f"initial Jacobian is singular: {exc}") from exc
-    return Alg1State(
-        k=0, c=c0.copy(), W=W0, U=factors.U, V=factors.V, B=B0, J=J0,
-        s=instance.sigma_star.copy(),
-    )
+    state = initialize(instance, c0)
+    state.B = jacobian_inverse(state.J)
+    return Alg1State(**vars(state), s=instance.sigma_star.copy())
 
 
 def alg1_solve(

@@ -48,8 +48,10 @@ def parse_seeds(spec: str) -> tuple[int, ...]:
         if not part:
             continue
         if ".." in part:
-            lo, hi = part.split("..", 1)
-            seeds.extend(range(int(lo), int(hi) + 1))
+            lo, hi = (int(x) for x in part.split("..", 1))
+            if lo > hi:
+                raise ValueError(f"seed range {part!r} is reversed")
+            seeds.extend(range(lo, hi + 1))
         else:
             seeds.append(int(part))
     if not seeds:

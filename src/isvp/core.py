@@ -7,9 +7,9 @@ solution is any c whose singular values equal sigma*.  This module owns
 the validated problem type with its two basis forms (a dense row-major
 array, and the O(n) symmetric Toeplitz family with an FFT Jacobian), the
 matrix family evaluation, the full SVD with a deterministic sign
-convention, the approximate Jacobian [J]_ij = u_i^T A_j v_i, the
-generalized residual vector used by the solvers, and the Frobenius
-residual d = ||U^T A(c) V - Sigma*||_F.
+convention, the approximate Jacobian [J]_ij = u_i^T A_j v_i and its one
+inverse at the start, the generalized residual vector used by the
+solvers, and the Frobenius residual d = ||U^T A(c) V - Sigma*||_F.
 """
 
 from __future__ import annotations
@@ -28,6 +28,7 @@ from .errors import (
     NonFiniteInput,
     NonpositiveSigma,
     NumericalFailure,
+    SingularJacobian,
 )
 
 # singular values closer than this, or this close to zero, collide
@@ -285,6 +286,15 @@ def approx_jacobian(U: np.ndarray, V: np.ndarray, instance: IsvpInstance) -> np.
     _require_finite("U", U)
     _require_finite("V", V)
     return instance.operator.jacobian(U[:, :n], V[:, :n])
+
+
+def jacobian_inverse(J0: np.ndarray) -> np.ndarray:
+    """Dense LU inverse of the starting Jacobian J_0, the exact B_0 of both
+    two-step methods.  A singular J_0 raises ``SingularJacobian``."""
+    try:
+        return np.linalg.inv(J0)
+    except np.linalg.LinAlgError as exc:
+        raise SingularJacobian(f"J0 is singular: {exc}") from exc
 
 
 def generalized_residual_vector(

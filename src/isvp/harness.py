@@ -27,8 +27,8 @@ import numpy as np
 
 from . import __version__, cayley_free
 from .baselines import alg1_solve, newton_exact_solve
-from .cayley_free import SolverConfig
-from .core import DenseBasis, IsvpInstance, ToeplitzBasis, make_instance
+from .cayley_free import SolverConfig, SolverState
+from .core import DenseBasis, IsvpInstance, ToeplitzBasis, jacobian_inverse, make_instance
 from .errors import (
     DegenerateDraw,
     DuplicateSigma,
@@ -38,7 +38,6 @@ from .errors import (
     NonFiniteInput,
     NonpositiveSigma,
     NumericalFailure,
-    SingularJacobian,
 )
 from .report import SolveReport, SolveStatus
 
@@ -48,6 +47,11 @@ _ROLE_B0 = 2
 
 _ROUNDOFF_FLOOR_FACTOR = 100.0
 _MAX_RATIO_BASE = 0.5
+
+
+def _check_mu(mu: float) -> None:
+    if not (0.0 <= mu < 1.0):
+        raise ValueError("mu must lie in [0, 1)")
 
 
 class Algorithm(str, Enum):
@@ -73,8 +77,7 @@ class ExperimentConfig:
             raise ValueError("require m >= n >= 1")
         if not (0.0 <= self.beta < np.inf):
             raise ValueError("beta must be finite and nonnegative")
-        if not (0.0 <= self.mu < 1.0):
-            raise ValueError("mu must lie in [0, 1)")
+        _check_mu(self.mu)
 
     def solver_config(self) -> SolverConfig:
         return SolverConfig(tol=self.tol, max_iter=self.max_iter)
@@ -179,22 +182,29 @@ def perturb_c_star(c_star: np.ndarray, beta: float, seed: int) -> np.ndarray:
 def build_B0(J0: np.ndarray, mu: float, seed: int) -> np.ndarray:
     """Construct B_0 with ||I - B_0 J_0||_2 equal to mu.
 
-    mu = 0 returns the dense LU inverse of J_0.  For mu > 0 the inverse is
-    premultiplied by I + P where P is a seeded Gaussian matrix rescaled so
-    its 2-norm is exactly mu, which makes I - B_0 J_0 = -P up to roundoff.
+    mu = 0 returns the LU inverse :func:`core.jacobian_inverse` of J_0.
+    For mu > 0 the inverse is premultiplied by I + P where P is a seeded
+    Gaussian matrix rescaled so its 2-norm is exactly mu, which makes
+    I - B_0 J_0 = -P up to roundoff.
     """
-    if not (0.0 <= mu < 1.0):
-        raise ValueError("mu must lie in [0, 1)")
-    try:
-        B_inv = np.linalg.inv(J0)
-    except np.linalg.LinAlgError as exc:
-        raise SingularJacobian(f"J0 is singular: {exc}") from exc
+    _check_mu(mu)
+    B_inv = jacobian_inverse(J0)
     if mu == 0.0:
         return B_inv
     n = J0.shape[0]
     P = _rng(seed, _ROLE_B0).standard_normal((n, n))
     P *= mu / np.linalg.norm(P, 2)
     return (np.eye(n) + P) @ B_inv
+
+
+def cayley_free_start(
+    instance: IsvpInstance, c0, mu: float = 0.0, seed: int = 0
+) -> SolverState:
+    """The Cayley-free k = 0 state: :func:`cayley_free.initialize` at c0,
+    with B_0 from :func:`build_B0` applied to the J_0 it computes."""
+    state = cayley_free.initialize(instance, c0)
+    state.B = build_B0(state.J, mu, seed)
+    return state
 
 
 def residual_log_ratios(d) -> list[float]:
@@ -245,17 +255,17 @@ def run_solver(
     """Solve from c0 with one algorithm; return the report and, for the
     Cayley-free method, the achieved ||I - B_0 J_0||_2.
 
-    The Cayley-free B_0 comes from :func:`build_B0` with ``mu`` and
-    ``seed``, applied to the J_0 that initialization computes, and its
-    construction counts towards the solve time.
+    ``mu`` must lie in [0, 1) for every algorithm.  The Cayley-free
+    method starts from :func:`cayley_free_start` with ``mu`` and
+    ``seed``, and building that start counts towards the solve time.
     """
+    _check_mu(mu)
     if algorithm is Algorithm.ALG1:
         return alg1_solve(instance, c0, config, c_star=c_star), None
     if algorithm is Algorithm.NEWTON:
         return newton_exact_solve(instance, c0, config, c_star=c_star), None
     t_start = time.perf_counter()
-    state = cayley_free.initialize(instance, c0)
-    state.B = build_B0(state.J, mu, seed)
+    state = cayley_free_start(instance, c0, mu, seed)
     report = cayley_free._iterate(cayley_free.outer_step, state, instance, config, c_star, t_start)
     achieved_mu = float(np.linalg.norm(np.eye(instance.n) - state.B @ state.J, 2))
     return report, achieved_mu

@@ -5,16 +5,10 @@ from isvp.cayley_free import SolverConfig
 from isvp.harness import run_solver
 
 
-def solved_start(instance, c0, mu=0.0, seed=0):
-    """J0 at c0 plus the matching B0, the way the harness initializes."""
-    factors = isvp.full_svd(isvp.evaluate_A(instance, c0))
-    J0 = isvp.approx_jacobian(factors.U, factors.V, instance)
-    return J0, isvp.build_B0(J0, mu, seed)
-
-
 def solve(algorithm, instance, c0, config=None, c_star=None):
     """The one solver table of the tests: any ``Algorithm`` from c0, run
-    the way the harness runs it, with the Cayley-free B_0 = inv(J_0)."""
+    the way the harness runs it; the Cayley-free method starts from
+    ``cayley_free_start`` at mu = 0, so B_0 = inv(J_0)."""
     report, _ = run_solver(
         algorithm, instance, c0, config or SolverConfig(), 0.0, 0, c_star=c_star
     )

@@ -32,10 +32,11 @@ import isvp
 import isvp.cayley_free as cayley_free_module
 from isvp.baselines import alg1_initialize, alg1_outer_step
 from isvp.cayley_free import SolverConfig
+from isvp.harness import cayley_free_start
 from isvp.report import SolveStatus
 from isvp.verification import run_all_checks
 
-from conftest import solve, solved_start
+from conftest import solve
 
 EPS = np.finfo(float).eps
 
@@ -173,7 +174,7 @@ def test_criterion_5_structural_no_solves(monkeypatch):
     m, n = 30, 12
     inst, c_star = isvp.generate_instance(m, n, 2)
     c0 = isvp.perturb_c_star(c_star, 1e-3, 2)
-    _, B0 = solved_start(inst, c0)
+    B0 = cayley_free_start(inst, c0).B
 
     counting_solve = _CountingSolve(np.linalg.solve)
     counting_inv = _CountingInv(np.linalg.inv)

@@ -7,10 +7,10 @@ import isvp
 import isvp.baselines as baselines
 import isvp.cayley_free as cayley_free
 from isvp.baselines import alg1_initialize, alg1_outer_step
-from isvp.cayley_free import SolverConfig, initialize
+from isvp.cayley_free import SolverConfig
 from isvp.core import residual_d
 from isvp.errors import DegenerateShift, SingularJacobian, SingularValueCollision
-from isvp.harness import Algorithm
+from isvp.harness import Algorithm, cayley_free_start
 from isvp.report import SolveStatus
 
 from conftest import solve
@@ -52,19 +52,6 @@ class TestSkewPair:
         np.testing.assert_allclose(X[2, 1], 4.0 / 1.0)
         np.testing.assert_allclose(Y[0, 1], -4.0 / 3.0)
         assert X[2, 2] == 0.0  # trailing off-diagonal block stays zero
-
-    def test_exact_skewness(self):
-        rng = np.random.default_rng(43)
-        for _ in range(25):
-            n = int(rng.integers(2, 10))
-            m = int(rng.integers(n, 20))
-            s = np.sort(rng.uniform(0.5, 9.0, n))[::-1]
-            if np.diff(-s).min() < 1e-3:
-                continue
-            D = rng.standard_normal((m, n))
-            X, Y = isvp.alg1_skew_pair(D, s)
-            np.testing.assert_array_equal(X, -X.T)
-            np.testing.assert_array_equal(Y, -Y.T)
 
     def test_matches_loop_oracle(self):
         rng = np.random.default_rng(47)
@@ -172,15 +159,6 @@ class TestAlg1Solve:
             assert np.linalg.norm(state.U.T @ state.U - np.eye(inst.m)) <= 1e-10 * inst.m
             assert np.linalg.norm(state.V.T @ state.V - np.eye(inst.n)) <= 1e-10 * inst.n
 
-    def test_singular_initial_jacobian(self):
-        # duplicated coefficient matrices make J0 exactly rank deficient
-        rng = np.random.default_rng(5)
-        A1 = rng.random((4, 2))
-        basis = [rng.random((4, 2)), A1, A1]
-        inst = isvp.build_instance(basis, [3.0, 1.0])
-        with pytest.raises(SingularJacobian):
-            isvp.alg1_solve(inst, np.array([0.3, 0.4]))
-
     def test_agrees_with_cayley_free(self, medium_instance):
         inst, c_star = medium_instance
         c0 = isvp.perturb_c_star(c_star, 1e-3, 2)
@@ -233,23 +211,17 @@ class TestNewtonOracle:
             isvp.newton_exact_solve(inst, np.zeros(3))
 
 
-def _k0_state(method, inst, c0):
-    """The k = 0 state each two-step solver starts from (B_0 = inv(J_0))."""
-    if method == "alg1":
-        return alg1_initialize(inst, c0)
-    state = initialize(inst, c0)
-    state.B = np.linalg.inv(state.J)
-    return state
-
-
 @pytest.mark.parametrize("method", ["cayley-free", "alg1"])
 def test_two_step_methods_ignore_the_tail_basis_of_U(method):
     # full_svd may complete u_1..u_n with any orthonormal basis of the
     # complement; rotating that tail must not change the iterates
-    step = isvp.outer_step if method == "cayley-free" else alg1_outer_step
+    if method == "cayley-free":
+        start, step = cayley_free_start, isvp.outer_step
+    else:
+        start, step = alg1_initialize, alg1_outer_step
     inst, c_star = isvp.generate_instance(60, 30, 4)
     c0 = isvp.perturb_c_star(c_star, 1e-3, 4)
-    state = _k0_state(method, inst, c0)
+    state = start(inst, c0)
     Q = np.linalg.qr(np.random.default_rng(11).standard_normal((30, 30)))[0]
     U = state.U.copy()
     U[:, 30:] = U[:, 30:] @ Q
@@ -263,6 +235,17 @@ def test_two_step_methods_ignore_the_tail_basis_of_U(method):
         d_rot = residual_d(rotated.W, inst.sigma_star)
         if d > 1e-8:
             assert d_rot == pytest.approx(d, rel=1e-6)
+
+
+@pytest.mark.parametrize("method", ["cayley-free", "alg1"])
+def test_singular_initial_jacobian(method):
+    # duplicated coefficient matrices make J0 exactly rank deficient
+    rng = np.random.default_rng(5)
+    A1 = rng.random((4, 2))
+    basis = [rng.random((4, 2)), A1, A1]
+    inst = isvp.build_instance(basis, [3.0, 1.0])
+    with pytest.raises(SingularJacobian, match="^J0 is singular: "):
+        solve(Algorithm(method), inst, np.array([0.3, 0.4]))
 
 
 _STEPS = {

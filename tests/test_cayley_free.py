@@ -5,13 +5,12 @@ import pytest
 
 import isvp
 import isvp.cayley_free as cayley_free
-from isvp.cayley_free import SolverConfig, initialize, outer_step
+from isvp.cayley_free import SolverConfig, outer_step
 from isvp.core import residual_d
 from isvp.errors import NumericalBreakdown
+from isvp.harness import cayley_free_start
 from isvp.report import SolveStatus
 from isvp.verification import near_orthogonal, separated_sigma
-
-from conftest import solved_start
 
 
 def loop_correction_pair(U, V, W, sigma):
@@ -169,10 +168,7 @@ class TestMultiplicativeRefine:
     def test_improves_orthogonality_near_solution(self):
         inst, c_star = isvp.generate_instance(30, 12, 5)
         c0 = isvp.perturb_c_star(c_star, 1e-4, 5)
-        _, B0 = solved_start(inst, c0)
-        state = initialize(inst, c0)
-        state.B = B0
-        state = outer_step(state, inst)
+        state = outer_step(cayley_free_start(inst, c0), inst)
         # state.U is now first-order orthogonal; one more correction round
         g = isvp.generalized_residual_vector(
             state.U, state.V, np.diagonal(state.W), inst.sigma_star
@@ -204,9 +200,7 @@ class TestChebyshevUpdate:
 class TestOuterStep:
     def test_fixed_point_at_exact_solution(self, small_instance):
         inst, c_star = small_instance
-        _, B0 = solved_start(inst, c_star)
-        state = initialize(inst, c_star)
-        state.B = B0
+        state = cayley_free_start(inst, c_star)
         sigma = inst.sigma_star
         assert residual_d(state.W, sigma) <= 1e-12 * np.linalg.norm(sigma)
         s = outer_step(state, inst)
@@ -216,8 +210,7 @@ class TestOuterStep:
     def test_state_carries_the_aligned_product(self, medium_instance):
         inst, c_star = medium_instance
         c0 = isvp.perturb_c_star(c_star, 1e-3, 2)
-        state = initialize(inst, c0)
-        state.B = np.linalg.inv(state.J)
+        state = cayley_free_start(inst, c0)
         for s in (state, outer_step(state, inst)):
             W = s.U.T @ (isvp.evaluate_A(inst, s.c) @ s.V)
             assert np.linalg.norm(s.W - W) <= 1e-14 * np.linalg.norm(W)
@@ -225,9 +218,7 @@ class TestOuterStep:
     def test_matches_transliteration_oracle(self):
         inst, c_star = isvp.generate_instance(4, 2, 31)
         c0 = isvp.perturb_c_star(c_star, 1e-2, 31)
-        _, B0 = solved_start(inst, c0)
-        state = initialize(inst, c0)
-        state.B = B0
+        state = cayley_free_start(inst, c0)
         oracle = loop_outer_step(inst, state)
 
         # stage by stage against the public operations
@@ -268,9 +259,8 @@ class TestOuterStep:
 
     def test_breakdown_on_nonfinite_state(self, small_instance):
         inst, c_star = small_instance
-        _, B0 = solved_start(inst, c_star)
-        state = initialize(inst, c_star)
-        state.B = np.full_like(B0, np.inf)
+        state = cayley_free_start(inst, c_star)
+        state.B = np.full_like(state.B, np.inf)
         with pytest.raises(NumericalBreakdown):
             outer_step(state, inst)
 
@@ -279,7 +269,7 @@ class TestSolve:
     def test_case_a_pattern_medium(self, medium_instance):
         inst, c_star = medium_instance
         c0 = isvp.perturb_c_star(c_star, 1e-3, 2)
-        _, B0 = solved_start(inst, c0)
+        B0 = cayley_free_start(inst, c0).B
         report = isvp.solve(inst, c0, B0, c_star=c_star)
         assert report.status is SolveStatus.CONVERGED
         assert report.iterations <= 4
@@ -297,9 +287,7 @@ class TestSolve:
     def test_cubing_identity_along_solve(self, medium_instance):
         inst, c_star = medium_instance
         c0 = isvp.perturb_c_star(c_star, 1e-3, 2)
-        _, B0 = solved_start(inst, c0)
-        state = initialize(inst, c0)
-        state.B = B0
+        state = cayley_free_start(inst, c0)
         for _ in range(3):
             B_prev = state.B
             state = outer_step(state, inst)
@@ -310,15 +298,14 @@ class TestSolve:
     def test_divergence_reported_not_raised(self):
         inst, c_star = isvp.generate_instance(20, 8, 2)
         c0 = isvp.perturb_c_star(c_star, 1e-3, 2)
-        J0, _ = solved_start(inst, c0)
-        B0 = 3.0 * np.linalg.inv(J0)  # far from the inverse: cubing blows up
+        B0 = 3.0 * cayley_free_start(inst, c0).B  # far from the inverse: cubing blows up
         report = isvp.solve(inst, c0, B0)
         assert report.status is SolveStatus.DIVERGED
 
     def test_max_iterations_status(self, medium_instance):
         inst, c_star = medium_instance
         c0 = isvp.perturb_c_star(c_star, 1e-3, 2)
-        _, B0 = solved_start(inst, c0)
+        B0 = cayley_free_start(inst, c0).B
         report = isvp.solve(inst, c0, B0, SolverConfig(tol=1e-16, max_iter=2))
         assert report.status in (SolveStatus.MAX_ITERATIONS, SolveStatus.CONVERGED)
         if report.status is SolveStatus.MAX_ITERATIONS:
@@ -327,7 +314,7 @@ class TestSolve:
     def test_square_instance_supported(self):
         inst, c_star = isvp.generate_instance(8, 8, 3)
         c0 = isvp.perturb_c_star(c_star, 1e-3, 3)
-        _, B0 = solved_start(inst, c0)
+        B0 = cayley_free_start(inst, c0).B
         report = isvp.solve(inst, c0, B0, SolverConfig(tol=1e-12))
         assert report.status is SolveStatus.CONVERGED
         assert np.linalg.norm(report.c_final - c_star) <= 1e-8 * (1 + np.linalg.norm(c_star))

@@ -1,4 +1,3 @@
-import csv
 import dataclasses
 import json
 import os
@@ -29,6 +28,10 @@ class TestParseSeeds:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             parse_seeds(",")
+
+    def test_reversed_range_rejected(self):
+        with pytest.raises(ValueError, match=r"'10\.\.1'"):
+            parse_seeds("10..1,3")
 
 
 class TestRunCommand:
@@ -119,6 +122,16 @@ class TestGenAndSolve:
 
     def test_solve_missing_instance(self, tmp_path):
         code = main(["solve", "--instance", str(tmp_path / "nope.txt"), "--beta", "1e-3"])
+        assert code == EXIT_USAGE
+
+    @pytest.mark.parametrize("algorithm", [a.value for a in isvp.Algorithm])
+    def test_solve_mu_out_of_range_is_a_usage_error(self, algorithm, tmp_path):
+        inst_path = tmp_path / "instance.txt"
+        main(["gen", "--m", "10", "--n", "4", "--seed", "3", "--out", str(inst_path)])
+        code = main([
+            "solve", "--instance", str(inst_path), "--beta", "1e-3",
+            "--algorithm", algorithm, "--mu", "2",
+        ])
         assert code == EXIT_USAGE
 
     def test_solve_nonfinite_start_is_a_usage_error(self, tmp_path):
@@ -281,21 +294,3 @@ class TestVerifyCommand:
         result = verification.check_jacobian_finite_difference(50, seed)
         assert result.passed
 
-
-class TestRunDeterminism:
-    def test_identical_flags_identical_traces(self, tmp_path):
-        argv = lambda out: [
-            "run", "--m", "14", "--n", "6", "--beta", "1e-3", "--mu", "0.01",
-            "--seeds", "1..3", "--out", str(out),
-        ]
-        assert main(argv(tmp_path / "a")) == EXIT_OK
-        assert main(argv(tmp_path / "b")) == EXIT_OK
-
-        def strip_wall(path):
-            with open(path) as fh:
-                rows = list(csv.reader(fh))
-            return [row[:-1] for row in rows]
-
-        assert strip_wall(tmp_path / "a" / "trace.csv") == strip_wall(
-            tmp_path / "b" / "trace.csv"
-        )
