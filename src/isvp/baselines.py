@@ -17,14 +17,7 @@ import numpy as np
 
 from .cayley_free import SolverConfig, SolverState, _exact_point, _iterate, chebyshev_update, initialize
 from .core import MIN_GAP, IsvpInstance, approx_jacobian, evaluate_A, jacobian_inverse, spectral_gap
-from .errors import (
-    DegenerateShift,
-    DimensionMismatch,
-    NumericalBreakdown,
-    SingularJacobian,
-    SingularSystem,
-    SingularValueCollision,
-)
+from .errors import InputError, NumericalError
 from .report import SolveReport
 
 
@@ -51,14 +44,14 @@ def alg1_offset_vector(W: np.ndarray) -> np.ndarray:
 
 def _check_shift(s: np.ndarray) -> None:
     if np.any(np.abs(s) <= MIN_GAP):
-        raise DegenerateShift("shift entry too close to zero")
+        raise NumericalError("shift entry too close to zero")
     diff = np.abs(s[:, None] - s[None, :])
     np.fill_diagonal(diff, np.inf)
     if diff.min() <= MIN_GAP:
-        raise DegenerateShift("two shift entries collide")
+        raise NumericalError("two shift entries collide")
     ssum = np.abs(s[:, None] + s[None, :])
     if ssum.min() <= MIN_GAP:
-        raise DegenerateShift("two shift entries cancel")
+        raise NumericalError("two shift entries cancel")
 
 
 def alg1_skew_pair(D: np.ndarray, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -69,7 +62,7 @@ def alg1_skew_pair(D: np.ndarray, s: np.ndarray) -> tuple[np.ndarray, np.ndarray
     """
     m, n = D.shape
     if s.shape != (n,):
-        raise DimensionMismatch("shift vector length must match D's column count")
+        raise InputError("shift vector length must match D's column count")
     _check_shift(s)
     den = s[None, :] ** 2 - s[:, None] ** 2
     np.fill_diagonal(den, 1.0)
@@ -96,12 +89,12 @@ def cayley_orthogonalize(Q: np.ndarray, S: np.ndarray) -> np.ndarray:
     """
     side = S.shape[0]
     if S.shape != (side, side) or Q.shape[1] != side:
-        raise DimensionMismatch("S must be square with side equal to Q's column count")
+        raise InputError("S must be square with side equal to Q's column count")
     eye = np.eye(side)
     try:
         Qt = np.linalg.solve(eye + 0.5 * S, (eye - 0.5 * S) @ Q.T)
     except np.linalg.LinAlgError as exc:
-        raise SingularSystem(f"Cayley system is singular: {exc}") from exc
+        raise NumericalError(f"Cayley system is singular: {exc}") from exc
     return Qt.T
 
 
@@ -110,14 +103,14 @@ def alg1_outer_step(state: Alg1State, instance: IsvpInstance) -> Alg1State:
 
     Two skew/Cayley correction rounds bracket the two coefficient
     updates; the shift vector is refreshed from the Chebyshev-updated B.
-    A non-finite update raises ``NumericalBreakdown``.
+    A non-finite update raises ``NumericalError``.
     """
     sigma = instance.sigma_star
     c, U, V, B, J, s = state.c, state.U, state.V, state.B, state.J, state.s
     with np.errstate(over="ignore", invalid="ignore"):
         y = c - B @ (alg1_offset_vector(state.W) - sigma)
         if not np.all(np.isfinite(y)):
-            raise NumericalBreakdown("first coefficient update is non-finite")
+            raise NumericalError("first coefficient update is non-finite")
         A_y = evaluate_A(instance, y)
         D = U.T @ (A_y @ V)
         X, Y = alg1_skew_pair(D, s)
@@ -128,7 +121,7 @@ def alg1_outer_step(state: Alg1State, instance: IsvpInstance) -> Alg1State:
 
         c_next = y - B @ (sigma_bar - sigma)
         if not np.all(np.isfinite(c_next)):
-            raise NumericalBreakdown("second coefficient update is non-finite")
+            raise NumericalError("second coefficient update is non-finite")
         t_bar = sigma_bar - sigma
         s_bar = sigma + t_bar - J @ (B @ t_bar)
 
@@ -146,7 +139,7 @@ def alg1_outer_step(state: Alg1State, instance: IsvpInstance) -> Alg1State:
         s_next = sigma + t_next - J_next @ (B_next @ t_next)
     for name, a in (("U", U_next), ("V", V_next), ("B", B_next), ("s", s_next)):
         if not np.all(np.isfinite(a)):
-            raise NumericalBreakdown(f"updated {name} is non-finite")
+            raise NumericalError(f"updated {name} is non-finite")
 
     return Alg1State(
         k=state.k + 1, c=c_next, W=W_next, U=U_next, V=V_next, B=B_next, J=J_next, s=s_next
@@ -156,7 +149,7 @@ def alg1_outer_step(state: Alg1State, instance: IsvpInstance) -> Alg1State:
 def alg1_initialize(instance: IsvpInstance, c0) -> Alg1State:
     """The k = 0 state of :func:`initialize` with the baseline's start:
     B_0 is always the exact inverse of J_0 and the shift vector is sigma*.
-    A singular J_0 raises ``SingularJacobian``.
+    A singular J_0 raises ``NumericalError``.
     """
     state = initialize(instance, c0)
     state.B = jacobian_inverse(state.J)
@@ -192,7 +185,7 @@ def _newton_point(instance: IsvpInstance, c: np.ndarray, k: int) -> _NewtonState
     W, factors, J = _exact_point(instance, c)
     gap = spectral_gap(factors.sigma)
     if gap <= MIN_GAP:
-        raise SingularValueCollision(f"singular values too close along the path (gap {gap:.3e})")
+        raise NumericalError(f"singular values too close along the path (gap {gap:.3e})")
     return _NewtonState(
         k=k, c=c, W=W, U=factors.U, V=factors.V, B=None, J=J, sigma=factors.sigma
     )
@@ -204,7 +197,7 @@ def _newton_step(state: _NewtonState, instance: IsvpInstance) -> _NewtonState:
     try:
         delta = np.linalg.solve(state.J, -f)
     except np.linalg.LinAlgError as exc:
-        raise SingularJacobian(f"Newton Jacobian is singular: {exc}") from exc
+        raise NumericalError(f"Newton Jacobian is singular: {exc}") from exc
     return _newton_point(instance, state.c + delta, state.k + 1)
 
 
@@ -219,8 +212,8 @@ def newton_exact_solve(
     Every iteration solves the Newton equation by dense LU, recomputes a
     full SVD of A(c) and forms the exact Jacobian from the exact singular
     vectors.  A collision of singular values at c0 raises
-    ``SingularValueCollision``; later in the run it, like a singular
-    Jacobian, ends the solve as ``DIVERGED``.
+    ``NumericalError``; later in the run it, like a singular Jacobian,
+    ends the solve as ``DIVERGED``.
     """
     t_start = time.perf_counter()
     c = np.asarray(c0, dtype=float).reshape(-1).copy()

@@ -28,13 +28,14 @@ import numpy as np
 from .core import (
     IsvpInstance,
     SvdFactorization,
+    _require_finite,
     approx_jacobian,
     evaluate_A,
     full_svd,
     generalized_residual_vector,
     residual_d,
 )
-from .errors import DimensionMismatch, NonFiniteInput, NumericalBreakdown, NumericalError
+from .errors import InputError, NonFiniteInput, NumericalError
 from .report import IterationRecord, SolveReport, SolveStatus
 
 # failures that end a solve as DIVERGED when an outer step raises them; kernels
@@ -152,10 +153,9 @@ def correction_matrices(
     m = U.shape[0]
     n = V.shape[0]
     if U.shape != (m, m) or V.shape != (n, n) or W.shape != (m, n):
-        raise DimensionMismatch("correction_matrices expects U m x m, V n x n, W m x n")
+        raise InputError("correction_matrices expects U m x m, V n x n, W m x n")
     for name, a in (("U", U), ("V", V), ("W", W)):
-        if not np.all(np.isfinite(a)):
-            raise NonFiniteInput(f"{name} contains NaN or infinity")
+        _require_finite(name, a)
     s = sigma_star
     s2 = s * s
     Gu = U.T @ U
@@ -190,7 +190,7 @@ def correction_matrices(
 def multiplicative_refine(M: np.ndarray, C: np.ndarray) -> np.ndarray:
     """Apply the first-order inverse update M (I - C) = M - M C."""
     if C.ndim != 2 or C.shape[0] != C.shape[1] or C.shape[0] != M.shape[1]:
-        raise DimensionMismatch("C must be square with side equal to M's column count")
+        raise InputError("C must be square with side equal to M's column count")
     return M - M @ C
 
 
@@ -212,14 +212,14 @@ def outer_step(state: SolverState, instance: IsvpInstance) -> SolverState:
     first correction pair from U^T A V at the predicted point; refinement;
     second coefficient update from the refined residual rho; second
     correction pair from the updated point; second refinement; new J, B
-    and W.  A non-finite update raises ``NumericalBreakdown``.
+    and W.  A non-finite update raises ``NumericalError``.
     """
     sigma = instance.sigma_star
     c, U, V, B = state.c, state.U, state.V, state.B
     with np.errstate(over="ignore", invalid="ignore"):
         c_bar = c - B @ generalized_residual_vector(U, V, np.diagonal(state.W), sigma)
         if not np.all(np.isfinite(c_bar)):
-            raise NumericalBreakdown("first coefficient update is non-finite")
+            raise NumericalError("first coefficient update is non-finite")
         A_bar = evaluate_A(instance, c_bar)
         W = U.T @ (A_bar @ V)
         first = correction_matrices(U, V, W, sigma)
@@ -230,7 +230,7 @@ def outer_step(state: SolverState, instance: IsvpInstance) -> SolverState:
         rho = generalized_residual_vector(U_bar, V_bar, w_bar, sigma)
         c_next = c_bar - B @ rho
         if not np.all(np.isfinite(c_next)):
-            raise NumericalBreakdown("second coefficient update is non-finite")
+            raise NumericalError("second coefficient update is non-finite")
         A_next = evaluate_A(instance, c_next)
         W_bar = U_bar.T @ (A_next @ V_bar)
         second = correction_matrices(U_bar, V_bar, W_bar, sigma)
@@ -242,7 +242,7 @@ def outer_step(state: SolverState, instance: IsvpInstance) -> SolverState:
         W_next = U_next.T @ (A_next @ V_next)
     for name, a in (("U", U_next), ("V", V_next), ("B", B_next), ("J", J_next)):
         if not np.all(np.isfinite(a)):
-            raise NumericalBreakdown(f"updated {name} is non-finite")
+            raise NumericalError(f"updated {name} is non-finite")
 
     return SolverState(k=state.k + 1, c=c_next, W=W_next, U=U_next, V=V_next, B=B_next, J=J_next)
 
@@ -274,9 +274,8 @@ def solve(
     t_start = time.perf_counter()
     B0 = np.asarray(B0, dtype=float)
     if B0.shape != (instance.n, instance.n):
-        raise DimensionMismatch(f"B0 must be {instance.n} x {instance.n}")
-    if not np.all(np.isfinite(B0)):
-        raise NonFiniteInput("B0 contains NaN or infinity")
+        raise InputError(f"B0 must be {instance.n} x {instance.n}")
+    _require_finite("B0", B0)
     state = initialize(instance, c0)
     state.B = B0.copy()
     return _iterate(outer_step, state, instance, config, c_star, t_start)

@@ -22,7 +22,7 @@ import numpy as np
 
 from .cayley_free import SolverConfig
 from .core import load_instance, save_instance
-from .errors import InputError, IoFailure, IsvpError
+from .errors import InputError, IsvpError
 from .harness import (
     Algorithm,
     ExperimentConfig,
@@ -86,9 +86,7 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--m", type=int, required=True)
     run.add_argument("--n", type=int, required=True)
     run.add_argument("--beta", type=float, required=True)
-    run.add_argument(
-        "--seeds", type=parse_seeds, required=True, help='e.g. "1..10" or "1,4,9"'
-    )
+    run.add_argument("--seeds", required=True, help='e.g. "1..10" or "1,4,9"')
     run.add_argument("--out", type=Path, required=True)
     run.add_argument("--allow-nonconverged", action="store_true")
 
@@ -117,7 +115,7 @@ def _cmd_run(args) -> int:
         n=args.n,
         beta=args.beta,
         mu=args.mu,
-        seeds=args.seeds,
+        seeds=parse_seeds(args.seeds),
         algorithm=Algorithm(args.algorithm),
         tol=args.tol,
         max_iter=args.max_iter,
@@ -147,7 +145,7 @@ def _cmd_gen(args) -> int:
     try:
         _write_vector(sidecar, c_star)
     except OSError as exc:
-        raise IoFailure(f"cannot write {sidecar}: {exc}") from exc
+        raise InputError(f"cannot write {sidecar}: {exc}") from exc
     print(f"wrote {args.out} and {sidecar}")
     return EXIT_OK
 
@@ -158,20 +156,20 @@ def _cmd_solve(args) -> int:
         try:
             c0 = _read_vector(args.c0)
         except (OSError, ValueError) as exc:
-            raise IoFailure(f"cannot read start vector {args.c0}: {exc}") from exc
+            raise InputError(f"cannot read start vector {args.c0}: {exc}") from exc
     elif args.beta is not None:
         cstar_path = args.c_star or Path(str(args.instance) + ".cstar")
         try:
             c_star = _read_vector(cstar_path)
         except (OSError, ValueError) as exc:
-            raise IoFailure(
+            raise InputError(
                 f"--beta needs the generating vector; cannot read {cstar_path}: {exc}"
             ) from exc
         c0 = perturb_c_star(c_star, args.beta, args.seed)
     else:
-        raise IoFailure("provide either --c0 FILE or --beta (with a .cstar sidecar)")
+        raise InputError("provide either --c0 FILE or --beta (with a .cstar sidecar)")
     if c0.size != instance.n:
-        raise IoFailure(f"start vector has {c0.size} entries, instance needs {instance.n}")
+        raise InputError(f"start vector has {c0.size} entries, instance needs {instance.n}")
 
     config = SolverConfig(tol=args.tol, max_iter=args.max_iter)
     report, _ = run_solver(

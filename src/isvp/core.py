@@ -20,16 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    ArityMismatch,
-    DimensionMismatch,
-    DuplicateSigma,
-    IoFailure,
-    NonFiniteInput,
-    NonpositiveSigma,
-    NumericalFailure,
-    SingularJacobian,
-)
+from .errors import InputError, NonFiniteInput, NumericalError
 
 # singular values closer than this, or this close to zero, collide
 MIN_GAP = 1e-10
@@ -62,9 +53,9 @@ class DenseBasis:
     def __init__(self, rows: np.ndarray):
         m, depth, n = rows.shape
         if m < n or n < 1:
-            raise DimensionMismatch(f"require m >= n >= 1, got m={m}, n={n}")
+            raise InputError(f"require m >= n >= 1, got m={m}, n={n}")
         if depth != n + 1:
-            raise ArityMismatch(f"n={n} needs {n + 1} basis matrices, got {depth}")
+            raise InputError(f"n={n} needs {n + 1} basis matrices, got {depth}")
         rows.flags.writeable = False
         self.rows = rows
         self.basis = rows.transpose(1, 0, 2)
@@ -102,7 +93,7 @@ class ToeplitzBasis:
 
     def __init__(self, m: int, n: int):
         if m < n or n < 1:
-            raise DimensionMismatch(f"require m >= n >= 1, got m={m}, n={n}")
+            raise InputError(f"require m >= n >= 1, got m={m}, n={n}")
         self.m, self.n = m, n
 
     @property
@@ -177,24 +168,23 @@ def build_instance(basis, sigma_star) -> IsvpInstance:
     """Validate raw inputs and construct a dense :class:`IsvpInstance`.
 
     The basis is copied, one matrix at a time, into one new row-major
-    array.  Raises ``DimensionMismatch`` for ragged bases or m < n,
-    ``ArityMismatch`` when the basis does not hold n + 1 matrices or
-    ``sigma_star`` does not hold n values, ``NonpositiveSigma`` /
-    ``DuplicateSigma`` when the targets are not positive or a gap is at
-    most ``MIN_GAP``.
+    array.  Raises ``InputError`` for ragged bases or m < n, when the
+    basis does not hold n + 1 matrices or ``sigma_star`` does not hold n
+    values, and when the targets are not positive or a gap is at most
+    ``MIN_GAP``.
     """
     mats = list(basis)
     if not mats:
-        raise DimensionMismatch("basis must contain at least A_0")
+        raise InputError("basis must contain at least A_0")
     first = np.asarray(mats[0], dtype=float)
     if first.ndim != 2:
-        raise DimensionMismatch("basis matrices must be two-dimensional")
+        raise InputError("basis matrices must be two-dimensional")
     m, n = first.shape
     rows = np.empty((m, len(mats), n))
     for idx, a in enumerate(mats):
         a = np.asarray(a, dtype=float)
         if a.shape != (m, n):
-            raise DimensionMismatch(
+            raise InputError(
                 f"basis[{idx}] has shape {a.shape}, expected {(m, n)}"
             )
         _require_finite(f"basis[{idx}]", a)
@@ -207,13 +197,13 @@ def make_instance(operator: DenseBasis | ToeplitzBasis, sigma_star) -> IsvpInsta
     n = operator.n
     sigma = np.array(sigma_star, dtype=float, copy=True).reshape(-1)
     if sigma.size != n:
-        raise ArityMismatch(f"sigma_star must have n={n} entries, got {sigma.size}")
+        raise InputError(f"sigma_star must have n={n} entries, got {sigma.size}")
     _require_finite("sigma_star", sigma)
     if np.any(sigma <= 0.0):
-        raise NonpositiveSigma("target singular values must be strictly positive")
+        raise InputError("target singular values must be strictly positive")
     gap = spectral_gap(sigma)
     if gap <= MIN_GAP:
-        raise DuplicateSigma(f"minimum target gap {gap:.3e} is not above {MIN_GAP:.0e}")
+        raise InputError(f"minimum target gap {gap:.3e} is not above {MIN_GAP:.0e}")
     sigma.flags.writeable = False
     return IsvpInstance(operator=operator, sigma_star=sigma)
 
@@ -233,7 +223,7 @@ def evaluate_A(instance: IsvpInstance, c) -> np.ndarray:
     """
     c = np.asarray(c, dtype=float).reshape(-1)
     if c.size != instance.n:
-        raise DimensionMismatch(f"c must have length {instance.n}, got {c.size}")
+        raise InputError(f"c must have length {instance.n}, got {c.size}")
     _require_finite("c", c)
     return instance.operator.evaluate(c)
 
@@ -265,15 +255,15 @@ def full_svd(A) -> SvdFactorization:
     """
     A = np.asarray(A, dtype=float)
     if A.ndim != 2:
-        raise DimensionMismatch("full_svd expects a matrix")
+        raise InputError("full_svd expects a matrix")
     m, n = A.shape
     if m < n:
-        raise DimensionMismatch(f"require m >= n, got {A.shape}")
+        raise InputError(f"require m >= n, got {A.shape}")
     _require_finite("A", A)
     try:
         U, sigma, Vt = np.linalg.svd(A)
     except np.linalg.LinAlgError as exc:
-        raise NumericalFailure(f"SVD did not converge: {exc}") from exc
+        raise NumericalError(f"SVD did not converge: {exc}") from exc
     signs = _pivot_signs(Vt.T)
     V = Vt.T * signs
     U *= np.concatenate([signs, _pivot_signs(U[:, n:])])
@@ -290,11 +280,11 @@ def approx_jacobian(U: np.ndarray, V: np.ndarray, instance: IsvpInstance) -> np.
 
 def jacobian_inverse(J0: np.ndarray) -> np.ndarray:
     """Dense LU inverse of the starting Jacobian J_0, the exact B_0 of both
-    two-step methods.  A singular J_0 raises ``SingularJacobian``."""
+    two-step methods.  A singular J_0 raises ``NumericalError``."""
     try:
         return np.linalg.inv(J0)
     except np.linalg.LinAlgError as exc:
-        raise SingularJacobian(f"J0 is singular: {exc}") from exc
+        raise NumericalError(f"J0 is singular: {exc}") from exc
 
 
 def generalized_residual_vector(
@@ -305,11 +295,11 @@ def generalized_residual_vector(
 
     With M = A(c) it is affine in c, J c + g(U, V, diag(U^T A_0 V)): the
     model of the first coefficient update.  With refined vectors it is the
-    second-step residual rho.  Raises ``DimensionMismatch`` for any other w.
+    second-step residual rho.  Raises ``InputError`` for any other w.
     """
     n = sigma_star.size
     if w.shape != (n,):
-        raise DimensionMismatch(f"w must have shape ({n},), got {w.shape}")
+        raise InputError(f"w must have shape ({n},), got {w.shape}")
     Un = U[:, :n]
     Vn = V[:, :n]
     uu = np.einsum("ji,ji->i", Un, Un)
@@ -341,7 +331,7 @@ def save_instance(instance: IsvpInstance, path) -> None:
                 np.savetxt(fh, a, fmt="%.17g")
             np.savetxt(fh, instance.sigma_star[None], fmt="%.17g")
     except OSError as exc:
-        raise IoFailure(f"cannot write instance to {path}: {exc}") from exc
+        raise InputError(f"cannot write instance to {path}: {exc}") from exc
 
 
 def _read_block(fh, shape: tuple[int, int], what: str, max_rows: int | None = None):
@@ -365,7 +355,7 @@ def load_instance(path) -> IsvpInstance:
     try:
         fh = open(path)
     except OSError as exc:
-        raise IoFailure(f"cannot read instance from {path}: {exc}") from exc
+        raise InputError(f"cannot read instance from {path}: {exc}") from exc
     with fh, warnings.catch_warnings():
         # loadtxt only warns when the file ends before a block; that is malformed too
         warnings.simplefilter("error", UserWarning)
@@ -380,6 +370,6 @@ def load_instance(path) -> IsvpInstance:
                 rows[:, k] = _read_block(fh, (m, n), f"A_{k}", max_rows=m)
             sigma = _read_block(fh, (1, n), "sigma*")[0]
         except (ValueError, OSError, UserWarning, MemoryError) as exc:
-            raise IoFailure(f"malformed instance file {path}: {exc}") from exc
+            raise InputError(f"malformed instance file {path}: {exc}") from exc
     _require_finite("basis", rows)
     return make_instance(DenseBasis(rows), sigma)

@@ -28,17 +28,8 @@ import numpy as np
 from . import __version__, cayley_free
 from .baselines import alg1_solve, newton_exact_solve
 from .cayley_free import SolverConfig, SolverState
-from .core import DenseBasis, IsvpInstance, ToeplitzBasis, jacobian_inverse, make_instance
-from .errors import (
-    DegenerateDraw,
-    DuplicateSigma,
-    InsufficientData,
-    IoFailure,
-    IsvpError,
-    NonFiniteInput,
-    NonpositiveSigma,
-    NumericalFailure,
-)
+from .core import DenseBasis, IsvpInstance, ToeplitzBasis, _require_finite, jacobian_inverse, make_instance
+from .errors import DegenerateDraw, InputError, InsufficientData, IsvpError, NumericalError
 from .report import SolveReport, SolveStatus
 
 _ROLE_GENERATE = 0
@@ -78,6 +69,7 @@ class ExperimentConfig:
         if not (0.0 <= self.beta < np.inf):
             raise ValueError("beta must be finite and nonnegative")
         _check_mu(self.mu)
+        self.solver_config()  # SolverConfig checks tol and max_iter
 
     def solver_config(self) -> SolverConfig:
         return SolverConfig(tol=self.tol, max_iter=self.max_iter)
@@ -135,10 +127,10 @@ def _draw_instance(draw, seed: int) -> tuple[IsvpInstance, np.ndarray]:
     try:
         sigma = np.linalg.svd(operator.evaluate(c_star), compute_uv=False)
     except np.linalg.LinAlgError as exc:
-        raise NumericalFailure(f"SVD did not converge: {exc}") from exc
+        raise NumericalError(f"SVD did not converge: {exc}") from exc
     try:
         return make_instance(operator, sigma), c_star
-    except (DuplicateSigma, NonpositiveSigma) as exc:
+    except InputError as exc:
         raise DegenerateDraw(f"degenerate spectrum for seed {seed}: {exc}") from exc
 
 
@@ -170,8 +162,7 @@ def perturb_c_star(c_star: np.ndarray, beta: float, seed: int) -> np.ndarray:
     if not (0.0 <= beta < np.inf):
         raise ValueError("beta must be finite and nonnegative")
     c_star = np.asarray(c_star, dtype=float)
-    if not np.all(np.isfinite(c_star)):
-        raise NonFiniteInput("c* contains NaN or infinity")
+    _require_finite("c*", c_star)
     radius = float(np.max(np.abs(c_star))) * beta
     if not np.isfinite(2.0 * radius):
         raise ValueError(f"perturbation radius {radius:.3g} is too large")
@@ -366,5 +357,5 @@ def emit_reports(bundle: ExperimentBundle, out_dir) -> list[Path]:
         trace.write_text(buf.getvalue())
         summary.write_text(json.dumps(summary_dict(bundle), indent=2) + "\n")
     except OSError as exc:
-        raise IoFailure(f"cannot write reports under {out_dir}: {exc}") from exc
+        raise InputError(f"cannot write reports under {out_dir}: {exc}") from exc
     return [trace, summary]

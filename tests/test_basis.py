@@ -10,7 +10,7 @@ import pytest
 
 import isvp
 from isvp.core import _JACOBIAN_BLOCK_BYTES, DenseBasis, ToeplitzBasis
-from isvp.errors import DimensionMismatch
+from isvp.errors import InputError
 from isvp.harness import Algorithm
 from isvp.report import SolveStatus
 from isvp.verification import near_orthogonal
@@ -71,7 +71,7 @@ class TestToeplitzForm:
             inst.basis[0][0, 0] = 1.0
 
     def test_rejects_wide_shape(self):
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(InputError, match="^require m >= n >= 1, got m=3, n=4$"):
             isvp.generate_toeplitz_instance(3, 4, 1)
 
     @pytest.mark.parametrize("algorithm", list(Algorithm))

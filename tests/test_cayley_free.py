@@ -7,7 +7,7 @@ import isvp
 import isvp.cayley_free as cayley_free
 from isvp.cayley_free import SolverConfig, outer_step
 from isvp.core import residual_d
-from isvp.errors import NumericalBreakdown
+from isvp.errors import InputError, NonFiniteInput, NumericalError
 from isvp.harness import cayley_free_start
 from isvp.report import SolveStatus
 from isvp.verification import near_orthogonal, separated_sigma
@@ -261,7 +261,7 @@ class TestOuterStep:
         inst, c_star = small_instance
         state = cayley_free_start(inst, c_star)
         state.B = np.full_like(state.B, np.inf)
-        with pytest.raises(NumericalBreakdown):
+        with pytest.raises(NumericalError, match="^first coefficient update is non-finite$"):
             outer_step(state, inst)
 
 
@@ -310,6 +310,15 @@ class TestSolve:
         assert report.status in (SolveStatus.MAX_ITERATIONS, SolveStatus.CONVERGED)
         if report.status is SolveStatus.MAX_ITERATIONS:
             assert report.iterations == 2
+
+    def test_rejects_a_bad_B0(self, small_instance):
+        inst, c_star = small_instance
+        with pytest.raises(InputError, match="^B0 must be 5 x 5$"):
+            isvp.solve(inst, c_star, np.eye(4))
+        B0 = np.eye(5)
+        B0[1, 2] = np.nan
+        with pytest.raises(NonFiniteInput, match="^B0 contains NaN or infinity$"):
+            isvp.solve(inst, c_star, B0)
 
     def test_square_instance_supported(self):
         inst, c_star = isvp.generate_instance(8, 8, 3)

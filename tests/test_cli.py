@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -76,13 +77,14 @@ class TestRunCommand:
         assert err.startswith("error:") and "Traceback" not in err
 
     def test_bad_seed_expression_rejected(self, capsys, tmp_path):
-        argv = [
-            "run", "--m", "8", "--n", "4", "--beta", "1e-3",
-            "--seeds", ",", "--out", str(tmp_path / "out"),
-        ]
-        with pytest.raises(SystemExit) as excinfo:
-            main(argv)
-        assert excinfo.value.code == EXIT_USAGE
+        for spec, reason in ((",", "no seeds in ','"), ("10..1,3", "seed range '10..1' is reversed")):
+            argv = [
+                "run", "--m", "8", "--n", "4", "--beta", "1e-3",
+                "--seeds", spec, "--out", str(tmp_path / "out"),
+            ]
+            assert main(argv) == EXIT_USAGE
+            assert capsys.readouterr().err == f"error: {reason}\n"
+        assert not (tmp_path / "out").exists()
 
 
 class TestGenAndSolve:
@@ -119,6 +121,19 @@ class TestGenAndSolve:
         main(["gen", "--m", "10", "--n", "4", "--seed", "3", "--out", str(inst_path)])
         code = main(["solve", "--instance", str(inst_path)])
         assert code == EXIT_USAGE
+
+    def test_solve_unreadable_c0_is_a_usage_error(self, tmp_path, capsys):
+        inst_path = tmp_path / "instance.txt"
+        main(["gen", "--m", "6", "--n", "3", "--seed", "3", "--out", str(inst_path)])
+        short = tmp_path / "c0.txt"
+        short.write_text("0.5 0.25\n")
+        capsys.readouterr()
+        for c0_path, reason in (
+            (short, r"start vector has 2 entries, instance needs 3\n$"),
+            (tmp_path / "nope.txt", r"cannot read start vector .*nope\.txt: "),
+        ):
+            assert main(["solve", "--instance", str(inst_path), "--c0", str(c0_path)]) == EXIT_USAGE
+            assert re.match("error: " + reason, capsys.readouterr().err)
 
     def test_solve_missing_instance(self, tmp_path):
         code = main(["solve", "--instance", str(tmp_path / "nope.txt"), "--beta", "1e-3"])

@@ -2,14 +2,7 @@ import numpy as np
 import pytest
 
 import isvp
-from isvp.errors import (
-    ArityMismatch,
-    DimensionMismatch,
-    DuplicateSigma,
-    IoFailure,
-    NonFiniteInput,
-    NonpositiveSigma,
-)
+from isvp.errors import InputError, NonFiniteInput
 
 
 class TestBuildInstance:
@@ -21,31 +14,31 @@ class TestBuildInstance:
 
     def test_duplicate_sigma(self):
         basis = [np.ones((4, 3))] * 4
-        with pytest.raises(DuplicateSigma):
+        with pytest.raises(InputError, match=r"^minimum target gap 0\.000e\+00 is not above 1e-10$"):
             isvp.build_instance(basis, [2.0, 2.0, 1.0])
 
     def test_nonpositive_sigma(self):
         basis = [np.ones((4, 3))] * 4
-        with pytest.raises(NonpositiveSigma):
+        with pytest.raises(InputError, match="^target singular values must be strictly positive$"):
             isvp.build_instance(basis, [3.0, 2.0, 0.0])
 
     def test_arity_mismatch(self):
         basis = [np.ones((4, 3))] * 4
-        with pytest.raises(ArityMismatch):
+        with pytest.raises(InputError, match="^sigma_star must have n=3 entries, got 2$"):
             isvp.build_instance(basis, [3.0, 2.0])
 
     def test_ragged_basis(self):
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(InputError, match=r"^basis\[1\] has shape \(2, 2\), expected \(3, 2\)$"):
             isvp.build_instance([np.ones((3, 2)), np.ones((2, 2)), np.ones((3, 2))], [2.0, 1.0])
 
     def test_wide_matrix_rejected(self):
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(InputError, match="^require m >= n >= 1, got m=2, n=3$"):
             isvp.build_instance([np.ones((2, 3))] * 4, [3.0, 2.0, 1.0])
 
     def test_gap_to_zero_enforced(self):
         # smallest target must clear MIN_GAP above zero
         basis = [np.ones((3, 2))] * 3
-        with pytest.raises(DuplicateSigma):
+        with pytest.raises(InputError, match=r"^minimum target gap 1\.000e-12 is not above 1e-10$"):
             isvp.build_instance(basis, [1.0, 1e-12])
 
     def test_basis_is_immutable(self):
@@ -136,7 +129,7 @@ class TestFullSvd:
             assert f1.U[pivot, j] > 0
 
     def test_wide_rejected(self):
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(InputError, match=r"^require m >= n, got \(2, 3\)$"):
             isvp.full_svd(np.ones((2, 3)))
 
     def test_nonfinite_rejected(self):
@@ -197,7 +190,7 @@ class TestGeneralizedResidualVector:
         sigma = np.array([3.0, 2.0, 1.0])
         # an m x n matrix would broadcast against the length-n terms into a wrong result
         for w in (isvp.diag_embed(sigma, 3), isvp.diag_embed(sigma, 5), sigma[:2]):
-            with pytest.raises(DimensionMismatch):
+            with pytest.raises(InputError, match=r"^w must have shape \(3,\), got \("):
                 isvp.generalized_residual_vector(np.eye(5), np.eye(3), w, sigma)
 
 
@@ -279,7 +272,7 @@ class TestInstanceFile:
     def test_malformed_file(self, tmp_path):
         path = tmp_path / "bad.txt"
         path.write_text("3 2\n1.0 2.0\n")
-        with pytest.raises(IoFailure):
+        with pytest.raises(InputError, match=r"^malformed instance file .*bad\.txt: "):
             isvp.load_instance(path)
 
     def test_ragged_row(self, tmp_path, small_instance):
@@ -289,7 +282,16 @@ class TestInstanceFile:
         lines = path.read_text().splitlines()
         lines[3] += " 0.5"
         path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(IoFailure):
+        with pytest.raises(InputError, match=r"^malformed instance file .*instance\.txt: "):
+            isvp.load_instance(path)
+
+    def test_rows_one_value_short(self, tmp_path):
+        path = tmp_path / "instance.txt"
+        isvp.save_instance(isvp.generate_instance(6, 3, 1)[0], path)
+        lines = path.read_text().splitlines()
+        short = [lines[0]] + [" ".join(line.split()[:-1]) for line in lines[1:]]
+        path.write_text("\n".join(short) + "\n")
+        with pytest.raises(InputError, match="A_0: expected 6 lines of 3 values, found 6 of 2$"):
             isvp.load_instance(path)
 
     def test_missing_sigma_line(self, tmp_path, small_instance):
@@ -298,9 +300,9 @@ class TestInstanceFile:
         isvp.save_instance(inst, path)
         lines = path.read_text().splitlines()
         path.write_text("\n".join(lines[:-1]) + "\n")
-        with pytest.raises(IoFailure):
+        with pytest.raises(InputError, match=r"^malformed instance file .*instance\.txt: "):
             isvp.load_instance(path)
 
     def test_missing_file(self, tmp_path):
-        with pytest.raises(IoFailure):
+        with pytest.raises(InputError, match=r"^cannot read instance from .*nope\.txt: "):
             isvp.load_instance(tmp_path / "nope.txt")

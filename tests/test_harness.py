@@ -7,13 +7,7 @@ import pytest
 import isvp
 from isvp import harness
 from isvp.core import DenseBasis
-from isvp.errors import (
-    DegenerateDraw,
-    InsufficientData,
-    NonFiniteInput,
-    NonpositiveSigma,
-    SingularJacobian,
-)
+from isvp.errors import DegenerateDraw, InputError, InsufficientData, NonFiniteInput, NumericalError
 from isvp.harness import TRACE_HEADER, cayley_free_start, run_trial, trace_rows
 from isvp.report import SolveStatus
 
@@ -62,7 +56,8 @@ class TestGenerateInstance:
 
         with pytest.raises(DegenerateDraw) as info:
             harness._draw_instance(draw, 1)
-        assert isinstance(info.value.__cause__, NonpositiveSigma)
+        assert type(info.value.__cause__) is InputError
+        assert str(info.value.__cause__) == "target singular values must be strictly positive"
         assert len(draws) == 1
 
     def test_toeplitz_family(self):
@@ -105,7 +100,7 @@ class TestPerturb:
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_rejects_nonfinite_c_star(self, bad):
-        with pytest.raises(NonFiniteInput):
+        with pytest.raises(NonFiniteInput, match=r"^c\* contains NaN or infinity$"):
             isvp.perturb_c_star(np.array([0.5, bad, 0.25]), 1e-3, 1)
 
     def test_rejects_a_radius_that_overflows(self):
@@ -129,7 +124,7 @@ class TestBuildB0:
             assert abs(achieved - mu) <= 1e-10
 
     def test_singular_jacobian(self):
-        with pytest.raises(SingularJacobian, match="^J0 is singular: "):
+        with pytest.raises(NumericalError, match="^J0 is singular: "):
             isvp.build_B0(np.zeros((3, 3)), 0.0, 1)
 
     def test_mu_out_of_range(self, small_instance):
@@ -186,6 +181,13 @@ class TestRunExperiment:
         defaults.update(kwargs)
         return isvp.ExperimentConfig(**defaults)
 
+    def test_config_rejects_a_bad_stopping_rule(self):
+        # checked when the config is built, before any seed is drawn
+        with pytest.raises(ValueError, match="^tol must be positive$"):
+            self._config(tol=-1.0)
+        with pytest.raises(ValueError, match="^max_iter must be at least 1$"):
+            self._config(max_iter=0)
+
     def test_all_seeds_converge_small(self):
         bundle = isvp.run_experiment(self._config())
         assert all(t.status == "converged" for t in bundle.trials)
@@ -215,14 +217,14 @@ class TestRunExperiment:
         def fail_on_second_call(*args, **kwargs):
             calls.append(1)
             if len(calls) == 2:
-                raise SingularJacobian("J0 is singular")
+                raise NumericalError("J0 is singular")
             return isvp.alg1_solve(*args, **kwargs)
 
         monkeypatch.setattr(harness, "alg1_solve", fail_on_second_call)
         bundle = isvp.run_experiment(self._config(algorithm=isvp.Algorithm.ALG1))
         failed = bundle.trials[1]
         assert failed.seed == 2
-        assert failed.status == "error:SingularJacobian"
+        assert failed.status == "error:NumericalError"
         assert failed.report is None
         completed = [bundle.trials[0], bundle.trials[2]]
         assert all(t.report is not None for t in completed)
@@ -236,7 +238,7 @@ class TestRunExperiment:
         summary = json.loads((tmp_path / "summary.json").read_text())
         entry = summary["trials"][1]
         assert entry["seed"] == 2
-        assert entry["status"] == "error:SingularJacobian"
+        assert entry["status"] == "error:NumericalError"
         assert entry["error"] == "J0 is singular"
         assert "report" not in entry
 
