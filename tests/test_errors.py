@@ -41,18 +41,44 @@ def test_every_leaf_is_in_exactly_its_family():
         assert issubclass(cls, NumericalError) == (family is NumericalError), name
 
 
-@pytest.mark.parametrize("exc_type", [*CLASSES.values(), ValueError], ids=lambda t: t.__name__)
-def test_cli_exit_code_follows_the_family(exc_type, monkeypatch, capsys):
+# the failure situations that share a family class, each under its own
+# name, with its family and a message the package raises for it
+SITUATIONS = {
+    "DimensionMismatch": (InputError, "require m >= n >= 1, got m=2, n=3"),
+    "ArityMismatch": (InputError, "sigma_star must have n=3 entries, got 2"),
+    "NonpositiveSigma": (InputError, "target singular values must be strictly positive"),
+    "DuplicateSigma": (InputError, "minimum target gap 0.000e+00 is not above 1e-10"),
+    "IoFailure": (InputError, "cannot read start vector c0.txt: no such file"),
+    "NumericalFailure": (NumericalError, "SVD did not converge: SVD did not converge"),
+    "NumericalBreakdown": (NumericalError, "first coefficient update is non-finite"),
+    "DegenerateShift": (NumericalError, "two shift entries collide"),
+    "SingularSystem": (NumericalError, "Cayley system is singular: singular matrix"),
+    "SingularJacobian": (NumericalError, "J0 is singular: singular matrix"),
+    "SingularValueCollision": (
+        NumericalError,
+        "singular values too close along the path (gap 1.000e-14)",
+    ),
+}
+
+CLI_CASES = {
+    **{name: (cls, "boom") for name, cls in CLASSES.items()},
+    **SITUATIONS,
+    "ValueError": (ValueError, "boom"),
+}
+
+
+@pytest.mark.parametrize("exc_type, message", CLI_CASES.values(), ids=list(CLI_CASES))
+def test_cli_exit_code_follows_the_family(exc_type, message, monkeypatch, capsys):
     def raise_it(args):
-        raise exc_type("boom")
+        raise exc_type(message)
 
     monkeypatch.setattr(cli, "_cmd_verify", raise_it)
     expected = EXIT_USAGE if issubclass(exc_type, (InputError, ValueError)) else EXIT_NONCONVERGED
     assert cli.main(["verify"]) == expected
-    assert capsys.readouterr().err == "error: boom\n"
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
-def _raise_away_from_c0(monkeypatch, exc_type):
+def _raise_away_from_c0(monkeypatch, exc_type, message="raised inside a step"):
     # A(c) is exact at c0, so the k = 0 state builds; the first step raises
     inst, c_star = isvp.generate_instance(12, 5, 7)
     c0 = isvp.perturb_c_star(c_star, 1e-2, 2)
@@ -60,17 +86,23 @@ def _raise_away_from_c0(monkeypatch, exc_type):
 
     def evaluate(c):
         if not np.array_equal(c, c0):
-            raise exc_type("raised inside a step")
+            raise exc_type(message)
         return exact(c)
 
     monkeypatch.setattr(inst.operator, "evaluate", evaluate)
     return inst, c_star, c0
 
 
-@pytest.mark.parametrize("exc_type", [NumericalError, NonFiniteInput], ids=lambda t: t.__name__)
+STEP_FAILURES = {
+    name: situation for name, situation in SITUATIONS.items() if situation[0] is NumericalError
+}
+STEP_FAILURES["NonFiniteInput"] = (NonFiniteInput, "U contains NaN or infinity")
+
+
+@pytest.mark.parametrize("exc_type, message", STEP_FAILURES.values(), ids=list(STEP_FAILURES))
 @pytest.mark.parametrize("algorithm", list(Algorithm))
-def test_step_failure_is_diverged(algorithm, exc_type, monkeypatch):
-    inst, c_star, c0 = _raise_away_from_c0(monkeypatch, exc_type)
+def test_step_failure_is_diverged(algorithm, exc_type, message, monkeypatch):
+    inst, c_star, c0 = _raise_away_from_c0(monkeypatch, exc_type, message)
     report = solve(algorithm, inst, c0, c_star=c_star)
     assert report.status is SolveStatus.DIVERGED
     assert report.iterations == 0
