@@ -25,6 +25,7 @@ from .core import load_instance, save_instance
 from .errors import InputError, IsvpError
 from .harness import (
     Algorithm,
+    ExperimentBundle,
     ExperimentConfig,
     emit_reports,
     generate_instance,
@@ -120,6 +121,8 @@ def _cmd_run(args) -> int:
         tol=args.tol,
         max_iter=args.max_iter,
     )
+    # empty reports first, so that an unwritable --out fails before the sweep
+    emit_reports(ExperimentBundle(config), args.out)
     bundle = run_experiment(config)
     paths = emit_reports(bundle, args.out)
     agg = bundle.aggregate()
@@ -151,13 +154,15 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_solve(args) -> int:
+    if args.c0 is None and args.beta is None:
+        raise InputError("provide either --c0 FILE or --beta (with a .cstar sidecar)")
     instance = load_instance(args.instance)
     if args.c0 is not None:
         try:
             c0 = _read_vector(args.c0)
         except (OSError, ValueError) as exc:
             raise InputError(f"cannot read start vector {args.c0}: {exc}") from exc
-    elif args.beta is not None:
+    else:
         cstar_path = args.c_star or Path(str(args.instance) + ".cstar")
         try:
             c_star = _read_vector(cstar_path)
@@ -166,8 +171,6 @@ def _cmd_solve(args) -> int:
                 f"--beta needs the generating vector; cannot read {cstar_path}: {exc}"
             ) from exc
         c0 = perturb_c_star(c_star, args.beta, args.seed)
-    else:
-        raise InputError("provide either --c0 FILE or --beta (with a .cstar sidecar)")
     if c0.size != instance.n:
         raise InputError(f"start vector has {c0.size} entries, instance needs {instance.n}")
 

@@ -1,8 +1,16 @@
 import pytest
 
 import isvp
+from isvp import baselines, cayley_free
 from isvp.cayley_free import SolverConfig
-from isvp.harness import run_solver
+from isvp.harness import Algorithm, run_solver
+
+# each solver's step, as the module and name where its solve looks it up
+STEPS = {
+    Algorithm.CAYLEY_FREE: (cayley_free, "outer_step"),
+    Algorithm.ALG1: (baselines, "alg1_outer_step"),
+    Algorithm.NEWTON: (baselines, "_newton_step"),
+}
 
 
 def solve(algorithm, instance, c0, config=None, c_star=None):

@@ -236,6 +236,7 @@ def test_criterion_7_fixed_points():
         report = solve(algorithm, inst, c_star)
         assert report.status is SolveStatus.CONVERGED, algorithm
         assert report.iterations == 0, algorithm
+        assert len(report.records) == 1, algorithm
     _report(7, "beta=0 starts: every solver converges at k=0")
 
 

@@ -4,8 +4,6 @@ import numpy as np
 import pytest
 
 import isvp
-import isvp.baselines as baselines
-import isvp.cayley_free as cayley_free
 from isvp.baselines import alg1_initialize, alg1_outer_step
 from isvp.cayley_free import SolverConfig
 from isvp.core import residual_d
@@ -13,7 +11,7 @@ from isvp.errors import NumericalError
 from isvp.harness import Algorithm, cayley_free_start
 from isvp.report import SolveStatus
 
-from conftest import solve
+from conftest import STEPS, solve
 
 
 def loop_skew_pair(D, s):
@@ -85,14 +83,6 @@ class TestCayleyOrthogonalize:
 
 
 class TestAlg1OuterStep:
-    def test_fixed_point_at_exact_solution(self, small_instance):
-        inst, c_star = small_instance
-        state = alg1_initialize(inst, c_star)
-        s = alg1_outer_step(state, inst)
-        assert np.linalg.norm(s.c - c_star) <= 1e-10 * (1 + np.linalg.norm(c_star))
-        sigma = inst.sigma_star
-        assert residual_d(s.W, sigma) <= 1e-12 * np.linalg.norm(sigma)
-
     def test_matches_transliteration_oracle(self):
         inst, c_star = isvp.generate_instance(4, 2, 31)
         c0 = isvp.perturb_c_star(c_star, 1e-2, 31)
@@ -248,18 +238,11 @@ def test_singular_initial_jacobian(method):
         solve(Algorithm(method), inst, np.array([0.3, 0.4]))
 
 
-_STEPS = {
-    "cayley-free": (cayley_free, "outer_step"),
-    "alg1": (baselines, "alg1_outer_step"),
-    "newton": (baselines, "_newton_step"),
-}
-
-
-@pytest.mark.parametrize("method", sorted(_STEPS))
-def test_every_iterate_carries_W_and_its_record_reads_d_off_it(method, monkeypatch):
+@pytest.mark.parametrize("algorithm", sorted(STEPS))
+def test_every_iterate_carries_W_and_its_record_reads_d_off_it(algorithm, monkeypatch):
     inst, c_star = isvp.generate_instance(40, 20, 2)
     c0 = isvp.perturb_c_star(c_star, 1e-3, 2)
-    module, step = _STEPS[method]
+    module, step = STEPS[algorithm]
     states = []
     original = getattr(module, step)
 
@@ -270,7 +253,7 @@ def test_every_iterate_carries_W_and_its_record_reads_d_off_it(method, monkeypat
         return states[-1]
 
     monkeypatch.setattr(module, step, spy)
-    report = solve(Algorithm(method), inst, c0)
+    report = solve(algorithm, inst, c0)
     assert report.iterations >= 2 and len(states) == len(report.records)
     for state, record in zip(states, report.records):
         W = state.U.T @ (isvp.evaluate_A(inst, state.c) @ state.V)

@@ -10,10 +10,12 @@ import numpy as np
 import pytest
 
 import isvp
-from isvp import verification
+from isvp import cli, verification
 from isvp.baselines import alg1_skew_pair
-from isvp.cayley_free import correction_matrices, outer_step
+from isvp.cayley_free import correction_matrices
 from isvp.cli import EXIT_NONCONVERGED, EXIT_OK, EXIT_USAGE, main, parse_seeds
+
+from conftest import STEPS
 
 
 class TestParseSeeds:
@@ -53,12 +55,9 @@ class TestRunCommand:
         ]
         code = main(argv)
         summary = json.loads((tmp_path / "out" / "summary.json").read_text())
-        statuses = {t["status"] for t in summary["trials"]}
-        if statuses != {"converged"}:
-            assert code == EXIT_NONCONVERGED
-            assert main(argv + ["--allow-nonconverged"]) == EXIT_OK
-        else:
-            assert code == EXIT_OK
+        assert any(t["status"] != "converged" for t in summary["trials"])
+        assert code == EXIT_NONCONVERGED
+        assert main(argv + ["--allow-nonconverged"]) == EXIT_OK
 
     def test_invalid_mu_rejected(self, tmp_path):
         argv = [
@@ -75,6 +74,16 @@ class TestRunCommand:
         assert main(argv) == EXIT_USAGE
         err = capsys.readouterr().err
         assert err.startswith("error:") and "Traceback" not in err
+
+    def test_unwritable_out_fails_before_the_sweep(self, monkeypatch, capsys, tmp_path):
+        monkeypatch.setattr(cli, "run_experiment", lambda config: pytest.fail("sweep ran"))
+        (tmp_path / "FILE").write_text("")
+        argv = [
+            "run", "--m", "8", "--n", "4", "--beta", "1e-3",
+            "--seeds", "1..20", "--out", str(tmp_path / "FILE" / "out"),
+        ]
+        assert main(argv) == EXIT_USAGE
+        assert re.match(r"error: cannot write reports under .*FILE/out: ", capsys.readouterr().err)
 
     def test_bad_seed_expression_rejected(self, capsys, tmp_path):
         for spec, reason in ((",", "no seeds in ','"), ("10..1,3", "seed range '10..1' is reversed")):
@@ -116,11 +125,13 @@ class TestGenAndSolve:
             ])
             assert code == EXIT_OK
 
-    def test_solve_without_start_information(self, tmp_path, capsys):
-        inst_path = tmp_path / "instance.txt"
-        main(["gen", "--m", "10", "--n", "4", "--seed", "3", "--out", str(inst_path)])
-        code = main(["solve", "--instance", str(inst_path)])
-        assert code == EXIT_USAGE
+    def test_solve_without_start_information(self, monkeypatch, capsys):
+        # the missing start is reported before the instance file is read
+        monkeypatch.setattr(cli, "load_instance", lambda path: pytest.fail("instance was read"))
+        assert main(["solve", "--instance", "instance.txt"]) == EXIT_USAGE
+        assert capsys.readouterr().err == (
+            "error: provide either --c0 FILE or --beta (with a .cstar sidecar)\n"
+        )
 
     def test_solve_unreadable_c0_is_a_usage_error(self, tmp_path, capsys):
         inst_path = tmp_path / "instance.txt"
@@ -254,13 +265,19 @@ def _transposed_jacobian(U, V, instance):
     return isvp.approx_jacobian(U, V, instance).T
 
 
-def _drifting_step(state, instance):
-    next_state = outer_step(state, instance)
-    next_state.c = next_state.c + 1e-3
-    return next_state
+def _drifting(step):
+    """A solver step that shifts every entry of c by 1e-3 after ``step``."""
+
+    def drifting_step(state, instance):
+        next_state = step(state, instance)
+        next_state.c = next_state.c + 1e-3
+        return next_state
+
+    return drifting_step
 
 
-# for each check: the kernel name `verification` imports, and a wrong variant of it
+# for each check but the fixed-point one: the kernel name `verification`
+# imports, and a wrong variant of it
 WRONG_KERNELS = {
     verification.check_correction_symmetrization: ("correction_matrices", _doubled_left),
     verification.check_correction_linear_system: ("correction_matrices", _doubled_left),
@@ -272,8 +289,20 @@ WRONG_KERNELS = {
     verification.check_jacobian_finite_difference: ("approx_jacobian", _transposed_jacobian),
     verification.check_residual_affinity: ("approx_jacobian", _transposed_jacobian),
     verification.check_svd_factorization: ("full_svd", _doubled_sigma),
-    verification.check_solver_fixed_points: ("outer_step", _drifting_step),
 }
+
+# the fixed-point check runs once with each solver's step drifting
+WRONG_KERNEL_CASES = [
+    pytest.param(check, verification, *WRONG_KERNELS[check], id=check.__name__)
+    for check in verification.ALL_CHECKS
+    if check is not verification.check_solver_fixed_points
+] + [
+    pytest.param(
+        verification.check_solver_fixed_points, module, step, _drifting(getattr(module, step)),
+        id=f"check_solver_fixed_points-{algorithm.value}",
+    )
+    for algorithm, (module, step) in STEPS.items()
+]
 
 
 class TestVerifyCommand:
@@ -283,10 +312,11 @@ class TestVerifyCommand:
         assert code == EXIT_OK
         assert out.count("PASS") == len(out.strip().splitlines())
 
-    @pytest.mark.parametrize("check", verification.ALL_CHECKS, ids=lambda c: c.__name__)
-    def test_each_check_fails_on_a_wrong_kernel(self, check, monkeypatch, capsys):
-        name, wrong = WRONG_KERNELS[check]
-        monkeypatch.setattr(verification, name, wrong)
+    @pytest.mark.parametrize("check, module, name, wrong", WRONG_KERNEL_CASES)
+    def test_each_check_fails_on_a_wrong_kernel(
+        self, check, module, name, wrong, monkeypatch, capsys
+    ):
+        monkeypatch.setattr(module, name, wrong)
         result = check(4, 3)
         assert result.passed is False
         assert main(["verify", "--trials", "4"]) == EXIT_NONCONVERGED

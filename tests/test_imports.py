@@ -1,5 +1,7 @@
 """Every name a module of the package or of its tests imports is used in
-that module, and every name a function there assigns is read."""
+that module, every name a function there assigns is read, and every
+helper a test module defines is named somewhere in the package or its
+tests."""
 
 import ast
 from pathlib import Path
@@ -59,6 +61,40 @@ def dead_locals(source: str) -> list[str]:
     return hits
 
 
+def names_used(source: str) -> set[str]:
+    """Every name a module reads, as a variable, attribute, argument or import."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.arg):
+            names.add(node.arg)
+        elif isinstance(node, ast.alias):
+            names.add(node.name)
+    return names
+
+
+def orphaned_helpers(source: str, used: set[str]) -> list[str]:
+    """Module-level functions, classes and constants of a test module that
+    no name in ``used`` refers to; pytest finds tests by their prefix."""
+    hits = []
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            defined = [node.name]
+        elif isinstance(node, ast.Assign):
+            defined = [target.id for target in node.targets if isinstance(target, ast.Name)]
+        else:
+            continue
+        hits += [
+            f"{name} (line {node.lineno})"
+            for name in defined
+            if not name.startswith(("test", "Test")) and name not in used
+        ]
+    return hits
+
+
 def test_the_check_sees_an_unused_import():
     assert unused_imports("import os\nfrom a import b, c as d\nd()\n") == [
         "os (line 1)",
@@ -79,6 +115,24 @@ def test_the_check_sees_a_dead_local():
     assert dead_locals(source) == ["f: n (line 2)", "f: b (line 3)", "g: unused (line 6)"]
 
 
+def test_the_check_sees_an_orphaned_helper():
+    source = (
+        "LIMIT = SPARE = 3\n"
+        "def helper(x): pass\n"
+        "def orphan(): pass\n"
+        "class Spare: pass\n"
+        "def fixture(): pass\n"
+        "class TestA:\n"
+        "    def test_a(self, fixture):\n"
+        "        helper(LIMIT)\n"
+    )
+    assert orphaned_helpers(source, names_used(source)) == [
+        "SPARE (line 1)",
+        "orphan (line 3)",
+        "Spare (line 4)",
+    ]
+
+
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
@@ -87,3 +141,9 @@ def test_no_unused_imports(path):
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_no_dead_locals(path):
     assert dead_locals(path.read_text()) == []
+
+
+def test_no_orphaned_helpers():
+    used = set().union(*(names_used(p.read_text()) for p in SOURCES))
+    hits = {p.name: orphaned_helpers(p.read_text(), used) for p in _TESTS.glob("*.py")}
+    assert {name: found for name, found in hits.items() if found} == {}
