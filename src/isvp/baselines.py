@@ -15,7 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cayley_free import SolverConfig, SolverState, _exact_point, _iterate, chebyshev_update, initialize
+from .cayley_free import (
+    SolverConfig, SolverState, _check_updated, _exact_point, _form_jacobian, _iterate, initialize
+)
 from .core import MIN_GAP, IsvpInstance, approx_jacobian, evaluate_A, jacobian_inverse, spectral_gap
 from .errors import InputError, NumericalError
 from .report import SolveReport
@@ -24,9 +26,11 @@ from .report import SolveReport
 @dataclass
 class Alg1State(SolverState):
     """State of the Cayley baseline: vectors stay orthogonal, and a shift
-    vector s replaces the targets inside the skew-matrix denominators."""
+    vector s replaces the targets inside the skew-matrix denominators.
+    Like ``J``, ``s`` is ``None`` on an iterate that a step has produced
+    until the step from it forms s_k."""
 
-    s: np.ndarray
+    s: np.ndarray | None
 
 
 def alg1_offset_vector(W: np.ndarray) -> np.ndarray:
@@ -101,19 +105,27 @@ def cayley_orthogonalize(Q: np.ndarray, S: np.ndarray) -> np.ndarray:
 def alg1_outer_step(state: Alg1State, instance: IsvpInstance) -> Alg1State:
     """One outer iteration of the Cayley baseline.
 
-    Two skew/Cayley correction rounds bracket the two coefficient
-    updates; the shift vector is refreshed from the Chebyshev-updated B.
-    A non-finite update raises ``NumericalError``.
+    On an iterate that a step has produced it first forms J_k and B_k
+    (:func:`cayley_free._form_jacobian`) and the shift vector s_k from
+    them, and writes them onto ``state``.  Two skew/Cayley correction
+    rounds then bracket the two coefficient updates.  The new state
+    carries ``B`` = B_k and no ``J`` or ``s``.  A non-finite update
+    raises ``NumericalError``.
     """
     sigma = instance.sigma_star
-    c, U, V, B, J, s = state.c, state.U, state.V, state.B, state.J, state.s
+    formed = _form_jacobian(state, instance)
+    c, U, V, B, J = state.c, state.U, state.V, state.B, state.J
     with np.errstate(over="ignore", invalid="ignore"):
-        y = c - B @ (alg1_offset_vector(state.W) - sigma)
+        t = alg1_offset_vector(state.W) - sigma
+        if formed:
+            state.s = sigma + t - J @ (B @ t)
+            _check_updated(("s", state.s))
+        y = c - B @ t
         if not np.all(np.isfinite(y)):
             raise NumericalError("first coefficient update is non-finite")
         A_y = evaluate_A(instance, y)
         D = U.T @ (A_y @ V)
-        X, Y = alg1_skew_pair(D, s)
+        X, Y = alg1_skew_pair(D, state.s)
         Z = cayley_orthogonalize(U, X)
         N = cayley_orthogonalize(V, Y)
         W_y = Z.T @ (A_y @ N)
@@ -130,19 +142,10 @@ def alg1_outer_step(state: Alg1State, instance: IsvpInstance) -> Alg1State:
         X_bar, Y_bar = alg1_skew_pair(D_bar, s_bar)
         U_next = cayley_orthogonalize(Z, X_bar)
         V_next = cayley_orthogonalize(N, Y_bar)
-
         W_next = U_next.T @ (A_next @ V_next)
-        sigma_next = alg1_offset_vector(W_next)
-        J_next = approx_jacobian(U_next, V_next, instance)
-        B_next = chebyshev_update(B, J_next)
-        t_next = sigma_next - sigma
-        s_next = sigma + t_next - J_next @ (B_next @ t_next)
-    for name, a in (("U", U_next), ("V", V_next), ("B", B_next), ("s", s_next)):
-        if not np.all(np.isfinite(a)):
-            raise NumericalError(f"updated {name} is non-finite")
-
+    _check_updated(("U", U_next), ("V", V_next))
     return Alg1State(
-        k=state.k + 1, c=c_next, W=W_next, U=U_next, V=V_next, B=B_next, J=J_next, s=s_next
+        k=state.k + 1, c=c_next, W=W_next, U=U_next, V=V_next, B=B, J=None, s=None
     )
 
 
@@ -170,29 +173,33 @@ def alg1_solve(
 
 @dataclass
 class _NewtonState(SolverState):
-    """Newton iterate: c with W from the exact SVD of A(c), the singular
-    values ``sigma`` and the Jacobian from it; ``B`` stays ``None``."""
+    """Newton iterate: c with W from the exact SVD of A(c) and the singular
+    values ``sigma``; the step from it forms the Jacobian, and ``B`` stays
+    ``None``."""
 
     sigma: np.ndarray
 
 
 def _newton_point(instance: IsvpInstance, c: np.ndarray, k: int) -> _NewtonState:
-    """Exact SVD and Jacobian at c.
+    """Exact SVD at c.
 
     Singular values are matched to the targets by sorted order, so they
     must stay simple (gap above ``MIN_GAP``).
     """
-    W, factors, J = _exact_point(instance, c)
+    W, factors = _exact_point(instance, c)
     gap = spectral_gap(factors.sigma)
     if gap <= MIN_GAP:
         raise NumericalError(f"singular values too close along the path (gap {gap:.3e})")
     return _NewtonState(
-        k=k, c=c, W=W, U=factors.U, V=factors.V, B=None, J=J, sigma=factors.sigma
+        k=k, c=c, W=W, U=factors.U, V=factors.V, B=None, J=None, sigma=factors.sigma
     )
 
 
 def _newton_step(state: _NewtonState, instance: IsvpInstance) -> _NewtonState:
-    """Solve the Newton equation at c_k, then evaluate the new point."""
+    """Form the exact Jacobian J_k at c_k and write it onto ``state``,
+    solve the Newton equation, then evaluate the new point."""
+    if state.J is None:
+        state.J = approx_jacobian(state.U, state.V, instance)
     f = state.sigma - instance.sigma_star
     try:
         delta = np.linalg.solve(state.J, -f)

@@ -69,11 +69,14 @@ def _iterate(step, state, instance, config, c_star, t_start) -> SolveReport:
     """Run ``step(state, instance) -> state`` from the k = 0 ``state``
     until the stopping rule of ``config`` ends the solve.
 
-    Every iterate gets one record: d_k from its ``W``, cond(J_k), the
-    time since the previous record (since ``t_start``, when the solve
-    began, for k = 0) and, when ``c_star`` is given, the distance of c_k
-    to it.  A step that raises one of the numerical failures ends the
-    solve as ``DIVERGED``.
+    Every iterate gets one record: d_k from its ``W``, the time since the
+    previous record (since ``t_start``, when the solve began, for k = 0)
+    and, when ``c_star`` is given, the distance of c_k to it.  After the
+    step from iterate k, record k is handed the J_k that the step formed;
+    the last iterate, which no step starts from, hands copies of
+    U_k[:, :n] and V_k instead, so the record forms J_k only if its
+    ``cond_j`` is read.  A step that raises one of the numerical failures
+    ends the solve as ``DIVERGED``.
     """
     config = config or SolverConfig()
     records, status, t_prev = [], None, t_start
@@ -81,13 +84,13 @@ def _iterate(step, state, instance, config, c_star, t_start) -> SolveReport:
         # a blowing-up iterate overflows here; the rule below reads d = inf as divergence
         with np.errstate(over="ignore", invalid="ignore"):
             d = residual_d(state.W, instance.sigma_star)
-            cond_j = float(np.linalg.cond(state.J, 2))
         t_now = time.perf_counter()
-        rec = IterationRecord(k=state.k, d=d, cond_j=cond_j, wall_ms=(t_now - t_prev) * 1e3)
+        rec = IterationRecord(k=state.k, d=d, wall_ms=(t_now - t_prev) * 1e3)
         t_prev = t_now
         if c_star is not None:
             rec.err_c = float(np.linalg.norm(state.c - c_star))
         records.append(rec)
+        iterate = state
         if d <= config.tol:
             status = SolveStatus.CONVERGED
         elif state.k >= config.max_iter:
@@ -99,18 +102,39 @@ def _iterate(step, state, instance, config, c_star, t_start) -> SolveReport:
                 state = step(state, instance)
             except _STEP_FAILURES:
                 status = SolveStatus.DIVERGED
+        rec.jacobian = _jacobian_source(iterate, instance)
     total_ms = (time.perf_counter() - t_start) * 1e3
     return SolveReport(status, records, c_final=state.c, iterations=state.k, total_ms=total_ms)
 
 
-def _exact_point(
-    instance: IsvpInstance, c: np.ndarray
-) -> tuple[np.ndarray, SvdFactorization, np.ndarray]:
-    """W = U^T A(c) V from the exact SVD of A(c), the SVD and the Jacobian from it."""
+def _jacobian_source(state, instance: IsvpInstance):
+    """A function returning J_k of ``state``: the one a step formed, or,
+    when none did, one it forms from copies of U_k[:, :n] and V_k, so the
+    m x m ``U`` is not kept."""
+    J = state.J
+    if J is not None:
+        return lambda: J
+    # order="K" keeps each factor's memory layout, and with it the bits of J_k
+    Un, V = state.U[:, : instance.n].copy(order="K"), state.V.copy(order="K")
+    return lambda: approx_jacobian(Un, V, instance)
+
+
+def _check_updated(*named: tuple[str, np.ndarray]) -> None:
+    for name, a in named:
+        if not np.all(np.isfinite(a)):
+            raise NumericalError(f"updated {name} is non-finite")
+
+
+def _exact_point(instance: IsvpInstance, c: np.ndarray) -> tuple[np.ndarray, SvdFactorization]:
+    """W = U^T A(c) V from the exact SVD of A(c), and the SVD.
+
+    The one place an exact SVD runs inside a solve.  It forms no
+    Jacobian: :func:`initialize` forms J_0 for B_0, and every other
+    iterate's J_k is formed by the step that starts from it.
+    """
     A_c = evaluate_A(instance, c)
     factors = full_svd(A_c)
-    W = factors.U.T @ (A_c @ factors.V)
-    return W, factors, approx_jacobian(factors.U, factors.V, instance)
+    return factors.U.T @ (A_c @ factors.V), factors
 
 
 @dataclass
@@ -121,6 +145,11 @@ class SolverState:
     paper's residual model J c + b, and the driver reads d_k off it.
     ``B`` approximates the inverse of the approximate Jacobian ``J``; it
     is ``None`` from :func:`initialize` until the caller chooses B_0.
+
+    On an iterate that a step has produced, ``J`` is ``None`` and ``B``
+    still holds B_{k-1}: the step that starts from the iterate forms J_k
+    and B_k and writes them onto it (see :func:`_form_jacobian`), so the
+    last iterate of a solve never pays for them.
     """
 
     k: int
@@ -129,7 +158,7 @@ class SolverState:
     U: np.ndarray
     V: np.ndarray
     B: np.ndarray | None
-    J: np.ndarray
+    J: np.ndarray | None
 
 
 @dataclass(frozen=True)
@@ -205,15 +234,34 @@ def chebyshev_update(B: np.ndarray, J_next: np.ndarray) -> np.ndarray:
     return B + B @ ((np.eye(n) + R) @ R)
 
 
+def _form_jacobian(state: SolverState, instance: IsvpInstance) -> bool:
+    """On an iterate that a step has produced (``J`` is ``None``), form J_k
+    and B_k = chebyshev_update(B_{k-1}, J_k) and write both onto ``state``;
+    return whether it did.  ``J`` is written first, so it reaches the
+    record even when a non-finite J_k or B_k raises ``NumericalError``.
+    """
+    if state.J is not None:
+        return False
+    with np.errstate(over="ignore", invalid="ignore"):
+        state.J = approx_jacobian(state.U, state.V, instance)
+        B = chebyshev_update(state.B, state.J)
+    _check_updated(("B", B), ("J", state.J))
+    state.B = B
+    return True
+
+
 def outer_step(state: SolverState, instance: IsvpInstance) -> SolverState:
     """Advance one outer iteration.
 
-    Substeps: first coefficient update from J c + b, the diagonal of W;
-    first correction pair from U^T A V at the predicted point; refinement;
-    second coefficient update from the refined residual rho; second
-    correction pair from the updated point; second refinement; new J, B
-    and W.  A non-finite update raises ``NumericalError``.
+    Substeps: J_k and B_k, when ``state`` does not carry them yet (see
+    :func:`_form_jacobian`); first coefficient update from J c + b, the
+    diagonal of W; first correction pair from U^T A V at the predicted
+    point; refinement; second coefficient update from the refined
+    residual rho; second correction pair from the updated point; second
+    refinement; new W.  The new state carries ``B`` = B_k and no ``J``.
+    A non-finite update raises ``NumericalError``.
     """
+    _form_jacobian(state, instance)
     sigma = instance.sigma_star
     c, U, V, B = state.c, state.U, state.V, state.B
     with np.errstate(over="ignore", invalid="ignore"):
@@ -236,24 +284,19 @@ def outer_step(state: SolverState, instance: IsvpInstance) -> SolverState:
         second = correction_matrices(U_bar, V_bar, W_bar, sigma)
         U_next = multiplicative_refine(U_bar, second.left)
         V_next = multiplicative_refine(V_bar, second.right)
-
-        J_next = approx_jacobian(U_next, V_next, instance)
-        B_next = chebyshev_update(B, J_next)
         W_next = U_next.T @ (A_next @ V_next)
-    for name, a in (("U", U_next), ("V", V_next), ("B", B_next), ("J", J_next)):
-        if not np.all(np.isfinite(a)):
-            raise NumericalError(f"updated {name} is non-finite")
-
-    return SolverState(k=state.k + 1, c=c_next, W=W_next, U=U_next, V=V_next, B=B_next, J=J_next)
+    _check_updated(("U", U_next), ("V", V_next))
+    return SolverState(k=state.k + 1, c=c_next, W=W_next, U=U_next, V=V_next, B=B, J=None)
 
 
 def initialize(instance: IsvpInstance, c0) -> SolverState:
-    """Build the k = 0 state from an exact SVD of A(c0).
+    """Build the k = 0 state from an exact SVD of A(c0), with J_0.
 
     ``B`` is left ``None``; the caller sets it, typically from ``state.J``.
     """
     c0 = np.asarray(c0, dtype=float).reshape(-1)
-    W0, factors, J0 = _exact_point(instance, c0)
+    W0, factors = _exact_point(instance, c0)
+    J0 = approx_jacobian(factors.U, factors.V, instance)
     return SolverState(k=0, c=c0.copy(), W=W0, U=factors.U, V=factors.V, B=None, J=J0)
 
 

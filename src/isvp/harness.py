@@ -276,6 +276,10 @@ def run_trial(config: ExperimentConfig, seed: int) -> TrialResult:
             status=f"error:{type(exc).__name__}",
             error=str(exc),
         )
+    # cond(J_k) is computed on first read; read it now, so a sweep keeps
+    # one float per record rather than each record's Jacobian
+    for rec in report.records:
+        rec.cond_j
     try:
         root_rate = estimate_root_rate(report.residuals)
     except InsufficientData:

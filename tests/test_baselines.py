@@ -121,6 +121,8 @@ class TestAlg1OuterStep:
         s1 = sigma + (eye_n - J1 @ B1) @ (sigma1 - sigma)
 
         next_state = alg1_outer_step(state, inst)
+        # J_1, B_1 and s_1 are formed by the step that starts from the new iterate
+        alg1_outer_step(next_state, inst)
         for got, want in [
             (next_state.c, c1),
             (next_state.U, U1),

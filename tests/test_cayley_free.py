@@ -244,6 +244,8 @@ class TestOuterStep:
         assert_close(next_state.c, oracle["c_next"])
         assert_close(next_state.U, oracle["U_next"])
         assert_close(next_state.V, oracle["V_next"])
+        # J_1 and B_1 are formed by the step that starts from the new iterate
+        outer_step(next_state, inst)
         assert_close(next_state.J, oracle["J_next"])
         assert_close(next_state.B, oracle["B_next"])
 
@@ -277,11 +279,12 @@ class TestSolve:
     def test_cubing_identity_along_solve(self, medium_instance):
         inst, c_star = medium_instance
         c0 = isvp.perturb_c_star(c_star, 1e-3, 2)
-        state = cayley_free_start(inst, c0)
-        for _ in range(3):
-            B_prev = state.B
-            state = outer_step(state, inst)
-            R = np.eye(inst.n) - B_prev @ state.J
+        states = [cayley_free_start(inst, c0)]
+        for _ in range(4):
+            states.append(outer_step(states[-1], inst))
+        # the step from each of the first four iterates has formed its J and B
+        for prev, state in zip(states, states[1:4]):
+            R = np.eye(inst.n) - prev.B @ state.J
             gap = np.linalg.norm((np.eye(inst.n) - state.B @ state.J) - R @ R @ R)
             assert gap <= 1e-12 * (1 + np.linalg.norm(R) ** 3)
 

@@ -59,6 +59,25 @@ class TestRunCommand:
         assert code == EXIT_NONCONVERGED
         assert main(argv + ["--allow-nonconverged"]) == EXIT_OK
 
+    def test_a_run_whose_jacobians_overflow_writes_its_trace(self, tmp_path):
+        # every seed diverges; seed 13 ends on an iterate whose J_k overflows,
+        # and its cond_J reads inf without LAPACK printing a parameter error
+        env = {**os.environ, "PYTHONPATH": str(Path(isvp.__file__).parents[1])}
+        proc = subprocess.run(
+            [
+                sys.executable, "-W", "error", "-m", "isvp", "run", "--m", "30", "--n", "12",
+                "--beta", "0.8", "--seeds", "1..20", "--out", str(tmp_path),
+            ],
+            capture_output=True, text=True, env=env,
+        )
+        assert proc.returncode == EXIT_NONCONVERGED
+        assert "DLASCL" not in proc.stdout + proc.stderr
+        summary = json.loads((tmp_path / "summary.json").read_text())
+        assert {t["status"] for t in summary["trials"]} == {"diverged"}
+        rows = (tmp_path / "trace.csv").read_text().splitlines()
+        last = [row.split(",") for row in rows if row.startswith("13,")][-1]
+        assert last[3:5] == ["inf", "inf"]
+
     def test_invalid_mu_rejected(self, tmp_path):
         argv = [
             "run", "--m", "8", "--n", "4", "--beta", "1e-3", "--mu", "1.5",

@@ -6,11 +6,12 @@ import numpy as np
 import pytest
 
 import isvp
+from isvp import baselines, cayley_free, core
 from isvp.cayley_free import SolverConfig
 from isvp.harness import Algorithm, ExperimentConfig, run_trial
-from isvp.report import SolveStatus
+from isvp.report import IterationRecord, SolveStatus
 
-from conftest import solve
+from conftest import STEPS, solve
 
 
 @pytest.fixture(scope="module")
@@ -98,3 +99,76 @@ def test_overflowing_residual_is_diverged_without_a_warning():
         trial = run_trial(config, 9)
     assert trial.status == SolveStatus.DIVERGED.value
     assert trial.report.records[-1].d == np.inf
+
+
+@pytest.mark.parametrize("algorithm", list(Algorithm))
+def test_a_solve_forms_only_the_jacobians_its_steps_use(algorithm, medium_instance, monkeypatch):
+    # K steps use J_0 .. J_{K-1}; the last iterate's J_K and every cond(J_k)
+    # wait until a record's cond_j is read
+    inst, c_star = medium_instance
+    c0 = isvp.perturb_c_star(c_star, 1e-3, 2)
+    jacobians, conds = [], []
+    approx_jacobian, cond = core.approx_jacobian, np.linalg.cond
+
+    def counting_jacobian(*args):
+        jacobians.append(args)
+        return approx_jacobian(*args)
+
+    def counting_cond(*args):
+        conds.append(args)
+        return cond(*args)
+
+    for module in (core, cayley_free, baselines):
+        monkeypatch.setattr(module, "approx_jacobian", counting_jacobian)
+    monkeypatch.setattr(np.linalg, "cond", counting_cond)
+    report = solve(algorithm, inst, c0)
+    assert report.status is SolveStatus.CONVERGED
+    assert (len(jacobians), len(conds)) == (report.iterations, 0)
+    for _ in range(2):  # the second read is cached
+        assert report.records[-1].cond_j >= 1.0
+    assert (len(jacobians), len(conds)) == (report.iterations + 1, 1)
+
+
+@pytest.mark.parametrize(
+    "generate", [isvp.generate_instance, isvp.generate_toeplitz_instance], ids=["dense", "toeplitz"]
+)
+@pytest.mark.parametrize("algorithm", sorted(STEPS))
+def test_each_record_reads_cond_of_its_iterates_jacobian(algorithm, generate, monkeypatch):
+    inst, c_star = generate(40, 20, 2)
+    c0 = isvp.perturb_c_star(c_star, 1e-3, 2)
+    module, step = STEPS[algorithm]
+    original = getattr(module, step)
+    starts = []
+
+    def spy(state, instance):
+        starts.append(state)
+        return original(state, instance)
+
+    monkeypatch.setattr(module, step, spy)
+    report = solve(algorithm, inst, c0)
+    assert report.status is SolveStatus.CONVERGED
+    # step by hand from the solve's k = 0 state; each step forms the J_k of
+    # the iterate it starts from, the last iterate's included
+    state = starts[0]
+    for record in report.records:
+        next_state = original(state, inst)
+        assert record.k == state.k
+        assert record.cond_j == float(np.linalg.cond(state.J, 2))
+        state = next_state
+
+
+@pytest.mark.parametrize(
+    "J",
+    [np.full((3, 3), np.inf), np.array([[1.0, 0.0, 0.0], [0.0, 1.0, np.nan], [0.0, 0.0, 1.0]])],
+    ids=["all-inf", "nan-entry"],
+)
+def test_cond_j_of_a_nonfinite_jacobian_is_inf(J, monkeypatch):
+    # np.linalg.cond prints a LAPACK parameter error for the first and
+    # raises LinAlgError for the second; neither may reach it
+    def lapack(*args):
+        raise AssertionError("a non-finite J reached np.linalg.cond")
+
+    monkeypatch.setattr(np.linalg, "cond", lapack)
+    record = IterationRecord(k=1, d=np.inf, wall_ms=0.0, jacobian=lambda: J)
+    assert record.cond_j == np.inf
+    assert record.jacobian is None
