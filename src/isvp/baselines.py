@@ -2,7 +2,8 @@
 
 The Cayley baseline keeps U and V exactly orthogonal by updating them
 through Cayley transforms of skew-symmetric correction matrices, at the
-price of 2(m + n) linear-system right-hand sides per outer iteration.
+price of 2(r + n) linear-system right-hand sides per outer iteration,
+for an r x r U (see :class:`core.IsvpInstance`).
 The Newton oracle recomputes a full SVD every iteration and solves the
 exact Jacobian equation; it is slow but serves as ground truth for
 cross-checking both two-step methods.
@@ -16,9 +17,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cayley_free import (
-    SolverConfig, SolverState, _check_updated, _exact_point, _form_jacobian, _iterate, initialize
+    SolverConfig, SolverState, _check_updated, _evaluate_rows, _exact_point, _form_jacobian,
+    _iterate, initialize,
 )
-from .core import MIN_GAP, IsvpInstance, approx_jacobian, evaluate_A, jacobian_inverse, spectral_gap
+from .core import MIN_GAP, IsvpInstance, approx_jacobian, jacobian_inverse, spectral_gap
 from .errors import InputError, NumericalError
 from .report import SolveReport
 
@@ -123,7 +125,7 @@ def alg1_outer_step(state: Alg1State, instance: IsvpInstance) -> Alg1State:
         y = c - B @ t
         if not np.all(np.isfinite(y)):
             raise NumericalError("first coefficient update is non-finite")
-        A_y = evaluate_A(instance, y)
+        A_y = _evaluate_rows(instance, y)
         D = U.T @ (A_y @ V)
         X, Y = alg1_skew_pair(D, state.s)
         Z = cayley_orthogonalize(U, X)
@@ -137,7 +139,7 @@ def alg1_outer_step(state: Alg1State, instance: IsvpInstance) -> Alg1State:
         t_bar = sigma_bar - sigma
         s_bar = sigma + t_bar - J @ (B @ t_bar)
 
-        A_next = evaluate_A(instance, c_next)
+        A_next = _evaluate_rows(instance, c_next)
         D_bar = U.T @ (A_next @ V) - D + W_y
         X_bar, Y_bar = alg1_skew_pair(D_bar, s_bar)
         U_next = cayley_orthogonalize(Z, X_bar)

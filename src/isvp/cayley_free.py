@@ -110,7 +110,7 @@ def _iterate(step, state, instance, config, c_star, t_start) -> SolveReport:
 def _jacobian_source(state, instance: IsvpInstance):
     """A function returning J_k of ``state``: the one a step formed, or,
     when none did, one it forms from copies of U_k[:, :n] and V_k, so the
-    m x m ``U`` is not kept."""
+    r x r ``U`` is not kept."""
     J = state.J
     if J is not None:
         return lambda: J
@@ -125,14 +125,21 @@ def _check_updated(*named: tuple[str, np.ndarray]) -> None:
             raise NumericalError(f"updated {name} is non-finite")
 
 
+def _evaluate_rows(instance: IsvpInstance, c: np.ndarray) -> np.ndarray:
+    """The leading ``instance.r`` rows of A(c), a view: every solve works
+    on them alone, since the rows below are zero for every c."""
+    return evaluate_A(instance, c)[: instance.r]
+
+
 def _exact_point(instance: IsvpInstance, c: np.ndarray) -> tuple[np.ndarray, SvdFactorization]:
-    """W = U^T A(c) V from the exact SVD of A(c), and the SVD.
+    """W = U^T A(c) V from the exact SVD of the leading r rows of A(c),
+    and the SVD, whose ``U`` is r x r.
 
     The one place an exact SVD runs inside a solve.  It forms no
     Jacobian: :func:`initialize` forms J_0 for B_0, and every other
     iterate's J_k is formed by the step that starts from it.
     """
-    A_c = evaluate_A(instance, c)
+    A_c = _evaluate_rows(instance, c)
     factors = full_svd(A_c)
     return factors.U.T @ (A_c @ factors.V), factors
 
@@ -141,8 +148,10 @@ def _exact_point(instance: IsvpInstance, c: np.ndarray) -> tuple[np.ndarray, Svd
 class SolverState:
     """Complete mutable state of one outer iteration.
 
-    ``W`` is U^T A(c) V, formed once per iterate: its diagonal is the
-    paper's residual model J c + b, and the driver reads d_k off it.
+    ``U`` is r x r and ``W`` = U^T A(c) V is r x n, over the leading
+    ``instance.r`` rows of A(c) (see :class:`core.IsvpInstance`).  ``W``
+    is formed once per iterate: its diagonal is the paper's residual
+    model J c + b, and the driver reads d_k off it.
     ``B`` approximates the inverse of the approximate Jacobian ``J``; it
     is ``None`` from :func:`initialize` until the caller chooses B_0.
 
@@ -163,7 +172,8 @@ class SolverState:
 
 @dataclass(frozen=True)
 class CorrectionPair:
-    """Non-skew correction matrices for the left (m x m) and right (n x n) factors."""
+    """Non-skew correction matrices for the left (r x r) and right (n x n)
+    factors, r the row count of the solver's ``U``."""
 
     left: np.ndarray
     right: np.ndarray
@@ -268,7 +278,7 @@ def outer_step(state: SolverState, instance: IsvpInstance) -> SolverState:
         c_bar = c - B @ generalized_residual_vector(U, V, np.diagonal(state.W), sigma)
         if not np.all(np.isfinite(c_bar)):
             raise NumericalError("first coefficient update is non-finite")
-        A_bar = evaluate_A(instance, c_bar)
+        A_bar = _evaluate_rows(instance, c_bar)
         W = U.T @ (A_bar @ V)
         first = correction_matrices(U, V, W, sigma)
         U_bar = multiplicative_refine(U, first.left)
@@ -279,7 +289,7 @@ def outer_step(state: SolverState, instance: IsvpInstance) -> SolverState:
         c_next = c_bar - B @ rho
         if not np.all(np.isfinite(c_next)):
             raise NumericalError("second coefficient update is non-finite")
-        A_next = evaluate_A(instance, c_next)
+        A_next = _evaluate_rows(instance, c_next)
         W_bar = U_bar.T @ (A_next @ V_bar)
         second = correction_matrices(U_bar, V_bar, W_bar, sigma)
         U_next = multiplicative_refine(U_bar, second.left)

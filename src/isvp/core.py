@@ -43,11 +43,11 @@ class DenseBasis:
     ``rows[r, k]`` is row r of A_k, and ``basis`` is the (n+1, m, n) view
     of the same buffer, so ``basis[k]`` is A_k without a copy.  Takes
     ownership of ``rows`` and marks it read-only, so no caller can change
-    it afterwards.  A(c) is one GEMV per row.  The Jacobian walks the
-    matrices in blocks of about 2 MiB of products, each one GEMM of U_n^T
-    against the (m, k n) view of the block (inner dimension m) and one
-    einsum against V_n, so its working memory does not grow with the
-    basis.
+    it afterwards.  Any row of A(c) may be nonzero, so ``r = m``.  A(c)
+    is one GEMV per row.  The Jacobian walks the matrices in blocks of
+    about 2 MiB of products, each one GEMM of U_n^T against the (m, k n)
+    view of the block (inner dimension m) and one einsum against V_n, so
+    its working memory does not grow with the basis.
     """
 
     def __init__(self, rows: np.ndarray):
@@ -59,7 +59,7 @@ class DenseBasis:
         rows.flags.writeable = False
         self.rows = rows
         self.basis = rows.transpose(1, 0, 2)
-        self.m, self.n = m, n
+        self.m, self.n, self.r = m, n, m
 
     def evaluate(self, c: np.ndarray) -> np.ndarray:
         return self.rows[:, 0] + c @ self.rows[:, 1:]
@@ -86,15 +86,15 @@ class ToeplitzBasis:
     to m x n: [A_k]_rs = 1 where |r - s| = k - 1 and r, s < n.
 
     Only (m, n) is stored.  A(c) is the n x n symmetric Toeplitz matrix
-    with first column c over m - n zero rows, and u^T A_k v is a
-    cross-correlation of the leading n entries of u and v, so the whole
+    with first column c over m - n zero rows, so ``r = n``.  u^T A_k v is
+    a cross-correlation of the leading n entries of u and v, so the whole
     Jacobian comes from one FFT per factor.
     """
 
     def __init__(self, m: int, n: int):
         if m < n or n < 1:
             raise InputError(f"require m >= n >= 1, got m={m}, n={n}")
-        self.m, self.n = m, n
+        self.m, self.n, self.r = m, n, n
 
     @property
     def basis(self) -> np.ndarray:
@@ -139,8 +139,10 @@ class IsvpInstance:
     both give ``evaluate(c)``, ``jacobian(Un, Vn)`` and the dense
     ``basis`` stack, whose entry 0 is the affine offset A_0 and entries
     1..n are the coefficient matrices A_1, ..., A_n, all of shape (m, n)
-    with m >= n.  ``sigma_star`` holds the n targets, strictly decreasing
-    and positive with a :func:`spectral_gap` above ``MIN_GAP``.
+    with m >= n.  Rows r and beyond of every A(c) are zero, so the
+    solvers work on the leading r rows and carry an r x r ``U``.
+    ``sigma_star`` holds the n targets, strictly decreasing and positive
+    with a :func:`spectral_gap` above ``MIN_GAP``.
     """
 
     operator: DenseBasis | ToeplitzBasis
@@ -153,6 +155,10 @@ class IsvpInstance:
     @property
     def n(self) -> int:
         return self.operator.n
+
+    @property
+    def r(self) -> int:
+        return self.operator.r
 
     @property
     def basis(self) -> np.ndarray:

@@ -13,9 +13,12 @@ as a hex float and the coarse trace round(log10 d_k, 1).
     python tests/fingerprint.py --compare a.json # worst change in d_k against a.json
 
 Every run prints the SHA-256 of the full traces (status, iterations and
-every d_k, cond(J_k) and c_final entry as hex floats) and lists the rows
-that differ from the golden file.  It exits 1 when a status or an
-iteration count differs, and 0 otherwise.
+every d_k, cond(J_k) and c_final entry as hex floats), over all solves
+and over each set, and lists the rows that differ from the golden file.
+``--compare`` reports the worst relative change in d_k where the other
+run's d_k is above 1e-8, the worst absolute change in d_k, and the worst
+change in an entry of c_final.  It exits 1 when a status or an iteration
+count differs, and 0 otherwise.
 """
 
 from __future__ import annotations
@@ -40,6 +43,9 @@ from isvp.errors import IsvpError  # noqa: E402
 
 GOLDEN = HERE / "fingerprint.tsv"
 HEADER = ["set", "algorithm", "seed", "beta", "status", "iterations", "d0", "log10_d"]
+
+# below this d_k a relative change measures roundoff at the floor, not the trace
+RELATIVE_FLOOR = 1e-8
 
 # (set name, instance generator, m, n, seeds, betas)
 SETS = (
@@ -97,18 +103,28 @@ def trace_sha256(solves: list[dict]) -> str:
     return hashlib.sha256(json.dumps(solves, sort_keys=True).encode()).hexdigest()
 
 
-def worst_d_change(solves: list[dict], reference: list[dict]) -> tuple[float, list]:
-    """Largest |d_k - d_k'| / |d_k'| over the iterates both runs share."""
-    worst, where = 0.0, None
+def worst_changes(solves: list[dict], reference: list[dict]) -> dict[str, tuple[float, list]]:
+    """The largest change against ``reference``, with where it occurs, of
+    d_k relative to a d_k' above ``RELATIVE_FLOOR``, of d_k absolute, and
+    of one c_final entry, over the iterates and entries both runs share."""
+    worst = {name: (0.0, None) for name in ("relative d_k", "absolute d_k", "c_final entry")}
+
+    def note(name, a, b, where, scale=1.0):
+        if a == b:
+            return
+        change = abs(a - b) / scale if math.isfinite(a - b) else math.inf
+        if change > worst[name][0]:
+            worst[name] = (change, where)
+
     for s, r in zip(solves, reference):
         for k, (a, b) in enumerate(zip(s["d"], r["d"])):
             a, b = float.fromhex(a), float.fromhex(b)
-            if a == b:
-                continue
-            change = abs(a - b) / abs(b) if math.isfinite(a - b) and b != 0.0 else math.inf
-            if change > worst:
-                worst, where = change, s["key"] + [f"k={k}"]
-    return worst, where
+            note("absolute d_k", a, b, s["key"] + [f"k={k}"])
+            if abs(b) > RELATIVE_FLOOR:
+                note("relative d_k", a, b, s["key"] + [f"k={k}"], scale=abs(b))
+        for i, (a, b) in enumerate(zip(s["c_final"], r["c_final"])):
+            note("c_final entry", float.fromhex(a), float.fromhex(b), s["key"] + [f"i={i}"])
+    return worst
 
 
 def main(argv=None) -> int:
@@ -121,6 +137,9 @@ def main(argv=None) -> int:
     solves = run_all()
     rows = golden_rows(solves)
     print(f"solves: {len(solves)}  sha256: {trace_sha256(solves)}")
+    for name, *_ in SETS:
+        in_set = [s for s in solves if s["key"][0] == name]
+        print(f"  {name}: {len(in_set)} solves  sha256: {trace_sha256(in_set)}")
     if args.traces:
         args.traces.write_text(json.dumps(solves) + "\n")
     if args.compare:
@@ -128,8 +147,8 @@ def main(argv=None) -> int:
         if [s["key"] for s in reference] != [s["key"] for s in solves]:
             print("--compare: the two runs hold different solves")
             return 1
-        worst, where = worst_d_change(solves, reference)
-        print(f"worst relative change in d_k: {worst:.3e}" + (f" at {' '.join(where)}" if where else ""))
+        for name, (worst, where) in worst_changes(solves, reference).items():
+            print(f"worst {name} change: {worst:.3e}" + (f" at {' '.join(where)}" if where else ""))
     if args.write:
         GOLDEN.write_text("\n".join("\t".join(row) for row in [HEADER] + rows) + "\n")
         print(f"wrote {GOLDEN.name}")

@@ -15,7 +15,7 @@ from isvp.harness import Algorithm
 from isvp.report import SolveStatus
 from isvp.verification import near_orthogonal
 
-from conftest import solve
+from conftest import STEPS, solve
 
 # n = 1, m == n and m > n; (11, 7) and (40, 33) pad the FFT past 2n
 SHAPES = [(1, 1), (3, 1), (6, 6), (11, 7), (40, 33)]
@@ -52,6 +52,39 @@ class TestToeplitzForm:
             )
 
     @pytest.mark.parametrize("m,n", SHAPES)
+    def test_rows_from_r_on_are_zero(self, m, n):
+        inst, c_star = isvp.generate_toeplitz_instance(m, n, 4)
+        assert (inst.m, inst.n, inst.r) == (m, n, n)
+        assert not inst.basis[:, inst.r :].any()
+        rng = np.random.default_rng(m * 100 + n)
+        for c in [c_star] + [rng.uniform(-2.0, 2.0, n) for _ in range(3)]:
+            assert not isvp.evaluate_A(inst, c)[inst.r :].any()
+
+    @pytest.mark.parametrize(
+        "generate", [isvp.generate_toeplitz_instance, isvp.generate_instance],
+        ids=["toeplitz", "dense"],
+    )
+    @pytest.mark.parametrize("algorithm", list(Algorithm))
+    def test_solver_states_carry_an_r_by_r_U(self, algorithm, generate, monkeypatch):
+        m, n = 30, 20
+        inst, c_star = generate(m, n, 3)
+        r = n if generate is isvp.generate_toeplitz_instance else m
+        assert inst.r == r
+        module, step = STEPS[algorithm]
+        original = getattr(module, step)
+        states = []
+
+        def spy(state, instance):
+            states.extend([state, original(state, instance)])
+            return states[-1]
+
+        monkeypatch.setattr(module, step, spy)
+        assert solve(algorithm, inst, isvp.perturb_c_star(c_star, 1e-5, 3)).iterations >= 1
+        for state in states:
+            assert state.U.shape == (r, r)
+            assert state.W.shape == (r, n)
+
+    @pytest.mark.parametrize("m,n", SHAPES)
     def test_jacobian_matches_dense_kernel(self, m, n):
         inst, _ = isvp.generate_toeplitz_instance(m, n, 4)
         twin = dense_twin(inst)
@@ -76,13 +109,23 @@ class TestToeplitzForm:
 
     @pytest.mark.parametrize("algorithm", list(Algorithm))
     def test_solvers_take_the_steps_of_the_dense_twin(self, algorithm):
-        inst, c_star = isvp.generate_toeplitz_instance(30, 20, 3)
-        c0 = isvp.perturb_c_star(c_star, 1e-5, 3)
-        structured = solve(algorithm, inst, c0)
-        dense = solve(algorithm, dense_twin(inst), c0)
-        assert structured.status is SolveStatus.CONVERGED
-        assert dense.status is SolveStatus.CONVERGED
-        assert structured.iterations == dense.iterations
+        # the twin has r = m, so it runs the uncompressed m x m path: the
+        # oracle for the r x r one
+        for m, n in [(30, 20), (40, 20), (11, 7), (240, 160)]:
+            inst, c_star = isvp.generate_toeplitz_instance(m, n, 3)
+            twin = dense_twin(inst)
+            assert (inst.r, twin.r) == (n, m)
+            c0 = isvp.perturb_c_star(c_star, 1e-5, 3)
+            structured = solve(algorithm, inst, c0)
+            dense = solve(algorithm, twin, c0)
+            assert structured.status is SolveStatus.CONVERGED
+            assert dense.status is SolveStatus.CONVERGED
+            assert structured.iterations == dense.iterations
+            d = np.array([rec.d for rec in structured.records])
+            d_twin = np.array([rec.d for rec in dense.records])
+            assert np.abs(d - d_twin).max() <= 1e-12 * np.linalg.norm(inst.sigma_star)
+            c_change = np.linalg.norm(structured.c_final - dense.c_final)
+            assert c_change <= 1e-10 * (1.0 + np.linalg.norm(c_star))
 
 
 class TestDenseStorage:
