@@ -60,15 +60,14 @@ class TestToeplitzForm:
         for c in [c_star] + [rng.uniform(-2.0, 2.0, n) for _ in range(3)]:
             assert not isvp.evaluate_A(inst, c)[inst.r :].any()
 
+    # at 30 x 20 a Toeplitz basis has r = n and a dense one r = m
     @pytest.mark.parametrize(
-        "generate", [isvp.generate_toeplitz_instance, isvp.generate_instance],
+        "generate,r", [(isvp.generate_toeplitz_instance, 20), (isvp.generate_instance, 30)],
         ids=["toeplitz", "dense"],
     )
     @pytest.mark.parametrize("algorithm", list(Algorithm))
-    def test_solver_states_carry_an_r_by_r_U(self, algorithm, generate, monkeypatch):
-        m, n = 30, 20
-        inst, c_star = generate(m, n, 3)
-        r = n if generate is isvp.generate_toeplitz_instance else m
+    def test_solver_states_carry_an_r_by_r_U(self, algorithm, generate, r, monkeypatch):
+        inst, c_star = generate(30, 20, 3)
         assert inst.r == r
         module, step = STEPS[algorithm]
         original = getattr(module, step)
@@ -82,7 +81,7 @@ class TestToeplitzForm:
         assert solve(algorithm, inst, isvp.perturb_c_star(c_star, 1e-5, 3)).iterations >= 1
         for state in states:
             assert state.U.shape == (r, r)
-            assert state.W.shape == (r, n)
+            assert state.W.shape == (r, 20)
 
     @pytest.mark.parametrize("m,n", SHAPES)
     def test_jacobian_matches_dense_kernel(self, m, n):
