@@ -34,6 +34,7 @@ from .core import (
     full_svd,
     generalized_residual_vector,
     residual_d,
+    symmetric_svd,
 )
 from .errors import InputError, NonFiniteInput, NumericalError
 from .report import IterationRecord, SolveReport, SolveStatus
@@ -135,12 +136,14 @@ def _exact_point(instance: IsvpInstance, c: np.ndarray) -> tuple[np.ndarray, Svd
     """W = U^T A(c) V from the exact SVD of the leading r rows of A(c),
     and the SVD, whose ``U`` is r x r.
 
-    The one place an exact SVD runs inside a solve.  It forms no
+    The one place an exact SVD runs inside a solve: ``symmetric_svd``
+    when the basis declares its leading block symmetric, ``full_svd``
+    otherwise, each looked up in this module when called.  It forms no
     Jacobian: :func:`initialize` forms J_0 for B_0, and every other
     iterate's J_k is formed by the step that starts from it.
     """
     A_c = _evaluate_rows(instance, c)
-    factors = full_svd(A_c)
+    factors = (symmetric_svd if instance.operator.symmetric else full_svd)(A_c)
     return factors.U.T @ (A_c @ factors.V), factors
 
 

@@ -27,6 +27,7 @@ from .core import (
     evaluate_A,
     full_svd,
     spectral_gap,
+    symmetric_svd,
 )
 from .harness import Algorithm, generate_instance, run_solver
 
@@ -217,19 +218,23 @@ def check_residual_affinity(trials: int, seed: int) -> CheckResult:
 
 
 def check_svd_factorization(trials: int, seed: int) -> CheckResult:
-    """Orthogonality and reconstruction bounds of full_svd."""
+    """Orthogonality and reconstruction bounds of full_svd on a random
+    m x n matrix, and of symmetric_svd on a random symmetric n x n one."""
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(trials):
         m, n = _random_shape(rng)
-        A = rng.standard_normal((m, n))
-        f = full_svd(A)
-        res_u = np.linalg.norm(f.U.T @ f.U - np.eye(m)) / (1e-12 * m)
-        res_v = np.linalg.norm(f.V.T @ f.V - np.eye(n)) / (1e-12 * n)
-        rec = np.linalg.norm(f.U.T @ A @ f.V - diag_embed(f.sigma, m)) / (
-            1e-10 * np.linalg.norm(A)
-        )
-        worst = _worst(worst, res_u, res_v, rec)
+        general = rng.standard_normal((m, n))
+        X = rng.standard_normal((n, n))
+        for A, factorize in ((general, full_svd), (X + X.T, symmetric_svd)):
+            f = factorize(A)
+            rows = A.shape[0]
+            res_u = np.linalg.norm(f.U.T @ f.U - np.eye(rows)) / (1e-12 * rows)
+            res_v = np.linalg.norm(f.V.T @ f.V - np.eye(n)) / (1e-12 * n)
+            rec = np.linalg.norm(f.U.T @ A @ f.V - diag_embed(f.sigma, rows)) / (
+                1e-10 * np.linalg.norm(A)
+            )
+            worst = _worst(worst, res_u, res_v, rec)
     return CheckResult("svd factorization invariants", worst, 1.0)
 
 

@@ -84,6 +84,20 @@ class TestToeplitzForm:
             assert state.W.shape == (r, 20)
 
     @pytest.mark.parametrize("m,n", SHAPES)
+    def test_leading_block_is_exactly_symmetric(self, m, n):
+        # the solvers factor it with symmetric_svd, which needs A == A^T bit for bit
+        inst, c_star = isvp.generate_toeplitz_instance(m, n, 4)
+        assert inst.operator.symmetric is True
+        rng = np.random.default_rng(m * 100 + n)
+        draws = [rng.uniform(-2.0, 2.0, n), -rng.random(n), 1e12 * rng.standard_normal(n)]
+        for c in [c_star] + draws:
+            block = isvp.evaluate_A(inst, c)[: inst.r]
+            np.testing.assert_array_equal(block, block.T)
+        # a dense basis never claims it, not even the twin of a Toeplitz one
+        assert dense_twin(inst).operator.symmetric is False
+        assert isvp.generate_instance(m, n, 4)[0].operator.symmetric is False
+
+    @pytest.mark.parametrize("m,n", SHAPES)
     def test_jacobian_matches_dense_kernel(self, m, n):
         inst, _ = isvp.generate_toeplitz_instance(m, n, 4)
         twin = dense_twin(inst)

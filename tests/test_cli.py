@@ -14,6 +14,7 @@ from isvp import cli, verification
 from isvp.baselines import alg1_skew_pair
 from isvp.cayley_free import correction_matrices
 from isvp.cli import EXIT_NONCONVERGED, EXIT_OK, EXIT_USAGE, main, parse_seeds
+from isvp.core import symmetric_svd
 
 from conftest import STEPS
 
@@ -275,9 +276,12 @@ def _non_skew_pair(D, sigma):
     return X + 1e-3 * np.eye(len(X)), Y
 
 
-def _doubled_sigma(A):
-    factors = isvp.full_svd(A)
-    return dataclasses.replace(factors, sigma=2.0 * factors.sigma)
+def _doubling_sigma(factorize):
+    def doubled_sigma(A):
+        factors = factorize(A)
+        return dataclasses.replace(factors, sigma=2.0 * factors.sigma)
+
+    return doubled_sigma
 
 
 def _transposed_jacobian(U, V, instance):
@@ -307,14 +311,20 @@ WRONG_KERNELS = {
     verification.check_cayley_orthogonality: ("cayley_orthogonalize", lambda Q, S: Q + S),
     verification.check_jacobian_finite_difference: ("approx_jacobian", _transposed_jacobian),
     verification.check_residual_affinity: ("approx_jacobian", _transposed_jacobian),
-    verification.check_svd_factorization: ("full_svd", _doubled_sigma),
+    verification.check_svd_factorization: ("full_svd", _doubling_sigma(isvp.full_svd)),
 }
 
-# the fixed-point check runs once with each solver's step drifting
+# the svd check runs once more with symmetric_svd wrong, and the
+# fixed-point check once with each solver's step drifting
 WRONG_KERNEL_CASES = [
     pytest.param(check, verification, *WRONG_KERNELS[check], id=check.__name__)
     for check in verification.ALL_CHECKS
     if check is not verification.check_solver_fixed_points
+] + [
+    pytest.param(
+        verification.check_svd_factorization, verification, "symmetric_svd",
+        _doubling_sigma(symmetric_svd), id="check_svd_factorization-symmetric_svd",
+    )
 ] + [
     pytest.param(
         verification.check_solver_fixed_points, module, step, _drifting(getattr(module, step)),

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 import isvp
-from isvp.errors import InputError, NonFiniteInput
+from isvp.core import symmetric_svd
+from isvp.errors import InputError, NonFiniteInput, NumericalError
 
 
 class TestBuildInstance:
@@ -128,6 +129,71 @@ class TestFullSvd:
     def test_nonfinite_rejected(self):
         with pytest.raises(NonFiniteInput):
             isvp.full_svd(np.array([[np.inf, 0.0], [0.0, 1.0]]))
+
+
+def _random_symmetric(n, seed):
+    X = np.random.default_rng(seed).standard_normal((n, n))
+    return X + X.T
+
+
+# a negative 1 x 1 matrix, random indefinite ones, one singular matrix
+# (lambda = 0, 2) and one with the pair lambda = -2, 2, each exact in
+# eigh's output
+SYMMETRIC_CASES = {
+    "1x1": np.array([[-3.0]]),
+    "2x2": _random_symmetric(2, 41),
+    "30x30": _random_symmetric(30, 43),
+    "160x160": _random_symmetric(160, 47),
+    "singular": np.array([[1.0, 1.0], [1.0, 1.0]]),
+    "pair": np.array([[0.0, 2.0, 0.0], [2.0, 0.0, 0.0], [0.0, 0.0, 1.0]]),
+}
+
+
+class TestSymmetricSvd:
+    @pytest.mark.parametrize("A", SYMMETRIC_CASES.values(), ids=list(SYMMETRIC_CASES))
+    def test_is_an_svd_with_the_sign_convention(self, A):
+        n = A.shape[0]
+        f = symmetric_svd(A)
+        reference = np.linalg.svd(A, compute_uv=False)
+        assert np.abs(f.sigma - reference).max() <= 1e-14 * reference[0]
+        assert np.all(np.diff(f.sigma) <= 0)
+        # the bounds of verification.check_svd_factorization
+        assert np.linalg.norm(f.U.T @ f.U - np.eye(n)) <= 1e-12 * n
+        assert np.linalg.norm(f.V.T @ f.V - np.eye(n)) <= 1e-12 * n
+        assert np.linalg.norm((f.U * f.sigma) @ f.V.T - A) <= 1e-13 * n * np.linalg.norm(A)
+        for i in range(n):
+            pivot = np.argmax(np.abs(f.V[:, i]))
+            assert f.V[pivot, i] > 0
+        # u_i = sign(lambda_i) v_i exactly, with +1 at lambda_i = 0
+        rayleigh = np.einsum("ji,ji->i", f.V, A @ f.V)
+        signs = np.where(rayleigh < 0.0, -1.0, 1.0)
+        signs[f.sigma == 0.0] = 1.0
+        np.testing.assert_array_equal(f.U, f.V * signs)
+
+    def test_exact_zero_and_pair(self):
+        singular = symmetric_svd(SYMMETRIC_CASES["singular"])
+        np.testing.assert_array_equal(singular.sigma, [2.0, 0.0])
+        np.testing.assert_array_equal(singular.U[:, 1], singular.V[:, 1])
+        # the stable sort keeps eigh's ascending order within |lambda| = 2
+        pair = symmetric_svd(SYMMETRIC_CASES["pair"])
+        np.testing.assert_array_equal(pair.sigma, [2.0, 2.0, 1.0])
+        np.testing.assert_array_equal(pair.U, pair.V * [-1.0, 1.0, 1.0])
+
+    def test_rejects_what_it_cannot_factor(self):
+        with pytest.raises(NonFiniteInput, match="^A contains NaN or infinity$"):
+            symmetric_svd(np.array([[1.0, np.nan], [np.nan, 0.0]]))
+        with pytest.raises(InputError, match=r"^symmetric_svd expects a square matrix"):
+            symmetric_svd(np.ones((3, 2)))
+        with pytest.raises(InputError, match="^symmetric_svd expects a symmetric matrix$"):
+            symmetric_svd(np.array([[1.0, 2.0], [2.0 + 1e-15, 1.0]]))
+
+    def test_a_failed_eigendecomposition_is_a_numerical_error(self, monkeypatch):
+        def fail(A):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigh", fail)
+        with pytest.raises(NumericalError, match="^eigendecomposition did not converge: "):
+            symmetric_svd(np.eye(2))
 
 
 class TestApproxJacobian:

@@ -117,10 +117,22 @@ def test_other_errors_in_a_step_propagate(algorithm, exc_type, monkeypatch):
         solve(algorithm, inst, c0, c_star=c_star)
 
 
-@pytest.mark.parametrize("algorithm", list(Algorithm))
-def test_failures_while_building_k0_raise(algorithm, monkeypatch):
+# each basis form and the exact factorization its solves run; a dense
+# case is named by its algorithm alone
+K0_CASES = [
+    pytest.param(algorithm, generate, factorization, id=algorithm.value + suffix)
+    for algorithm in Algorithm
+    for generate, factorization, suffix in [
+        (isvp.generate_instance, "full_svd", ""),
+        (isvp.generate_toeplitz_instance, "symmetric_svd", "-toeplitz"),
+    ]
+]
+
+
+@pytest.mark.parametrize("algorithm, generate, factorization", K0_CASES)
+def test_failures_while_building_k0_raise(algorithm, generate, factorization, monkeypatch):
     # every solver builds its k = 0 state through the exact SVD of A(c0)
-    inst, c_star = isvp.generate_instance(12, 5, 7)
+    inst, c_star = generate(12, 5, 7)
     c0 = isvp.perturb_c_star(c_star, 1e-2, 2)
     c_nan = c0.copy()
     c_nan[0] = np.nan
@@ -130,6 +142,6 @@ def test_failures_while_building_k0_raise(algorithm, monkeypatch):
     def fail(A):
         raise NumericalError("SVD did not converge")
 
-    monkeypatch.setattr(cayley_free, "full_svd", fail)
+    monkeypatch.setattr(cayley_free, factorization, fail)
     with pytest.raises(NumericalError, match="SVD did not converge"):
         solve(algorithm, inst, c0, c_star=c_star)
