@@ -153,10 +153,12 @@ def alg1_outer_step(state: Alg1State, instance: IsvpInstance) -> Alg1State:
 
 def alg1_initialize(instance: IsvpInstance, c0) -> Alg1State:
     """The k = 0 state of :func:`initialize` with the baseline's start:
-    B_0 is always the exact inverse of J_0 and the shift vector is sigma*.
-    A singular J_0 raises ``NumericalError``.
+    it forms J_0, which the first step's shifts read too, B_0 is always
+    the exact inverse of J_0 and the shift vector is sigma*.  A singular
+    J_0 raises ``NumericalError``.
     """
     state = initialize(instance, c0)
+    state.J = approx_jacobian(state.U, state.V, instance)
     state.B = jacobian_inverse(state.J)
     return Alg1State(**vars(state), s=instance.sigma_star.copy())
 

@@ -73,11 +73,11 @@ def _iterate(step, state, instance, config, c_star, t_start) -> SolveReport:
     Every iterate gets one record: d_k from its ``W``, the time since the
     previous record (since ``t_start``, when the solve began, for k = 0)
     and, when ``c_star`` is given, the distance of c_k to it.  After the
-    step from iterate k, record k is handed the J_k that the step formed;
-    the last iterate, which no step starts from, hands copies of
-    U_k[:, :n] and V_k instead, so the record forms J_k only if its
-    ``cond_j`` is read.  A step that raises one of the numerical failures
-    ends the solve as ``DIVERGED``.
+    step from iterate k, record k is handed the J_k that the step (or, at
+    k = 0, the start) formed; an iterate that carries none, such as the
+    last, hands copies of U_k[:, :n] and V_k instead, so the record forms
+    J_k only if its ``cond_j`` is read.  A step that raises one of the
+    numerical failures ends the solve as ``DIVERGED``.
     """
     config = config or SolverConfig()
     records, status, t_prev = [], None, t_start
@@ -109,8 +109,8 @@ def _iterate(step, state, instance, config, c_star, t_start) -> SolveReport:
 
 
 def _jacobian_source(state, instance: IsvpInstance):
-    """A function returning J_k of ``state``: the one a step formed, or,
-    when none did, one it forms from copies of U_k[:, :n] and V_k, so the
+    """A function returning J_k of ``state``: the one it carries, or,
+    when it carries none, one it forms from copies of U_k[:, :n] and V_k, so the
     r x r ``U`` is not kept."""
     J = state.J
     if J is not None:
@@ -139,8 +139,8 @@ def _exact_point(instance: IsvpInstance, c: np.ndarray) -> tuple[np.ndarray, Svd
     The one place an exact SVD runs inside a solve: ``symmetric_svd``
     when the basis declares its leading block symmetric, ``full_svd``
     otherwise, each looked up in this module when called.  It forms no
-    Jacobian: :func:`initialize` forms J_0 for B_0, and every other
-    iterate's J_k is formed by the step that starts from it.
+    Jacobian: a start that inverts J_0 forms it, and every iterate after
+    k = 0 has its J_k formed by the step that starts from it.
     """
     A_c = _evaluate_rows(instance, c)
     factors = (symmetric_svd if instance.operator.symmetric else full_svd)(A_c)
@@ -157,6 +157,9 @@ class SolverState:
     model J c + b, and the driver reads d_k off it.
     ``B`` approximates the inverse of the approximate Jacobian ``J``; it
     is ``None`` from :func:`initialize` until the caller chooses B_0.
+    At k = 0, ``J`` is J_0 only when the start formed it to build B_0
+    (:func:`harness.cayley_free_start`, :func:`baselines.alg1_initialize`);
+    no step reads it.
 
     On an iterate that a step has produced, ``J`` is ``None`` and ``B``
     still holds B_{k-1}: the step that starts from the iterate forms J_k
@@ -248,12 +251,14 @@ def chebyshev_update(B: np.ndarray, J_next: np.ndarray) -> np.ndarray:
 
 
 def _form_jacobian(state: SolverState, instance: IsvpInstance) -> bool:
-    """On an iterate that a step has produced (``J`` is ``None``), form J_k
-    and B_k = chebyshev_update(B_{k-1}, J_k) and write both onto ``state``;
-    return whether it did.  ``J`` is written first, so it reaches the
+    """On an iterate that a step has produced (k >= 1 and ``J`` is
+    ``None``), form J_k and B_k = chebyshev_update(B_{k-1}, J_k) and write
+    both onto ``state``; return whether it did.  At k = 0 it forms
+    nothing: ``B`` is the caller's B_0, and the first Jacobian the
+    iteration reads is J_1.  ``J`` is written first, so it reaches the
     record even when a non-finite J_k or B_k raises ``NumericalError``.
     """
-    if state.J is not None:
+    if state.J is not None or state.k == 0:
         return False
     with np.errstate(over="ignore", invalid="ignore"):
         state.J = approx_jacobian(state.U, state.V, instance)
@@ -266,7 +271,7 @@ def _form_jacobian(state: SolverState, instance: IsvpInstance) -> bool:
 def outer_step(state: SolverState, instance: IsvpInstance) -> SolverState:
     """Advance one outer iteration.
 
-    Substeps: J_k and B_k, when ``state`` does not carry them yet (see
+    Substeps: J_k and B_k, on an iterate that a step has produced (see
     :func:`_form_jacobian`); first coefficient update from J c + b, the
     diagonal of W; first correction pair from U^T A V at the predicted
     point; refinement; second coefficient update from the refined
@@ -303,14 +308,15 @@ def outer_step(state: SolverState, instance: IsvpInstance) -> SolverState:
 
 
 def initialize(instance: IsvpInstance, c0) -> SolverState:
-    """Build the k = 0 state from an exact SVD of A(c0), with J_0.
+    """Build the k = 0 state from an exact SVD of A(c0).
 
-    ``B`` is left ``None``; the caller sets it, typically from ``state.J``.
+    ``B`` and ``J`` are left ``None``.  The caller sets B_0; a start that
+    builds B_0 from J_0 forms it and writes it onto the state too, and
+    otherwise record 0 forms J_0 only if its ``cond_j`` is read.
     """
     c0 = np.asarray(c0, dtype=float).reshape(-1)
     W0, factors = _exact_point(instance, c0)
-    J0 = approx_jacobian(factors.U, factors.V, instance)
-    return SolverState(k=0, c=c0.copy(), W=W0, U=factors.U, V=factors.V, B=None, J=J0)
+    return SolverState(k=0, c=c0.copy(), W=W0, U=factors.U, V=factors.V, B=None, J=None)
 
 
 def solve(
@@ -322,10 +328,11 @@ def solve(
 ) -> SolveReport:
     """Run the Cayley-free iteration from c0 with the supplied B0.
 
-    Returns a report whose records include the k = 0 diagnostics.  A
-    numerical failure inside an outer step becomes a ``DIVERGED`` status
-    rather than an exception.  When ``c_star`` is given, records carry
-    the distance to it.
+    Returns a report whose records include the k = 0 diagnostics.  The
+    iteration never reads J_0, so the solve forms it only if record 0's
+    ``cond_j`` is read.  A numerical failure inside an outer step becomes
+    a ``DIVERGED`` status rather than an exception.  When ``c_star`` is
+    given, records carry the distance to it.
     """
     t_start = time.perf_counter()
     B0 = np.asarray(B0, dtype=float)

@@ -192,8 +192,10 @@ def cayley_free_start(
     instance: IsvpInstance, c0, mu: float = 0.0, seed: int = 0
 ) -> SolverState:
     """The Cayley-free k = 0 state: :func:`cayley_free.initialize` at c0,
-    with B_0 from :func:`build_B0` applied to the J_0 it computes."""
+    with J_0 formed and B_0 from :func:`build_B0` applied to it.  ``J``
+    keeps J_0, so the achieved mu and record 0's ``cond_j`` reuse it."""
     state = cayley_free.initialize(instance, c0)
+    state.J = cayley_free.approx_jacobian(state.U, state.V, instance)
     state.B = build_B0(state.J, mu, seed)
     return state
 

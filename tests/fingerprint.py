@@ -5,7 +5,8 @@ and toeplitz 240x160 (seeds 1..6 at beta 1e-5), each solve run through
 ``harness.run_solver`` with the default stopping rule, mu = 0 and one
 BLAS thread.  The committed golden file ``fingerprint.tsv`` holds one
 row per solve: set, algorithm, seed, beta, status, iteration count, d_0
-as a hex float and the coarse trace round(log10 d_k, 1).
+as a hex float and the coarse trace round(log10 d_k, 1).  Its leading
+``#`` lines hold the golden SHA-256 of each set's full traces.
 
     python tests/fingerprint.py                  # compare with the golden file
     python tests/fingerprint.py --write          # rewrite the golden file
@@ -14,7 +15,9 @@ as a hex float and the coarse trace round(log10 d_k, 1).
 
 Every run prints the SHA-256 of the full traces (status, iterations and
 every d_k, cond(J_k) and c_final entry as hex floats), over all solves
-and over each set, and lists the rows that differ from the golden file.
+and over each set, says for each set whether its traces are
+bit-identical to the golden ones (by SHA-256; for information only),
+and lists the rows that differ from the golden file.
 ``--compare`` reports the worst relative change in d_k where the other
 run's d_k is above 1e-8, the worst absolute change in d_k, and the worst
 change in an entry of c_final.  It exits 1 when a status or an iteration
@@ -103,6 +106,14 @@ def trace_sha256(solves: list[dict]) -> str:
     return hashlib.sha256(json.dumps(solves, sort_keys=True).encode()).hexdigest()
 
 
+def read_golden() -> tuple[dict[str, str], list[list[str]]]:
+    """The golden per-set SHA-256 and the golden rows, header excluded."""
+    lines = GOLDEN.read_text().splitlines()
+    shas = dict(line.split("\t")[1:3] for line in lines if line.startswith("#"))
+    rows = [line.split("\t") for line in lines if not line.startswith("#")][1:]
+    return shas, rows
+
+
 def worst_changes(solves: list[dict], reference: list[dict]) -> dict[str, tuple[float, list]]:
     """The largest change against ``reference``, with where it occurs, of
     d_k relative to a d_k' above ``RELATIVE_FLOOR``, of d_k absolute, and
@@ -136,10 +147,16 @@ def main(argv=None) -> int:
 
     solves = run_all()
     rows = golden_rows(solves)
+    golden_shas, golden = read_golden()
     print(f"solves: {len(solves)}  sha256: {trace_sha256(solves)}")
+    set_shas = {}
     for name, *_ in SETS:
         in_set = [s for s in solves if s["key"][0] == name]
-        print(f"  {name}: {len(in_set)} solves  sha256: {trace_sha256(in_set)}")
+        set_shas[name] = trace_sha256(in_set)
+        print(f"  {name}: {len(in_set)} solves  sha256: {set_shas[name]}")
+    for name, sha in set_shas.items():
+        same = "yes" if golden_shas.get(name) == sha else "no"
+        print(f"  {name}: traces bit-identical to golden: {same}")
     if args.traces:
         args.traces.write_text(json.dumps(solves) + "\n")
     if args.compare:
@@ -150,11 +167,11 @@ def main(argv=None) -> int:
         for name, (worst, where) in worst_changes(solves, reference).items():
             print(f"worst {name} change: {worst:.3e}" + (f" at {' '.join(where)}" if where else ""))
     if args.write:
-        GOLDEN.write_text("\n".join("\t".join(row) for row in [HEADER] + rows) + "\n")
+        shas = [["# sha256", name, sha] for name, sha in set_shas.items()]
+        GOLDEN.write_text("\n".join("\t".join(row) for row in shas + [HEADER] + rows) + "\n")
         print(f"wrote {GOLDEN.name}")
         return 0
 
-    golden = [line.split("\t") for line in GOLDEN.read_text().splitlines()[1:]]
     if [row[:4] for row in golden] != [row[:4] for row in rows]:
         print(f"{GOLDEN.name} holds different solves; rewrite it with --write")
         return 1

@@ -7,7 +7,7 @@ import isvp
 import isvp.cayley_free as cayley_free
 from isvp.cayley_free import SolverConfig, outer_step
 from isvp.errors import InputError, NonFiniteInput, NumericalError
-from isvp.harness import cayley_free_start
+from isvp.harness import Algorithm, cayley_free_start, run_solver
 from isvp.report import SolveStatus
 from isvp.verification import near_orthogonal, separated_sigma
 
@@ -287,6 +287,30 @@ class TestSolve:
             R = np.eye(inst.n) - prev.B @ state.J
             gap = np.linalg.norm((np.eye(inst.n) - state.B @ state.J) - R @ R @ R)
             assert gap <= 1e-12 * (1 + np.linalg.norm(R) ** 3)
+
+    @pytest.mark.parametrize(
+        "generate, m, n, beta, seed",
+        [(isvp.generate_instance, 60, 30, 1e-3, seed) for seed in (1, 2, 3)]
+        + [(isvp.generate_toeplitz_instance, 240, 160, 1e-5, seed) for seed in (1, 2)],
+        ids=["dense-1", "dense-2", "dense-3", "toeplitz-1", "toeplitz-2"],
+    )
+    def test_equals_the_harness_path_bit_for_bit(self, generate, m, n, beta, seed):
+        # the direct solve forms no J_0 and runs no Chebyshev update at k = 0;
+        # record 0 forms J_0 on read, from copies of U_0[:, :n] and V_0
+        inst, c_star = generate(m, n, seed)
+        c0 = isvp.perturb_c_star(c_star, beta, seed)
+        direct = isvp.solve(inst, c0, cayley_free_start(inst, c0).B)
+        harness, _ = run_solver(Algorithm.CAYLEY_FREE, inst, c0, SolverConfig(), 0.0, seed)
+
+        def trace(report):
+            return (
+                [rec.d.hex() for rec in report.records],
+                [rec.cond_j.hex() for rec in report.records],
+                [float(x).hex() for x in report.c_final],
+            )
+
+        assert len(direct.records) >= 2
+        assert trace(direct) == trace(harness)
 
     def test_divergence_reported_not_raised(self):
         inst, c_star = isvp.generate_instance(20, 8, 2)

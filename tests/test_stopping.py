@@ -8,7 +8,7 @@ import pytest
 import isvp
 from isvp import baselines, cayley_free, core
 from isvp.cayley_free import SolverConfig
-from isvp.harness import Algorithm, ExperimentConfig, run_trial
+from isvp.harness import Algorithm, ExperimentConfig, cayley_free_start, run_trial
 from isvp.report import IterationRecord, SolveStatus
 
 from conftest import STEPS, solve
@@ -101,12 +101,14 @@ def test_overflowing_residual_is_diverged_without_a_warning():
     assert trial.report.records[-1].d == np.inf
 
 
-@pytest.mark.parametrize("algorithm", list(Algorithm))
-def test_a_solve_forms_only_the_jacobians_its_steps_use(algorithm, medium_instance, monkeypatch):
+@pytest.mark.parametrize("path", [*Algorithm, "solve"])
+def test_a_solve_forms_only_the_jacobians_its_steps_use(path, medium_instance, monkeypatch):
     # K steps use J_0 .. J_{K-1}; the last iterate's J_K and every cond(J_k)
-    # wait until a record's cond_j is read
+    # wait until a record's cond_j is read.  ``isvp.solve`` is handed B_0, so
+    # its steps use J_1 .. J_{K-1}, and J_0 waits for record 0's cond_j too
     inst, c_star = medium_instance
     c0 = isvp.perturb_c_star(c_star, 1e-3, 2)
+    B0 = cayley_free_start(inst, c0).B
     jacobians, conds = [], []
     approx_jacobian, cond = core.approx_jacobian, np.linalg.cond
 
@@ -121,12 +123,16 @@ def test_a_solve_forms_only_the_jacobians_its_steps_use(algorithm, medium_instan
     for module in (core, cayley_free, baselines):
         monkeypatch.setattr(module, "approx_jacobian", counting_jacobian)
     monkeypatch.setattr(np.linalg, "cond", counting_cond)
-    report = solve(algorithm, inst, c0)
+    report = isvp.solve(inst, c0, B0) if path == "solve" else solve(path, inst, c0)
     assert report.status is SolveStatus.CONVERGED
-    assert (len(jacobians), len(conds)) == (report.iterations, 0)
+    assert report.iterations >= 2
+    formed = report.iterations - (path == "solve")
+    assert (len(jacobians), len(conds)) == (formed, 0)
     for _ in range(2):  # the second read is cached
         assert report.records[-1].cond_j >= 1.0
-    assert (len(jacobians), len(conds)) == (report.iterations + 1, 1)
+    assert (len(jacobians), len(conds)) == (formed + 1, 1)
+    assert report.records[0].cond_j >= 1.0
+    assert (len(jacobians), len(conds)) == (formed + 1 + (path == "solve"), 2)
 
 
 @pytest.mark.parametrize(
