@@ -34,7 +34,6 @@ from .core import (
     full_svd,
     generalized_residual_vector,
     residual_d,
-    symmetric_svd,
 )
 from .errors import InputError, NonFiniteInput, NumericalError
 from .report import IterationRecord, SolveReport, SolveStatus
@@ -136,14 +135,14 @@ def _exact_point(instance: IsvpInstance, c: np.ndarray) -> tuple[np.ndarray, Svd
     """W = U^T A(c) V from the exact SVD of the leading r rows of A(c),
     and the SVD, whose ``U`` is r x r.
 
-    The one place an exact SVD runs inside a solve: ``symmetric_svd``
-    when the basis declares its leading block symmetric, ``full_svd``
-    otherwise, each looked up in this module when called.  It forms no
+    The one place an exact SVD runs inside a solve: ``full_svd``, looked
+    up in this module when called, which takes ``eigh`` for a square
+    block equal to its transpose (every Toeplitz one).  It forms no
     Jacobian: a start that inverts J_0 forms it, and every iterate after
     k = 0 has its J_k formed by the step that starts from it.
     """
     A_c = _evaluate_rows(instance, c)
-    factors = (symmetric_svd if instance.operator.symmetric else full_svd)(A_c)
+    factors = full_svd(A_c)
     return factors.U.T @ (A_c @ factors.V), factors
 
 

@@ -117,7 +117,7 @@ def _cmd_run(args) -> int:
         beta=args.beta,
         mu=args.mu,
         seeds=parse_seeds(args.seeds),
-        algorithm=Algorithm(args.algorithm),
+        algorithm=args.algorithm,
         tol=args.tol,
         max_iter=args.max_iter,
     )
@@ -175,9 +175,7 @@ def _cmd_solve(args) -> int:
         raise InputError(f"start vector has {c0.size} entries, instance needs {instance.n}")
 
     config = SolverConfig(tol=args.tol, max_iter=args.max_iter)
-    report, _ = run_solver(
-        Algorithm(args.algorithm), instance, c0, config, args.mu, args.seed
-    )
+    report, _ = run_solver(args.algorithm, instance, c0, config, args.mu, args.seed)
     for rec in report.records:
         print(f"k={rec.k} d={rec.d:.5e} cond_J={rec.cond_j:.5e}")
     print(f"{report.status.value} after {report.iterations} iterations")

@@ -7,8 +7,8 @@ solution is any c whose singular values equal sigma*.  This module owns
 the validated problem type with its two basis forms (a dense row-major
 array, and the O(n) symmetric Toeplitz family with an FFT Jacobian), the
 matrix family evaluation, the full SVD with a deterministic sign
-convention (LAPACK's SVD in general, a symmetric eigendecomposition for
-a basis whose leading block is symmetric), the approximate Jacobian
+convention (a symmetric eigendecomposition for a matrix equal to its
+transpose, LAPACK's SVD for any other), the approximate Jacobian
 [J]_ij = u_i^T A_j v_i and its one inverse at the start, the generalized
 residual vector used by the solvers, and the Frobenius residual
 d = ||U^T A(c) V - Sigma*||_F.
@@ -45,8 +45,7 @@ class DenseBasis:
     ``rows[r, k]`` is row r of A_k, and ``basis`` is the (n+1, m, n) view
     of the same buffer, so ``basis[k]`` is A_k without a copy.  Takes
     ownership of ``rows`` and marks it read-only, so no caller can change
-    it afterwards.  Any row of A(c) may be nonzero, so ``r = m``, and no
-    block of A(c) is known to be symmetric, so ``symmetric`` is False.
+    it afterwards.  Any row of A(c) may be nonzero, so ``r = m``.
     A(c) is one GEMV per row.  The Jacobian walks the matrices in blocks of
     about 2 MiB of products, each one GEMM of U_n^T against the (m, k n)
     view of the block (inner dimension m) and one einsum against V_n, so
@@ -63,7 +62,6 @@ class DenseBasis:
         self.rows = rows
         self.basis = rows.transpose(1, 0, 2)
         self.m, self.n, self.r = m, n, m
-        self.symmetric = False
 
     def evaluate(self, c: np.ndarray) -> np.ndarray:
         return self.rows[:, 0] + c @ self.rows[:, 1:]
@@ -90,8 +88,9 @@ class ToeplitzBasis:
     to m x n: [A_k]_rs = 1 where |r - s| = k - 1 and r, s < n.
 
     Only (m, n) is stored.  A(c) is the n x n symmetric Toeplitz matrix
-    with first column c over m - n zero rows, so ``r = n``, and those n
-    rows equal their transpose bit for bit, so ``symmetric`` is True.
+    with first column c over m - n zero rows, so ``r = n``; those n rows
+    equal their transpose bit for bit, so :func:`full_svd` factors them
+    from ``eigh``.
     u^T A_k v is a cross-correlation of the leading n entries of u and v,
     so the whole Jacobian comes from one FFT per factor.
     """
@@ -100,7 +99,6 @@ class ToeplitzBasis:
         if m < n or n < 1:
             raise InputError(f"require m >= n >= 1, got m={m}, n={n}")
         self.m, self.n, self.r = m, n, n
-        self.symmetric = True
 
     @property
     def basis(self) -> np.ndarray:
@@ -146,10 +144,8 @@ class IsvpInstance:
     ``basis`` stack, whose entry 0 is the affine offset A_0 and entries
     1..n are the coefficient matrices A_1, ..., A_n, all of shape (m, n)
     with m >= n.  Rows r and beyond of every A(c) are zero, so the
-    solvers work on the leading r rows and carry an r x r ``U``.  An
-    operator whose ``symmetric`` is True has r = n and a leading block
-    that is exactly symmetric for every c, so the solvers factor it with
-    :func:`symmetric_svd` instead of :func:`full_svd`.
+    solvers work on the leading r rows and carry an r x r ``U``, from
+    :func:`full_svd` of those rows.
     ``sigma_star`` holds the n targets, strictly decreasing and positive
     with a :func:`spectral_gap` above ``MIN_GAP``.
     """
@@ -260,13 +256,20 @@ def _pivot_signs(X: np.ndarray) -> np.ndarray:
 
 
 def full_svd(A) -> SvdFactorization:
-    """Full SVD with a deterministic sign convention, from one LAPACK call.
+    """Full SVD with a deterministic sign convention.
 
     For each right singular vector the entry of largest magnitude is made
     positive (ties broken by lowest row index) and the paired left vector
     is flipped in tandem.  When m > n the trailing columns of U are the
     orthonormal completion LAPACK returns with the full SVD, each
     sign-normalized by the same rule, so reruns produce identical factors.
+
+    An A equal to its transpose bit for bit (so square) needs no SVD: its
+    eigendecomposition A = Q diag(lambda) Q^T gives sigma = |lambda| and
+    V = Q, ordered by |lambda| decreasing (a stable sort, so ties keep
+    ``eigh``'s ascending order), and U = V diag(sign(lambda)) with sign +1
+    at lambda = 0 (Golub and Van Loan, *Matrix Computations*, section
+    8.6).  Every other A takes one LAPACK SVD.
     """
     A = np.asarray(A, dtype=float)
     if A.ndim != 2:
@@ -275,6 +278,17 @@ def full_svd(A) -> SvdFactorization:
     if m < n:
         raise InputError(f"require m >= n, got {A.shape}")
     _require_finite("A", A)
+    if np.array_equal(A, A.T):
+        try:
+            lam, Q = np.linalg.eigh(A)
+        except np.linalg.LinAlgError as exc:
+            raise NumericalError(f"eigendecomposition did not converge: {exc}") from exc
+        order = np.argsort(-np.abs(lam), kind="stable")
+        lam = lam[order]
+        V = Q[:, order]
+        V *= _pivot_signs(V)
+        U = V * np.where(lam < 0.0, -1.0, 1.0)
+        return SvdFactorization(U=U, V=V, sigma=np.abs(lam))
     try:
         U, sigma, Vt = np.linalg.svd(A)
     except np.linalg.LinAlgError as exc:
@@ -283,34 +297,6 @@ def full_svd(A) -> SvdFactorization:
     V = Vt.T * signs
     U *= np.concatenate([signs, _pivot_signs(U[:, n:])])
     return SvdFactorization(U=U, V=V, sigma=sigma)
-
-
-def symmetric_svd(A) -> SvdFactorization:
-    """Full SVD of a square symmetric A from its eigendecomposition.
-
-    A = Q diag(lambda) Q^T gives sigma = |lambda| and V = Q, ordered by
-    |lambda| decreasing (a stable sort, so ties keep ``eigh``'s ascending
-    order), and U = V diag(sign(lambda)) with sign +1 at lambda = 0
-    (Golub and Van Loan, *Matrix Computations*, section 8.6).  V follows
-    the sign convention of :func:`full_svd`, and U flips with it.  A
-    must equal its transpose bit for bit.
-    """
-    A = np.asarray(A, dtype=float)
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise InputError(f"symmetric_svd expects a square matrix, got shape {A.shape}")
-    _require_finite("A", A)
-    if not np.array_equal(A, A.T):
-        raise InputError("symmetric_svd expects a symmetric matrix")
-    try:
-        lam, Q = np.linalg.eigh(A)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"eigendecomposition did not converge: {exc}") from exc
-    order = np.argsort(-np.abs(lam), kind="stable")
-    lam = lam[order]
-    V = Q[:, order]
-    V *= _pivot_signs(V)
-    U = V * np.where(lam < 0.0, -1.0, 1.0)
-    return SvdFactorization(U=U, V=V, sigma=np.abs(lam))
 
 
 def approx_jacobian(U: np.ndarray, V: np.ndarray, instance: IsvpInstance) -> np.ndarray:

@@ -51,6 +51,16 @@ class Algorithm(str, Enum):
     NEWTON = "newton"
 
 
+def _check_start(algorithm, mu: float) -> Algorithm:
+    """The :class:`Algorithm` that ``algorithm`` names, once ``mu`` is
+    checked against it: only the Cayley-free start reads a nonzero mu."""
+    algorithm = Algorithm(algorithm)
+    _check_mu(mu)
+    if mu != 0.0 and algorithm is not Algorithm.CAYLEY_FREE:
+        raise ValueError(f"{algorithm.value} builds no B_0 from mu; it needs mu = 0")
+    return algorithm
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     m: int
@@ -68,7 +78,7 @@ class ExperimentConfig:
             raise ValueError("require m >= n >= 1")
         if not (0.0 <= self.beta < np.inf):
             raise ValueError("beta must be finite and nonnegative")
-        _check_mu(self.mu)
+        object.__setattr__(self, "algorithm", _check_start(self.algorithm, self.mu))
         self.solver_config()  # SolverConfig checks tol and max_iter
 
     def solver_config(self) -> SolverConfig:
@@ -248,11 +258,13 @@ def run_solver(
     """Solve from c0 with one algorithm; return the report and, for the
     Cayley-free method, the achieved ||I - B_0 J_0||_2.
 
-    ``mu`` must lie in [0, 1) for every algorithm.  The Cayley-free
-    method starts from :func:`cayley_free_start` with ``mu`` and
-    ``seed``, and building that start counts towards the solve time.
+    ``algorithm`` is an :class:`Algorithm` or its value.  ``mu`` must
+    lie in [0, 1), and be 0 for alg1 and newton, which build no B_0 from
+    it.  The Cayley-free method starts from :func:`cayley_free_start`
+    with ``mu`` and ``seed``, and building that start counts towards the
+    solve time.
     """
-    _check_mu(mu)
+    algorithm = _check_start(algorithm, mu)
     if algorithm is Algorithm.ALG1:
         return alg1_solve(instance, c0, config, c_star=c_star), None
     if algorithm is Algorithm.NEWTON:

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import isvp
+from isvp import cayley_free
 from isvp.core import _JACOBIAN_BLOCK_BYTES, DenseBasis, ToeplitzBasis
 from isvp.errors import InputError
 from isvp.harness import Algorithm
@@ -37,6 +38,20 @@ def assert_one_buffer(instance):
     first, last = owner(instance.basis[0]), owner(instance.basis[-1])
     assert first is last
     assert first.nbytes == (instance.n + 1) * instance.m * instance.n * 8
+
+
+def square_twin():
+    inst, c_star = isvp.generate_toeplitz_instance(6, 6, 4)
+    return dense_twin(inst), c_star
+
+
+# the routine full_svd runs on every exact point of a solve: eigh on a block
+# equal to its transpose, whatever its basis form, and svd on a tall one
+SELECTION_CASES = {
+    "toeplitz": (lambda: isvp.generate_toeplitz_instance(30, 20, 4), "eigh"),
+    "tall-dense": (lambda: isvp.generate_instance(30, 20, 4), "svd"),
+    "square-twin": (square_twin, "eigh"),
+}
 
 
 class TestToeplitzForm:
@@ -85,17 +100,37 @@ class TestToeplitzForm:
 
     @pytest.mark.parametrize("m,n", SHAPES)
     def test_leading_block_is_exactly_symmetric(self, m, n):
-        # the solvers factor it with symmetric_svd, which needs A == A^T bit for bit
+        # full_svd takes eigh only for A == A^T bit for bit; a block that
+        # lost it would fall back to LAPACK's SVD without an error
         inst, c_star = isvp.generate_toeplitz_instance(m, n, 4)
-        assert inst.operator.symmetric is True
         rng = np.random.default_rng(m * 100 + n)
         draws = [rng.uniform(-2.0, 2.0, n), -rng.random(n), 1e12 * rng.standard_normal(n)]
         for c in [c_star] + draws:
             block = isvp.evaluate_A(inst, c)[: inst.r]
             np.testing.assert_array_equal(block, block.T)
-        # a dense basis never claims it, not even the twin of a Toeplitz one
-        assert dense_twin(inst).operator.symmetric is False
-        assert isvp.generate_instance(m, n, 4)[0].operator.symmetric is False
+
+    @pytest.mark.parametrize("case", SELECTION_CASES)
+    @pytest.mark.parametrize("algorithm", list(Algorithm))
+    def test_full_svd_picks_its_routine_from_the_block(self, algorithm, case, monkeypatch):
+        build, routine = SELECTION_CASES[case]
+        inst, c_star = build()
+        c0 = isvp.perturb_c_star(c_star, 1e-5, 3)
+        calls = dict.fromkeys(["exact points", "eigh", "svd"], 0)
+
+        def counting(name, fn):
+            def counted(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            return counted
+
+        monkeypatch.setattr(cayley_free, "full_svd", counting("exact points", isvp.full_svd))
+        for name in ("eigh", "svd"):
+            monkeypatch.setattr(np.linalg, name, counting(name, getattr(np.linalg, name)))
+        solve(algorithm, inst, c0)
+        other = "svd" if routine == "eigh" else "eigh"
+        assert calls[routine] == calls["exact points"] > 0
+        assert calls[other] == 0
 
     @pytest.mark.parametrize("m,n", SHAPES)
     def test_jacobian_matches_dense_kernel(self, m, n):

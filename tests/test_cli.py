@@ -14,7 +14,6 @@ from isvp import cli, verification
 from isvp.baselines import alg1_skew_pair
 from isvp.cayley_free import correction_matrices
 from isvp.cli import EXIT_NONCONVERGED, EXIT_OK, EXIT_USAGE, main, parse_seeds
-from isvp.core import symmetric_svd
 
 from conftest import STEPS
 
@@ -180,6 +179,22 @@ class TestGenAndSolve:
         ])
         assert code == EXIT_USAGE
 
+    @pytest.mark.parametrize("algorithm", ["alg1", "newton"])
+    def test_mu_needs_the_cayley_free_start(self, algorithm, tmp_path, capsys):
+        # both subcommands refuse a mu that the algorithm would ignore
+        inst_path = tmp_path / "instance.txt"
+        main(["gen", "--m", "10", "--n", "4", "--seed", "3", "--out", str(inst_path)])
+        capsys.readouterr()
+        out = tmp_path / "out"
+        for argv in (
+            ["solve", "--instance", str(inst_path), "--beta", "1e-3"],
+            ["run", "--m", "10", "--n", "4", "--beta", "1e-3", "--seeds", "1", "--out", str(out)],
+        ):
+            assert main(argv + ["--algorithm", algorithm, "--mu", "0.3"]) == EXIT_USAGE
+            err = capsys.readouterr().err
+            assert err == f"error: {algorithm} builds no B_0 from mu; it needs mu = 0\n"
+        assert not out.exists()
+
     def test_solve_nonfinite_start_is_a_usage_error(self, tmp_path):
         inst_path = tmp_path / "instance.txt"
         main(["gen", "--m", "6", "--n", "3", "--seed", "3", "--out", str(inst_path)])
@@ -284,6 +299,14 @@ def _doubling_sigma(factorize):
     return doubled_sigma
 
 
+def _doubling_eigenvalues(eigh):
+    def doubled_eigenvalues(A):
+        lam, Q = eigh(A)
+        return 2.0 * lam, Q
+
+    return doubled_eigenvalues
+
+
 def _transposed_jacobian(U, V, instance):
     return isvp.approx_jacobian(U, V, instance).T
 
@@ -314,7 +337,7 @@ WRONG_KERNELS = {
     verification.check_svd_factorization: ("full_svd", _doubling_sigma(isvp.full_svd)),
 }
 
-# the svd check runs once more with symmetric_svd wrong, and the
+# the svd check runs once more with full_svd's eigh branch wrong, and the
 # fixed-point check once with each solver's step drifting
 WRONG_KERNEL_CASES = [
     pytest.param(check, verification, *WRONG_KERNELS[check], id=check.__name__)
@@ -322,8 +345,8 @@ WRONG_KERNEL_CASES = [
     if check is not verification.check_solver_fixed_points
 ] + [
     pytest.param(
-        verification.check_svd_factorization, verification, "symmetric_svd",
-        _doubling_sigma(symmetric_svd), id="check_svd_factorization-symmetric_svd",
+        verification.check_svd_factorization, np.linalg, "eigh",
+        _doubling_eigenvalues(np.linalg.eigh), id="check_svd_factorization-symmetric",
     )
 ] + [
     pytest.param(

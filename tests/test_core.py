@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 import isvp
-from isvp.core import symmetric_svd
 from isvp.errors import InputError, NonFiniteInput, NumericalError
 
 
@@ -150,10 +149,12 @@ SYMMETRIC_CASES = {
 
 
 class TestSymmetricSvd:
+    """full_svd of a matrix equal to its transpose, from ``eigh``."""
+
     @pytest.mark.parametrize("A", SYMMETRIC_CASES.values(), ids=list(SYMMETRIC_CASES))
     def test_is_an_svd_with_the_sign_convention(self, A):
         n = A.shape[0]
-        f = symmetric_svd(A)
+        f = isvp.full_svd(A)
         reference = np.linalg.svd(A, compute_uv=False)
         assert np.abs(f.sigma - reference).max() <= 1e-14 * reference[0]
         assert np.all(np.diff(f.sigma) <= 0)
@@ -171,21 +172,27 @@ class TestSymmetricSvd:
         np.testing.assert_array_equal(f.U, f.V * signs)
 
     def test_exact_zero_and_pair(self):
-        singular = symmetric_svd(SYMMETRIC_CASES["singular"])
+        singular = isvp.full_svd(SYMMETRIC_CASES["singular"])
         np.testing.assert_array_equal(singular.sigma, [2.0, 0.0])
         np.testing.assert_array_equal(singular.U[:, 1], singular.V[:, 1])
         # the stable sort keeps eigh's ascending order within |lambda| = 2
-        pair = symmetric_svd(SYMMETRIC_CASES["pair"])
+        pair = isvp.full_svd(SYMMETRIC_CASES["pair"])
         np.testing.assert_array_equal(pair.sigma, [2.0, 2.0, 1.0])
         np.testing.assert_array_equal(pair.U, pair.V * [-1.0, 1.0, 1.0])
 
-    def test_rejects_what_it_cannot_factor(self):
+    def test_rejects_what_it_cannot_factor(self, monkeypatch):
         with pytest.raises(NonFiniteInput, match="^A contains NaN or infinity$"):
-            symmetric_svd(np.array([[1.0, np.nan], [np.nan, 0.0]]))
-        with pytest.raises(InputError, match=r"^symmetric_svd expects a square matrix"):
-            symmetric_svd(np.ones((3, 2)))
-        with pytest.raises(InputError, match="^symmetric_svd expects a symmetric matrix$"):
-            symmetric_svd(np.array([[1.0, 2.0], [2.0 + 1e-15, 1.0]]))
+            isvp.full_svd(np.array([[1.0, np.nan], [np.nan, 0.0]]))
+
+        # a tall matrix, and one off its transpose by 1e-15, take LAPACK's SVD
+        def fail(A):
+            raise AssertionError("eigh ran on a matrix that is not symmetric")
+
+        monkeypatch.setattr(np.linalg, "eigh", fail)
+        for A in (np.ones((3, 2)), np.array([[1.0, 2.0], [2.0 + 1e-15, 1.0]])):
+            f = isvp.full_svd(A)
+            assert f.U.shape == (A.shape[0], A.shape[0])
+            np.testing.assert_array_equal(f.sigma, np.linalg.svd(A, compute_uv=False))
 
     def test_a_failed_eigendecomposition_is_a_numerical_error(self, monkeypatch):
         def fail(A):
@@ -193,7 +200,7 @@ class TestSymmetricSvd:
 
         monkeypatch.setattr(np.linalg, "eigh", fail)
         with pytest.raises(NumericalError, match="^eigendecomposition did not converge: "):
-            symmetric_svd(np.eye(2))
+            isvp.full_svd(np.eye(2))
 
 
 class TestApproxJacobian:

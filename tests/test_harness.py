@@ -196,6 +196,35 @@ class TestRunExperiment:
             assert all(t.status == "converged" for t in bundle.trials)
             assert all(t.achieved_mu is None for t in bundle.trials)
 
+    def test_an_algorithm_name_runs_that_algorithm(self, small_instance, tmp_path):
+        # a value is coerced once; an unknown name never falls through to Cayley-free
+        inst, c_star = small_instance
+        c0 = isvp.perturb_c_star(c_star, 1e-3, 1)
+        config = isvp.SolverConfig()
+        by_name, achieved_mu = harness.run_solver("newton", inst, c0, config, 0.0, 0)
+        by_member, _ = harness.run_solver(isvp.Algorithm.NEWTON, inst, c0, config, 0.0, 0)
+        assert achieved_mu is None
+        assert by_name.residuals == by_member.residuals
+        sweep = self._config(algorithm="newton", seeds=(1,))
+        assert sweep.algorithm is isvp.Algorithm.NEWTON
+        isvp.emit_reports(isvp.run_experiment(sweep), tmp_path)
+        summary = json.loads((tmp_path / "summary.json").read_text())
+        assert summary["config"]["algorithm"] == "newton"
+        with pytest.raises(ValueError, match="'bogus' is not a valid Algorithm"):
+            harness.run_solver("bogus", inst, c0, config, 0.0, 0)
+        with pytest.raises(ValueError, match="'bogus' is not a valid Algorithm"):
+            self._config(algorithm="bogus")
+
+    @pytest.mark.parametrize("algorithm", [isvp.Algorithm.ALG1, isvp.Algorithm.NEWTON])
+    def test_mu_needs_the_cayley_free_start(self, algorithm, small_instance):
+        inst, c_star = small_instance
+        c0 = isvp.perturb_c_star(c_star, 1e-3, 1)
+        message = f"^{algorithm.value} builds no B_0 from mu; it needs mu = 0$"
+        with pytest.raises(ValueError, match=message):
+            harness.run_solver(algorithm, inst, c0, isvp.SolverConfig(), 0.3, 0)
+        with pytest.raises(ValueError, match=message):
+            self._config(algorithm=algorithm, mu=0.3)
+
     def test_a_raising_seed_becomes_an_error_trial(self, monkeypatch, tmp_path):
         # the second solve of the sweep (seed 2) raises before any record exists
         calls = []
