@@ -25,16 +25,6 @@ from .errors import InputError, NumericalError
 from .report import SolveReport
 
 
-@dataclass
-class Alg1State(SolverState):
-    """State of the Cayley baseline: vectors stay orthogonal, and a shift
-    vector s replaces the targets inside the skew-matrix denominators.
-    Like ``J``, ``s`` is ``None`` on an iterate that a step has produced
-    until the step from it forms s_k."""
-
-    s: np.ndarray | None
-
-
 def alg1_offset_vector(W: np.ndarray) -> np.ndarray:
     """The diagonal [u_i^T M v_i] of an aligned product W = U^T M V.
 
@@ -104,30 +94,30 @@ def cayley_orthogonalize(Q: np.ndarray, S: np.ndarray) -> np.ndarray:
     return Qt.T
 
 
-def alg1_outer_step(state: Alg1State, instance: IsvpInstance) -> Alg1State:
+def alg1_outer_step(state: SolverState, instance: IsvpInstance) -> SolverState:
     """One outer iteration of the Cayley baseline.
 
     On an iterate that a step has produced it first forms J_k and B_k
-    (:func:`cayley_free._form_jacobian`) and the shift vector s_k from
-    them, and writes them onto ``state``.  Two skew/Cayley correction
-    rounds then bracket the two coefficient updates.  The new state
-    carries ``B`` = B_k and no ``J`` or ``s``.  A non-finite update
-    raises ``NumericalError``.
+    (:func:`cayley_free._form_jacobian`).  The shift vector s_k, which
+    replaces the targets inside the skew-matrix denominators, is sigma*
+    at k = 0 and is formed from J_k and B_k after that; it is a value of
+    the step, not of the state.  Two skew/Cayley correction rounds then
+    bracket the two coefficient updates.  The new state carries ``B`` =
+    B_k and no ``J``.  A non-finite update raises ``NumericalError``.
     """
     sigma = instance.sigma_star
-    formed = _form_jacobian(state, instance)
+    _form_jacobian(state, instance)
     c, U, V, B, J = state.c, state.U, state.V, state.B, state.J
     with np.errstate(over="ignore", invalid="ignore"):
         t = alg1_offset_vector(state.W) - sigma
-        if formed:
-            state.s = sigma + t - J @ (B @ t)
-            _check_updated(("s", state.s))
+        s = sigma if state.k == 0 else sigma + t - J @ (B @ t)
+        _check_updated(("s", s))
         y = c - B @ t
         if not np.all(np.isfinite(y)):
             raise NumericalError("first coefficient update is non-finite")
         A_y = _evaluate_rows(instance, y)
         D = U.T @ (A_y @ V)
-        X, Y = alg1_skew_pair(D, state.s)
+        X, Y = alg1_skew_pair(D, s)
         Z = cayley_orthogonalize(U, X)
         N = cayley_orthogonalize(V, Y)
         W_y = Z.T @ (A_y @ N)
@@ -146,21 +136,19 @@ def alg1_outer_step(state: Alg1State, instance: IsvpInstance) -> Alg1State:
         V_next = cayley_orthogonalize(N, Y_bar)
         W_next = U_next.T @ (A_next @ V_next)
     _check_updated(("U", U_next), ("V", V_next))
-    return Alg1State(
-        k=state.k + 1, c=c_next, W=W_next, U=U_next, V=V_next, B=B, J=None, s=None
-    )
+    return SolverState(k=state.k + 1, c=c_next, W=W_next, U=U_next, V=V_next, B=B, J=None)
 
 
-def alg1_initialize(instance: IsvpInstance, c0) -> Alg1State:
+def alg1_initialize(instance: IsvpInstance, c0) -> SolverState:
     """The k = 0 state of :func:`initialize` with the baseline's start:
-    it forms J_0, which the first step's shifts read too, B_0 is always
-    the exact inverse of J_0 and the shift vector is sigma*.  A singular
-    J_0 raises ``NumericalError``.
+    it forms J_0, which the first step's shifts read too, and B_0 is
+    always the exact inverse of J_0.  A singular J_0 raises
+    ``NumericalError``.
     """
     state = initialize(instance, c0)
     state.J = approx_jacobian(state.U, state.V, instance)
     state.B = jacobian_inverse(state.J)
-    return Alg1State(**vars(state), s=instance.sigma_star.copy())
+    return state
 
 
 def alg1_solve(

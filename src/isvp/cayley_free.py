@@ -50,9 +50,9 @@ _DIVERGENCE_FACTOR = 1e6
 class SolverConfig:
     """Stopping rule shared by all solvers in this package.
 
-    Iterations stop when the residual d_k drops to ``tol``, when ``max_iter``
-    outer iterations have run, or when d_k is non-finite or exceeds 1e6
-    times max(d_0, 1).
+    Iterations stop when the residual d_k drops to ``tol`` (positive and
+    finite), when ``max_iter`` outer iterations have run, or when d_k is
+    non-finite or exceeds 1e6 times max(d_0, 1).
     """
 
     tol: float = 1e-10
@@ -61,6 +61,8 @@ class SolverConfig:
     def __post_init__(self):
         if not self.tol > 0.0:
             raise ValueError("tol must be positive")
+        if not self.tol < np.inf:
+            raise ValueError("tol must be finite")
         if self.max_iter < 1:
             raise ValueError("max_iter must be at least 1")
 
@@ -249,22 +251,21 @@ def chebyshev_update(B: np.ndarray, J_next: np.ndarray) -> np.ndarray:
     return B + B @ ((np.eye(n) + R) @ R)
 
 
-def _form_jacobian(state: SolverState, instance: IsvpInstance) -> bool:
+def _form_jacobian(state: SolverState, instance: IsvpInstance) -> None:
     """On an iterate that a step has produced (k >= 1 and ``J`` is
     ``None``), form J_k and B_k = chebyshev_update(B_{k-1}, J_k) and write
-    both onto ``state``; return whether it did.  At k = 0 it forms
-    nothing: ``B`` is the caller's B_0, and the first Jacobian the
-    iteration reads is J_1.  ``J`` is written first, so it reaches the
-    record even when a non-finite J_k or B_k raises ``NumericalError``.
+    both onto ``state``.  At k = 0 it forms nothing: ``B`` is the
+    caller's B_0, and the first Jacobian the iteration reads is J_1.
+    ``J`` is written first, so it reaches the record even when a
+    non-finite J_k or B_k raises ``NumericalError``.
     """
     if state.J is not None or state.k == 0:
-        return False
+        return
     with np.errstate(over="ignore", invalid="ignore"):
         state.J = approx_jacobian(state.U, state.V, instance)
         B = chebyshev_update(state.B, state.J)
     _check_updated(("B", B), ("J", state.J))
     state.B = B
-    return True
 
 
 def outer_step(state: SolverState, instance: IsvpInstance) -> SolverState:

@@ -45,6 +45,11 @@ def _check_mu(mu: float) -> None:
         raise ValueError("mu must lie in [0, 1)")
 
 
+def _check_seed(seed: int) -> None:
+    if seed < 0:
+        raise ValueError(f"seed {seed} is negative; seeds must be non-negative integers")
+
+
 class Algorithm(str, Enum):
     CAYLEY_FREE = "cayley-free"
     ALG1 = "alg1"
@@ -74,6 +79,8 @@ class ExperimentConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "seeds", tuple(self.seeds))
+        for seed in self.seeds:
+            _check_seed(seed)
         if not (self.m >= self.n >= 1):
             raise ValueError("require m >= n >= 1")
         if not (0.0 <= self.beta < np.inf):
@@ -123,6 +130,7 @@ class ExperimentBundle:
 
 
 def _rng(seed: int, *key: int) -> np.random.Generator:
+    _check_seed(seed)
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=key))
 
 

@@ -1,9 +1,10 @@
-"""Trace fingerprint: every ``Algorithm`` on two fixed sets of solves.
+"""Trace fingerprint: every ``Algorithm`` on three fixed sets of solves.
 
-The sets are the 60x30 dense grid (seeds 1..40 at beta 1e-3 and 1e-2)
-and toeplitz 240x160 (seeds 1..6 at beta 1e-5), each solve run through
-``harness.run_solver`` with the default stopping rule, mu = 0 and one
-BLAS thread.  The committed golden file ``fingerprint.tsv`` holds one
+The sets are the 60x30 dense grid (seeds 1..40 at beta 1e-3 and 1e-2),
+toeplitz 240x160 (seeds 1..6 at beta 1e-5) and the held-out 60x30 dense
+grid (seeds 1001..1040 at both betas), 498 solves in all, each run
+through ``harness.run_solver`` with the default stopping rule, mu = 0
+and one BLAS thread.  The committed golden file ``fingerprint.tsv`` holds one
 row per solve: set, algorithm, seed, beta, status, iteration count, d_0
 as a hex float and the coarse trace round(log10 d_k, 1).  Its leading
 ``#`` lines hold the golden SHA-256 of each set's full traces.
@@ -54,6 +55,7 @@ RELATIVE_FLOOR = 1e-8
 SETS = (
     ("grid", harness.generate_instance, 60, 30, range(1, 41), (1e-3, 1e-2)),
     ("toeplitz", harness.generate_toeplitz_instance, 240, 160, range(1, 7), (1e-5,)),
+    ("held-out", harness.generate_instance, 60, 30, range(1001, 1041), (1e-3, 1e-2)),
 )
 
 

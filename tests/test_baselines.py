@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import isvp
+from isvp import baselines
 from isvp.baselines import alg1_initialize, alg1_outer_step
 from isvp.cayley_free import SolverConfig
 from isvp.core import residual_d
@@ -83,7 +84,7 @@ class TestCayleyOrthogonalize:
 
 
 class TestAlg1OuterStep:
-    def test_matches_transliteration_oracle(self):
+    def test_matches_transliteration_oracle(self, monkeypatch):
         inst, c_star = isvp.generate_instance(4, 2, 31)
         c0 = isvp.perturb_c_star(c_star, 1e-2, 31)
         state = alg1_initialize(inst, c0)
@@ -121,7 +122,15 @@ class TestAlg1OuterStep:
         s1 = sigma + (eye_n - J1 @ B1) @ (sigma1 - sigma)
 
         next_state = alg1_outer_step(state, inst)
-        # J_1, B_1 and s_1 are formed by the step that starts from the new iterate
+        # J_1, B_1 and s_1 are formed by the step that starts from the new
+        # iterate; s_1 is a value of that step, read off its first skew pair
+        shifts = []
+
+        def spy(D, s):
+            shifts.append(s)
+            return isvp.alg1_skew_pair(D, s)
+
+        monkeypatch.setattr(baselines, "alg1_skew_pair", spy)
         alg1_outer_step(next_state, inst)
         for got, want in [
             (next_state.c, c1),
@@ -129,7 +138,7 @@ class TestAlg1OuterStep:
             (next_state.V, V1),
             (next_state.J, J1),
             (next_state.B, B1),
-            (next_state.s, s1),
+            (shifts[0], s1),
         ]:
             assert np.linalg.norm(got - want) <= 1e-13 * (1 + np.linalg.norm(want))
 

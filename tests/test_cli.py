@@ -114,6 +114,27 @@ class TestRunCommand:
             assert capsys.readouterr().err == f"error: {reason}\n"
         assert not (tmp_path / "out").exists()
 
+    def test_negative_seed_rejected_before_any_report(self, capsys, tmp_path):
+        argv = [
+            "run", "--m", "6", "--n", "3", "--beta", "1e-3",
+            "--seeds=-2..-1", "--out", str(tmp_path / "out"),
+        ]
+        assert main(argv) == EXIT_USAGE
+        assert capsys.readouterr().err == (
+            "error: seed -2 is negative; seeds must be non-negative integers\n"
+        )
+        assert not (tmp_path / "out" / "trace.csv").exists()
+        assert not (tmp_path / "out" / "summary.json").exists()
+
+    def test_infinite_tol_rejected(self, capsys, tmp_path):
+        argv = [
+            "run", "--m", "6", "--n", "3", "--beta", "1e-3",
+            "--seeds", "1", "--tol", "inf", "--out", str(tmp_path / "out"),
+        ]
+        assert main(argv) == EXIT_USAGE
+        assert capsys.readouterr().err == "error: tol must be finite\n"
+        assert not (tmp_path / "out").exists()
+
 
 class TestGenAndSolve:
     def test_gen_solve_round_trip(self, tmp_path, capsys):

@@ -119,6 +119,20 @@ class TestBuildB0:
             cayley_free_start(inst, c_star, 1.0, 1)
 
 
+@pytest.mark.parametrize(
+    "draw",
+    [
+        lambda seed: isvp.generate_instance(6, 3, seed),
+        lambda seed: isvp.perturb_c_star(np.array([0.5, 0.25]), 1e-3, seed),
+        lambda seed: isvp.build_B0(np.eye(3), 0.5, seed),
+    ],
+    ids=["generate_instance", "perturb_c_star", "build_B0"],
+)
+def test_a_seeded_draw_names_a_negative_seed(draw):
+    with pytest.raises(ValueError, match="^seed -3 is negative; seeds must be non-negative integers$"):
+        draw(-3)
+
+
 class TestRootRateEstimator:
     def test_cubic_sequence(self):
         d = [2.0 ** (-(3.0**k)) for k in range(5)]
@@ -173,6 +187,11 @@ class TestRunExperiment:
             self._config(tol=-1.0)
         with pytest.raises(ValueError, match="^max_iter must be at least 1$"):
             self._config(max_iter=0)
+
+    def test_config_rejects_a_negative_seed(self):
+        # checked when the config is built, before seed 1 is solved
+        with pytest.raises(ValueError, match="^seed -1 is negative; seeds must be non-negative integers$"):
+            self._config(seeds=(1, -1))
 
     def test_all_seeds_converge_small(self):
         bundle = isvp.run_experiment(self._config())

@@ -1,7 +1,7 @@
 """Every name a module of the package or of its tests imports is used in
 that module, every name a function there assigns is read, and every
-helper a test module defines is named somewhere in the package or its
-tests."""
+module-level function, class and constant that either defines is named
+somewhere in the package, its tests or its benchmarks."""
 
 import ast
 from pathlib import Path
@@ -9,9 +9,11 @@ from pathlib import Path
 import pytest
 
 _TESTS = Path(__file__).parent
-SOURCES = sorted(
-    p for p in (_TESTS.parent / "src" / "isvp").glob("*.py") if p.name != "__init__.py"
-) + sorted(_TESTS.glob("*.py"))
+_ROOT = _TESTS.parent
+PACKAGE = sorted((_ROOT / "src" / "isvp").glob("*.py"))
+SOURCES = [p for p in PACKAGE if p.name != "__init__.py"] + sorted(_TESTS.glob("*.py"))
+# a re-export in __init__.py is not a use: a name only it imports has no caller
+USERS = SOURCES + sorted((_ROOT / "benchmarks").glob("*.py"))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -77,8 +79,8 @@ def names_used(source: str) -> set[str]:
 
 
 def orphaned_helpers(source: str, used: set[str]) -> list[str]:
-    """Module-level functions, classes and constants of a test module that
-    no name in ``used`` refers to; pytest finds tests by their prefix."""
+    """Module-level functions, classes and constants of a module that no
+    name in ``used`` refers to; pytest finds tests by their prefix."""
     hits = []
     for node in ast.parse(source).body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
@@ -144,6 +146,9 @@ def test_no_dead_locals(path):
 
 
 def test_no_orphaned_helpers():
-    used = set().union(*(names_used(p.read_text()) for p in SOURCES))
-    hits = {p.name: orphaned_helpers(p.read_text(), used) for p in _TESTS.glob("*.py")}
+    used = set().union(*(names_used(p.read_text()) for p in USERS))
+    hits = {
+        str(p.relative_to(_ROOT)): orphaned_helpers(p.read_text(), used)
+        for p in PACKAGE + sorted(_TESTS.glob("*.py"))
+    }
     assert {name: found for name, found in hits.items() if found} == {}
