@@ -12,7 +12,6 @@ cross-checking both two-step methods.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -163,36 +162,27 @@ def alg1_solve(
     return _iterate(alg1_outer_step, state, instance, config, c_star, t_start)
 
 
-@dataclass
-class _NewtonState(SolverState):
-    """Newton iterate: c with W from the exact SVD of A(c) and the singular
-    values ``sigma``; the step from it forms the Jacobian, and ``B`` stays
-    ``None``."""
-
-    sigma: np.ndarray
-
-
-def _newton_point(instance: IsvpInstance, c: np.ndarray, k: int) -> _NewtonState:
-    """Exact SVD at c.
+def _newton_point(instance: IsvpInstance, c: np.ndarray, k: int) -> SolverState:
+    """The exact point at c (:func:`cayley_free._exact_point`), a plain
+    state whose ``W`` is Sigma and whose ``B`` stays ``None``.
 
     Singular values are matched to the targets by sorted order, so they
     must stay simple (gap above ``MIN_GAP``).
     """
-    W, factors = _exact_point(instance, c)
-    gap = spectral_gap(factors.sigma)
+    state = _exact_point(instance, c, k)
+    gap = spectral_gap(np.diagonal(state.W))
     if gap <= MIN_GAP:
         raise NumericalError(f"singular values too close along the path (gap {gap:.3e})")
-    return _NewtonState(
-        k=k, c=c, W=W, U=factors.U, V=factors.V, B=None, J=None, sigma=factors.sigma
-    )
+    return state
 
 
-def _newton_step(state: _NewtonState, instance: IsvpInstance) -> _NewtonState:
+def _newton_step(state: SolverState, instance: IsvpInstance) -> SolverState:
     """Form the exact Jacobian J_k at c_k and write it onto ``state``,
-    solve the Newton equation, then evaluate the new point."""
+    solve the Newton equation for f = diag(W) - sigma*, then evaluate
+    the new point."""
     if state.J is None:
         state.J = approx_jacobian(state.U, state.V, instance)
-    f = state.sigma - instance.sigma_star
+    f = np.diagonal(state.W) - instance.sigma_star
     try:
         delta = np.linalg.solve(state.J, -f)
     except np.linalg.LinAlgError as exc:
@@ -210,9 +200,10 @@ def newton_exact_solve(
 
     Every iteration solves the Newton equation by dense LU, recomputes a
     full SVD of A(c) and forms the exact Jacobian from the exact singular
-    vectors.  A collision of singular values at c0 raises
-    ``NumericalError``; later in the run it, like a singular Jacobian,
-    ends the solve as ``DIVERGED``.
+    vectors.  Each iterate is a plain :class:`cayley_free.SolverState`
+    whose ``W`` is Sigma, so f is read off its diagonal.  A collision of
+    singular values at c0 raises ``NumericalError``; later in the run it,
+    like a singular Jacobian, ends the solve as ``DIVERGED``.
     """
     t_start = time.perf_counter()
     c = np.asarray(c0, dtype=float).reshape(-1).copy()

@@ -20,6 +20,7 @@ iteration driver that the Cayley baseline and the Newton oracle share.
 
 from __future__ import annotations
 
+import numbers
 import time
 from dataclasses import dataclass
 
@@ -27,9 +28,9 @@ import numpy as np
 
 from .core import (
     IsvpInstance,
-    SvdFactorization,
     _require_finite,
     approx_jacobian,
+    diag_embed,
     evaluate_A,
     full_svd,
     generalized_residual_vector,
@@ -51,8 +52,8 @@ class SolverConfig:
     """Stopping rule shared by all solvers in this package.
 
     Iterations stop when the residual d_k drops to ``tol`` (positive and
-    finite), when ``max_iter`` outer iterations have run, or when d_k is
-    non-finite or exceeds 1e6 times max(d_0, 1).
+    finite), when ``max_iter`` (an integer, at least 1) outer iterations
+    have run, or when d_k is non-finite or exceeds 1e6 times max(d_0, 1).
     """
 
     tol: float = 1e-10
@@ -63,6 +64,8 @@ class SolverConfig:
             raise ValueError("tol must be positive")
         if not self.tol < np.inf:
             raise ValueError("tol must be finite")
+        if not isinstance(self.max_iter, numbers.Integral):
+            raise ValueError("max_iter must be an integer")
         if self.max_iter < 1:
             raise ValueError("max_iter must be at least 1")
 
@@ -133,21 +136,6 @@ def _evaluate_rows(instance: IsvpInstance, c: np.ndarray) -> np.ndarray:
     return evaluate_A(instance, c)[: instance.r]
 
 
-def _exact_point(instance: IsvpInstance, c: np.ndarray) -> tuple[np.ndarray, SvdFactorization]:
-    """W = U^T A(c) V from the exact SVD of the leading r rows of A(c),
-    and the SVD, whose ``U`` is r x r.
-
-    The one place an exact SVD runs inside a solve: ``full_svd``, looked
-    up in this module when called, which takes ``eigh`` for a square
-    block equal to its transpose (every Toeplitz one).  It forms no
-    Jacobian: a start that inverts J_0 forms it, and every iterate after
-    k = 0 has its J_k formed by the step that starts from it.
-    """
-    A_c = _evaluate_rows(instance, c)
-    factors = full_svd(A_c)
-    return factors.U.T @ (A_c @ factors.V), factors
-
-
 @dataclass
 class SolverState:
     """Complete mutable state of one outer iteration.
@@ -155,9 +143,13 @@ class SolverState:
     ``U`` is r x r and ``W`` = U^T A(c) V is r x n, over the leading
     ``instance.r`` rows of A(c) (see :class:`core.IsvpInstance`).  ``W``
     is formed once per iterate: its diagonal is the paper's residual
-    model J c + b, and the driver reads d_k off it.
+    model J c + b, and the driver reads d_k off it.  At an exact point
+    (see :func:`_exact_point`) ``W`` is Sigma, the singular values of
+    A(c) on the diagonal of an r x n zero matrix.
     ``B`` approximates the inverse of the approximate Jacobian ``J``; it
     is ``None`` from :func:`initialize` until the caller chooses B_0.
+    Newton's iterates are exact points of this class too, and their
+    ``B`` stays ``None``.
     At k = 0, ``J`` is J_0 only when the start formed it to build B_0
     (:func:`harness.cayley_free_start`, :func:`baselines.alg1_initialize`);
     no step reads it.
@@ -175,6 +167,23 @@ class SolverState:
     V: np.ndarray
     B: np.ndarray | None
     J: np.ndarray | None
+
+
+def _exact_point(instance: IsvpInstance, c: np.ndarray, k: int) -> SolverState:
+    """Iterate ``k`` at ``c`` from the exact SVD of the leading r rows of
+    A(c): ``U`` (r x r) and ``V`` are its factors, and ``W`` = U^T A(c) V
+    is Sigma = diag_embed(sigma, r), so no product with A(c) is formed.
+    ``B`` and ``J`` are ``None``.
+
+    The one place an exact SVD runs inside a solve: ``full_svd``, looked
+    up in this module when called, which takes ``eigh`` for a square
+    block equal to its transpose (every Toeplitz one).  It forms no
+    Jacobian: a start that inverts J_0 forms it, and every iterate after
+    k = 0 has its J_k formed by the step that starts from it.
+    """
+    factors = full_svd(_evaluate_rows(instance, c))
+    W = diag_embed(factors.sigma, instance.r)
+    return SolverState(k=k, c=c, W=W, U=factors.U, V=factors.V, B=None, J=None)
 
 
 @dataclass(frozen=True)
@@ -308,15 +317,14 @@ def outer_step(state: SolverState, instance: IsvpInstance) -> SolverState:
 
 
 def initialize(instance: IsvpInstance, c0) -> SolverState:
-    """Build the k = 0 state from an exact SVD of A(c0).
+    """The k = 0 state: the exact point at c0 (:func:`_exact_point`),
+    whose ``W`` is Sigma.
 
     ``B`` and ``J`` are left ``None``.  The caller sets B_0; a start that
     builds B_0 from J_0 forms it and writes it onto the state too, and
     otherwise record 0 forms J_0 only if its ``cond_j`` is read.
     """
-    c0 = np.asarray(c0, dtype=float).reshape(-1)
-    W0, factors = _exact_point(instance, c0)
-    return SolverState(k=0, c=c0.copy(), W=W0, U=factors.U, V=factors.V, B=None, J=None)
+    return _exact_point(instance, np.asarray(c0, dtype=float).reshape(-1).copy(), 0)
 
 
 def solve(

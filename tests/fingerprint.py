@@ -21,7 +21,8 @@ bit-identical to the golden ones (by SHA-256; for information only),
 and lists the rows that differ from the golden file.
 ``--compare`` reports the worst relative change in d_k where the other
 run's d_k is above 1e-8, the worst absolute change in d_k, and the worst
-change in an entry of c_final.  It exits 1 when a status or an iteration
+change in an entry of c_final, over all solves and again over the solves
+that converged in both runs.  It exits 1 when a status or an iteration
 count differs, and 0 otherwise.
 """
 
@@ -116,10 +117,11 @@ def read_golden() -> tuple[dict[str, str], list[list[str]]]:
     return shas, rows
 
 
-def worst_changes(solves: list[dict], reference: list[dict]) -> dict[str, tuple[float, list]]:
-    """The largest change against ``reference``, with where it occurs, of
-    d_k relative to a d_k' above ``RELATIVE_FLOOR``, of d_k absolute, and
-    of one c_final entry, over the iterates and entries both runs share."""
+def worst_changes(pairs: list[tuple[dict, dict]]) -> dict[str, tuple[float, list]]:
+    """The largest change of each solve against its reference solve in
+    ``pairs``, with where it occurs, of d_k relative to a d_k' above
+    ``RELATIVE_FLOOR``, of d_k absolute, and of one c_final entry, over the
+    iterates and entries both runs share."""
     worst = {name: (0.0, None) for name in ("relative d_k", "absolute d_k", "c_final entry")}
 
     def note(name, a, b, where, scale=1.0):
@@ -129,7 +131,7 @@ def worst_changes(solves: list[dict], reference: list[dict]) -> dict[str, tuple[
         if change > worst[name][0]:
             worst[name] = (change, where)
 
-    for s, r in zip(solves, reference):
+    for s, r in pairs:
         for k, (a, b) in enumerate(zip(s["d"], r["d"])):
             a, b = float.fromhex(a), float.fromhex(b)
             note("absolute d_k", a, b, s["key"] + [f"k={k}"])
@@ -166,8 +168,13 @@ def main(argv=None) -> int:
         if [s["key"] for s in reference] != [s["key"] for s in solves]:
             print("--compare: the two runs hold different solves")
             return 1
-        for name, (worst, where) in worst_changes(solves, reference).items():
-            print(f"worst {name} change: {worst:.3e}" + (f" at {' '.join(where)}" if where else ""))
+        # blowing-up solves dominate the changes over all solves
+        pairs = list(zip(solves, reference))
+        converged = [(s, r) for s, r in pairs if s["status"] == r["status"] == "converged"]
+        for scope, chosen in (("", pairs), (" over solves converged in both", converged)):
+            for name, (worst, where) in worst_changes(chosen).items():
+                print(f"worst {name} change{scope}: {worst:.3e}"
+                      + (f" at {' '.join(where)}" if where else ""))
     if args.write:
         shas = [["# sha256", name, sha] for name, sha in set_shas.items()]
         GOLDEN.write_text("\n".join("\t".join(row) for row in shas + [HEADER] + rows) + "\n")

@@ -9,7 +9,7 @@ from isvp.baselines import alg1_initialize, alg1_outer_step
 from isvp.cayley_free import SolverConfig
 from isvp.core import residual_d
 from isvp.errors import NumericalError
-from isvp.harness import Algorithm, cayley_free_start
+from isvp.harness import Algorithm, build_B0, cayley_free_start
 from isvp.report import SolveStatus
 
 from conftest import STEPS, solve
@@ -88,6 +88,9 @@ class TestAlg1OuterStep:
         inst, c_star = isvp.generate_instance(4, 2, 31)
         c0 = isvp.perturb_c_star(c_star, 1e-2, 31)
         state = alg1_initialize(inst, c0)
+        # a B_0 off inv(J_0) keeps I - J_k B_k well above roundoff, so the
+        # shifts s_k differ from sigma* and the oracle checks their formula
+        state.B = build_B0(state.J, 0.5, 31)
         U, V, J, B = state.U, state.V, state.J, state.B
         sigma = inst.sigma_star
 
@@ -267,6 +270,11 @@ def test_every_iterate_carries_W_and_its_record_reads_d_off_it(algorithm, monkey
     report = solve(algorithm, inst, c0)
     assert report.iterations >= 2 and len(states) == len(report.records)
     for state, record in zip(states, report.records):
-        W = state.U.T @ (isvp.evaluate_A(inst, state.c) @ state.V)
+        A_c = isvp.evaluate_A(inst, state.c)
+        W = state.U.T @ (A_c @ state.V)
         assert np.linalg.norm(state.W - W) <= 1e-14 * np.linalg.norm(W)
         assert record.d == residual_d(state.W, inst.sigma_star)
+        # an exact point (every k = 0 state, every Newton iterate) is its SVD: W = Sigma
+        if state.k == 0 or algorithm is Algorithm.NEWTON:
+            sigma = isvp.full_svd(A_c[: inst.r]).sigma
+            assert np.array_equal(state.W, isvp.diag_embed(sigma, inst.r))

@@ -114,7 +114,11 @@ class TestSolverConfig:
         config = SolverConfig()
         assert config.tol == 1e-10 and config.max_iter == 50
 
-    @pytest.mark.parametrize("kwargs", [{"tol": 0.0}, {"tol": np.inf}, {"max_iter": 0}])
+    @pytest.mark.parametrize(
+        "kwargs",
+        [{"tol": 0.0}, {"tol": np.inf}, {"max_iter": 0},
+         {"max_iter": float("nan")}, {"max_iter": 2.5}],
+    )
     def test_rejects_bad_values(self, kwargs):
         with pytest.raises(ValueError):
             SolverConfig(**kwargs)
