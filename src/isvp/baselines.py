@@ -4,9 +4,10 @@ The Cayley baseline keeps U and V exactly orthogonal by updating them
 through Cayley transforms of skew-symmetric correction matrices, at the
 price of 2(r + n) linear-system right-hand sides per outer iteration,
 for an r x r U (see :class:`core.IsvpInstance`).
-The Newton oracle recomputes a full SVD every iteration and solves the
-exact Jacobian equation; it is slow but serves as ground truth for
-cross-checking both two-step methods.
+The Newton oracle recomputes a thin SVD every iteration (it reads only
+the n leading left singular vectors) and solves the exact Jacobian
+equation; it is slow but serves as ground truth for cross-checking both
+two-step methods.
 """
 
 from __future__ import annotations
@@ -163,13 +164,14 @@ def alg1_solve(
 
 
 def _newton_point(instance: IsvpInstance, c: np.ndarray, k: int) -> SolverState:
-    """The exact point at c (:func:`cayley_free._exact_point`), a plain
-    state whose ``W`` is Sigma and whose ``B`` stays ``None``.
+    """The exact point at c (:func:`cayley_free._exact_point`) from the
+    thin SVD, a plain state with an r x n ``U``, whose n x n ``W`` is
+    Sigma and whose ``B`` stays ``None``.
 
     Singular values are matched to the targets by sorted order, so they
     must stay simple (gap above ``MIN_GAP``).
     """
-    state = _exact_point(instance, c, k)
+    state = _exact_point(instance, c, k, full_matrices=False)
     gap = spectral_gap(np.diagonal(state.W))
     if gap <= MIN_GAP:
         raise NumericalError(f"singular values too close along the path (gap {gap:.3e})")
@@ -199,8 +201,9 @@ def newton_exact_solve(
     """Classical Newton iteration on f(c) = sigma(c) - sigma*.
 
     Every iteration solves the Newton equation by dense LU, recomputes a
-    full SVD of A(c) and forms the exact Jacobian from the exact singular
-    vectors.  Each iterate is a plain :class:`cayley_free.SolverState`
+    thin SVD of A(c), whose U holds only the n singular vectors J reads,
+    and forms the exact Jacobian from the exact singular vectors.  Each
+    iterate is a plain :class:`cayley_free.SolverState`
     whose ``W`` is Sigma, so f is read off its diagonal.  A collision of
     singular values at c0 raises ``NumericalError``; later in the run it,
     like a singular Jacobian, ends the solve as ``DIVERGED``.

@@ -115,7 +115,7 @@ def _iterate(step, state, instance, config, c_star, t_start) -> SolveReport:
 def _jacobian_source(state, instance: IsvpInstance):
     """A function returning J_k of ``state``: the one it carries, or,
     when it carries none, one it forms from copies of U_k[:, :n] and V_k, so the
-    r x r ``U`` is not kept."""
+    state's ``U`` (r x r, or r x n on a Newton iterate) is not kept."""
     J = state.J
     if J is not None:
         return lambda: J
@@ -141,11 +141,13 @@ class SolverState:
     """Complete mutable state of one outer iteration.
 
     ``U`` is r x r and ``W`` = U^T A(c) V is r x n, over the leading
-    ``instance.r`` rows of A(c) (see :class:`core.IsvpInstance`).  ``W``
-    is formed once per iterate: its diagonal is the paper's residual
-    model J c + b, and the driver reads d_k off it.  At an exact point
-    (see :func:`_exact_point`) ``W`` is Sigma, the singular values of
-    A(c) on the diagonal of an r x n zero matrix.
+    ``instance.r`` rows of A(c) (see :class:`core.IsvpInstance`), except
+    on a Newton iterate, which carries the thin factor: an r x n ``U``
+    and an n x n ``W``.  ``W`` is formed once per iterate: its diagonal
+    is the paper's residual model J c + b, and the driver reads d_k off
+    it.  At an exact point (see :func:`_exact_point`) ``W`` is Sigma,
+    the singular values of A(c) on the diagonal of a zero matrix with as
+    many rows as ``U`` has columns.
     ``B`` approximates the inverse of the approximate Jacobian ``J``; it
     is ``None`` from :func:`initialize` until the caller chooses B_0.
     Newton's iterates are exact points of this class too, and their
@@ -169,11 +171,18 @@ class SolverState:
     J: np.ndarray | None
 
 
-def _exact_point(instance: IsvpInstance, c: np.ndarray, k: int) -> SolverState:
+def _exact_point(
+    instance: IsvpInstance, c: np.ndarray, k: int, full_matrices: bool
+) -> SolverState:
     """Iterate ``k`` at ``c`` from the exact SVD of the leading r rows of
-    A(c): ``U`` (r x r) and ``V`` are its factors, and ``W`` = U^T A(c) V
-    is Sigma = diag_embed(sigma, r), so no product with A(c) is formed.
-    ``B`` and ``J`` are ``None``.
+    A(c): ``U`` and ``V`` are its factors, and ``W`` = U^T A(c) V is
+    Sigma = diag_embed(sigma, q), q the column count of ``U``, so no
+    product with A(c) is formed.  ``B`` and ``J`` are ``None``.
+
+    ``full_matrices`` is the caller's: a two-step start
+    (:func:`initialize`) needs the trailing columns of an r x r ``U``,
+    while a Newton iterate reads only ``U[:, :n]`` and takes the thin
+    r x n factor, so q is r or n.
 
     The one place an exact SVD runs inside a solve: ``full_svd``, looked
     up in this module when called, which takes ``eigh`` for a square
@@ -181,8 +190,8 @@ def _exact_point(instance: IsvpInstance, c: np.ndarray, k: int) -> SolverState:
     Jacobian: a start that inverts J_0 forms it, and every iterate after
     k = 0 has its J_k formed by the step that starts from it.
     """
-    factors = full_svd(_evaluate_rows(instance, c))
-    W = diag_embed(factors.sigma, instance.r)
+    factors = full_svd(_evaluate_rows(instance, c), full_matrices=full_matrices)
+    W = diag_embed(factors.sigma, factors.U.shape[1])
     return SolverState(k=k, c=c, W=W, U=factors.U, V=factors.V, B=None, J=None)
 
 
@@ -318,13 +327,14 @@ def outer_step(state: SolverState, instance: IsvpInstance) -> SolverState:
 
 def initialize(instance: IsvpInstance, c0) -> SolverState:
     """The k = 0 state: the exact point at c0 (:func:`_exact_point`),
-    whose ``W`` is Sigma.
+    with the full r x r ``U`` a two-step method updates, and ``W`` Sigma.
 
     ``B`` and ``J`` are left ``None``.  The caller sets B_0; a start that
     builds B_0 from J_0 forms it and writes it onto the state too, and
     otherwise record 0 forms J_0 only if its ``cond_j`` is read.
     """
-    return _exact_point(instance, np.asarray(c0, dtype=float).reshape(-1).copy(), 0)
+    c = np.asarray(c0, dtype=float).reshape(-1).copy()
+    return _exact_point(instance, c, 0, full_matrices=True)
 
 
 def solve(

@@ -6,7 +6,7 @@ spectrum sigma*.  The affine family is A(c) = A_0 + sum_i c_i A_i and a
 solution is any c whose singular values equal sigma*.  This module owns
 the validated problem type with its two basis forms (a dense row-major
 array, and the O(n) symmetric Toeplitz family with an FFT Jacobian), the
-matrix family evaluation, the full SVD with a deterministic sign
+matrix family evaluation, the full or thin SVD with a deterministic sign
 convention (a symmetric eigendecomposition for a matrix equal to its
 transpose, LAPACK's SVD for any other), the approximate Jacobian
 [J]_ij = u_i^T A_j v_i and its one inverse at the start, the generalized
@@ -144,8 +144,9 @@ class IsvpInstance:
     ``basis`` stack, whose entry 0 is the affine offset A_0 and entries
     1..n are the coefficient matrices A_1, ..., A_n, all of shape (m, n)
     with m >= n.  Rows r and beyond of every A(c) are zero, so the
-    solvers work on the leading r rows and carry an r x r ``U``, from
-    :func:`full_svd` of those rows.
+    solvers work on the leading r rows: the two-step methods carry an
+    r x r ``U`` and the Newton oracle an r x n one, from :func:`full_svd`
+    of those rows.
     ``sigma_star`` holds the n targets, strictly decreasing and positive
     with a :func:`spectral_gap` above ``MIN_GAP``.
     """
@@ -241,7 +242,8 @@ def evaluate_A(instance: IsvpInstance, c) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SvdFactorization:
-    """Full SVD A = U diag(sigma) V^T with U m x m, V n x n, sigma decreasing."""
+    """SVD A = U diag(sigma) V^T with V n x n and sigma decreasing: U is
+    m x m for the full factor, m x n for the thin one."""
 
     U: np.ndarray
     V: np.ndarray
@@ -255,21 +257,25 @@ def _pivot_signs(X: np.ndarray) -> np.ndarray:
     return np.where(X[pivots, np.arange(X.shape[1])] < 0.0, -1.0, 1.0)
 
 
-def full_svd(A) -> SvdFactorization:
-    """Full SVD with a deterministic sign convention.
+def full_svd(A, full_matrices: bool = True) -> SvdFactorization:
+    """SVD with a deterministic sign convention.
 
     For each right singular vector the entry of largest magnitude is made
     positive (ties broken by lowest row index) and the paired left vector
-    is flipped in tandem.  When m > n the trailing columns of U are the
-    orthonormal completion LAPACK returns with the full SVD, each
-    sign-normalized by the same rule, so reruns produce identical factors.
+    is flipped in tandem.  ``full_matrices`` is numpy's: when it is true
+    and m > n, the trailing columns of U are the orthonormal completion
+    LAPACK returns with the full SVD, each sign-normalized by the same
+    rule, so reruns produce identical factors; when it is false, U holds
+    only the n leading columns (the thin SVD, Golub and Van Loan, *Matrix
+    Computations*, section 2.4), and sigma and V are the full factor's.
 
     An A equal to its transpose bit for bit (so square) needs no SVD: its
     eigendecomposition A = Q diag(lambda) Q^T gives sigma = |lambda| and
     V = Q, ordered by |lambda| decreasing (a stable sort, so ties keep
     ``eigh``'s ascending order), and U = V diag(sign(lambda)) with sign +1
     at lambda = 0 (Golub and Van Loan, *Matrix Computations*, section
-    8.6).  Every other A takes one LAPACK SVD.
+    8.6); ``full_matrices`` changes nothing there.  Every other A takes
+    one LAPACK SVD.
     """
     A = np.asarray(A, dtype=float)
     if A.ndim != 2:
@@ -290,12 +296,14 @@ def full_svd(A) -> SvdFactorization:
         U = V * np.where(lam < 0.0, -1.0, 1.0)
         return SvdFactorization(U=U, V=V, sigma=np.abs(lam))
     try:
-        U, sigma, Vt = np.linalg.svd(A)
+        U, sigma, Vt = np.linalg.svd(A, full_matrices=full_matrices)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"SVD did not converge: {exc}") from exc
     signs = _pivot_signs(Vt.T)
     V = Vt.T * signs
-    U *= np.concatenate([signs, _pivot_signs(U[:, n:])])
+    if U.shape[1] > n:
+        U[:, n:] *= _pivot_signs(U[:, n:])
+    U[:, :n] *= signs
     return SvdFactorization(U=U, V=V, sigma=sigma)
 
 

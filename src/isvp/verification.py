@@ -218,20 +218,24 @@ def check_residual_affinity(trials: int, seed: int) -> CheckResult:
 
 def check_svd_factorization(trials: int, seed: int) -> CheckResult:
     """Orthogonality and reconstruction bounds of full_svd on a random
-    m x n matrix (its SVD branch) and on a random symmetric n x n one
-    (its eigh branch)."""
+    m x n matrix (its SVD branch, full and thin) and on a random
+    symmetric n x n one (its eigh branch); the thin factor's sigma and V
+    must equal the full factor's bit for bit."""
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(trials):
         m, n = _random_shape(rng)
         general = rng.standard_normal((m, n))
         X = rng.standard_normal((n, n))
-        for A in (general, X + X.T):
-            f = full_svd(A)
-            rows = A.shape[0]
-            res_u = np.linalg.norm(f.U.T @ f.U - np.eye(rows)) / (1e-12 * rows)
+        full = full_svd(general)
+        thin = full_svd(general, full_matrices=False)
+        same = np.array_equal(thin.sigma, full.sigma) and np.array_equal(thin.V, full.V)
+        worst = _worst(worst, 0.0 if same else np.inf)
+        for A, f in ((general, full), (general, thin), (X + X.T, full_svd(X + X.T))):
+            cols = f.U.shape[1]
+            res_u = np.linalg.norm(f.U.T @ f.U - np.eye(cols)) / (1e-12 * cols)
             res_v = np.linalg.norm(f.V.T @ f.V - np.eye(n)) / (1e-12 * n)
-            rec = np.linalg.norm(f.U.T @ A @ f.V - diag_embed(f.sigma, rows)) / (
+            rec = np.linalg.norm(f.U.T @ A @ f.V - diag_embed(f.sigma, cols)) / (
                 1e-10 * np.linalg.norm(A)
             )
             worst = _worst(worst, res_u, res_v, rec)

@@ -274,7 +274,10 @@ def test_every_iterate_carries_W_and_its_record_reads_d_off_it(algorithm, monkey
         W = state.U.T @ (A_c @ state.V)
         assert np.linalg.norm(state.W - W) <= 1e-14 * np.linalg.norm(W)
         assert record.d == residual_d(state.W, inst.sigma_star)
-        # an exact point (every k = 0 state, every Newton iterate) is its SVD: W = Sigma
+        # an exact point (every k = 0 state, every Newton iterate) is its SVD: W = Sigma,
+        # r x n at a two-step start and n x n on Newton's thin factor, whose
+        # sigma is the full factor's bit for bit
         if state.k == 0 or algorithm is Algorithm.NEWTON:
             sigma = isvp.full_svd(A_c[: inst.r]).sigma
-            assert np.array_equal(state.W, isvp.diag_embed(sigma, inst.r))
+            rows = inst.n if algorithm is Algorithm.NEWTON else inst.r
+            assert np.array_equal(state.W, isvp.diag_embed(sigma, rows))

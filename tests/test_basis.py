@@ -94,9 +94,13 @@ class TestToeplitzForm:
 
         monkeypatch.setattr(module, step, spy)
         assert solve(algorithm, inst, isvp.perturb_c_star(c_star, 1e-5, 3)).iterations >= 1
+        # a Newton iterate carries the thin factor: r x n U, n x n W (r = n on Toeplitz)
+        cols = 20 if algorithm is Algorithm.NEWTON else r
         for state in states:
-            assert state.U.shape == (r, r)
-            assert state.W.shape == (r, 20)
+            assert state.U.shape == (r, cols)
+            assert state.W.shape == (cols, 20)
+            if algorithm is Algorithm.NEWTON:
+                assert np.linalg.norm(state.U.T @ state.U - np.eye(cols)) <= 1e-13
 
     @pytest.mark.parametrize("m,n", SHAPES)
     def test_leading_block_is_exactly_symmetric(self, m, n):
@@ -116,10 +120,13 @@ class TestToeplitzForm:
         inst, c_star = build()
         c0 = isvp.perturb_c_star(c_star, 1e-5, 3)
         calls = dict.fromkeys(["exact points", "eigh", "svd"], 0)
+        full_matrices = []  # the factor each svd call asks for
 
         def counting(name, fn):
             def counted(*args, **kwargs):
                 calls[name] += 1
+                if name == "svd":
+                    full_matrices.append(kwargs.get("full_matrices", True))
                 return fn(*args, **kwargs)
 
             return counted
@@ -131,6 +138,12 @@ class TestToeplitzForm:
         other = "svd" if routine == "eigh" else "eigh"
         assert calls[routine] == calls["exact points"] > 0
         assert calls[other] == 0
+        if case == "tall-dense":
+            # Newton reads only U[:, :n]; a two-step start updates the trailing columns too
+            if algorithm is Algorithm.NEWTON:
+                assert full_matrices == [False] * calls["svd"]
+            else:
+                assert full_matrices == [True]
 
     @pytest.mark.parametrize("m,n", SHAPES)
     def test_jacobian_matches_dense_kernel(self, m, n):

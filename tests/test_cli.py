@@ -313,11 +313,24 @@ def _non_skew_pair(D, sigma):
 
 
 def _doubling_sigma(factorize):
-    def doubled_sigma(A):
-        factors = factorize(A)
+    def doubled_sigma(A, **kwargs):
+        factors = factorize(A, **kwargs)
         return dataclasses.replace(factors, sigma=2.0 * factors.sigma)
 
     return doubled_sigma
+
+
+def _flipping_thin_U(svd):
+    """LAPACK's SVD with the thin factor's U negated, so it no longer pairs with V."""
+
+    def flipped_thin_U(A, full_matrices=True, **kwargs):
+        factors = svd(A, full_matrices=full_matrices, **kwargs)
+        if full_matrices:
+            return factors
+        U, sigma, Vt = factors
+        return -U, sigma, Vt
+
+    return flipped_thin_U
 
 
 def _doubling_eigenvalues(eigh):
@@ -358,8 +371,9 @@ WRONG_KERNELS = {
     verification.check_svd_factorization: ("full_svd", _doubling_sigma(isvp.full_svd)),
 }
 
-# the svd check runs once more with full_svd's eigh branch wrong, and the
-# fixed-point check once with each solver's step drifting
+# the svd check runs twice more, with full_svd's eigh branch wrong and with
+# its thin branch wrong, and the fixed-point check once with each solver's
+# step drifting
 WRONG_KERNEL_CASES = [
     pytest.param(check, verification, *WRONG_KERNELS[check], id=check.__name__)
     for check in verification.ALL_CHECKS
@@ -368,7 +382,11 @@ WRONG_KERNEL_CASES = [
     pytest.param(
         verification.check_svd_factorization, np.linalg, "eigh",
         _doubling_eigenvalues(np.linalg.eigh), id="check_svd_factorization-symmetric",
-    )
+    ),
+    pytest.param(
+        verification.check_svd_factorization, np.linalg, "svd",
+        _flipping_thin_U(np.linalg.svd), id="check_svd_factorization-thin",
+    ),
 ] + [
     pytest.param(
         verification.check_solver_fixed_points, module, step, _drifting(getattr(module, step)),

@@ -139,7 +139,7 @@ def test_failures_while_building_k0_raise(algorithm, generate, routine, monkeypa
     with pytest.raises(NonFiniteInput, match="^c contains NaN or infinity$"):
         solve(algorithm, inst, c_nan)
 
-    def fail(A):
+    def fail(A, **kwargs):
         raise np.linalg.LinAlgError("did not converge")
 
     monkeypatch.setattr(np.linalg, routine, fail)
