@@ -154,7 +154,8 @@ class SolverState:
     ``B`` stays ``None``.
     At k = 0, ``J`` is J_0 only when the start formed it to build B_0
     (:func:`harness.cayley_free_start`, :func:`baselines.alg1_initialize`);
-    no step reads it.
+    the Cayley-free step never reads it, and alg1's first step reads it
+    in its second shift.
 
     On an iterate that a step has produced, ``J`` is ``None`` and ``B``
     still holds B_{k-1}: the step that starts from the iterate forms J_k
@@ -273,7 +274,8 @@ def _form_jacobian(state: SolverState, instance: IsvpInstance) -> None:
     """On an iterate that a step has produced (k >= 1 and ``J`` is
     ``None``), form J_k and B_k = chebyshev_update(B_{k-1}, J_k) and write
     both onto ``state``.  At k = 0 it forms nothing: ``B`` is the
-    caller's B_0, and the first Jacobian the iteration reads is J_1.
+    caller's B_0, and the first Jacobian the Cayley-free iteration
+    reads is J_1.
     ``J`` is written first, so it reaches the record even when a
     non-finite J_k or B_k raises ``NumericalError``.
     """

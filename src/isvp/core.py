@@ -6,9 +6,9 @@ spectrum sigma*.  The affine family is A(c) = A_0 + sum_i c_i A_i and a
 solution is any c whose singular values equal sigma*.  This module owns
 the validated problem type with its two basis forms (a dense row-major
 array, and the O(n) symmetric Toeplitz family with an FFT Jacobian), the
-matrix family evaluation, the full or thin SVD with a deterministic sign
-convention (a symmetric eigendecomposition for a matrix equal to its
-transpose, LAPACK's SVD for any other), the approximate Jacobian
+matrix family evaluation, the full or thin SVD (a symmetric
+eigendecomposition for a matrix equal to its transpose, LAPACK's SVD
+for any other), the approximate Jacobian
 [J]_ij = u_i^T A_j v_i and its one inverse at the start, the generalized
 residual vector used by the solvers, and the Frobenius residual
 d = ||U^T A(c) V - Sigma*||_F.
@@ -250,24 +250,17 @@ class SvdFactorization:
     sigma: np.ndarray
 
 
-def _pivot_signs(X: np.ndarray) -> np.ndarray:
-    """-1 for each column of X whose entry of largest magnitude (lowest
-    row index on ties) is negative, +1 otherwise."""
-    pivots = np.argmax(np.abs(X), axis=0)
-    return np.where(X[pivots, np.arange(X.shape[1])] < 0.0, -1.0, 1.0)
-
-
 def full_svd(A, full_matrices: bool = True) -> SvdFactorization:
-    """SVD with a deterministic sign convention.
+    """SVD with the factors its routine returns.
 
-    For each right singular vector the entry of largest magnitude is made
-    positive (ties broken by lowest row index) and the paired left vector
-    is flipped in tandem.  ``full_matrices`` is numpy's: when it is true
-    and m > n, the trailing columns of U are the orthonormal completion
-    LAPACK returns with the full SVD, each sign-normalized by the same
-    rule, so reruns produce identical factors; when it is false, U holds
-    only the n leading columns (the thin SVD, Golub and Van Loan, *Matrix
-    Computations*, section 2.4), and sigma and V are the full factor's.
+    ``full_matrices`` is numpy's: when it is true and m > n, the trailing
+    columns of U are the orthonormal completion LAPACK returns with the
+    full SVD; when it is false, U holds only the n leading columns (the
+    thin SVD, Golub and Van Loan, *Matrix Computations*, section 2.4),
+    and sigma and V are the full factor's.  Each pair (u_i, v_i) keeps
+    the sign LAPACK gives it: every solve reads the vectors only through
+    quantities that a paired flip leaves unchanged, and one build at one
+    thread count returns the same factors on every call.
 
     An A equal to its transpose bit for bit (so square) needs no SVD: its
     eigendecomposition A = Q diag(lambda) Q^T gives sigma = |lambda| and
@@ -292,19 +285,13 @@ def full_svd(A, full_matrices: bool = True) -> SvdFactorization:
         order = np.argsort(-np.abs(lam), kind="stable")
         lam = lam[order]
         V = Q[:, order]
-        V *= _pivot_signs(V)
         U = V * np.where(lam < 0.0, -1.0, 1.0)
         return SvdFactorization(U=U, V=V, sigma=np.abs(lam))
     try:
         U, sigma, Vt = np.linalg.svd(A, full_matrices=full_matrices)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"SVD did not converge: {exc}") from exc
-    signs = _pivot_signs(Vt.T)
-    V = Vt.T * signs
-    if U.shape[1] > n:
-        U[:, n:] *= _pivot_signs(U[:, n:])
-    U[:, :n] *= signs
-    return SvdFactorization(U=U, V=V, sigma=sigma)
+    return SvdFactorization(U=U, V=Vt.T, sigma=sigma)
 
 
 def approx_jacobian(U: np.ndarray, V: np.ndarray, instance: IsvpInstance) -> np.ndarray:

@@ -16,6 +16,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import numbers
 import statistics
 import time
 from dataclasses import asdict, dataclass, field
@@ -46,6 +47,8 @@ def _check_mu(mu: float) -> None:
 
 
 def _check_seed(seed: int) -> None:
+    if not isinstance(seed, numbers.Integral):
+        raise ValueError(f"seed {seed!r} is not an integer; seeds must be non-negative integers")
     if seed < 0:
         raise ValueError(f"seed {seed} is negative; seeds must be non-negative integers")
 
@@ -197,6 +200,7 @@ def build_B0(J0: np.ndarray, mu: float, seed: int) -> np.ndarray:
     I - B_0 J_0 = -P up to roundoff.
     """
     _check_mu(mu)
+    _check_seed(seed)
     B_inv = jacobian_inverse(J0)
     if mu == 0.0:
         return B_inv
@@ -273,6 +277,7 @@ def run_solver(
     solve time.
     """
     algorithm = _check_start(algorithm, mu)
+    _check_seed(seed)
     if algorithm is Algorithm.ALG1:
         return alg1_solve(instance, c0, config, c_star=c_star), None
     if algorithm is Algorithm.NEWTON:

@@ -165,6 +165,23 @@ class TestGenAndSolve:
             ])
             assert code == EXIT_OK
 
+    def test_solve_negative_seed_is_a_usage_error(self, tmp_path, capsys):
+        # a start file needs no seeded draw, yet the seed is checked before any solve
+        inst_path = tmp_path / "instance.txt"
+        main(["gen", "--m", "10", "--n", "4", "--seed", "3", "--out", str(inst_path)])
+        c0_path = tmp_path / "c0.txt"
+        c0_path.write_text((tmp_path / "instance.txt.cstar").read_text())
+        capsys.readouterr()
+        for algorithm in ("cayley-free", "alg1", "newton"):
+            code = main([
+                "solve", "--instance", str(inst_path), "--c0", str(c0_path),
+                "--algorithm", algorithm, "--seed", "-5",
+            ])
+            assert code == EXIT_USAGE
+            out, err = capsys.readouterr()
+            assert "k=" not in out
+            assert err == "error: seed -5 is negative; seeds must be non-negative integers\n"
+
     def test_solve_without_start_information(self, monkeypatch, capsys):
         # the missing start is reported before the instance file is read
         monkeypatch.setattr(cli, "load_instance", lambda path: pytest.fail("instance was read"))

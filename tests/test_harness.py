@@ -119,18 +119,32 @@ class TestBuildB0:
             cayley_free_start(inst, c_star, 1.0, 1)
 
 
+def _run_solver(algorithm):
+    def solve(seed):
+        inst, c_star = isvp.generate_instance(6, 3, 1)
+        return harness.run_solver(algorithm, inst, c_star, isvp.SolverConfig(), 0.0, seed)
+
+    return solve
+
+
 @pytest.mark.parametrize(
     "draw",
     [
         lambda seed: isvp.generate_instance(6, 3, seed),
         lambda seed: isvp.perturb_c_star(np.array([0.5, 0.25]), 1e-3, seed),
         lambda seed: isvp.build_B0(np.eye(3), 0.5, seed),
+        # mu = 0 draws nothing, yet still names the seed
+        lambda seed: isvp.build_B0(np.eye(3), 0.0, seed),
+        *(_run_solver(algorithm) for algorithm in isvp.Algorithm),
     ],
-    ids=["generate_instance", "perturb_c_star", "build_B0"],
+    ids=["generate_instance", "perturb_c_star", "build_B0", "build_B0-mu0"]
+    + [f"run_solver-{a.value}" for a in isvp.Algorithm],
 )
 def test_a_seeded_draw_names_a_negative_seed(draw):
     with pytest.raises(ValueError, match="^seed -3 is negative; seeds must be non-negative integers$"):
         draw(-3)
+    with pytest.raises(ValueError, match="^seed 2.0 is not an integer; seeds must be non-negative integers$"):
+        draw(2.0)
 
 
 class TestRootRateEstimator:
@@ -192,6 +206,8 @@ class TestRunExperiment:
         # checked when the config is built, before seed 1 is solved
         with pytest.raises(ValueError, match="^seed -1 is negative; seeds must be non-negative integers$"):
             self._config(seeds=(1, -1))
+        with pytest.raises(ValueError, match="^seed 1.5 is not an integer; seeds must be non-negative integers$"):
+            self._config(seeds=(1.5,))
 
     def test_all_seeds_converge_small(self):
         bundle = isvp.run_experiment(self._config())

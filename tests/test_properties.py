@@ -5,10 +5,14 @@ checks, on seeds that hypothesis draws; the properties below have no
 verify check of their own."""
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import isvp
+from isvp import cayley_free
+from isvp.core import SvdFactorization
+from isvp.harness import Algorithm, run_solver
 from isvp.verification import (
     check_chebyshev_cubing,
     check_correction_symmetrization,
@@ -66,6 +70,62 @@ def test_residual_d_sign_flip_invariance(params):
     d1 = isvp.residual_d(U.T @ A @ V, sigma)
     d2 = isvp.residual_d(U2.T @ A @ V2, sigma)
     assert abs(d1 - d2) <= 1e-14 * (1.0 + d1)
+
+
+def _flipping_pairs(svd, rng):
+    """``svd`` with each pair (u_i, v_i) flipped by one seeded sign and
+    each completion column of U by another, drawn anew on every call."""
+
+    def flipped(A, full_matrices=True):
+        f = svd(A, full_matrices=full_matrices)
+        n, q = f.V.shape[1], f.U.shape[1]
+        pairs = rng.choice([-1.0, 1.0], n)
+        flips = np.concatenate([pairs, rng.choice([-1.0, 1.0], q - n)])
+        # broadcast products keep each factor's memory layout
+        return SvdFactorization(U=f.U * flips, V=f.V * pairs, sigma=f.sigma)
+
+    return flipped
+
+
+def _trace(report):
+    # hex floats, so that inf and NaN compare too
+    return (
+        report.status,
+        report.iterations,
+        [rec.d.hex() for rec in report.records],
+        [rec.cond_j.hex() for rec in report.records],
+        [float(x).hex() for x in report.c_final],
+    )
+
+
+# (generator, m, n, beta); the 60 x 30 seeds 1 and 2 at beta 1e-2 include
+# diverging cf and alg1 solves
+FLIP_CASES = {
+    "dense-30x12": (isvp.generate_instance, 30, 12, 1e-3),
+    "dense-60x30": (isvp.generate_instance, 60, 30, 1e-2),
+    "toeplitz-40x30": (isvp.generate_toeplitz_instance, 40, 30, 1e-3),
+}
+
+
+@pytest.mark.parametrize("algorithm", list(Algorithm), ids=[a.value for a in Algorithm])
+@pytest.mark.parametrize("case", FLIP_CASES.values(), ids=list(FLIP_CASES))
+def test_solves_ignore_the_signs_of_singular_vector_pairs(algorithm, case, monkeypatch):
+    # every solve reads U and V only through quantities that a paired flip
+    # leaves unchanged, so flipping them changes no bit of its trace
+    generate, m, n, beta = case
+    for seed in range(1, 5):
+        instance, c_star = generate(m, n, seed)
+        c0 = isvp.perturb_c_star(c_star, beta, seed)
+
+        def solve():
+            report, _ = run_solver(algorithm, instance, c0, isvp.SolverConfig(), 0.0, seed)
+            return _trace(report)
+
+        reference = solve()
+        with monkeypatch.context() as patch:
+            rng = np.random.default_rng(seed)
+            patch.setattr(cayley_free, "full_svd", _flipping_pairs(cayley_free.full_svd, rng))
+            assert solve() == reference
 
 
 @given(
