@@ -182,8 +182,7 @@ def _newton_step(state: SolverState, instance: IsvpInstance) -> SolverState:
     """Form the exact Jacobian J_k at c_k and write it onto ``state``,
     solve the Newton equation for f = diag(W) - sigma*, then evaluate
     the new point."""
-    if state.J is None:
-        state.J = approx_jacobian(state.U, state.V, instance)
+    state.J = approx_jacobian(state.U, state.V, instance)
     f = np.diagonal(state.W) - instance.sigma_star
     try:
         delta = np.linalg.solve(state.J, -f)

@@ -47,6 +47,10 @@ _STEP_FAILURES = (NumericalError, NonFiniteInput)
 _DIVERGENCE_FACTOR = 1e6
 
 
+def _is_integer(x) -> bool:
+    return isinstance(x, numbers.Integral) and not isinstance(x, bool)
+
+
 @dataclass(frozen=True)
 class SolverConfig:
     """Stopping rule shared by all solvers in this package.
@@ -64,7 +68,7 @@ class SolverConfig:
             raise ValueError("tol must be positive")
         if not self.tol < np.inf:
             raise ValueError("tol must be finite")
-        if not isinstance(self.max_iter, numbers.Integral):
+        if not _is_integer(self.max_iter):
             raise ValueError("max_iter must be an integer")
         if self.max_iter < 1:
             raise ValueError("max_iter must be at least 1")
@@ -79,9 +83,9 @@ def _iterate(step, state, instance, config, c_star, t_start) -> SolveReport:
     and, when ``c_star`` is given, the distance of c_k to it.  After the
     step from iterate k, record k is handed the J_k that the step (or, at
     k = 0, the start) formed; an iterate that carries none, such as the
-    last, hands copies of U_k[:, :n] and V_k instead, so the record forms
-    J_k only if its ``cond_j`` is read.  A step that raises one of the
-    numerical failures ends the solve as ``DIVERGED``.
+    last, is kept by its record, which forms J_k from it only if its
+    ``cond_j`` is read.  A step that raises one of the numerical failures
+    ends the solve as ``DIVERGED``.
     """
     config = config or SolverConfig()
     records, status, t_prev = [], None, t_start
@@ -113,15 +117,12 @@ def _iterate(step, state, instance, config, c_star, t_start) -> SolveReport:
 
 
 def _jacobian_source(state, instance: IsvpInstance):
-    """A function returning J_k of ``state``: the one it carries, or,
-    when it carries none, one it forms from copies of U_k[:, :n] and V_k, so the
-    state's ``U`` (r x r, or r x n on a Newton iterate) is not kept."""
+    """A function returning J_k of ``state``: the one it carries, or, when
+    it carries none, one that keeps the state and forms J_k from it."""
     J = state.J
     if J is not None:
         return lambda: J
-    # order="K" keeps each factor's memory layout, and with it the bits of J_k
-    Un, V = state.U[:, : instance.n].copy(order="K"), state.V.copy(order="K")
-    return lambda: approx_jacobian(Un, V, instance)
+    return lambda: approx_jacobian(state.U, state.V, instance)
 
 
 def _check_updated(*named: tuple[str, np.ndarray]) -> None:

@@ -12,8 +12,8 @@ family; the message says what went wrong:
 ``NonFiniteInput`` is the one input error with a class of its own,
 because the driver tells it apart: inside a step it reports an
 overflowed intermediate and ends the solve as ``diverged`` too, while
-any other input error there propagates.  ``DegenerateDraw`` and
-``InsufficientData`` belong to neither family.
+any other input error there propagates.  ``DegenerateDraw`` belongs
+to neither family.
 """
 
 
@@ -35,7 +35,3 @@ class NonFiniteInput(InputError):
 
 class DegenerateDraw(IsvpError):
     """A randomly drawn instance has a degenerate spectrum."""
-
-
-class InsufficientData(IsvpError):
-    """Not enough residual history to estimate a convergence rate."""

@@ -16,7 +16,6 @@ from __future__ import annotations
 import csv
 import io
 import json
-import numbers
 import statistics
 import time
 from dataclasses import asdict, dataclass, field
@@ -28,9 +27,9 @@ import numpy as np
 
 from . import __version__, cayley_free
 from .baselines import alg1_solve, newton_exact_solve
-from .cayley_free import SolverConfig, SolverState
+from .cayley_free import SolverConfig, SolverState, _is_integer
 from .core import DenseBasis, IsvpInstance, ToeplitzBasis, _require_finite, jacobian_inverse, make_instance
-from .errors import DegenerateDraw, InputError, InsufficientData, IsvpError, NumericalError
+from .errors import DegenerateDraw, InputError, IsvpError, NumericalError
 from .report import SolveReport, SolveStatus
 
 _ROLE_GENERATE = 0
@@ -47,7 +46,7 @@ def _check_mu(mu: float) -> None:
 
 
 def _check_seed(seed: int) -> None:
-    if not isinstance(seed, numbers.Integral):
+    if not _is_integer(seed):
         raise ValueError(f"seed {seed!r} is not an integer; seeds must be non-negative integers")
     if seed < 0:
         raise ValueError(f"seed {seed} is negative; seeds must be non-negative integers")
@@ -81,9 +80,17 @@ class ExperimentConfig:
     max_iter: int = SolverConfig.max_iter
 
     def __post_init__(self):
-        object.__setattr__(self, "seeds", tuple(self.seeds))
+        seeds = []
         for seed in self.seeds:
             _check_seed(seed)
+            if seed in seeds:
+                raise ValueError(f"seed {seed} appears more than once")
+            seeds.append(int(seed))
+        object.__setattr__(self, "seeds", tuple(seeds))
+        for name in ("m", "n", "max_iter"):
+            if not _is_integer(getattr(self, name)):
+                raise ValueError(f"{name} must be an integer")
+            object.__setattr__(self, name, int(getattr(self, name)))
         if not (self.m >= self.n >= 1):
             raise ValueError("require m >= n >= 1")
         if not (0.0 <= self.beta < np.inf):
@@ -245,16 +252,16 @@ def residual_log_ratios(d) -> list[float]:
     return ratios
 
 
-def estimate_root_rate(d) -> float:
+def estimate_root_rate(d) -> float | None:
     """Mean of the valid successive exponent ratios; near 3 on cubically
-    convergent traces.  Raises ``InsufficientData`` when fewer than three
-    residuals sit below 1 or no ratio survives the filters."""
+    convergent traces.  ``None`` when fewer than three residuals sit
+    below 1 or no ratio survives the filters."""
     d = np.asarray(d, dtype=float)
     if int(np.count_nonzero(d < 1.0)) < 3:
-        raise InsufficientData("need at least 3 residuals below 1")
+        return None
     ratios = residual_log_ratios(d)
     if not ratios:
-        raise InsufficientData("no usable residual pairs above the roundoff floor")
+        return None
     return float(np.mean(ratios))
 
 
@@ -304,20 +311,16 @@ def run_trial(config: ExperimentConfig, seed: int) -> TrialResult:
             error=str(exc),
         )
     # cond(J_k) is computed on first read; read it now, so a sweep keeps
-    # one float per record rather than each record's Jacobian
+    # one float per record rather than each record's Jacobian or iterate
     for rec in report.records:
         rec.cond_j
-    try:
-        root_rate = estimate_root_rate(report.residuals)
-    except InsufficientData:
-        root_rate = None
     return TrialResult(
         seed=seed,
         status=report.status.value,
         iterations=report.iterations,
         total_ms=report.total_ms,
         achieved_mu=achieved_mu,
-        root_rate=root_rate,
+        root_rate=estimate_root_rate(report.residuals),
         report=report,
     )
 

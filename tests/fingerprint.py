@@ -1,13 +1,15 @@
-"""Trace fingerprint: every ``Algorithm`` on three fixed sets of solves.
+"""Trace fingerprint: every ``Algorithm`` on four fixed sets of solves.
 
 The sets are the 60x30 dense grid (seeds 1..40 at beta 1e-3 and 1e-2),
-toeplitz 240x160 (seeds 1..6 at beta 1e-5) and the held-out 60x30 dense
-grid (seeds 1001..1040 at both betas), 498 solves in all, each run
-through ``harness.run_solver`` with the default stopping rule, mu = 0
-and one BLAS thread.  The committed golden file ``fingerprint.tsv`` holds one
-row per solve: set, algorithm, seed, beta, status, iteration count, d_0
-as a hex float and the coarse trace round(log10 d_k, 1).  Its leading
-``#`` lines hold the golden SHA-256 of each set's full traces.
+toeplitz 240x160 (seeds 1..6 at beta 1e-5), the held-out 60x30 dense
+grid (seeds 1001..1040 at both betas), all at mu = 0, and grid-mu, the
+first grid again at mu = 0.3, which only the Cayley-free method reads.
+That is 578 solves in all, each run through ``harness.run_solver`` with
+the default stopping rule and one BLAS thread.  The committed golden
+file ``fingerprint.tsv`` holds one row per solve: set, algorithm, seed,
+beta, status, iteration count, d_0 as a hex float and the coarse trace
+round(log10 d_k, 1).  Its leading ``#`` lines hold the golden SHA-256
+of each set's full traces.
 
     python tests/fingerprint.py                  # compare with the golden file
     python tests/fingerprint.py --write          # rewrite the golden file
@@ -18,7 +20,8 @@ Every run prints the SHA-256 of the full traces (status, iterations and
 every d_k, cond(J_k) and c_final entry as hex floats), over all solves
 and over each set, says for each set whether its traces are
 bit-identical to the golden ones (by SHA-256; for information only),
-and lists the rows that differ from the golden file.
+prints how many solves converged per set, algorithm and beta, and lists
+the rows that differ from the golden file.
 ``--compare`` reports the worst relative change in d_k where the other
 run's d_k is above 1e-8, the worst absolute change in d_k, and the worst
 change in an entry of c_final, over all solves and again over the solves
@@ -52,11 +55,12 @@ HEADER = ["set", "algorithm", "seed", "beta", "status", "iterations", "d0", "log
 # below this d_k a relative change measures roundoff at the floor, not the trace
 RELATIVE_FLOOR = 1e-8
 
-# (set name, instance generator, m, n, seeds, betas)
+# (set name, instance generator, m, n, seeds, betas, mu)
 SETS = (
-    ("grid", harness.generate_instance, 60, 30, range(1, 41), (1e-3, 1e-2)),
-    ("toeplitz", harness.generate_toeplitz_instance, 240, 160, range(1, 7), (1e-5,)),
-    ("held-out", harness.generate_instance, 60, 30, range(1001, 1041), (1e-3, 1e-2)),
+    ("grid", harness.generate_instance, 60, 30, range(1, 41), (1e-3, 1e-2), 0.0),
+    ("toeplitz", harness.generate_toeplitz_instance, 240, 160, range(1, 7), (1e-5,), 0.0),
+    ("held-out", harness.generate_instance, 60, 30, range(1001, 1041), (1e-3, 1e-2), 0.0),
+    ("grid-mu", harness.generate_instance, 60, 30, range(1, 41), (1e-3, 1e-2), 0.3),
 )
 
 
@@ -65,18 +69,20 @@ def _coarse(d: float) -> str:
 
 
 def run_all() -> list[dict]:
-    """Every solve of both sets, in a fixed order, as one dict each."""
+    """Every solve of every set, in a fixed order, as one dict each."""
     solves = []
-    for name, generate, m, n, seeds, betas in SETS:
+    for name, generate, m, n, seeds, betas, mu in SETS:
+        # alg1 and newton build no B_0 from mu, so a set at mu > 0 is Cayley-free only
+        algorithms = list(harness.Algorithm) if mu == 0.0 else [harness.Algorithm.CAYLEY_FREE]
         for beta in betas:
             for seed in seeds:
                 instance, c_star = generate(m, n, seed)
                 c0 = harness.perturb_c_star(c_star, beta, seed)
-                for algorithm in harness.Algorithm:
+                for algorithm in algorithms:
                     key = [name, algorithm.value, str(seed), repr(beta)]
                     try:
                         report, _ = harness.run_solver(
-                            algorithm, instance, c0, SolverConfig(), 0.0, seed, c_star
+                            algorithm, instance, c0, SolverConfig(), mu, seed, c_star
                         )
                     except IsvpError as exc:
                         solves.append({"key": key, "status": f"error:{type(exc).__name__}",
@@ -103,6 +109,17 @@ def golden_rows(solves: list[dict]) -> list[list[str]]:
         ]
         for s in solves
     ]
+
+
+def converged_counts(solves: list[dict]) -> dict[tuple[str, str, str], list[int]]:
+    """[converged, solves] per (set, algorithm, beta), in run order."""
+    counts = {}
+    for s in solves:
+        name, algorithm, _, beta = s["key"]
+        count = counts.setdefault((name, algorithm, beta), [0, 0])
+        count[0] += s["status"] == "converged"
+        count[1] += 1
+    return counts
 
 
 def trace_sha256(solves: list[dict]) -> str:
@@ -161,6 +178,8 @@ def main(argv=None) -> int:
     for name, sha in set_shas.items():
         same = "yes" if golden_shas.get(name) == sha else "no"
         print(f"  {name}: traces bit-identical to golden: {same}")
+    for (name, algorithm, beta), (converged, total) in converged_counts(solves).items():
+        print(f"  {name} {algorithm} beta={beta}: converged {converged}/{total}")
     if args.traces:
         args.traces.write_text(json.dumps(solves) + "\n")
     if args.compare:

@@ -5,7 +5,9 @@ import pytest
 
 import isvp
 import isvp.cayley_free as cayley_free
+from isvp.baselines import alg1_initialize, alg1_outer_step
 from isvp.cayley_free import SolverConfig, outer_step
+from isvp.core import jacobian_inverse
 from isvp.errors import InputError, NonFiniteInput, NumericalError
 from isvp.harness import Algorithm, cayley_free_start, run_solver
 from isvp.report import SolveStatus
@@ -117,7 +119,7 @@ class TestSolverConfig:
     @pytest.mark.parametrize(
         "kwargs",
         [{"tol": 0.0}, {"tol": np.inf}, {"max_iter": 0},
-         {"max_iter": float("nan")}, {"max_iter": 2.5}],
+         {"max_iter": float("nan")}, {"max_iter": 2.5}, {"max_iter": True}],
     )
     def test_rejects_bad_values(self, kwargs):
         with pytest.raises(ValueError):
@@ -259,6 +261,35 @@ class TestOuterStep:
         state.B = np.full_like(state.B, np.inf)
         with pytest.raises(NumericalError, match="^first coefficient update is non-finite$"):
             outer_step(state, inst)
+
+
+@pytest.mark.parametrize(
+    "step, start",
+    [(outer_step, cayley_free_start), (alg1_outer_step, alg1_initialize)],
+    ids=["outer_step", "alg1_outer_step"],
+)
+def test_a_step_uses_the_jacobian_it_finds_on_its_iterate(step, start, medium_instance, monkeypatch):
+    # the hook a safeguarded step builds on: a J_k and B_k written onto an
+    # iterate are the ones the step from it reads, and it forms neither again
+    inst, c_star = medium_instance
+    c0 = isvp.perturb_c_star(c_star, 1e-3, 2)
+    state = step(start(inst, c0), inst)
+    assert state.k == 1 and state.J is None
+    state.J = isvp.approx_jacobian(state.U, state.V, inst)
+    state.B = B = jacobian_inverse(state.J)  # not the Chebyshev update of B_0
+    called = []
+
+    def spy(name, real):
+        def call(*args):
+            called.append(name)
+            return real(*args)
+        return call
+
+    for name in ("approx_jacobian", "chebyshev_update"):
+        monkeypatch.setattr(cayley_free, name, spy(name, getattr(cayley_free, name)))
+    next_state = step(state, inst)
+    assert called == []
+    assert next_state.B is B
 
 
 class TestSolve:

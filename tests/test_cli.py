@@ -126,6 +126,15 @@ class TestRunCommand:
         assert not (tmp_path / "out" / "trace.csv").exists()
         assert not (tmp_path / "out" / "summary.json").exists()
 
+    def test_a_seed_listed_twice_is_rejected_before_any_report(self, capsys, tmp_path):
+        argv = [
+            "run", "--m", "6", "--n", "3", "--beta", "1e-3",
+            "--seeds", "1,1,2", "--out", str(tmp_path / "out"),
+        ]
+        assert main(argv) == EXIT_USAGE
+        assert capsys.readouterr().err == "error: seed 1 appears more than once\n"
+        assert not (tmp_path / "out").exists()
+
     def test_infinite_tol_rejected(self, capsys, tmp_path):
         argv = [
             "run", "--m", "6", "--n", "3", "--beta", "1e-3",

@@ -22,7 +22,6 @@ FAMILY = {
     "NumericalError": NumericalError,
     "NonFiniteInput": InputError,
     "DegenerateDraw": None,
-    "InsufficientData": None,
 }
 
 CLASSES = {

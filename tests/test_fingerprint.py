@@ -1,5 +1,5 @@
 """The committed trace fingerprint: statuses and iteration counts of the
-498 solves in ``fingerprint.tsv`` hold (see ``fingerprint.py``)."""
+578 solves in ``fingerprint.tsv`` hold (see ``fingerprint.py``)."""
 
 import subprocess
 import sys

@@ -7,7 +7,7 @@ import pytest
 import isvp
 from isvp import harness
 from isvp.core import DenseBasis
-from isvp.errors import DegenerateDraw, InputError, InsufficientData, NonFiniteInput, NumericalError
+from isvp.errors import DegenerateDraw, InputError, NonFiniteInput, NumericalError
 from isvp.harness import TRACE_HEADER, cayley_free_start, run_trial, trace_rows
 from isvp.report import SolveStatus
 
@@ -145,6 +145,8 @@ def test_a_seeded_draw_names_a_negative_seed(draw):
         draw(-3)
     with pytest.raises(ValueError, match="^seed 2.0 is not an integer; seeds must be non-negative integers$"):
         draw(2.0)
+    with pytest.raises(ValueError, match="^seed True is not an integer; seeds must be non-negative integers$"):
+        draw(True)
 
 
 class TestRootRateEstimator:
@@ -176,10 +178,10 @@ class TestRootRateEstimator:
         assert len(ratios) == 2  # pairs into and out of 1e-18 are dropped
 
     def test_insufficient_data(self):
-        with pytest.raises(InsufficientData):
-            isvp.estimate_root_rate([0.5, 0.1])
-        with pytest.raises(InsufficientData):
-            isvp.estimate_root_rate([3.0, 2.0, 0.9, 0.8])
+        assert isvp.estimate_root_rate([0.5, 0.1]) is None
+        assert isvp.estimate_root_rate([3.0, 2.0, 0.9, 0.8]) is None
+        # three residuals below 1, but every base sits above 1/2
+        assert isvp.estimate_root_rate([0.9, 0.8, 0.7]) is None
 
 
 class TestRunExperiment:
@@ -201,6 +203,8 @@ class TestRunExperiment:
             self._config(tol=-1.0)
         with pytest.raises(ValueError, match="^max_iter must be at least 1$"):
             self._config(max_iter=0)
+        with pytest.raises(ValueError, match="^max_iter must be an integer$"):
+            self._config(max_iter=True)
 
     def test_config_rejects_a_negative_seed(self):
         # checked when the config is built, before seed 1 is solved
@@ -208,6 +212,19 @@ class TestRunExperiment:
             self._config(seeds=(1, -1))
         with pytest.raises(ValueError, match="^seed 1.5 is not an integer; seeds must be non-negative integers$"):
             self._config(seeds=(1.5,))
+        with pytest.raises(ValueError, match="^seed True is not an integer; seeds must be non-negative integers$"):
+            self._config(seeds=(True,))
+
+    def test_config_rejects_a_size_that_is_not_an_integer(self):
+        for name, value in (("m", 6.5), ("n", 2.5), ("m", True), ("n", True)):
+            with pytest.raises(ValueError, match=f"^{name} must be an integer$"):
+                self._config(**{name: value})
+
+    def test_config_lists_each_seed_once(self):
+        with pytest.raises(ValueError, match="^seed 1 appears more than once$"):
+            self._config(seeds=(1, 2, 1))
+        with pytest.raises(ValueError, match="^seed 1 appears more than once$"):
+            self._config(seeds=(1, np.int64(1)))
 
     def test_all_seeds_converge_small(self):
         bundle = isvp.run_experiment(self._config())
@@ -413,6 +430,18 @@ class TestEmitReports:
             rows = list(csv.reader(fh))
         assert rows[0] == TRACE_HEADER
         assert len(rows) > 1
+
+    def test_numpy_integers_write_a_readable_summary(self, tmp_path):
+        config = isvp.ExperimentConfig(
+            m=np.int64(16), n=np.int64(6), beta=1e-3, mu=0.0, seeds=np.arange(1, 3),
+            max_iter=np.int64(20),
+        )
+        isvp.emit_reports(isvp.run_experiment(config), tmp_path)
+        summary = json.loads((tmp_path / "summary.json").read_text())
+        assert [type(t["seed"]) for t in summary["trials"]] == [int, int]
+        assert [t["seed"] for t in summary["trials"]] == [1, 2]
+        assert [summary["config"][k] for k in ("m", "n", "max_iter")] == [16, 6, 20]
+        assert summary["config"]["seeds"] == [1, 2]
 
     def test_empty_seed_list_gives_header_only(self, tmp_path):
         config = isvp.ExperimentConfig(
