@@ -188,7 +188,8 @@ def _exact_point(
 
     The one place an exact SVD runs inside a solve: ``full_svd``, looked
     up in this module when called, which takes ``eigh`` for a square
-    block equal to its transpose (every Toeplitz one).  It forms no
+    block equal to its transpose, split in two halves for every Toeplitz
+    one.  It forms no
     Jacobian: a start that inverts J_0 forms it, and every iterate after
     k = 0 has its J_k formed by the step that starts from it.
     """

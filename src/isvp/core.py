@@ -6,9 +6,10 @@ spectrum sigma*.  The affine family is A(c) = A_0 + sum_i c_i A_i and a
 solution is any c whose singular values equal sigma*.  This module owns
 the validated problem type with its two basis forms (a dense row-major
 array, and the O(n) symmetric Toeplitz family with an FFT Jacobian), the
-matrix family evaluation, the full or thin SVD (a symmetric
-eigendecomposition for a matrix equal to its transpose, LAPACK's SVD
-for any other), the approximate Jacobian
+matrix family evaluation, the full or thin SVD (on the leading rows of
+a matrix over zero rows; two half-size symmetric eigendecompositions for
+a centrosymmetric one, one for any other matrix equal to its transpose,
+and LAPACK's SVD for the rest), the approximate Jacobian
 [J]_ij = u_i^T A_j v_i and its one inverse at the start, the generalized
 residual vector used by the solvers, and the Frobenius residual
 d = ||U^T A(c) V - Sigma*||_F.
@@ -89,8 +90,8 @@ class ToeplitzBasis:
 
     Only (m, n) is stored.  A(c) is the n x n symmetric Toeplitz matrix
     with first column c over m - n zero rows, so ``r = n``; those n rows
-    equal their transpose bit for bit, so :func:`full_svd` factors them
-    from ``eigh``.
+    equal their transpose and their reversal bit for bit, so
+    :func:`full_svd` factors them from two half-size ``eigh`` problems.
     u^T A_k v is a cross-correlation of the leading n entries of u and v,
     so the whole Jacobian comes from one FFT per factor.
     """
@@ -250,25 +251,69 @@ class SvdFactorization:
     sigma: np.ndarray
 
 
+def _centrosymmetric_eigh(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigendecomposition of a symmetric A equal to A[::-1, ::-1], from two
+    half-size ``eigh`` problems (Cantoni and Butler, *Linear Algebra
+    Appl.* 13, 1976).
+
+    With k = n // 2, h = n - k, J the k x k exchange matrix and T11, T12
+    the leading k rows of A split at columns k and h, the eigenvectors
+    are [x; Jx] / sqrt 2 for x of the h x h even part T11 + T12 J and
+    [y; -Jy] / sqrt 2 for y of the k x k odd part T11 - T12 J.  For odd
+    n the even part is bordered by the middle row of A, scaled by sqrt 2
+    off the diagonal, and its eigenvectors keep their last entry as the
+    middle entry of [x; .; Jx].  Returns (lambda, Q) with lambda
+    ascending, as ``eigh`` does.
+    """
+    n = A.shape[0]
+    k = n // 2
+    h = n - k
+    T12J = A[:k, ::-1][:, :k]
+    even = np.empty((h, h))
+    even[:k, :k] = A[:k, :k] + T12J
+    if h > k:
+        even[k, :k] = even[:k, k] = np.sqrt(2.0) * A[k, :k]
+        even[k, k] = A[k, k]
+    lam_even, X = np.linalg.eigh(even)
+    lam_odd, Y = np.linalg.eigh(A[:k, :k] - T12J)
+    s = np.sqrt(0.5)
+    Q = np.zeros((n, n))
+    Q[:k, :h] = s * X[:k]
+    Q[k:h, :h] = X[k:]
+    Q[h:, :h] = s * X[:k][::-1]
+    Q[:k, h:] = s * Y
+    Q[h:, h:] = -s * Y[::-1]
+    lam = np.concatenate([lam_even, lam_odd])
+    order = np.argsort(lam, kind="stable")
+    return lam[order], Q[:, order]
+
+
 def full_svd(A, full_matrices: bool = True) -> SvdFactorization:
     """SVD with the factors its routine returns.
 
-    ``full_matrices`` is numpy's: when it is true and m > n, the trailing
-    columns of U are the orthonormal completion LAPACK returns with the
-    full SVD; when it is false, U holds only the n leading columns (the
-    thin SVD, Golub and Van Loan, *Matrix Computations*, section 2.4),
-    and sigma and V are the full factor's.  Each pair (u_i, v_i) keeps
-    the sign LAPACK gives it: every solve reads the vectors only through
+    ``full_matrices`` is numpy's: when it is true and m > n, U is m x m;
+    when it is false, U holds only the n leading columns (the thin SVD,
+    Golub and Van Loan, *Matrix Computations*, section 2.4), and sigma
+    and V are the full factor's.  Each pair (u_i, v_i) keeps the sign
+    its routine gives it: every solve reads the vectors only through
     quantities that a paired flip leaves unchanged, and one build at one
     thread count returns the same factors on every call.
 
-    An A equal to its transpose bit for bit (so square) needs no SVD: its
-    eigendecomposition A = Q diag(lambda) Q^T gives sigma = |lambda| and
-    V = Q, ordered by |lambda| decreasing (a stable sort, so ties keep
-    ``eigh``'s ascending order), and U = V diag(sign(lambda)) with sign +1
-    at lambda = 0 (Golub and Van Loan, *Matrix Computations*, section
-    8.6); ``full_matrices`` changes nothing there.  Every other A takes
-    one LAPACK SVD.
+    A tall A whose last row is zero is factored on its leading q rows,
+    q = max(n, 1 + its last nonzero row): sigma and V are the block's,
+    the thin U is the block's padded with m - q zero rows, and the full
+    U is blockdiag(U_q, I), so its trailing columns over the zero rows
+    are the identity.  A dense A pays one O(n) test of its last row.
+
+    A block equal to its transpose bit for bit (so square) needs no SVD:
+    its eigendecomposition A = Q diag(lambda) Q^T gives sigma = |lambda|
+    and V = Q, ordered by |lambda| decreasing (a stable sort, so ties
+    keep ascending lambda order), and U = V diag(sign(lambda)) with sign
+    +1 at lambda = 0 (Golub and Van Loan, *Matrix Computations*, section
+    8.6).  A block that also equals its reversal A[::-1, ::-1] (every
+    symmetric Toeplitz one) is centrosymmetric and takes two half-size
+    ``eigh`` problems (:func:`_centrosymmetric_eigh`); any other takes
+    one.  Every other block takes one LAPACK SVD.
     """
     A = np.asarray(A, dtype=float)
     if A.ndim != 2:
@@ -277,21 +322,40 @@ def full_svd(A, full_matrices: bool = True) -> SvdFactorization:
     if m < n:
         raise InputError(f"require m >= n, got {A.shape}")
     _require_finite("A", A)
-    if np.array_equal(A, A.T):
+    q = m
+    if m > n and not A[-1].any():
+        nonzero = np.flatnonzero(A.any(axis=1))
+        q = max(n, int(nonzero[-1]) + 1) if nonzero.size else n
+    block = A[:q]
+    if np.array_equal(block, block.T):
+        eigh = (
+            _centrosymmetric_eigh
+            if np.array_equal(block, block[::-1, ::-1])
+            else np.linalg.eigh
+        )
         try:
-            lam, Q = np.linalg.eigh(A)
+            lam, Q = eigh(block)
         except np.linalg.LinAlgError as exc:
             raise NumericalError(f"eigendecomposition did not converge: {exc}") from exc
         order = np.argsort(-np.abs(lam), kind="stable")
         lam = lam[order]
         V = Q[:, order]
         U = V * np.where(lam < 0.0, -1.0, 1.0)
-        return SvdFactorization(U=U, V=V, sigma=np.abs(lam))
-    try:
-        U, sigma, Vt = np.linalg.svd(A, full_matrices=full_matrices)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalError(f"SVD did not converge: {exc}") from exc
-    return SvdFactorization(U=U, V=Vt.T, sigma=sigma)
+        sigma = np.abs(lam)
+    else:
+        try:
+            U, sigma, Vt = np.linalg.svd(block, full_matrices=full_matrices)
+        except np.linalg.LinAlgError as exc:
+            raise NumericalError(f"SVD did not converge: {exc}") from exc
+        V = Vt.T
+    if q < m:
+        U_q = U
+        U = np.zeros((m, m if full_matrices else n))
+        U[:q, : U_q.shape[1]] = U_q
+        if full_matrices:
+            tail = np.arange(q, m)
+            U[tail, tail] = 1.0
+    return SvdFactorization(U=U, V=V, sigma=sigma)
 
 
 def approx_jacobian(U: np.ndarray, V: np.ndarray, instance: IsvpInstance) -> np.ndarray:

@@ -22,6 +22,7 @@ import numpy as np
 from .baselines import alg1_skew_pair, cayley_orthogonalize
 from .cayley_free import SolverConfig, chebyshev_update, correction_matrices
 from .core import (
+    ToeplitzBasis,
     approx_jacobian,
     diag_embed,
     evaluate_A,
@@ -218,20 +219,27 @@ def check_residual_affinity(trials: int, seed: int) -> CheckResult:
 
 def check_svd_factorization(trials: int, seed: int) -> CheckResult:
     """Orthogonality and reconstruction bounds of full_svd on a random
-    m x n matrix (its SVD branch, full and thin) and on a random
-    symmetric n x n one (its eigh branch); the thin factor's sigma and V
-    must equal the full factor's bit for bit."""
+    m x n matrix (its SVD branch, full and thin), on the same matrix over
+    n zero rows (its zero-row branch, full and thin), on a random
+    symmetric n x n one (its eigh branch) and on a random symmetric
+    Toeplitz n x n one (its centrosymmetric branch); the thin factor's
+    sigma and V must equal the full factor's bit for bit."""
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(trials):
         m, n = _random_shape(rng)
         general = rng.standard_normal((m, n))
         X = rng.standard_normal((n, n))
-        full = full_svd(general)
-        thin = full_svd(general, full_matrices=False)
-        same = np.array_equal(thin.sigma, full.sigma) and np.array_equal(thin.V, full.V)
-        worst = _worst(worst, 0.0 if same else np.inf)
-        for A, f in ((general, full), (general, thin), (X + X.T, full_svd(X + X.T))):
+        toeplitz = ToeplitzBasis(n, n).evaluate(rng.standard_normal(n))
+        padded = np.vstack([general, np.zeros((n, n))])
+        cases = [(X + X.T, full_svd(X + X.T)), (toeplitz, full_svd(toeplitz))]
+        for A in (general, padded):
+            full = full_svd(A)
+            thin = full_svd(A, full_matrices=False)
+            same = np.array_equal(thin.sigma, full.sigma) and np.array_equal(thin.V, full.V)
+            worst = _worst(worst, 0.0 if same else np.inf)
+            cases += [(A, full), (A, thin)]
+        for A, f in cases:
             cols = f.U.shape[1]
             res_u = np.linalg.norm(f.U.T @ f.U - np.eye(cols)) / (1e-12 * cols)
             res_v = np.linalg.norm(f.V.T @ f.V - np.eye(n)) / (1e-12 * n)

@@ -45,8 +45,9 @@ def square_twin():
     return dense_twin(inst), c_star
 
 
-# the routine full_svd runs on every exact point of a solve: eigh on a block
-# equal to its transpose, whatever its basis form, and svd on a tall one
+# the routine full_svd runs on every exact point of a solve: two half-size
+# eigh on a block equal to its transpose and to its reversal (every Toeplitz
+# block, whatever its basis form), and svd on a tall dense one
 SELECTION_CASES = {
     "toeplitz": (lambda: isvp.generate_toeplitz_instance(30, 20, 4), "eigh"),
     "tall-dense": (lambda: isvp.generate_instance(30, 20, 4), "svd"),
@@ -104,14 +105,16 @@ class TestToeplitzForm:
 
     @pytest.mark.parametrize("m,n", SHAPES)
     def test_leading_block_is_exactly_symmetric(self, m, n):
-        # full_svd takes eigh only for A == A^T bit for bit; a block that
-        # lost it would fall back to LAPACK's SVD without an error
+        # full_svd takes eigh only for A == A^T bit for bit, and splits it
+        # only for A == A[::-1, ::-1] too; a block that lost either would
+        # fall back to a slower routine without an error
         inst, c_star = isvp.generate_toeplitz_instance(m, n, 4)
         rng = np.random.default_rng(m * 100 + n)
         draws = [rng.uniform(-2.0, 2.0, n), -rng.random(n), 1e12 * rng.standard_normal(n)]
         for c in [c_star] + draws:
             block = isvp.evaluate_A(inst, c)[: inst.r]
             np.testing.assert_array_equal(block, block.T)
+            np.testing.assert_array_equal(block, block[::-1, ::-1])
 
     @pytest.mark.parametrize("case", SELECTION_CASES)
     @pytest.mark.parametrize("algorithm", list(Algorithm))
@@ -121,12 +124,15 @@ class TestToeplitzForm:
         c0 = isvp.perturb_c_star(c_star, 1e-5, 3)
         calls = dict.fromkeys(["exact points", "eigh", "svd"], 0)
         full_matrices = []  # the factor each svd call asks for
+        eigh_sides = []  # the side of each block eigh factors
 
         def counting(name, fn):
             def counted(*args, **kwargs):
                 calls[name] += 1
                 if name == "svd":
                     full_matrices.append(kwargs.get("full_matrices", True))
+                if name == "eigh":
+                    eigh_sides.append(args[0].shape[0])
                 return fn(*args, **kwargs)
 
             return counted
@@ -136,9 +142,14 @@ class TestToeplitzForm:
             monkeypatch.setattr(np.linalg, name, counting(name, getattr(np.linalg, name)))
         solve(algorithm, inst, c0)
         other = "svd" if routine == "eigh" else "eigh"
-        assert calls[routine] == calls["exact points"] > 0
+        assert calls["exact points"] > 0
         assert calls[other] == 0
-        if case == "tall-dense":
+        if routine == "eigh":
+            # the even and odd halves of each centrosymmetric block
+            n = inst.n
+            assert eigh_sides == [n - n // 2, n // 2] * calls["exact points"]
+        else:
+            assert calls["svd"] == calls["exact points"]
             # Newton reads only U[:, :n]; a two-step start updates the trailing columns too
             if algorithm is Algorithm.NEWTON:
                 assert full_matrices == [False] * calls["svd"]
@@ -310,3 +321,22 @@ class TestToeplitzRoundTrip:
         rng = np.random.default_rng(5)
         for c in [c_star] + [rng.uniform(-2.0, 2.0, 5) for _ in range(3)]:
             np.testing.assert_array_equal(isvp.evaluate_A(back, c), isvp.evaluate_A(inst, c))
+
+    @pytest.mark.parametrize("algorithm", list(Algorithm))
+    def test_a_loaded_instance_solves_with_no_svd(self, algorithm, tmp_path, monkeypatch):
+        # the dense twin's A(c) is the Toeplitz block over m - n zero rows:
+        # full_svd drops the rows and splits the block, as on the generated form
+        inst, c_star = isvp.generate_toeplitz_instance(30, 20, 4)
+        path = tmp_path / "toeplitz.txt"
+        isvp.save_instance(inst, path)
+        back = isvp.load_instance(path)
+        c0 = isvp.perturb_c_star(c_star, 1e-5, 3)
+        generated = solve(algorithm, inst, c0)
+
+        def fail(*args, **kwargs):
+            raise AssertionError("LAPACK's SVD ran on a Toeplitz A(c)")
+
+        monkeypatch.setattr(np.linalg, "svd", fail)
+        loaded = solve(algorithm, back, c0)
+        assert loaded.status is generated.status is SolveStatus.CONVERGED
+        assert loaded.iterations == generated.iterations

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import isvp
-from isvp import cli, verification
+from isvp import cli, core, verification
 from isvp.baselines import alg1_skew_pair
 from isvp.cayley_free import correction_matrices
 from isvp.cli import EXIT_NONCONVERGED, EXIT_OK, EXIT_USAGE, main, parse_seeds
@@ -367,6 +367,19 @@ def _doubling_eigenvalues(eigh):
     return doubled_eigenvalues
 
 
+def _misplacing_zero_rows(factorize):
+    """full_svd with U's rows reversed for a tall A ending in a zero row, as
+    if the factor of its leading rows were placed over the trailing ones."""
+
+    def misplaced(A, **kwargs):
+        factors = factorize(A, **kwargs)
+        if A.shape[0] > A.shape[1] and not A[-1].any():
+            return dataclasses.replace(factors, U=factors.U[::-1])
+        return factors
+
+    return misplaced
+
+
 def _transposed_jacobian(U, V, instance):
     return isvp.approx_jacobian(U, V, instance).T
 
@@ -397,9 +410,9 @@ WRONG_KERNELS = {
     verification.check_svd_factorization: ("full_svd", _doubling_sigma(isvp.full_svd)),
 }
 
-# the svd check runs twice more, with full_svd's eigh branch wrong and with
-# its thin branch wrong, and the fixed-point check once with each solver's
-# step drifting
+# the svd check runs four times more, with full_svd's eigh, thin, zero-row
+# and centrosymmetric branch wrong in turn, and the fixed-point check once
+# with each solver's step drifting
 WRONG_KERNEL_CASES = [
     pytest.param(check, verification, *WRONG_KERNELS[check], id=check.__name__)
     for check in verification.ALL_CHECKS
@@ -412,6 +425,15 @@ WRONG_KERNEL_CASES = [
     pytest.param(
         verification.check_svd_factorization, np.linalg, "svd",
         _flipping_thin_U(np.linalg.svd), id="check_svd_factorization-thin",
+    ),
+    pytest.param(
+        verification.check_svd_factorization, verification, "full_svd",
+        _misplacing_zero_rows(isvp.full_svd), id="check_svd_factorization-zero-rows",
+    ),
+    pytest.param(
+        verification.check_svd_factorization, core, "_centrosymmetric_eigh",
+        _doubling_eigenvalues(core._centrosymmetric_eigh),
+        id="check_svd_factorization-centrosymmetric",
     ),
 ] + [
     pytest.param(

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import isvp
+from isvp.core import ToeplitzBasis
 from isvp.errors import InputError, NonFiniteInput, NumericalError
 
 
@@ -141,25 +142,42 @@ SYMMETRIC_CASES = {
 }
 
 
+def assert_symmetric_svd(A, f):
+    """``f`` is an SVD of the symmetric A from its eigendecomposition."""
+    n = A.shape[0]
+    reference = np.linalg.svd(A, compute_uv=False)
+    assert np.abs(f.sigma - reference).max() <= 1e-14 * reference[0]
+    assert np.all(np.diff(f.sigma) <= 0)
+    # the bounds of verification.check_svd_factorization
+    assert np.linalg.norm(f.U.T @ f.U - np.eye(n)) <= 1e-12 * n
+    assert np.linalg.norm(f.V.T @ f.V - np.eye(n)) <= 1e-12 * n
+    assert np.linalg.norm((f.U * f.sigma) @ f.V.T - A) <= 1e-13 * n * np.linalg.norm(A)
+    # u_i = sign(lambda_i) v_i exactly, with +1 at lambda_i = 0
+    rayleigh = np.einsum("ji,ji->i", f.V, A @ f.V)
+    signs = np.where(rayleigh < 0.0, -1.0, 1.0)
+    signs[f.sigma == 0.0] = 1.0
+    np.testing.assert_array_equal(f.U, f.V * signs)
+
+
+def recording_eigh_sides(monkeypatch):
+    """Patch ``np.linalg.eigh`` to log the side of every matrix it factors."""
+    sides = []
+    eigh = np.linalg.eigh
+
+    def recorded(A):
+        sides.append(A.shape[0])
+        return eigh(A)
+
+    monkeypatch.setattr(np.linalg, "eigh", recorded)
+    return sides
+
+
 class TestFullSvdEighPath:
     """full_svd of a matrix equal to its transpose, from ``eigh``."""
 
     @pytest.mark.parametrize("A", SYMMETRIC_CASES.values(), ids=list(SYMMETRIC_CASES))
     def test_is_an_svd_with_the_sign_convention(self, A):
-        n = A.shape[0]
-        f = isvp.full_svd(A)
-        reference = np.linalg.svd(A, compute_uv=False)
-        assert np.abs(f.sigma - reference).max() <= 1e-14 * reference[0]
-        assert np.all(np.diff(f.sigma) <= 0)
-        # the bounds of verification.check_svd_factorization
-        assert np.linalg.norm(f.U.T @ f.U - np.eye(n)) <= 1e-12 * n
-        assert np.linalg.norm(f.V.T @ f.V - np.eye(n)) <= 1e-12 * n
-        assert np.linalg.norm((f.U * f.sigma) @ f.V.T - A) <= 1e-13 * n * np.linalg.norm(A)
-        # u_i = sign(lambda_i) v_i exactly, with +1 at lambda_i = 0
-        rayleigh = np.einsum("ji,ji->i", f.V, A @ f.V)
-        signs = np.where(rayleigh < 0.0, -1.0, 1.0)
-        signs[f.sigma == 0.0] = 1.0
-        np.testing.assert_array_equal(f.U, f.V * signs)
+        assert_symmetric_svd(A, isvp.full_svd(A))
 
     def test_exact_zero_and_pair(self):
         singular = isvp.full_svd(SYMMETRIC_CASES["singular"])
@@ -191,6 +209,124 @@ class TestFullSvdEighPath:
         monkeypatch.setattr(np.linalg, "eigh", fail)
         with pytest.raises(NumericalError, match="^eigendecomposition did not converge: "):
             isvp.full_svd(np.eye(2))
+
+
+def _random_centrosymmetric(n, seed):
+    S = _random_symmetric(n, seed)
+    return S + S[::-1, ::-1]
+
+
+def _random_symmetric_toeplitz(n, seed):
+    return ToeplitzBasis(n, n).evaluate(np.random.default_rng(seed).standard_normal(n))
+
+
+# odd and even sides, the 1 x 1 and 2 x 2 edges, and both forms: a symmetric
+# Toeplitz matrix and a centrosymmetric one that is not Toeplitz
+CENTROSYMMETRIC_CASES = {
+    f"{form}-{n}": build(n, 50 + n)
+    for n in (1, 2, 3, 4, 5, 6, 7, 30, 31)
+    for form, build in (
+        ("toeplitz", _random_symmetric_toeplitz),
+        ("centro", _random_centrosymmetric),
+    )
+}
+
+
+class TestFullSvdCentrosymmetricPath:
+    """full_svd of a symmetric matrix equal to its reversal, from two
+    half-size ``eigh`` problems."""
+
+    @pytest.mark.parametrize(
+        "A", CENTROSYMMETRIC_CASES.values(), ids=list(CENTROSYMMETRIC_CASES)
+    )
+    def test_two_half_size_eighs_give_an_svd_with_the_sign_convention(self, A, monkeypatch):
+        n = A.shape[0]
+        np.testing.assert_array_equal(A, A[::-1, ::-1])
+        sides = recording_eigh_sides(monkeypatch)
+        f = isvp.full_svd(A)
+        assert sides == [n - n // 2, n // 2]
+        assert_symmetric_svd(A, f)
+
+    @pytest.mark.parametrize("n", [7, 30])
+    def test_a_symmetric_matrix_off_its_reversal_takes_one_eigh(self, n, monkeypatch):
+        A = _random_centrosymmetric(n, 61)
+        # symmetric still, but A[0, 1] no longer equals A[n - 1, n - 2]
+        A[0, 1] = A[1, 0] = A[0, 1] * (1.0 + 1e-15)
+        sides = recording_eigh_sides(monkeypatch)
+        f = isvp.full_svd(A)
+        assert sides == [n]
+        assert_symmetric_svd(A, f)
+
+
+def _zero_padded(block, m):
+    out = np.zeros((m, block.shape[1]))
+    out[: block.shape[0]] = block
+    return out
+
+
+# tall matrices whose last row is zero, with q = max(n, 1 + last nonzero row):
+# a symmetric Toeplitz block (q = n, eigh), a general block taller than n
+# (q > n, svd) and a general block shorter than n (q = n, svd)
+ZERO_ROW_CASES = {
+    "toeplitz": (_zero_padded(_random_symmetric_toeplitz(20, 71), 30), 20),
+    "tall-block": (_zero_padded(np.random.default_rng(72).standard_normal((24, 20)), 30), 24),
+    "short-block": (_zero_padded(np.random.default_rng(73).standard_normal((12, 20)), 30), 20),
+}
+
+
+class TestFullSvdZeroRows:
+    """full_svd of a tall matrix ending in zero rows, from its leading q rows."""
+
+    @pytest.mark.parametrize("full_matrices", [True, False], ids=["full", "thin"])
+    @pytest.mark.parametrize("case", ZERO_ROW_CASES)
+    def test_factors_the_leading_rows_and_pads_U(self, case, full_matrices):
+        A, q = ZERO_ROW_CASES[case]
+        m, n = A.shape
+        f = isvp.full_svd(A, full_matrices=full_matrices)
+        cols = m if full_matrices else n
+        assert f.U.shape == (m, cols)
+        assert np.linalg.norm(f.U.T @ f.U - np.eye(cols)) <= 1e-12 * cols
+        assert np.linalg.norm(f.V.T @ f.V - np.eye(n)) <= 1e-12 * n
+        residual = np.linalg.norm(f.U.T @ A @ f.V - isvp.diag_embed(f.sigma, cols))
+        assert residual <= 1e-13 * n * np.linalg.norm(A)
+        reference = np.linalg.svd(A, compute_uv=False)
+        assert np.abs(f.sigma - reference).max() <= 1e-14 * reference[0]
+        if full_matrices:
+            np.testing.assert_array_equal(f.U[q:, q:], np.eye(m - q))
+            np.testing.assert_array_equal(f.U[q:, :q], 0.0)
+            np.testing.assert_array_equal(f.U[:q, q:], 0.0)
+        else:
+            np.testing.assert_array_equal(f.U[q:], 0.0)
+        # sigma and V are the leading block's, bit for bit
+        block = isvp.full_svd(A[:q], full_matrices=full_matrices)
+        np.testing.assert_array_equal(f.sigma, block.sigma)
+        np.testing.assert_array_equal(f.V, block.V)
+        np.testing.assert_array_equal(f.U[:q, : block.U.shape[1]], block.U)
+
+    @pytest.mark.parametrize("full_matrices", [True, False], ids=["full", "thin"])
+    def test_a_symmetric_leading_block_needs_no_svd(self, full_matrices, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("LAPACK's SVD ran on a symmetric leading block")
+
+        A, _ = ZERO_ROW_CASES["toeplitz"]
+        monkeypatch.setattr(np.linalg, "svd", fail)
+        f = isvp.full_svd(A, full_matrices=full_matrices)
+        assert f.U.shape == (30, 30 if full_matrices else 20)
+
+    def test_zero_rows_above_a_nonzero_last_row_stay(self):
+        A = np.random.default_rng(74).standard_normal((30, 20))
+        A[10:29] = 0.0
+        f = isvp.full_svd(A)
+        U, sigma, Vt = np.linalg.svd(A)
+        np.testing.assert_array_equal(f.U, U)
+        np.testing.assert_array_equal(f.sigma, sigma)
+        np.testing.assert_array_equal(f.V, Vt.T)
+
+    def test_an_all_zero_matrix_is_its_leading_square(self):
+        f = isvp.full_svd(np.zeros((5, 3)))
+        np.testing.assert_array_equal(f.sigma, np.zeros(3))
+        np.testing.assert_array_equal(f.U[3:, 3:], np.eye(2))
+        assert np.linalg.norm(f.U.T @ f.U - np.eye(5)) <= 1e-15 * 5
 
 
 class TestApproxJacobian:
