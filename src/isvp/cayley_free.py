@@ -51,19 +51,27 @@ def _is_integer(x) -> bool:
     return isinstance(x, numbers.Integral) and not isinstance(x, bool)
 
 
+def _is_real(x) -> bool:
+    return isinstance(x, numbers.Real) and not isinstance(x, bool)
+
+
 @dataclass(frozen=True)
 class SolverConfig:
     """Stopping rule shared by all solvers in this package.
 
-    Iterations stop when the residual d_k drops to ``tol`` (positive and
-    finite), when ``max_iter`` (an integer, at least 1) outer iterations
-    have run, or when d_k is non-finite or exceeds 1e6 times max(d_0, 1).
+    Iterations stop when the residual d_k drops to ``tol`` (a positive,
+    finite real number, stored as a ``float``), when ``max_iter`` (an
+    integer, at least 1) outer iterations have run, or when d_k is
+    non-finite or exceeds 1e6 times max(d_0, 1).
     """
 
     tol: float = 1e-10
     max_iter: int = 50
 
     def __post_init__(self):
+        if not _is_real(self.tol):
+            raise ValueError("tol must be a real number")
+        object.__setattr__(self, "tol", float(self.tol))
         if not self.tol > 0.0:
             raise ValueError("tol must be positive")
         if not self.tol < np.inf:
@@ -187,11 +195,11 @@ def _exact_point(
     r x n factor, so q is r or n.
 
     The one place an exact SVD runs inside a solve: ``full_svd``, looked
-    up in this module when called, which takes ``eigh`` for a square
-    block equal to its transpose, split in two halves for every Toeplitz
-    one.  It forms no
-    Jacobian: a start that inverts J_0 forms it, and every iterate after
-    k = 0 has its J_k formed by the step that starts from it.
+    up in this module when called, which takes two half-size ``eigh``
+    problems for a centrosymmetric block (every Toeplitz one) and
+    LAPACK's SVD for any other.  It forms no Jacobian: a start that
+    inverts J_0 forms it, and every iterate after k = 0 has its J_k
+    formed by the step that starts from it.
     """
     factors = full_svd(_evaluate_rows(instance, c), full_matrices=full_matrices)
     W = diag_embed(factors.sigma, factors.U.shape[1])

@@ -8,11 +8,10 @@ the validated problem type with its two basis forms (a dense row-major
 array, and the O(n) symmetric Toeplitz family with an FFT Jacobian), the
 matrix family evaluation, the full or thin SVD (on the leading rows of
 a matrix over zero rows; two half-size symmetric eigendecompositions for
-a centrosymmetric one, one for any other matrix equal to its transpose,
-and LAPACK's SVD for the rest), the approximate Jacobian
-[J]_ij = u_i^T A_j v_i and its one inverse at the start, the generalized
-residual vector used by the solvers, and the Frobenius residual
-d = ||U^T A(c) V - Sigma*||_F.
+a centrosymmetric one, and LAPACK's SVD for any other), the approximate
+Jacobian [J]_ij = u_i^T A_j v_i and its one inverse at the start, the
+generalized residual vector used by the solvers, and the Frobenius
+residual d = ||U^T A(c) V - Sigma*||_F.
 """
 
 from __future__ import annotations
@@ -90,8 +89,9 @@ class ToeplitzBasis:
 
     Only (m, n) is stored.  A(c) is the n x n symmetric Toeplitz matrix
     with first column c over m - n zero rows, so ``r = n``; those n rows
-    equal their transpose and their reversal bit for bit, so
-    :func:`full_svd` factors them from two half-size ``eigh`` problems.
+    equal their transpose and their reversal bit for bit (they are
+    centrosymmetric), so :func:`full_svd` factors them from two half-size
+    ``eigh`` problems and runs no SVD.
     u^T A_k v is a cross-correlation of the leading n entries of u and v,
     so the whole Jacobian comes from one FFT per factor.
     """
@@ -262,8 +262,8 @@ def _centrosymmetric_eigh(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     [y; -Jy] / sqrt 2 for y of the k x k odd part T11 - T12 J.  For odd
     n the even part is bordered by the middle row of A, scaled by sqrt 2
     off the diagonal, and its eigenvectors keep their last entry as the
-    middle entry of [x; .; Jx].  Returns (lambda, Q) with lambda
-    ascending, as ``eigh`` does.
+    middle entry of [x; .; Jx].  Returns (lambda, Q) unsorted: the even
+    part's pairs, each ascending, then the odd part's.
     """
     n = A.shape[0]
     k = n // 2
@@ -283,9 +283,7 @@ def _centrosymmetric_eigh(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     Q[h:, :h] = s * X[:k][::-1]
     Q[:k, h:] = s * Y
     Q[h:, h:] = -s * Y[::-1]
-    lam = np.concatenate([lam_even, lam_odd])
-    order = np.argsort(lam, kind="stable")
-    return lam[order], Q[:, order]
+    return np.concatenate([lam_even, lam_odd]), Q
 
 
 def full_svd(A, full_matrices: bool = True) -> SvdFactorization:
@@ -305,15 +303,16 @@ def full_svd(A, full_matrices: bool = True) -> SvdFactorization:
     U is blockdiag(U_q, I), so its trailing columns over the zero rows
     are the identity.  A dense A pays one O(n) test of its last row.
 
-    A block equal to its transpose bit for bit (so square) needs no SVD:
-    its eigendecomposition A = Q diag(lambda) Q^T gives sigma = |lambda|
-    and V = Q, ordered by |lambda| decreasing (a stable sort, so ties
-    keep ascending lambda order), and U = V diag(sign(lambda)) with sign
-    +1 at lambda = 0 (Golub and Van Loan, *Matrix Computations*, section
-    8.6).  A block that also equals its reversal A[::-1, ::-1] (every
-    symmetric Toeplitz one) is centrosymmetric and takes two half-size
-    ``eigh`` problems (:func:`_centrosymmetric_eigh`); any other takes
-    one.  Every other block takes one LAPACK SVD.
+    A block equal to its transpose and to its reversal A[::-1, ::-1] bit
+    for bit (every symmetric Toeplitz one) is centrosymmetric and needs
+    no SVD: its eigendecomposition A = Q diag(lambda) Q^T, from two
+    half-size ``eigh`` problems (:func:`_centrosymmetric_eigh`), gives
+    sigma = |lambda| and V = Q, ordered by |lambda| decreasing, and
+    U = V diag(sign(lambda)) with sign +1 at lambda = 0 (Golub and Van
+    Loan, *Matrix Computations*, section 8.6).  The sort is stable, so
+    pairs with equal |lambda| keep the helper's order: the even part's
+    before the odd part's, ascending within each.  Every other block, a
+    symmetric one included, takes one LAPACK SVD.
     """
     A = np.asarray(A, dtype=float)
     if A.ndim != 2:
@@ -327,14 +326,9 @@ def full_svd(A, full_matrices: bool = True) -> SvdFactorization:
         nonzero = np.flatnonzero(A.any(axis=1))
         q = max(n, int(nonzero[-1]) + 1) if nonzero.size else n
     block = A[:q]
-    if np.array_equal(block, block.T):
-        eigh = (
-            _centrosymmetric_eigh
-            if np.array_equal(block, block[::-1, ::-1])
-            else np.linalg.eigh
-        )
+    if np.array_equal(block, block.T) and np.array_equal(block, block[::-1, ::-1]):
         try:
-            lam, Q = eigh(block)
+            lam, Q = _centrosymmetric_eigh(block)
         except np.linalg.LinAlgError as exc:
             raise NumericalError(f"eigendecomposition did not converge: {exc}") from exc
         order = np.argsort(-np.abs(lam), kind="stable")

@@ -27,7 +27,7 @@ import numpy as np
 
 from . import __version__, cayley_free
 from .baselines import alg1_solve, newton_exact_solve
-from .cayley_free import SolverConfig, SolverState, _is_integer
+from .cayley_free import SolverConfig, SolverState, _is_integer, _is_real
 from .core import DenseBasis, IsvpInstance, ToeplitzBasis, _require_finite, jacobian_inverse, make_instance
 from .errors import DegenerateDraw, InputError, IsvpError, NumericalError
 from .report import SolveReport, SolveStatus
@@ -91,12 +91,17 @@ class ExperimentConfig:
             if not _is_integer(getattr(self, name)):
                 raise ValueError(f"{name} must be an integer")
             object.__setattr__(self, name, int(getattr(self, name)))
+        for name in ("beta", "mu"):
+            if not _is_real(getattr(self, name)):
+                raise ValueError(f"{name} must be a real number")
+            object.__setattr__(self, name, float(getattr(self, name)))
         if not (self.m >= self.n >= 1):
             raise ValueError("require m >= n >= 1")
         if not (0.0 <= self.beta < np.inf):
             raise ValueError("beta must be finite and nonnegative")
         object.__setattr__(self, "algorithm", _check_start(self.algorithm, self.mu))
-        self.solver_config()  # SolverConfig checks tol and max_iter
+        # SolverConfig checks tol and max_iter, and stores tol as a float
+        object.__setattr__(self, "tol", self.solver_config().tol)
 
     def solver_config(self) -> SolverConfig:
         return SolverConfig(tol=self.tol, max_iter=self.max_iter)

@@ -221,7 +221,8 @@ def check_svd_factorization(trials: int, seed: int) -> CheckResult:
     """Orthogonality and reconstruction bounds of full_svd on a random
     m x n matrix (its SVD branch, full and thin), on the same matrix over
     n zero rows (its zero-row branch, full and thin), on a random
-    symmetric n x n one (its eigh branch) and on a random symmetric
+    symmetric n x n one (its SVD branch on a square symmetric matrix,
+    which is not centrosymmetric once n > 1) and on a random symmetric
     Toeplitz n x n one (its centrosymmetric branch); the thin factor's
     sigma and V must equal the full factor's bit for bit."""
     rng = np.random.default_rng(seed)

@@ -105,9 +105,9 @@ class TestToeplitzForm:
 
     @pytest.mark.parametrize("m,n", SHAPES)
     def test_leading_block_is_exactly_symmetric(self, m, n):
-        # full_svd takes eigh only for A == A^T bit for bit, and splits it
-        # only for A == A[::-1, ::-1] too; a block that lost either would
-        # fall back to a slower routine without an error
+        # full_svd takes eigh only for A == A^T == A[::-1, ::-1] bit for
+        # bit; a block that lost either would fall back to LAPACK's slower
+        # SVD without an error
         inst, c_star = isvp.generate_toeplitz_instance(m, n, 4)
         rng = np.random.default_rng(m * 100 + n)
         draws = [rng.uniform(-2.0, 2.0, n), -rng.random(n), 1e12 * rng.standard_normal(n)]

@@ -119,7 +119,8 @@ class TestSolverConfig:
     @pytest.mark.parametrize(
         "kwargs",
         [{"tol": 0.0}, {"tol": np.inf}, {"max_iter": 0},
-         {"max_iter": float("nan")}, {"max_iter": 2.5}, {"max_iter": True}],
+         {"max_iter": float("nan")}, {"max_iter": 2.5}, {"max_iter": True},
+         {"tol": True}, {"tol": "1e-8"}],
     )
     def test_rejects_bad_values(self, kwargs):
         with pytest.raises(ValueError):

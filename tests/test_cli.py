@@ -410,18 +410,14 @@ WRONG_KERNELS = {
     verification.check_svd_factorization: ("full_svd", _doubling_sigma(isvp.full_svd)),
 }
 
-# the svd check runs four times more, with full_svd's eigh, thin, zero-row
-# and centrosymmetric branch wrong in turn, and the fixed-point check once
-# with each solver's step drifting
+# the svd check runs three times more, with full_svd's thin, zero-row and
+# centrosymmetric branch wrong in turn, and the fixed-point check once with
+# each solver's step drifting
 WRONG_KERNEL_CASES = [
     pytest.param(check, verification, *WRONG_KERNELS[check], id=check.__name__)
     for check in verification.ALL_CHECKS
     if check is not verification.check_solver_fixed_points
 ] + [
-    pytest.param(
-        verification.check_svd_factorization, np.linalg, "eigh",
-        _doubling_eigenvalues(np.linalg.eigh), id="check_svd_factorization-symmetric",
-    ),
     pytest.param(
         verification.check_svd_factorization, np.linalg, "svd",
         _flipping_thin_U(np.linalg.svd), id="check_svd_factorization-thin",

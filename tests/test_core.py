@@ -129,16 +129,12 @@ def _random_symmetric(n, seed):
     return X + X.T
 
 
-# a negative 1 x 1 matrix, random indefinite ones, one singular matrix
-# (lambda = 0, 2) and one with the pair lambda = -2, 2, each exact in
-# eigh's output
+# centrosymmetric matrices with exact eigenvalues: a negative 1 x 1 one, a
+# singular one (lambda = 2, 0) and one with the pair lambda = 2, -2
 SYMMETRIC_CASES = {
     "1x1": np.array([[-3.0]]),
-    "2x2": _random_symmetric(2, 41),
-    "30x30": _random_symmetric(30, 43),
-    "160x160": _random_symmetric(160, 47),
     "singular": np.array([[1.0, 1.0], [1.0, 1.0]]),
-    "pair": np.array([[0.0, 2.0, 0.0], [2.0, 0.0, 0.0], [0.0, 0.0, 1.0]]),
+    "pair": np.array([[0.0, 2.0], [2.0, 0.0]]),
 }
 
 
@@ -173,7 +169,8 @@ def recording_eigh_sides(monkeypatch):
 
 
 class TestFullSvdEighPath:
-    """full_svd of a matrix equal to its transpose, from ``eigh``."""
+    """full_svd of a matrix equal to its transpose and its reversal, from
+    ``eigh``."""
 
     @pytest.mark.parametrize("A", SYMMETRIC_CASES.values(), ids=list(SYMMETRIC_CASES))
     def test_is_an_svd_with_the_sign_convention(self, A):
@@ -183,10 +180,13 @@ class TestFullSvdEighPath:
         singular = isvp.full_svd(SYMMETRIC_CASES["singular"])
         np.testing.assert_array_equal(singular.sigma, [2.0, 0.0])
         np.testing.assert_array_equal(singular.U[:, 1], singular.V[:, 1])
-        # the stable sort keeps eigh's ascending order within |lambda| = 2
+        # the stable sort keeps the even pair (lambda = 2, v = [1, 1] / sqrt 2)
+        # before the odd one (lambda = -2, v = [1, -1] / sqrt 2)
         pair = isvp.full_svd(SYMMETRIC_CASES["pair"])
-        np.testing.assert_array_equal(pair.sigma, [2.0, 2.0, 1.0])
-        np.testing.assert_array_equal(pair.U, pair.V * [-1.0, 1.0, 1.0])
+        s = np.sqrt(0.5)
+        np.testing.assert_array_equal(pair.sigma, [2.0, 2.0])
+        np.testing.assert_array_equal(pair.V, [[s, s], [s, -s]])
+        np.testing.assert_array_equal(pair.U, [[s, -s], [s, s]])
 
     def test_rejects_what_it_cannot_factor(self, monkeypatch):
         with pytest.raises(NonFiniteInput, match="^A contains NaN or infinity$"):
@@ -232,6 +232,21 @@ CENTROSYMMETRIC_CASES = {
 }
 
 
+def _nudged_centrosymmetric(n, seed):
+    A = _random_centrosymmetric(n, seed)
+    # symmetric still, but A[0, 1] no longer equals A[n - 1, n - 2]
+    A[0, 1] = A[1, 0] = A[0, 1] * (1.0 + 1e-15)
+    return A
+
+
+# square symmetric matrices that are not centrosymmetric: random indefinite
+# ones, and centrosymmetric ones nudged off their reversal in one pair
+OFF_REVERSAL_CASES = {
+    **{f"random-{n}": _random_symmetric(n, seed) for n, seed in ((2, 41), (30, 43), (160, 47))},
+    **{f"nudged-{n}": _nudged_centrosymmetric(n, 61) for n in (7, 30)},
+}
+
+
 class TestFullSvdCentrosymmetricPath:
     """full_svd of a symmetric matrix equal to its reversal, from two
     half-size ``eigh`` problems."""
@@ -247,15 +262,20 @@ class TestFullSvdCentrosymmetricPath:
         assert sides == [n - n // 2, n // 2]
         assert_symmetric_svd(A, f)
 
-    @pytest.mark.parametrize("n", [7, 30])
-    def test_a_symmetric_matrix_off_its_reversal_takes_one_eigh(self, n, monkeypatch):
-        A = _random_centrosymmetric(n, 61)
-        # symmetric still, but A[0, 1] no longer equals A[n - 1, n - 2]
-        A[0, 1] = A[1, 0] = A[0, 1] * (1.0 + 1e-15)
-        sides = recording_eigh_sides(monkeypatch)
+    @pytest.mark.parametrize("A", OFF_REVERSAL_CASES.values(), ids=list(OFF_REVERSAL_CASES))
+    def test_a_symmetric_matrix_off_its_reversal_takes_lapacks_svd(self, A, monkeypatch):
+        np.testing.assert_array_equal(A, A.T)
+        assert not np.array_equal(A, A[::-1, ::-1])
+        U, sigma, Vt = np.linalg.svd(A)
+
+        def fail(A):
+            raise AssertionError("eigh ran on a matrix off its reversal")
+
+        monkeypatch.setattr(np.linalg, "eigh", fail)
         f = isvp.full_svd(A)
-        assert sides == [n]
-        assert_symmetric_svd(A, f)
+        np.testing.assert_array_equal(f.U, U)
+        np.testing.assert_array_equal(f.sigma, sigma)
+        np.testing.assert_array_equal(f.V, Vt.T)
 
 
 def _zero_padded(block, m):

@@ -431,10 +431,11 @@ class TestEmitReports:
         assert rows[0] == TRACE_HEADER
         assert len(rows) > 1
 
-    def test_numpy_integers_write_a_readable_summary(self, tmp_path):
+    def test_numpy_scalars_write_a_readable_summary(self, tmp_path):
+        floats = dict(beta=np.float32(1e-3), mu=np.float32(0.25), tol=np.float32(1e-8))
         config = isvp.ExperimentConfig(
-            m=np.int64(16), n=np.int64(6), beta=1e-3, mu=0.0, seeds=np.arange(1, 3),
-            max_iter=np.int64(20),
+            m=np.int64(16), n=np.int64(6), seeds=np.arange(1, 3), max_iter=np.int64(20),
+            **floats,
         )
         isvp.emit_reports(isvp.run_experiment(config), tmp_path)
         summary = json.loads((tmp_path / "summary.json").read_text())
@@ -442,6 +443,14 @@ class TestEmitReports:
         assert [t["seed"] for t in summary["trials"]] == [1, 2]
         assert [summary["config"][k] for k in ("m", "n", "max_iter")] == [16, 6, 20]
         assert summary["config"]["seeds"] == [1, 2]
+        for name, value in floats.items():
+            assert type(getattr(config, name)) is float
+            assert summary["config"][name] == float(value)
+            # a bool is no float: rejected when the config is built, before any solve
+            with pytest.raises(ValueError, match=f"^{name} must be a real number$"):
+                isvp.ExperimentConfig(
+                    **{"m": 16, "n": 6, "beta": 1e-3, "mu": 0.0, "seeds": (1,), name: False}
+                )
 
     def test_empty_seed_list_gives_header_only(self, tmp_path):
         config = isvp.ExperimentConfig(
