@@ -17,10 +17,9 @@ import time
 import numpy as np
 
 from .cayley_free import (
-    SolverConfig, SolverState, _check_updated, _evaluate_rows, _exact_point, _form_jacobian,
-    _iterate, initialize,
+    SolverConfig, SolverState, _check_updated, _exact_point, _form_jacobian, _iterate, initialize,
 )
-from .core import MIN_GAP, IsvpInstance, approx_jacobian, jacobian_inverse, spectral_gap
+from .core import MIN_GAP, IsvpInstance, approx_jacobian, evaluate_A, jacobian_inverse, spectral_gap
 from .errors import InputError, NumericalError
 from .report import SolveReport
 
@@ -115,7 +114,7 @@ def alg1_outer_step(state: SolverState, instance: IsvpInstance) -> SolverState:
         y = c - B @ t
         if not np.all(np.isfinite(y)):
             raise NumericalError("first coefficient update is non-finite")
-        A_y = _evaluate_rows(instance, y)
+        A_y = evaluate_A(instance, y)
         D = U.T @ (A_y @ V)
         X, Y = alg1_skew_pair(D, s)
         Z = cayley_orthogonalize(U, X)
@@ -129,7 +128,7 @@ def alg1_outer_step(state: SolverState, instance: IsvpInstance) -> SolverState:
         t_bar = sigma_bar - sigma
         s_bar = sigma + t_bar - J @ (B @ t_bar)
 
-        A_next = _evaluate_rows(instance, c_next)
+        A_next = evaluate_A(instance, c_next)
         D_bar = U.T @ (A_next @ V) - D + W_y
         X_bar, Y_bar = alg1_skew_pair(D_bar, s_bar)
         U_next = cayley_orthogonalize(Z, X_bar)

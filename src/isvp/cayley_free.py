@@ -139,24 +139,19 @@ def _check_updated(*named: tuple[str, np.ndarray]) -> None:
             raise NumericalError(f"updated {name} is non-finite")
 
 
-def _evaluate_rows(instance: IsvpInstance, c: np.ndarray) -> np.ndarray:
-    """The leading ``instance.r`` rows of A(c), a view: every solve works
-    on them alone, since the rows below are zero for every c."""
-    return evaluate_A(instance, c)[: instance.r]
-
-
 @dataclass
 class SolverState:
     """Complete mutable state of one outer iteration.
 
-    ``U`` is r x r and ``W`` = U^T A(c) V is r x n, over the leading
-    ``instance.r`` rows of A(c) (see :class:`core.IsvpInstance`), except
-    on a Newton iterate, which carries the thin factor: an r x n ``U``
-    and an n x n ``W``.  ``W`` is formed once per iterate: its diagonal
-    is the paper's residual model J c + b, and the driver reads d_k off
-    it.  At an exact point (see :func:`_exact_point`) ``W`` is Sigma,
-    the singular values of A(c) on the diagonal of a zero matrix with as
-    many rows as ``U`` has columns.
+    ``U`` is r x r and ``W`` = U^T A(c) V is r x n, over the
+    ``instance.r`` rows of A(c) that :func:`core.evaluate_A` returns
+    (see :class:`core.IsvpInstance`), except on a Newton iterate, which
+    carries the thin factor: an r x n ``U`` and an n x n ``W``.  ``W``
+    is formed once per iterate: its diagonal is the paper's residual
+    model J c + b, and the driver reads d_k off it.  At an exact point
+    (see :func:`_exact_point`) ``W`` is Sigma, the singular values of
+    A(c) on the diagonal of a zero matrix with as many rows as ``U`` has
+    columns.
     ``B`` approximates the inverse of the approximate Jacobian ``J``; it
     is ``None`` from :func:`initialize` until the caller chooses B_0.
     Newton's iterates are exact points of this class too, and their
@@ -184,10 +179,10 @@ class SolverState:
 def _exact_point(
     instance: IsvpInstance, c: np.ndarray, k: int, full_matrices: bool
 ) -> SolverState:
-    """Iterate ``k`` at ``c`` from the exact SVD of the leading r rows of
-    A(c): ``U`` and ``V`` are its factors, and ``W`` = U^T A(c) V is
-    Sigma = diag_embed(sigma, q), q the column count of ``U``, so no
-    product with A(c) is formed.  ``B`` and ``J`` are ``None``.
+    """Iterate ``k`` at ``c`` from the exact SVD of the r x n A(c) that
+    :func:`core.evaluate_A` returns: ``U`` and ``V`` are its factors,
+    and ``W`` = U^T A(c) V is Sigma = diag_embed(sigma, q), q the column
+    count of ``U``, so no product with A(c) is formed.  ``B`` and ``J`` are ``None``.
 
     ``full_matrices`` is the caller's: a two-step start
     (:func:`initialize`) needs the trailing columns of an r x r ``U``,
@@ -201,7 +196,7 @@ def _exact_point(
     inverts J_0 forms it, and every iterate after k = 0 has its J_k
     formed by the step that starts from it.
     """
-    factors = full_svd(_evaluate_rows(instance, c), full_matrices=full_matrices)
+    factors = full_svd(evaluate_A(instance, c), full_matrices=full_matrices)
     W = diag_embed(factors.sigma, factors.U.shape[1])
     return SolverState(k=k, c=c, W=W, U=factors.U, V=factors.V, B=None, J=None)
 
@@ -316,7 +311,7 @@ def outer_step(state: SolverState, instance: IsvpInstance) -> SolverState:
         c_bar = c - B @ generalized_residual_vector(U, V, np.diagonal(state.W), sigma)
         if not np.all(np.isfinite(c_bar)):
             raise NumericalError("first coefficient update is non-finite")
-        A_bar = _evaluate_rows(instance, c_bar)
+        A_bar = evaluate_A(instance, c_bar)
         W = U.T @ (A_bar @ V)
         first = correction_matrices(U, V, W, sigma)
         U_bar = multiplicative_refine(U, first.left)
@@ -327,7 +322,7 @@ def outer_step(state: SolverState, instance: IsvpInstance) -> SolverState:
         c_next = c_bar - B @ rho
         if not np.all(np.isfinite(c_next)):
             raise NumericalError("second coefficient update is non-finite")
-        A_next = _evaluate_rows(instance, c_next)
+        A_next = evaluate_A(instance, c_next)
         W_bar = U_bar.T @ (A_next @ V_bar)
         second = correction_matrices(U_bar, V_bar, W_bar, sigma)
         U_next = multiplicative_refine(U_bar, second.left)

@@ -6,12 +6,12 @@ spectrum sigma*.  The affine family is A(c) = A_0 + sum_i c_i A_i and a
 solution is any c whose singular values equal sigma*.  This module owns
 the validated problem type with its two basis forms (a dense row-major
 array, and the O(n) symmetric Toeplitz family with an FFT Jacobian), the
-matrix family evaluation, the full or thin SVD (on the leading rows of
-a matrix over zero rows; two half-size symmetric eigendecompositions for
-a centrosymmetric one, and LAPACK's SVD for any other), the approximate
-Jacobian [J]_ij = u_i^T A_j v_i and its one inverse at the start, the
-generalized residual vector used by the solvers, and the Frobenius
-residual d = ||U^T A(c) V - Sigma*||_F.
+matrix family evaluation on the rows A(c) can fill, the full or thin
+SVD (two half-size symmetric eigendecompositions for a centrosymmetric
+matrix, and LAPACK's SVD for any other), the approximate Jacobian
+[J]_ij = u_i^T A_j v_i and its one inverse at the start, the generalized
+residual vector used by the solvers, and the Frobenius residual
+d = ||U^T A(c) V - Sigma*||_F.
 """
 
 from __future__ import annotations
@@ -42,14 +42,17 @@ _JACOBIAN_BLOCK_BYTES = 2 << 20
 class DenseBasis:
     """A_0, ..., A_n stored once, row-major, as one read-only (m, n+1, n) array.
 
-    ``rows[r, k]`` is row r of A_k, and ``basis`` is the (n+1, m, n) view
+    ``rows[i, k]`` is row i of A_k, and ``basis`` is the (n+1, m, n) view
     of the same buffer, so ``basis[k]`` is A_k without a copy.  Takes
     ownership of ``rows`` and marks it read-only, so no caller can change
-    it afterwards.  Any row of A(c) may be nonzero, so ``r = m``.
-    A(c) is one GEMV per row.  The Jacobian walks the matrices in blocks of
-    about 2 MiB of products, each one GEMM of U_n^T against the (m, k n)
-    view of the block (inner dimension m) and one einsum against V_n, so
-    its working memory does not grow with the basis.
+    it afterwards.  ``r`` is found once, here: trailing rows that are
+    zero in every A_k are zero in every A(c), so ``r`` is m less their
+    count, and never below n.  A random basis has a nonzero last row, so
+    this reads one row.  A(c) is one GEMV per leading row, r rows in all.
+    The Jacobian walks the matrices in blocks of about 2 MiB of products,
+    each one GEMM of U_r^T against the (r, k n) view of the block (inner
+    dimension r) and one einsum against V_n, so its working memory does
+    not grow with the basis.
     """
 
     def __init__(self, rows: np.ndarray):
@@ -61,23 +64,27 @@ class DenseBasis:
         rows.flags.writeable = False
         self.rows = rows
         self.basis = rows.transpose(1, 0, 2)
-        self.m, self.n, self.r = m, n, m
+        r = m
+        while r > n and not rows[r - 1].any():
+            r -= 1
+        self.m, self.n, self.r = m, n, r
 
     def evaluate(self, c: np.ndarray) -> np.ndarray:
-        return self.rows[:, 0] + c @ self.rows[:, 1:]
+        rows = self.rows[: self.r]
+        return rows[:, 0] + c @ rows[:, 1:]
 
     def jacobian(self, Un: np.ndarray, Vn: np.ndarray) -> np.ndarray:
-        m, n = self.m, self.n
+        r, n = self.r, self.n
         step = max(1, _JACOBIAN_BLOCK_BYTES // (n * n * 8))
         J = np.empty((n, n))
         # every block's products go into this one buffer, so one block is alive at a time
         buf = np.empty(n * min(step, n) * n)
         for j0 in range(0, n, step):
-            block = self.rows[:, 1 + j0 : 1 + j0 + step]
+            block = self.rows[:r, 1 + j0 : 1 + j0 + step]
             k = block.shape[1]
             # products[i, j, s] = (u_i^T A_{j0+j})_s
             products = np.matmul(
-                Un.T, block.reshape(m, k * n), out=buf[: n * k * n].reshape(n, k * n)
+                Un[:r].T, block.reshape(r, k * n), out=buf[: n * k * n].reshape(n, k * n)
             )
             J[:, j0 : j0 + k] = np.einsum("ijs,si->ij", products.reshape(n, k, n), Vn)
         return J
@@ -87,11 +94,11 @@ class ToeplitzBasis:
     """A_0 = 0 and A_k the (k-1)-th symmetric Toeplitz shift, zero-padded
     to m x n: [A_k]_rs = 1 where |r - s| = k - 1 and r, s < n.
 
-    Only (m, n) is stored.  A(c) is the n x n symmetric Toeplitz matrix
-    with first column c over m - n zero rows, so ``r = n``; those n rows
-    equal their transpose and their reversal bit for bit (they are
-    centrosymmetric), so :func:`full_svd` factors them from two half-size
-    ``eigh`` problems and runs no SVD.
+    Only (m, n) is stored.  The rows of A(c) below n are zero, so
+    ``r = n`` and ``evaluate`` returns the n x n symmetric Toeplitz
+    matrix with first column c; it equals its transpose and its reversal
+    bit for bit (it is centrosymmetric), so :func:`full_svd` factors it
+    from two half-size ``eigh`` problems and runs no SVD.
     u^T A_k v is a cross-correlation of the leading n entries of u and v,
     so the whole Jacobian comes from one FFT per factor.
     """
@@ -116,11 +123,9 @@ class ToeplitzBasis:
     def evaluate(self, c: np.ndarray) -> np.ndarray:
         # Each entry of the dense sum has one term c_k * 1 and adds exact
         # zeros otherwise, so writing c[|r - s|] is bit-identical to it.
-        n = self.n
-        out = np.zeros((self.m, n))
         mirrored = np.concatenate([c[:0:-1], c])  # c_{n-1} .. c_1, c_0 .. c_{n-1}
-        out[:n] = np.lib.stride_tricks.sliding_window_view(mirrored, n)[::-1]
-        return out
+        window = np.lib.stride_tricks.sliding_window_view(mirrored, self.n)
+        return np.ascontiguousarray(window[::-1])
 
     def jacobian(self, Un: np.ndarray, Vn: np.ndarray) -> np.ndarray:
         # J[i, k] = sum_r u_r v_{r+k} + u_{r+k} v_r over the leading n rows
@@ -144,10 +149,11 @@ class IsvpInstance:
     both give ``evaluate(c)``, ``jacobian(Un, Vn)`` and the dense
     ``basis`` stack, whose entry 0 is the affine offset A_0 and entries
     1..n are the coefficient matrices A_1, ..., A_n, all of shape (m, n)
-    with m >= n.  Rows r and beyond of every A(c) are zero, so the
-    solvers work on the leading r rows: the two-step methods carry an
-    r x r ``U`` and the Newton oracle an r x n one, from :func:`full_svd`
-    of those rows.
+    with m >= n.  Rows r and beyond of every A(c) are zero, and the
+    operator finds ``r`` from its own data.  :func:`evaluate_A` returns
+    only the leading r rows, so the two-step methods carry an r x r
+    ``U`` and the Newton oracle an r x n one, from :func:`full_svd` of
+    those rows.
     ``sigma_star`` holds the n targets, strictly decreasing and positive
     with a :func:`spectral_gap` above ``MIN_GAP``.
     """
@@ -230,7 +236,8 @@ def diag_embed(sigma: np.ndarray, m: int) -> np.ndarray:
 
 
 def evaluate_A(instance: IsvpInstance, c) -> np.ndarray:
-    """Evaluate A(c) = A_0 + sum_i c_i A_i.
+    """Evaluate A(c) = A_0 + sum_i c_i A_i on its leading ``instance.r``
+    rows, an r x n array: the rows below are zero for every c.
 
     The result is bit-identical across repeated evaluations.
     """
@@ -297,13 +304,7 @@ def full_svd(A, full_matrices: bool = True) -> SvdFactorization:
     quantities that a paired flip leaves unchanged, and one build at one
     thread count returns the same factors on every call.
 
-    A tall A whose last row is zero is factored on its leading q rows,
-    q = max(n, 1 + its last nonzero row): sigma and V are the block's,
-    the thin U is the block's padded with m - q zero rows, and the full
-    U is blockdiag(U_q, I), so its trailing columns over the zero rows
-    are the identity.  A dense A pays one O(n) test of its last row.
-
-    A block equal to its transpose and to its reversal A[::-1, ::-1] bit
+    An A equal to its transpose and to its reversal A[::-1, ::-1] bit
     for bit (every symmetric Toeplitz one) is centrosymmetric and needs
     no SVD: its eigendecomposition A = Q diag(lambda) Q^T, from two
     half-size ``eigh`` problems (:func:`_centrosymmetric_eigh`), gives
@@ -311,7 +312,7 @@ def full_svd(A, full_matrices: bool = True) -> SvdFactorization:
     U = V diag(sign(lambda)) with sign +1 at lambda = 0 (Golub and Van
     Loan, *Matrix Computations*, section 8.6).  The sort is stable, so
     pairs with equal |lambda| keep the helper's order: the even part's
-    before the odd part's, ascending within each.  Every other block, a
+    before the odd part's, ascending within each.  Every other A, a
     symmetric one included, takes one LAPACK SVD.
     """
     A = np.asarray(A, dtype=float)
@@ -321,14 +322,9 @@ def full_svd(A, full_matrices: bool = True) -> SvdFactorization:
     if m < n:
         raise InputError(f"require m >= n, got {A.shape}")
     _require_finite("A", A)
-    q = m
-    if m > n and not A[-1].any():
-        nonzero = np.flatnonzero(A.any(axis=1))
-        q = max(n, int(nonzero[-1]) + 1) if nonzero.size else n
-    block = A[:q]
-    if np.array_equal(block, block.T) and np.array_equal(block, block[::-1, ::-1]):
+    if np.array_equal(A, A.T) and np.array_equal(A, A[::-1, ::-1]):
         try:
-            lam, Q = _centrosymmetric_eigh(block)
+            lam, Q = _centrosymmetric_eigh(A)
         except np.linalg.LinAlgError as exc:
             raise NumericalError(f"eigendecomposition did not converge: {exc}") from exc
         order = np.argsort(-np.abs(lam), kind="stable")
@@ -338,23 +334,24 @@ def full_svd(A, full_matrices: bool = True) -> SvdFactorization:
         sigma = np.abs(lam)
     else:
         try:
-            U, sigma, Vt = np.linalg.svd(block, full_matrices=full_matrices)
+            U, sigma, Vt = np.linalg.svd(A, full_matrices=full_matrices)
         except np.linalg.LinAlgError as exc:
             raise NumericalError(f"SVD did not converge: {exc}") from exc
         V = Vt.T
-    if q < m:
-        U_q = U
-        U = np.zeros((m, m if full_matrices else n))
-        U[:q, : U_q.shape[1]] = U_q
-        if full_matrices:
-            tail = np.arange(q, m)
-            U[tail, tail] = 1.0
     return SvdFactorization(U=U, V=V, sigma=sigma)
 
 
 def approx_jacobian(U: np.ndarray, V: np.ndarray, instance: IsvpInstance) -> np.ndarray:
-    """Approximate Jacobian [J]_ij = u_i^T A_j v_i from the leading columns of U, V."""
-    n = instance.n
+    """Approximate Jacobian [J]_ij = u_i^T A_j v_i from the leading columns of U, V.
+
+    U needs r rows or more (the rest meet zero rows of every A_j), V
+    exactly n, and both n columns or more; else ``InputError``.
+    """
+    n, r = instance.n, instance.r
+    if U.shape[0] < r or U.shape[1] < n:
+        raise InputError(f"U must have at least {r} rows and {n} columns, got {U.shape}")
+    if V.shape[0] != n or V.shape[1] < n:
+        raise InputError(f"V must have {n} rows and at least {n} columns, got {V.shape}")
     _require_finite("U", U)
     _require_finite("V", V)
     return instance.operator.jacobian(U[:, :n], V[:, :n])
@@ -362,7 +359,9 @@ def approx_jacobian(U: np.ndarray, V: np.ndarray, instance: IsvpInstance) -> np.
 
 def jacobian_inverse(J0: np.ndarray) -> np.ndarray:
     """Dense LU inverse of the starting Jacobian J_0, the exact B_0 of both
-    two-step methods.  A singular J_0 raises ``NumericalError``."""
+    two-step methods.  A non-finite J_0 raises ``NonFiniteInput``, a
+    singular one ``NumericalError``."""
+    _require_finite("J0", J0)
     try:
         return np.linalg.inv(J0)
     except np.linalg.LinAlgError as exc:
@@ -404,7 +403,7 @@ def save_instance(instance: IsvpInstance, path) -> None:
     values each (row-major A_0..A_n); the final line holds sigma*.  Values
     carry 17 significant digits so a round-trip is exact.  Every basis
     form is written densely, so a Toeplitz instance reads back as a dense
-    one with the same A(c).
+    one with the same A(c) and the same ``r``.
     """
     try:
         with open(path, "w") as fh:

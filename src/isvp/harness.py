@@ -40,9 +40,20 @@ _ROUNDOFF_FLOOR_FACTOR = 100.0
 _MAX_RATIO_BASE = 0.5
 
 
-def _check_mu(mu: float) -> None:
+def _check_beta(beta: float) -> float:
+    if not _is_real(beta):
+        raise ValueError("beta must be a real number")
+    if not (0.0 <= beta < np.inf):
+        raise ValueError("beta must be finite and nonnegative")
+    return float(beta)
+
+
+def _check_mu(mu: float) -> float:
+    if not _is_real(mu):
+        raise ValueError("mu must be a real number")
     if not (0.0 <= mu < 1.0):
         raise ValueError("mu must lie in [0, 1)")
+    return float(mu)
 
 
 def _check_seed(seed: int) -> None:
@@ -62,7 +73,7 @@ def _check_start(algorithm, mu: float) -> Algorithm:
     """The :class:`Algorithm` that ``algorithm`` names, once ``mu`` is
     checked against it: only the Cayley-free start reads a nonzero mu."""
     algorithm = Algorithm(algorithm)
-    _check_mu(mu)
+    mu = _check_mu(mu)
     if mu != 0.0 and algorithm is not Algorithm.CAYLEY_FREE:
         raise ValueError(f"{algorithm.value} builds no B_0 from mu; it needs mu = 0")
     return algorithm
@@ -91,14 +102,10 @@ class ExperimentConfig:
             if not _is_integer(getattr(self, name)):
                 raise ValueError(f"{name} must be an integer")
             object.__setattr__(self, name, int(getattr(self, name)))
-        for name in ("beta", "mu"):
-            if not _is_real(getattr(self, name)):
-                raise ValueError(f"{name} must be a real number")
-            object.__setattr__(self, name, float(getattr(self, name)))
+        object.__setattr__(self, "beta", _check_beta(self.beta))
+        object.__setattr__(self, "mu", _check_mu(self.mu))
         if not (self.m >= self.n >= 1):
             raise ValueError("require m >= n >= 1")
-        if not (0.0 <= self.beta < np.inf):
-            raise ValueError("beta must be finite and nonnegative")
         object.__setattr__(self, "algorithm", _check_start(self.algorithm, self.mu))
         # SolverConfig checks tol and max_iter, and stores tol as a float
         object.__setattr__(self, "tol", self.solver_config().tol)
@@ -185,15 +192,15 @@ def generate_instance(m: int, n: int, seed: int) -> tuple[IsvpInstance, np.ndarr
 def generate_toeplitz_instance(m: int, n: int, seed: int) -> tuple[IsvpInstance, np.ndarray]:
     """Structured alternative: A_0 = 0 and A_k the k-th symmetric Toeplitz
     shift (A_1 = I), zero-padded to m x n.  Only c* is random.  The
-    instance keeps the O(n) Toeplitz form of the basis."""
+    instance keeps the O(n) Toeplitz form of the basis, whose A(c) is its
+    n x n block (r = n), and sigma* is the spectrum of that block."""
     operator = ToeplitzBasis(m, n)
     return _draw_instance(lambda rng: (operator, rng.random(n)), seed)
 
 
 def perturb_c_star(c_star: np.ndarray, beta: float, seed: int) -> np.ndarray:
     """Perturb each entry uniformly on [-max_j|c*_j| beta, +max_j|c*_j| beta]."""
-    if not (0.0 <= beta < np.inf):
-        raise ValueError("beta must be finite and nonnegative")
+    beta = _check_beta(beta)
     c_star = np.asarray(c_star, dtype=float)
     _require_finite("c*", c_star)
     radius = float(np.max(np.abs(c_star))) * beta

@@ -45,6 +45,16 @@ def square_twin():
     return dense_twin(inst), c_star
 
 
+def dense_with_zero_rows(m, n, seed, zero_rows=4):
+    """A random dense instance whose last ``zero_rows`` rows are zero in
+    every A_k, with sigma* the spectrum of its A(c*)."""
+    generated, c_star = isvp.generate_instance(m, n, seed)
+    basis = np.array(generated.basis)
+    basis[:, m - zero_rows :] = 0.0
+    A = basis[0] + np.tensordot(c_star, basis[1:], axes=1)
+    return isvp.build_instance(basis, np.linalg.svd(A, compute_uv=False)), c_star
+
+
 # the routine full_svd runs on every exact point of a solve: two half-size
 # eigh on a block equal to its transpose and to its reversal (every Toeplitz
 # block, whatever its basis form), and svd on a tall dense one
@@ -68,18 +78,26 @@ class TestToeplitzForm:
             )
 
     @pytest.mark.parametrize("m,n", SHAPES)
-    def test_rows_from_r_on_are_zero(self, m, n):
+    def test_evaluate_A_is_r_by_n_and_the_basis_keeps_m_rows(self, m, n):
         inst, c_star = isvp.generate_toeplitz_instance(m, n, 4)
         assert (inst.m, inst.n, inst.r) == (m, n, n)
+        assert inst.basis.shape == (n + 1, m, n)
         assert not inst.basis[:, inst.r :].any()
         rng = np.random.default_rng(m * 100 + n)
         for c in [c_star] + [rng.uniform(-2.0, 2.0, n) for _ in range(3)]:
-            assert not isvp.evaluate_A(inst, c)[inst.r :].any()
+            A = isvp.evaluate_A(inst, c)
+            assert A.shape == (n, n) and A.flags.c_contiguous
 
-    # at 30 x 20 a Toeplitz basis has r = n and a dense one r = m
+    # at 30 x 20 a Toeplitz basis has r = n, a random dense one r = m, and a
+    # dense one over 4 zero trailing rows r = m - 4
     @pytest.mark.parametrize(
-        "generate,r", [(isvp.generate_toeplitz_instance, 20), (isvp.generate_instance, 30)],
-        ids=["toeplitz", "dense"],
+        "generate,r",
+        [
+            (isvp.generate_toeplitz_instance, 20),
+            (isvp.generate_instance, 30),
+            (dense_with_zero_rows, 26),
+        ],
+        ids=["toeplitz", "dense", "dense-zero-rows"],
     )
     @pytest.mark.parametrize("algorithm", list(Algorithm))
     def test_solver_states_carry_an_r_by_r_U(self, algorithm, generate, r, monkeypatch):
@@ -112,7 +130,7 @@ class TestToeplitzForm:
         rng = np.random.default_rng(m * 100 + n)
         draws = [rng.uniform(-2.0, 2.0, n), -rng.random(n), 1e12 * rng.standard_normal(n)]
         for c in [c_star] + draws:
-            block = isvp.evaluate_A(inst, c)[: inst.r]
+            block = isvp.evaluate_A(inst, c)
             np.testing.assert_array_equal(block, block.T)
             np.testing.assert_array_equal(block, block[::-1, ::-1])
 
@@ -181,12 +199,13 @@ class TestToeplitzForm:
 
     @pytest.mark.parametrize("algorithm", list(Algorithm))
     def test_solvers_take_the_steps_of_the_dense_twin(self, algorithm):
-        # the twin has r = m, so it runs the uncompressed m x m path: the
-        # oracle for the r x r one
+        # the twin finds r = n from its zero rows; widened back to r = m it
+        # runs the uncompressed m x m path, the oracle for the r x r one
         for m, n in [(30, 20), (40, 20), (11, 7), (240, 160)]:
             inst, c_star = isvp.generate_toeplitz_instance(m, n, 3)
             twin = dense_twin(inst)
-            assert (inst.r, twin.r) == (n, m)
+            assert (inst.r, twin.r) == (n, n)
+            twin.operator.r = m
             c0 = isvp.perturb_c_star(c_star, 1e-5, 3)
             structured = solve(algorithm, inst, c0)
             dense = solve(algorithm, twin, c0)
@@ -228,6 +247,27 @@ class TestDenseStorage:
             for r in range(7):
                 for k in range(4):
                     np.testing.assert_array_equal(rows[r, k], generated.basis[k][r])
+
+    @pytest.mark.parametrize(
+        "zero_rows,nonzero,r",
+        [(0, None, 30), (4, None, 26), (10, None, 20), (13, None, 20), (4, (7, 29, 3), 30)],
+        ids=["none", "four", "m-n", "past-m-n", "one-entry-in-the-last-row"],
+    )
+    def test_r_is_found_from_zero_trailing_rows(self, zero_rows, nonzero, r):
+        # r never drops below n, and one nonzero entry of one A_k keeps its row
+        basis = np.random.default_rng(8).random((21, 30, 20))
+        basis[:, 30 - zero_rows :] = 0.0
+        if nonzero is not None:
+            basis[nonzero] = 1.0
+        inst = isvp.build_instance(basis, np.arange(20.0, 0.0, -1.0))
+        assert (inst.m, inst.r) == (30, r)
+        assert inst.basis.shape == (21, 30, 20)
+        c = np.random.default_rng(9).random(20)
+        A = isvp.evaluate_A(inst, c)
+        assert A.shape == (r, 20)
+        dense = basis[0] + np.tensordot(c, basis[1:], axes=1)
+        np.testing.assert_allclose(A, dense[:r], rtol=1e-14, atol=1e-14)
+        assert not dense[r:].any()
 
     def test_load_holds_one_basis_sized_array(self, tmp_path):
         m, n = 200, 100
@@ -322,10 +362,20 @@ class TestToeplitzRoundTrip:
         for c in [c_star] + [rng.uniform(-2.0, 2.0, 5) for _ in range(3)]:
             np.testing.assert_array_equal(isvp.evaluate_A(back, c), isvp.evaluate_A(inst, c))
 
+    def test_a_loaded_instance_carries_an_n_by_n_U(self, tmp_path):
+        inst, c_star = isvp.generate_toeplitz_instance(24, 16, 2)
+        path = tmp_path / "toeplitz.txt"
+        isvp.save_instance(inst, path)
+        back = isvp.load_instance(path)
+        assert back.r == 16
+        state = cayley_free.initialize(back, isvp.perturb_c_star(c_star, 1e-5, 2))
+        assert state.U.shape == (16, 16)
+        assert state.W.shape == (16, 16)
+
     @pytest.mark.parametrize("algorithm", list(Algorithm))
     def test_a_loaded_instance_solves_with_no_svd(self, algorithm, tmp_path, monkeypatch):
-        # the dense twin's A(c) is the Toeplitz block over m - n zero rows:
-        # full_svd drops the rows and splits the block, as on the generated form
+        # the loaded basis finds r = n from its zero rows, so its A(c) is the
+        # Toeplitz block, which full_svd splits as on the generated form
         inst, c_star = isvp.generate_toeplitz_instance(30, 20, 4)
         path = tmp_path / "toeplitz.txt"
         isvp.save_instance(inst, path)

@@ -367,19 +367,6 @@ def _doubling_eigenvalues(eigh):
     return doubled_eigenvalues
 
 
-def _misplacing_zero_rows(factorize):
-    """full_svd with U's rows reversed for a tall A ending in a zero row, as
-    if the factor of its leading rows were placed over the trailing ones."""
-
-    def misplaced(A, **kwargs):
-        factors = factorize(A, **kwargs)
-        if A.shape[0] > A.shape[1] and not A[-1].any():
-            return dataclasses.replace(factors, U=factors.U[::-1])
-        return factors
-
-    return misplaced
-
-
 def _transposed_jacobian(U, V, instance):
     return isvp.approx_jacobian(U, V, instance).T
 
@@ -410,8 +397,8 @@ WRONG_KERNELS = {
     verification.check_svd_factorization: ("full_svd", _doubling_sigma(isvp.full_svd)),
 }
 
-# the svd check runs three times more, with full_svd's thin, zero-row and
-# centrosymmetric branch wrong in turn, and the fixed-point check once with
+# the svd check runs twice more, with full_svd's thin and centrosymmetric
+# branch wrong in turn, and the fixed-point check once with
 # each solver's step drifting
 WRONG_KERNEL_CASES = [
     pytest.param(check, verification, *WRONG_KERNELS[check], id=check.__name__)
@@ -421,10 +408,6 @@ WRONG_KERNEL_CASES = [
     pytest.param(
         verification.check_svd_factorization, np.linalg, "svd",
         _flipping_thin_U(np.linalg.svd), id="check_svd_factorization-thin",
-    ),
-    pytest.param(
-        verification.check_svd_factorization, verification, "full_svd",
-        _misplacing_zero_rows(isvp.full_svd), id="check_svd_factorization-zero-rows",
     ),
     pytest.param(
         verification.check_svd_factorization, core, "_centrosymmetric_eigh",

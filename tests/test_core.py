@@ -284,54 +284,30 @@ def _zero_padded(block, m):
     return out
 
 
-# tall matrices whose last row is zero, with q = max(n, 1 + last nonzero row):
-# a symmetric Toeplitz block (q = n, eigh), a general block taller than n
-# (q > n, svd) and a general block shorter than n (q = n, svd)
+# tall matrices whose last row is zero: a symmetric Toeplitz block (which
+# alone would take eigh), a general block taller than n, one shorter than n,
+# and all zeros
 ZERO_ROW_CASES = {
-    "toeplitz": (_zero_padded(_random_symmetric_toeplitz(20, 71), 30), 20),
-    "tall-block": (_zero_padded(np.random.default_rng(72).standard_normal((24, 20)), 30), 24),
-    "short-block": (_zero_padded(np.random.default_rng(73).standard_normal((12, 20)), 30), 20),
+    "toeplitz": _zero_padded(_random_symmetric_toeplitz(20, 71), 30),
+    "tall-block": _zero_padded(np.random.default_rng(72).standard_normal((24, 20)), 30),
+    "short-block": _zero_padded(np.random.default_rng(73).standard_normal((12, 20)), 30),
+    "all-zero": np.zeros((5, 3)),
 }
 
 
 class TestFullSvdZeroRows:
-    """full_svd of a tall matrix ending in zero rows, from its leading q rows."""
+    """full_svd factors every row it is given: which rows of A(c) are zero
+    for every c is the basis's to say (its ``r``), not full_svd's to scan."""
 
     @pytest.mark.parametrize("full_matrices", [True, False], ids=["full", "thin"])
     @pytest.mark.parametrize("case", ZERO_ROW_CASES)
-    def test_factors_the_leading_rows_and_pads_U(self, case, full_matrices):
-        A, q = ZERO_ROW_CASES[case]
-        m, n = A.shape
+    def test_zero_trailing_rows_take_lapacks_svd(self, case, full_matrices):
+        A = ZERO_ROW_CASES[case]
         f = isvp.full_svd(A, full_matrices=full_matrices)
-        cols = m if full_matrices else n
-        assert f.U.shape == (m, cols)
-        assert np.linalg.norm(f.U.T @ f.U - np.eye(cols)) <= 1e-12 * cols
-        assert np.linalg.norm(f.V.T @ f.V - np.eye(n)) <= 1e-12 * n
-        residual = np.linalg.norm(f.U.T @ A @ f.V - isvp.diag_embed(f.sigma, cols))
-        assert residual <= 1e-13 * n * np.linalg.norm(A)
-        reference = np.linalg.svd(A, compute_uv=False)
-        assert np.abs(f.sigma - reference).max() <= 1e-14 * reference[0]
-        if full_matrices:
-            np.testing.assert_array_equal(f.U[q:, q:], np.eye(m - q))
-            np.testing.assert_array_equal(f.U[q:, :q], 0.0)
-            np.testing.assert_array_equal(f.U[:q, q:], 0.0)
-        else:
-            np.testing.assert_array_equal(f.U[q:], 0.0)
-        # sigma and V are the leading block's, bit for bit
-        block = isvp.full_svd(A[:q], full_matrices=full_matrices)
-        np.testing.assert_array_equal(f.sigma, block.sigma)
-        np.testing.assert_array_equal(f.V, block.V)
-        np.testing.assert_array_equal(f.U[:q, : block.U.shape[1]], block.U)
-
-    @pytest.mark.parametrize("full_matrices", [True, False], ids=["full", "thin"])
-    def test_a_symmetric_leading_block_needs_no_svd(self, full_matrices, monkeypatch):
-        def fail(*args, **kwargs):
-            raise AssertionError("LAPACK's SVD ran on a symmetric leading block")
-
-        A, _ = ZERO_ROW_CASES["toeplitz"]
-        monkeypatch.setattr(np.linalg, "svd", fail)
-        f = isvp.full_svd(A, full_matrices=full_matrices)
-        assert f.U.shape == (30, 30 if full_matrices else 20)
+        U, sigma, Vt = np.linalg.svd(A, full_matrices=full_matrices)
+        np.testing.assert_array_equal(f.U, U)
+        np.testing.assert_array_equal(f.sigma, sigma)
+        np.testing.assert_array_equal(f.V, Vt.T)
 
     def test_zero_rows_above_a_nonzero_last_row_stay(self):
         A = np.random.default_rng(74).standard_normal((30, 20))
@@ -341,12 +317,6 @@ class TestFullSvdZeroRows:
         np.testing.assert_array_equal(f.U, U)
         np.testing.assert_array_equal(f.sigma, sigma)
         np.testing.assert_array_equal(f.V, Vt.T)
-
-    def test_an_all_zero_matrix_is_its_leading_square(self):
-        f = isvp.full_svd(np.zeros((5, 3)))
-        np.testing.assert_array_equal(f.sigma, np.zeros(3))
-        np.testing.assert_array_equal(f.U[3:, 3:], np.eye(2))
-        assert np.linalg.norm(f.U.T @ f.U - np.eye(5)) <= 1e-15 * 5
 
 
 class TestApproxJacobian:
@@ -366,6 +336,21 @@ class TestApproxJacobian:
         f = isvp.full_svd(isvp.evaluate_A(inst, rng.random(3)))
         J = isvp.approx_jacobian(f.U, f.V, inst)
         np.testing.assert_array_equal(J[:, 1], np.zeros(3))
+
+    @pytest.mark.parametrize(
+        "generate", [isvp.generate_instance, isvp.generate_toeplitz_instance],
+        ids=["dense", "toeplitz"],
+    )
+    def test_a_short_U_or_V_is_an_input_error(self, generate):
+        # 8 x 5: r is 8 on the dense basis and 5 on the Toeplitz one, whose
+        # FFT would zero-pad a short U into a wrong J
+        inst, _ = generate(8, 5, 1)
+        r = inst.r
+        assert isvp.approx_jacobian(np.eye(8)[:r], np.eye(5), inst).shape == (5, 5)
+        with pytest.raises(InputError, match=rf"^U must have at least {r} rows and 5 columns"):
+            isvp.approx_jacobian(np.eye(8)[: r - 1], np.eye(5), inst)
+        with pytest.raises(InputError, match="^V must have 5 rows and at least 5 columns"):
+            isvp.approx_jacobian(np.eye(8), np.eye(5)[:4], inst)
 
 
 class TestGeneralizedResidualVector:

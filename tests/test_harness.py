@@ -84,6 +84,16 @@ class TestPerturb:
         with pytest.raises(ValueError):
             isvp.ExperimentConfig(m=6, n=3, beta=beta, mu=0.0, seeds=(1,))
 
+    @pytest.mark.parametrize("beta", [True, False, "1e-3", None])
+    def test_rejects_a_beta_that_is_no_real_number(self, beta):
+        # a bool would otherwise perturb by beta = 1 (or 0) without an error
+        for make in (
+            lambda: isvp.perturb_c_star(np.array([0.5, 0.25]), beta, 1),
+            lambda: isvp.ExperimentConfig(m=6, n=3, beta=beta, mu=0.0, seeds=(1,)),
+        ):
+            with pytest.raises(ValueError, match="^beta must be a real number$"):
+                make()
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_rejects_nonfinite_c_star(self, bad):
         with pytest.raises(NonFiniteInput, match=r"^c\* contains NaN or infinity$"):
@@ -112,6 +122,26 @@ class TestBuildB0:
     def test_singular_jacobian(self):
         with pytest.raises(NumericalError, match="^J0 is singular: "):
             isvp.build_B0(np.zeros((3, 3)), 0.0, 1)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_jacobian(self, bad):
+        J0 = np.eye(2)
+        J0[1, 0] = bad
+        with pytest.raises(NonFiniteInput, match="^J0 contains NaN or infinity$"):
+            isvp.build_B0(J0, 0.0, 0)
+
+    @pytest.mark.parametrize("mu", [False, True, "0.1", None])
+    def test_rejects_a_mu_that_is_no_real_number(self, mu, small_instance):
+        inst, c_star = small_instance
+        for make in (
+            lambda: isvp.build_B0(np.eye(3), mu, 1),
+            lambda: harness.run_solver(
+                isvp.Algorithm.CAYLEY_FREE, inst, c_star, isvp.SolverConfig(), mu, 0
+            ),
+            lambda: isvp.ExperimentConfig(m=6, n=3, beta=1e-3, mu=mu, seeds=(1,)),
+        ):
+            with pytest.raises(ValueError, match="^mu must be a real number$"):
+                make()
 
     def test_mu_out_of_range(self, small_instance):
         inst, c_star = small_instance
