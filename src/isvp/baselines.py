@@ -79,18 +79,19 @@ def cayley_orthogonalize(Q: np.ndarray, S: np.ndarray) -> np.ndarray:
     """Solve (I + S/2) Q'^T = (I - S/2) Q^T for Q'.
 
     For skew S this is the Cayley transform applied to Q's columns and
-    preserves orthogonality to working precision.  Solved by dense LU
-    with partial pivoting.
+    preserves orthogonality to working precision.  Since
+    (I + S/2)^{-1} (I - S/2) = 2 (I + S/2)^{-1} - I, it is formed as
+    Q' = 2 X^T - Q from one dense LU solve (I + S/2) X = Q^T with partial
+    pivoting, and no product with I - S/2.
     """
     side = S.shape[0]
     if S.shape != (side, side) or Q.shape[1] != side:
         raise InputError("S must be square with side equal to Q's column count")
-    eye = np.eye(side)
     try:
-        Qt = np.linalg.solve(eye + 0.5 * S, (eye - 0.5 * S) @ Q.T)
+        X = np.linalg.solve(np.eye(side) + 0.5 * S, Q.T)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(f"Cayley system is singular: {exc}") from exc
-    return Qt.T
+    return 2.0 * X.T - Q
 
 
 def alg1_outer_step(state: SolverState, instance: IsvpInstance) -> SolverState:

@@ -90,9 +90,9 @@ def _iterate(step, state, instance, config, c_star, t_start) -> SolveReport:
     previous record (since ``t_start``, when the solve began, for k = 0)
     and, when ``c_star`` is given, the distance of c_k to it.  After the
     step from iterate k, record k is handed the J_k that the step (or, at
-    k = 0, the start) formed; an iterate that carries none, such as the
-    last, is kept by its record, which forms J_k from it only if its
-    ``cond_j`` is read.  A step that raises one of the numerical failures
+    k = 0, the start) formed; for an iterate that carries none, such as
+    the last, the record keeps the factors J_k needs and forms it only if
+    its ``cond_j`` is read.  A step that raises one of the numerical failures
     ends the solve as ``DIVERGED``.
     """
     config = config or SolverConfig()
@@ -126,11 +126,15 @@ def _iterate(step, state, instance, config, c_star, t_start) -> SolveReport:
 
 def _jacobian_source(state, instance: IsvpInstance):
     """A function returning J_k of ``state``: the one it carries, or, when
-    it carries none, one that keeps the state and forms J_k from it."""
+    it carries none, one that keeps only the ``U[:, :n]`` and ``V`` that
+    J_k is formed from, not the state with its r x r ``U`` and ``W``."""
     J = state.J
     if J is not None:
         return lambda: J
-    return lambda: approx_jacobian(state.U, state.V, instance)
+    U, V = state.U, state.V
+    if U.shape[1] > instance.n:
+        U = U[:, : instance.n].copy()
+    return lambda: approx_jacobian(U, V, instance)
 
 
 def _check_updated(*named: tuple[str, np.ndarray]) -> None:

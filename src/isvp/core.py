@@ -90,6 +90,20 @@ class DenseBasis:
         return J
 
 
+def _fft_length(n: int) -> int:
+    """FFT length of a linear correlation of two n-vectors: the smallest
+    length >= 2n - 1 whose only prime factors are 2, 3 and 5."""
+    size = 2 * n - 1
+    while True:
+        rest = size
+        for p in (2, 3, 5):
+            while rest % p == 0:
+                rest //= p
+        if rest == 1:
+            return size
+        size += 1
+
+
 class ToeplitzBasis:
     """A_0 = 0 and A_k the (k-1)-th symmetric Toeplitz shift, zero-padded
     to m x n: [A_k]_rs = 1 where |r - s| = k - 1 and r, s < n.
@@ -130,10 +144,10 @@ class ToeplitzBasis:
     def jacobian(self, Un: np.ndarray, Vn: np.ndarray) -> np.ndarray:
         # J[i, k] = sum_r u_r v_{r+k} + u_{r+k} v_r over the leading n rows
         # (the identity k = 0 counts once).  Its spectrum is
-        # 2 Re(conj(F u) F v); a length of at least 2n keeps the circular
+        # 2 Re(conj(F u) F v); a length of at least 2n - 1 keeps the circular
         # correlation free of wrap-around.
         n = self.n
-        size = 1 << (2 * n - 1).bit_length()
+        size = _fft_length(n)
         fu = np.fft.rfft(Un[:n], size, axis=0)
         fv = np.fft.rfft(Vn, size, axis=0)
         corr = np.fft.irfft(2.0 * (fu.conj() * fv).real, size, axis=0)[:n]

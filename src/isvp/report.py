@@ -23,7 +23,7 @@ class IterationRecord:
     ``err_c`` is the distance to the generating coefficient vector and is
     only present when the caller knows the ground truth.  ``jacobian``
     returns J_k; :attr:`cond_j` calls it on first read and then drops it,
-    so a record holds at most one n x n Jacobian (or the iterate to form
+    so a record holds at most one n x n Jacobian (or the factors to form
     it from) until then, and a float after.
     """
 

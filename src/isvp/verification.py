@@ -29,7 +29,7 @@ from .core import (
     full_svd,
     spectral_gap,
 )
-from .harness import Algorithm, generate_instance, run_solver
+from .harness import Algorithm, generate_instance, generate_toeplitz_instance, run_solver
 
 
 @dataclass
@@ -164,33 +164,36 @@ def check_cayley_orthogonality(trials: int, seed: int) -> CheckResult:
 
 def check_jacobian_finite_difference(trials: int, seed: int) -> CheckResult:
     """J at an exact SVD matches central differences of the sorted
-    singular values to 1e-4 relative (gaps kept at 0.1 or more)."""
-    rng = np.random.default_rng(seed)
+    singular values to 1e-4 relative (gaps kept at 0.1 or more), on
+    ``trials`` dense instances and as many Toeplitz ones, whose J comes
+    from the FFT kernel."""
     worst = 0.0
     step = 1e-6
-    done = 0
-    attempt = 0
-    while done < trials:
-        m, n = _random_shape(rng, max_n=10)
-        instance, c_star = generate_instance(m, n, seed * 100003 + attempt)
-        attempt += 1
-        c = c_star
-        factors = full_svd(evaluate_A(instance, c))
-        if spectral_gap(factors.sigma) < 0.1:
-            continue
-        J = approx_jacobian(factors.U, factors.V, instance)
-        J_fd = np.empty_like(J)
-        for j in range(n):
-            cp = c.copy()
-            cp[j] += step
-            sp = np.linalg.svd(evaluate_A(instance, cp), compute_uv=False)
-            cm = c.copy()
-            cm[j] -= step
-            sm = np.linalg.svd(evaluate_A(instance, cm), compute_uv=False)
-            J_fd[:, j] = (sp - sm) / (2.0 * step)
-        rel = np.linalg.norm(J_fd - J) / (1.0 + np.linalg.norm(J))
-        worst = _worst(worst, rel)
-        done += 1
+    for generate in (generate_instance, generate_toeplitz_instance):
+        rng = np.random.default_rng(seed)
+        done = 0
+        attempt = 0
+        while done < trials:
+            m, n = _random_shape(rng, max_n=10)
+            instance, c_star = generate(m, n, seed * 100003 + attempt)
+            attempt += 1
+            c = c_star
+            factors = full_svd(evaluate_A(instance, c))
+            if spectral_gap(factors.sigma) < 0.1:
+                continue
+            J = approx_jacobian(factors.U, factors.V, instance)
+            J_fd = np.empty_like(J)
+            for j in range(n):
+                cp = c.copy()
+                cp[j] += step
+                sp = np.linalg.svd(evaluate_A(instance, cp), compute_uv=False)
+                cm = c.copy()
+                cm[j] -= step
+                sm = np.linalg.svd(evaluate_A(instance, cm), compute_uv=False)
+                J_fd[:, j] = (sp - sm) / (2.0 * step)
+            rel = np.linalg.norm(J_fd - J) / (1.0 + np.linalg.norm(J))
+            worst = _worst(worst, rel)
+            done += 1
     return CheckResult("jacobian vs finite differences", worst, 1e-4)
 
 

@@ -82,6 +82,21 @@ class TestCayleyOrthogonalize:
         Q_next = isvp.cayley_orthogonalize(np.eye(2), S)
         np.testing.assert_allclose(Q_next.T, [[0.0, -1.0], [1.0, 0.0]], atol=1e-15)
 
+    @pytest.mark.parametrize("norm", [1e-8, 1e-4, 1e-2, 1.0, 1e1, 1e2])
+    @pytest.mark.parametrize("side", [2, 7, 40])
+    def test_matches_the_two_sided_solve(self, side, norm):
+        # one solve with I + S/2 and no product with I - S/2 is the same map
+        rng = np.random.default_rng(side)
+        Q = np.linalg.qr(rng.standard_normal((side, side)))[0]
+        S = np.triu(rng.standard_normal((side, side)), 1)
+        S = S - S.T
+        S *= norm / np.linalg.norm(S, 2)
+        eye = np.eye(side)
+        expected = np.linalg.solve(eye + S / 2, (eye - S / 2) @ Q.T).T
+        Q_next = isvp.cayley_orthogonalize(Q, S)
+        assert np.abs(Q_next - expected).max() <= 1e-14 * (1.0 + norm)
+        assert np.linalg.norm(Q_next.T @ Q_next - eye) <= 1e-13
+
 
 class TestAlg1OuterStep:
     def test_matches_transliteration_oracle(self, monkeypatch):

@@ -10,7 +10,7 @@ import pytest
 
 import isvp
 from isvp import cayley_free
-from isvp.core import _JACOBIAN_BLOCK_BYTES, DenseBasis, ToeplitzBasis
+from isvp.core import _JACOBIAN_BLOCK_BYTES, DenseBasis, ToeplitzBasis, _fft_length
 from isvp.errors import InputError
 from isvp.harness import Algorithm
 from isvp.report import SolveStatus
@@ -18,8 +18,10 @@ from isvp.verification import near_orthogonal
 
 from conftest import STEPS, solve
 
-# n = 1, m == n and m > n; (11, 7) and (40, 33) pad the FFT past 2n
-SHAPES = [(1, 1), (3, 1), (6, 6), (11, 7), (40, 33)]
+# n = 1, m == n and m > n; the Jacobian's FFT length is 2n - 1 = 15 at
+# (9, 8), the shortest with no wrap-around, 24 after the prime 2n - 1 = 23
+# at (20, 12), and 15 and 72 at (11, 7) and (40, 33)
+SHAPES = [(1, 1), (3, 1), (6, 6), (9, 8), (11, 7), (20, 12), (40, 33)]
 
 
 def dense_twin(instance):
@@ -186,6 +188,20 @@ class TestToeplitzForm:
             J_ref = isvp.approx_jacobian(U, V, twin)
             assert J.shape == (n, n)
             assert np.linalg.norm(J - J_ref) <= 1e-13 * np.linalg.norm(J_ref)
+
+    def test_fft_length_is_the_smallest_5_smooth_one_from_2n_minus_1(self):
+        def smooth(size):
+            for p in (2, 3, 5):
+                while size % p == 0:
+                    size //= p
+            return size == 1
+
+        for n in range(1, 301):
+            size = _fft_length(n)
+            assert size >= 2 * n - 1 and smooth(size)
+            assert not any(smooth(s) for s in range(2 * n - 1, size))
+            assert size <= 1 << (2 * n - 1).bit_length()
+        assert [_fft_length(n) for n in (8, 12, 160)] == [15, 24, 320]
 
     def test_offset_is_read_only_zero(self):
         inst, _ = isvp.generate_toeplitz_instance(5, 3, 1)

@@ -398,8 +398,9 @@ WRONG_KERNELS = {
 }
 
 # the svd check runs twice more, with full_svd's thin and centrosymmetric
-# branch wrong in turn, and the fixed-point check once with
-# each solver's step drifting
+# branch wrong in turn, the finite-difference check once more with the
+# Toeplitz FFT too short, and the fixed-point check once with each
+# solver's step drifting
 WRONG_KERNEL_CASES = [
     pytest.param(check, verification, *WRONG_KERNELS[check], id=check.__name__)
     for check in verification.ALL_CHECKS
@@ -413,6 +414,11 @@ WRONG_KERNEL_CASES = [
         verification.check_svd_factorization, core, "_centrosymmetric_eigh",
         _doubling_eigenvalues(core._centrosymmetric_eigh),
         id="check_svd_factorization-centrosymmetric",
+    ),
+    # one short of 2n - 1, the Toeplitz Jacobian's correlation wraps around
+    pytest.param(
+        verification.check_jacobian_finite_difference, core, "_fft_length",
+        lambda n: 2 * n - 2, id="check_jacobian_finite_difference-toeplitz",
     ),
 ] + [
     pytest.param(

@@ -1,6 +1,7 @@
 """The stopping rule and failure contract that all three solvers share."""
 
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -133,6 +134,31 @@ def test_a_solve_forms_only_the_jacobians_its_steps_use(path, medium_instance, m
     assert (len(jacobians), len(conds)) == (formed + 1, 1)
     assert report.records[0].cond_j >= 1.0
     assert (len(jacobians), len(conds)) == (formed + 1 + (path == "solve"), 2)
+
+
+def test_a_direct_solve_frees_every_state_it_makes(medium_instance, monkeypatch):
+    # record 0 and the last record carry no J_k; they keep U[:, :n] and V
+    # to form it from, not the iterate with its r x r U and W
+    inst, c_star = medium_instance
+    c0 = isvp.perturb_c_star(c_star, 1e-3, 2)
+    B0 = cayley_free_start(inst, c0).B
+    states = []
+
+    def spying(fn):
+        def spy(*args):
+            state = fn(*args)
+            states.append(weakref.ref(state))
+            return state
+
+        return spy
+
+    for name in ("initialize", "outer_step"):
+        monkeypatch.setattr(cayley_free, name, spying(getattr(cayley_free, name)))
+    report = isvp.solve(inst, c0, B0)
+    assert report.status is SolveStatus.CONVERGED
+    assert inst.r > inst.n and len(states) == report.iterations + 1
+    assert [ref() for ref in states] == [None] * len(states)
+    assert report.records[0].cond_j >= 1.0 and report.records[-1].cond_j >= 1.0
 
 
 @pytest.mark.parametrize(
