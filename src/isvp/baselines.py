@@ -19,7 +19,9 @@ import numpy as np
 from .cayley_free import (
     SolverConfig, SolverState, _check_updated, _exact_point, _form_jacobian, _iterate, initialize,
 )
-from .core import MIN_GAP, IsvpInstance, approx_jacobian, evaluate_A, jacobian_inverse, spectral_gap
+from .core import (
+    MIN_GAP, IsvpInstance, _real_array, approx_jacobian, evaluate_A, jacobian_inverse, spectral_gap,
+)
 from .errors import InputError, NumericalError
 from .report import SolveReport
 
@@ -208,6 +210,6 @@ def newton_exact_solve(
     like a singular Jacobian, ends the solve as ``DIVERGED``.
     """
     t_start = time.perf_counter()
-    c = np.asarray(c0, dtype=float).reshape(-1).copy()
+    c = _real_array("c", c0).reshape(-1).copy()
     state = _newton_point(instance, c, 0)
     return _iterate(_newton_step, state, instance, config, c_star, t_start)

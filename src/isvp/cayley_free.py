@@ -28,7 +28,7 @@ import numpy as np
 
 from .core import (
     IsvpInstance,
-    _require_finite,
+    _real_array,
     approx_jacobian,
     diag_embed,
     evaluate_A,
@@ -61,8 +61,8 @@ class SolverConfig:
 
     Iterations stop when the residual d_k drops to ``tol`` (a positive,
     finite real number, stored as a ``float``), when ``max_iter`` (an
-    integer, at least 1) outer iterations have run, or when d_k is
-    non-finite or exceeds 1e6 times max(d_0, 1).
+    integer, at least 1, stored as an ``int``) outer iterations have
+    run, or when d_k is non-finite or exceeds 1e6 times max(d_0, 1).
     """
 
     tol: float = 1e-10
@@ -78,6 +78,7 @@ class SolverConfig:
             raise ValueError("tol must be finite")
         if not _is_integer(self.max_iter):
             raise ValueError("max_iter must be an integer")
+        object.__setattr__(self, "max_iter", int(self.max_iter))
         if self.max_iter < 1:
             raise ValueError("max_iter must be at least 1")
 
@@ -229,7 +230,7 @@ def correction_matrices(
     if U.shape != (m, m) or V.shape != (n, n) or W.shape != (m, n):
         raise InputError("correction_matrices expects U m x m, V n x n, W m x n")
     for name, a in (("U", U), ("V", V), ("W", W)):
-        _require_finite(name, a)
+        _real_array(name, a)
     s = sigma_star
     s2 = s * s
     Gu = U.T @ U
@@ -344,7 +345,7 @@ def initialize(instance: IsvpInstance, c0) -> SolverState:
     builds B_0 from J_0 forms it and writes it onto the state too, and
     otherwise record 0 forms J_0 only if its ``cond_j`` is read.
     """
-    c = np.asarray(c0, dtype=float).reshape(-1).copy()
+    c = _real_array("c", c0).reshape(-1).copy()
     return _exact_point(instance, c, 0, full_matrices=True)
 
 
@@ -364,10 +365,9 @@ def solve(
     given, records carry the distance to it.
     """
     t_start = time.perf_counter()
-    B0 = np.asarray(B0, dtype=float)
+    B0 = _real_array("B0", B0)
     if B0.shape != (instance.n, instance.n):
         raise InputError(f"B0 must be {instance.n} x {instance.n}")
-    _require_finite("B0", B0)
     state = initialize(instance, c0)
     state.B = B0.copy()
     return _iterate(outer_step, state, instance, config, c_star, t_start)

@@ -156,6 +156,9 @@ def _cmd_gen(args) -> int:
 def _cmd_solve(args) -> int:
     if args.c0 is None and args.beta is None:
         raise InputError("provide either --c0 FILE or --beta (with a .cstar sidecar)")
+    # --c-star without --beta means --c0 was given, which takes neither
+    if args.c0 is not None and (args.beta is not None or args.c_star is not None):
+        raise InputError("--c0 FILE is the start itself; it takes no --beta or --c-star")
     instance = load_instance(args.instance)
     if args.c0 is not None:
         try:

@@ -8,10 +8,10 @@ the validated problem type with its two basis forms (a dense row-major
 array, and the O(n) symmetric Toeplitz family with an FFT Jacobian), the
 matrix family evaluation on the rows A(c) can fill, the full or thin
 SVD (two half-size symmetric eigendecompositions for a centrosymmetric
-matrix, and LAPACK's SVD for any other), the approximate Jacobian
-[J]_ij = u_i^T A_j v_i and its one inverse at the start, the generalized
-residual vector used by the solvers, and the Frobenius residual
-d = ||U^T A(c) V - Sigma*||_F.
+matrix of even side, and LAPACK's SVD for any other), the approximate
+Jacobian [J]_ij = u_i^T A_j v_i and its one inverse at the start, the
+generalized residual vector used by the solvers, and the Frobenius
+residual d = ||U^T A(c) V - Sigma*||_F.
 """
 
 from __future__ import annotations
@@ -28,9 +28,14 @@ from .errors import InputError, NonFiniteInput, NumericalError
 MIN_GAP = 1e-10
 
 
-def _require_finite(name: str, a: np.ndarray) -> None:
+def _real_array(name: str, a) -> np.ndarray:
+    """``a`` as a finite float array, else an ``InputError`` naming ``name``."""
+    a = np.asarray(a)
+    if a.dtype.kind not in "iuf":
+        raise InputError(f"{name} must hold real numbers, not {a.dtype}")
     if not np.all(np.isfinite(a)):
         raise NonFiniteInput(f"{name} contains NaN or infinity")
+    return a.astype(float, copy=False)
 
 
 # Bytes of u_i^T A_j products the dense Jacobian holds at once: each
@@ -111,8 +116,8 @@ class ToeplitzBasis:
     Only (m, n) is stored.  The rows of A(c) below n are zero, so
     ``r = n`` and ``evaluate`` returns the n x n symmetric Toeplitz
     matrix with first column c; it equals its transpose and its reversal
-    bit for bit (it is centrosymmetric), so :func:`full_svd` factors it
-    from two half-size ``eigh`` problems and runs no SVD.
+    bit for bit (it is centrosymmetric), so at even n :func:`full_svd`
+    factors it from two half-size ``eigh`` problems and runs no SVD.
     u^T A_k v is a cross-correlation of the leading n entries of u and v,
     so the whole Jacobian comes from one FFT per factor.
     """
@@ -209,18 +214,16 @@ def build_instance(basis, sigma_star) -> IsvpInstance:
     mats = list(basis)
     if not mats:
         raise InputError("basis must contain at least A_0")
-    first = np.asarray(mats[0], dtype=float)
-    if first.ndim != 2:
+    if np.ndim(mats[0]) != 2:
         raise InputError("basis matrices must be two-dimensional")
-    m, n = first.shape
+    m, n = np.shape(mats[0])
     rows = np.empty((m, len(mats), n))
     for idx, a in enumerate(mats):
-        a = np.asarray(a, dtype=float)
+        a = _real_array(f"basis[{idx}]", a)
         if a.shape != (m, n):
             raise InputError(
                 f"basis[{idx}] has shape {a.shape}, expected {(m, n)}"
             )
-        _require_finite(f"basis[{idx}]", a)
         rows[:, idx] = a
     return make_instance(DenseBasis(rows), sigma_star)
 
@@ -228,10 +231,9 @@ def build_instance(basis, sigma_star) -> IsvpInstance:
 def make_instance(operator: DenseBasis | ToeplitzBasis, sigma_star) -> IsvpInstance:
     """Validate the targets against a basis operator and construct the instance."""
     n = operator.n
-    sigma = np.array(sigma_star, dtype=float, copy=True).reshape(-1)
+    sigma = _real_array("sigma_star", sigma_star).flatten()
     if sigma.size != n:
         raise InputError(f"sigma_star must have n={n} entries, got {sigma.size}")
-    _require_finite("sigma_star", sigma)
     if np.any(sigma <= 0.0):
         raise InputError("target singular values must be strictly positive")
     gap = spectral_gap(sigma)
@@ -255,10 +257,9 @@ def evaluate_A(instance: IsvpInstance, c) -> np.ndarray:
 
     The result is bit-identical across repeated evaluations.
     """
-    c = np.asarray(c, dtype=float).reshape(-1)
+    c = _real_array("c", c).reshape(-1)
     if c.size != instance.n:
         raise InputError(f"c must have length {instance.n}, got {c.size}")
-    _require_finite("c", c)
     return instance.operator.evaluate(c)
 
 
@@ -273,37 +274,26 @@ class SvdFactorization:
 
 
 def _centrosymmetric_eigh(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of a symmetric A equal to A[::-1, ::-1], from two
-    half-size ``eigh`` problems (Cantoni and Butler, *Linear Algebra
-    Appl.* 13, 1976).
+    """Eigendecomposition of a symmetric A of even side n equal to
+    A[::-1, ::-1], from two half-size ``eigh`` problems (Cantoni and
+    Butler, *Linear Algebra Appl.* 13, 1976).
 
-    With k = n // 2, h = n - k, J the k x k exchange matrix and T11, T12
-    the leading k rows of A split at columns k and h, the eigenvectors
-    are [x; Jx] / sqrt 2 for x of the h x h even part T11 + T12 J and
-    [y; -Jy] / sqrt 2 for y of the k x k odd part T11 - T12 J.  For odd
-    n the even part is bordered by the middle row of A, scaled by sqrt 2
-    off the diagonal, and its eigenvectors keep their last entry as the
-    middle entry of [x; .; Jx].  Returns (lambda, Q) unsorted: the even
-    part's pairs, each ascending, then the odd part's.
+    With k = n / 2, J the k x k exchange matrix and T11, T12 the leading
+    k rows of A split at column k, the eigenvectors are [x; Jx] / sqrt 2
+    for x of the even part T11 + T12 J and [y; -Jy] / sqrt 2 for y of the
+    odd part T11 - T12 J.  Returns (lambda, Q) unsorted: the even part's
+    pairs, each ascending, then the odd part's.
     """
-    n = A.shape[0]
-    k = n // 2
-    h = n - k
+    k = A.shape[0] // 2
     T12J = A[:k, ::-1][:, :k]
-    even = np.empty((h, h))
-    even[:k, :k] = A[:k, :k] + T12J
-    if h > k:
-        even[k, :k] = even[:k, k] = np.sqrt(2.0) * A[k, :k]
-        even[k, k] = A[k, k]
-    lam_even, X = np.linalg.eigh(even)
+    lam_even, X = np.linalg.eigh(A[:k, :k] + T12J)
     lam_odd, Y = np.linalg.eigh(A[:k, :k] - T12J)
     s = np.sqrt(0.5)
-    Q = np.zeros((n, n))
-    Q[:k, :h] = s * X[:k]
-    Q[k:h, :h] = X[k:]
-    Q[h:, :h] = s * X[:k][::-1]
-    Q[:k, h:] = s * Y
-    Q[h:, h:] = -s * Y[::-1]
+    Q = np.empty((2 * k, 2 * k))
+    Q[:k, :k] = s * X
+    Q[k:, :k] = s * X[::-1]
+    Q[:k, k:] = s * Y
+    Q[k:, k:] = -s * Y[::-1]
     return np.concatenate([lam_even, lam_odd]), Q
 
 
@@ -318,25 +308,25 @@ def full_svd(A, full_matrices: bool = True) -> SvdFactorization:
     quantities that a paired flip leaves unchanged, and one build at one
     thread count returns the same factors on every call.
 
-    An A equal to its transpose and to its reversal A[::-1, ::-1] bit
-    for bit (every symmetric Toeplitz one) is centrosymmetric and needs
-    no SVD: its eigendecomposition A = Q diag(lambda) Q^T, from two
-    half-size ``eigh`` problems (:func:`_centrosymmetric_eigh`), gives
-    sigma = |lambda| and V = Q, ordered by |lambda| decreasing, and
-    U = V diag(sign(lambda)) with sign +1 at lambda = 0 (Golub and Van
-    Loan, *Matrix Computations*, section 8.6).  The sort is stable, so
-    pairs with equal |lambda| keep the helper's order: the even part's
-    before the odd part's, ascending within each.  Every other A, a
-    symmetric one included, takes one LAPACK SVD.
+    An A of even side equal to its transpose and to its reversal
+    A[::-1, ::-1] bit for bit (every symmetric Toeplitz one) is
+    centrosymmetric and needs no SVD: its eigendecomposition
+    A = Q diag(lambda) Q^T, from two half-size ``eigh`` problems
+    (:func:`_centrosymmetric_eigh`), gives sigma = |lambda| and V = Q,
+    ordered by |lambda| decreasing, and U = V diag(sign(lambda)) with
+    sign +1 at lambda = 0 (Golub and Van Loan, *Matrix Computations*,
+    section 8.6).  The sort is stable, so pairs with equal |lambda| keep
+    the helper's order: the even part's before the odd part's,
+    ascending within each.  Every other A, a symmetric one or a
+    centrosymmetric one of odd side included, takes one LAPACK SVD.
     """
-    A = np.asarray(A, dtype=float)
+    A = _real_array("A", A)
     if A.ndim != 2:
         raise InputError("full_svd expects a matrix")
     m, n = A.shape
     if m < n:
         raise InputError(f"require m >= n, got {A.shape}")
-    _require_finite("A", A)
-    if np.array_equal(A, A.T) and np.array_equal(A, A[::-1, ::-1]):
+    if n % 2 == 0 and np.array_equal(A, A.T) and np.array_equal(A, A[::-1, ::-1]):
         try:
             lam, Q = _centrosymmetric_eigh(A)
         except np.linalg.LinAlgError as exc:
@@ -366,16 +356,18 @@ def approx_jacobian(U: np.ndarray, V: np.ndarray, instance: IsvpInstance) -> np.
         raise InputError(f"U must have at least {r} rows and {n} columns, got {U.shape}")
     if V.shape[0] != n or V.shape[1] < n:
         raise InputError(f"V must have {n} rows and at least {n} columns, got {V.shape}")
-    _require_finite("U", U)
-    _require_finite("V", V)
+    _real_array("U", U)
+    _real_array("V", V)
     return instance.operator.jacobian(U[:, :n], V[:, :n])
 
 
 def jacobian_inverse(J0: np.ndarray) -> np.ndarray:
     """Dense LU inverse of the starting Jacobian J_0, the exact B_0 of both
-    two-step methods.  A non-finite J_0 raises ``NonFiniteInput``, a
-    singular one ``NumericalError``."""
-    _require_finite("J0", J0)
+    two-step methods.  A J_0 that is not square raises ``InputError``, a
+    non-finite one ``NonFiniteInput`` and a singular one ``NumericalError``."""
+    J0 = _real_array("J0", J0)
+    if J0.ndim != 2 or J0.shape[0] != J0.shape[1]:
+        raise InputError(f"J0 must be square, got shape {J0.shape}")
     try:
         return np.linalg.inv(J0)
     except np.linalg.LinAlgError as exc:
@@ -466,5 +458,5 @@ def load_instance(path) -> IsvpInstance:
             sigma = _read_block(fh, (1, n), "sigma*")[0]
         except (ValueError, OSError, UserWarning, MemoryError) as exc:
             raise InputError(f"malformed instance file {path}: {exc}") from exc
-    _require_finite("basis", rows)
+    _real_array("basis", rows)
     return make_instance(DenseBasis(rows), sigma)

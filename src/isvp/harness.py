@@ -28,7 +28,7 @@ import numpy as np
 from . import __version__, cayley_free
 from .baselines import alg1_solve, newton_exact_solve
 from .cayley_free import SolverConfig, SolverState, _is_integer, _is_real
-from .core import DenseBasis, IsvpInstance, ToeplitzBasis, _require_finite, jacobian_inverse, make_instance
+from .core import DenseBasis, IsvpInstance, ToeplitzBasis, _real_array, jacobian_inverse, make_instance
 from .errors import DegenerateDraw, InputError, IsvpError, NumericalError
 from .report import SolveReport, SolveStatus
 
@@ -201,8 +201,7 @@ def generate_toeplitz_instance(m: int, n: int, seed: int) -> tuple[IsvpInstance,
 def perturb_c_star(c_star: np.ndarray, beta: float, seed: int) -> np.ndarray:
     """Perturb each entry uniformly on [-max_j|c*_j| beta, +max_j|c*_j| beta]."""
     beta = _check_beta(beta)
-    c_star = np.asarray(c_star, dtype=float)
-    _require_finite("c*", c_star)
+    c_star = _real_array("c*", c_star)
     radius = float(np.max(np.abs(c_star))) * beta
     if not np.isfinite(2.0 * radius):
         raise ValueError(f"perturbation radius {radius:.3g} is too large")

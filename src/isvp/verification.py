@@ -224,25 +224,26 @@ def check_svd_factorization(trials: int, seed: int) -> CheckResult:
     """Orthogonality and reconstruction bounds of full_svd on a random
     m x n matrix (its SVD branch, full and thin), on a random symmetric
     n x n one (its SVD branch on a square symmetric matrix, which is not
-    centrosymmetric once n > 1) and on a random symmetric Toeplitz n x n
-    one (its centrosymmetric branch); the thin factor's sigma and V must
-    equal the full factor's bit for bit."""
+    centrosymmetric once n > 1) and on a random symmetric Toeplitz one of
+    side n rounded up to even (its centrosymmetric branch); the thin
+    factor's sigma and V must equal the full factor's bit for bit."""
     rng = np.random.default_rng(seed)
     worst = 0.0
     for _ in range(trials):
         m, n = _random_shape(rng)
         general = rng.standard_normal((m, n))
         X = rng.standard_normal((n, n))
-        toeplitz = ToeplitzBasis(n, n).evaluate(rng.standard_normal(n))
+        side = n + n % 2
+        toeplitz = ToeplitzBasis(side, side).evaluate(rng.standard_normal(side))
         full, thin = full_svd(general), full_svd(general, full_matrices=False)
         same = np.array_equal(thin.sigma, full.sigma) and np.array_equal(thin.V, full.V)
         worst = _worst(worst, 0.0 if same else np.inf)
         cases = [(X + X.T, full_svd(X + X.T)), (toeplitz, full_svd(toeplitz))]
         cases += [(general, full), (general, thin)]
         for A, f in cases:
-            cols = f.U.shape[1]
+            cols, side_v = f.U.shape[1], f.V.shape[1]
             res_u = np.linalg.norm(f.U.T @ f.U - np.eye(cols)) / (1e-12 * cols)
-            res_v = np.linalg.norm(f.V.T @ f.V - np.eye(n)) / (1e-12 * n)
+            res_v = np.linalg.norm(f.V.T @ f.V - np.eye(side_v)) / (1e-12 * side_v)
             rec = np.linalg.norm(f.U.T @ A @ f.V - diag_embed(f.sigma, cols)) / (
                 1e-10 * np.linalg.norm(A)
             )

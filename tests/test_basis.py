@@ -58,8 +58,9 @@ def dense_with_zero_rows(m, n, seed, zero_rows=4):
 
 
 # the routine full_svd runs on every exact point of a solve: two half-size
-# eigh on a block equal to its transpose and to its reversal (every Toeplitz
-# block, whatever its basis form), and svd on a tall dense one
+# eigh on a block of even side equal to its transpose and to its reversal
+# (every such Toeplitz block, whatever its basis form), and svd on a tall
+# dense one
 SELECTION_CASES = {
     "toeplitz": (lambda: isvp.generate_toeplitz_instance(30, 20, 4), "eigh"),
     "tall-dense": (lambda: isvp.generate_instance(30, 20, 4), "svd"),
@@ -125,9 +126,9 @@ class TestToeplitzForm:
 
     @pytest.mark.parametrize("m,n", SHAPES)
     def test_leading_block_is_exactly_symmetric(self, m, n):
-        # full_svd takes eigh only for A == A^T == A[::-1, ::-1] bit for
-        # bit; a block that lost either would fall back to LAPACK's slower
-        # SVD without an error
+        # full_svd splits an even-side block only for A == A^T ==
+        # A[::-1, ::-1] bit for bit; a block that lost either would fall
+        # back to LAPACK's slower SVD without an error
         inst, c_star = isvp.generate_toeplitz_instance(m, n, 4)
         rng = np.random.default_rng(m * 100 + n)
         draws = [rng.uniform(-2.0, 2.0, n), -rng.random(n), 1e12 * rng.standard_normal(n)]
@@ -166,8 +167,7 @@ class TestToeplitzForm:
         assert calls[other] == 0
         if routine == "eigh":
             # the even and odd halves of each centrosymmetric block
-            n = inst.n
-            assert eigh_sides == [n - n // 2, n // 2] * calls["exact points"]
+            assert eigh_sides == [inst.n // 2] * 2 * calls["exact points"]
         else:
             assert calls["svd"] == calls["exact points"]
             # Newton reads only U[:, :n]; a two-step start updates the trailing columns too

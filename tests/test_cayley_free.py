@@ -126,6 +126,10 @@ class TestSolverConfig:
         with pytest.raises(ValueError):
             SolverConfig(**kwargs)
 
+    def test_stores_max_iter_as_an_int(self):
+        config = SolverConfig(max_iter=np.int64(3))
+        assert type(config.max_iter) is int and config.max_iter == 3
+
 
 class TestCorrectionMatrices:
     def test_zero_at_exact_solution(self, small_instance):

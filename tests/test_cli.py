@@ -199,6 +199,22 @@ class TestGenAndSolve:
             "error: provide either --c0 FILE or --beta (with a .cstar sidecar)\n"
         )
 
+    def test_solve_refuses_start_flags_it_would_ignore(self, monkeypatch, capsys):
+        # --c0 is the start, so --beta and --c-star would be ignored; --c-star
+        # without --beta has nothing to perturb.  Each is reported before the
+        # instance file is read
+        monkeypatch.setattr(cli, "load_instance", lambda path: pytest.fail("instance was read"))
+        ignored = "error: --c0 FILE is the start itself; it takes no --beta or --c-star\n"
+        neither = "error: provide either --c0 FILE or --beta (with a .cstar sidecar)\n"
+        for flags, err in (
+            (["--c0", "c0.txt", "--beta", "1e-3"], ignored),
+            (["--c0", "c0.txt", "--c-star", "cstar.txt"], ignored),
+            (["--c0", "c0.txt", "--beta", "1e-3", "--c-star", "cstar.txt"], ignored),
+            (["--c-star", "cstar.txt"], neither),
+        ):
+            assert main(["solve", "--instance", "instance.txt", *flags]) == EXIT_USAGE
+            assert capsys.readouterr().err == err
+
     def test_solve_unreadable_c0_is_a_usage_error(self, tmp_path, capsys):
         inst_path = tmp_path / "instance.txt"
         main(["gen", "--m", "6", "--n", "3", "--seed", "3", "--out", str(inst_path)])

@@ -129,10 +129,11 @@ def _random_symmetric(n, seed):
     return X + X.T
 
 
-# centrosymmetric matrices with exact eigenvalues: a negative 1 x 1 one, a
-# singular one (lambda = 2, 0) and one with the pair lambda = 2, -2
+# centrosymmetric matrices with exact eigenvalues: a negative definite one
+# (lambda = -4, -2), a singular one (lambda = 2, 0) and one with the pair
+# lambda = 2, -2
 SYMMETRIC_CASES = {
-    "1x1": np.array([[-3.0]]),
+    "negative": np.array([[-3.0, -1.0], [-1.0, -3.0]]),
     "singular": np.array([[1.0, 1.0], [1.0, 1.0]]),
     "pair": np.array([[0.0, 2.0], [2.0, 0.0]]),
 }
@@ -220,15 +221,17 @@ def _random_symmetric_toeplitz(n, seed):
     return ToeplitzBasis(n, n).evaluate(np.random.default_rng(seed).standard_normal(n))
 
 
-# odd and even sides, the 1 x 1 and 2 x 2 edges, and both forms: a symmetric
-# Toeplitz matrix and a centrosymmetric one that is not Toeplitz
+CENTROSYMMETRIC_FORMS = {
+    "toeplitz": _random_symmetric_toeplitz,
+    "centro": _random_centrosymmetric,
+}
+
+# even sides, the 2 x 2 edge included, and both forms: a symmetric Toeplitz
+# matrix and a centrosymmetric one that is not Toeplitz
 CENTROSYMMETRIC_CASES = {
     f"{form}-{n}": build(n, 50 + n)
-    for n in (1, 2, 3, 4, 5, 6, 7, 30, 31)
-    for form, build in (
-        ("toeplitz", _random_symmetric_toeplitz),
-        ("centro", _random_centrosymmetric),
-    )
+    for n in (2, 4, 6, 30)
+    for form, build in CENTROSYMMETRIC_FORMS.items()
 }
 
 
@@ -239,17 +242,23 @@ def _nudged_centrosymmetric(n, seed):
     return A
 
 
-# square symmetric matrices that are not centrosymmetric: random indefinite
-# ones, and centrosymmetric ones nudged off their reversal in one pair
-OFF_REVERSAL_CASES = {
+# square symmetric matrices the split does not take: random indefinite ones,
+# centrosymmetric ones nudged off their reversal in one pair, and
+# centrosymmetric ones of odd side, the 1 x 1 edge included, in both forms
+UNSPLIT_SYMMETRIC_CASES = {
     **{f"random-{n}": _random_symmetric(n, seed) for n, seed in ((2, 41), (30, 43), (160, 47))},
     **{f"nudged-{n}": _nudged_centrosymmetric(n, 61) for n in (7, 30)},
+    **{
+        f"{form}-{n}": build(n, 50 + n)
+        for n in (1, 3, 5, 7, 31)
+        for form, build in CENTROSYMMETRIC_FORMS.items()
+    },
 }
 
 
 class TestFullSvdCentrosymmetricPath:
-    """full_svd of a symmetric matrix equal to its reversal, from two
-    half-size ``eigh`` problems."""
+    """full_svd of a symmetric matrix of even side equal to its reversal,
+    from two half-size ``eigh`` problems."""
 
     @pytest.mark.parametrize(
         "A", CENTROSYMMETRIC_CASES.values(), ids=list(CENTROSYMMETRIC_CASES)
@@ -259,17 +268,20 @@ class TestFullSvdCentrosymmetricPath:
         np.testing.assert_array_equal(A, A[::-1, ::-1])
         sides = recording_eigh_sides(monkeypatch)
         f = isvp.full_svd(A)
-        assert sides == [n - n // 2, n // 2]
+        assert sides == [n // 2, n // 2]
         assert_symmetric_svd(A, f)
 
-    @pytest.mark.parametrize("A", OFF_REVERSAL_CASES.values(), ids=list(OFF_REVERSAL_CASES))
-    def test_a_symmetric_matrix_off_its_reversal_takes_lapacks_svd(self, A, monkeypatch):
+    @pytest.mark.parametrize(
+        "A", UNSPLIT_SYMMETRIC_CASES.values(), ids=list(UNSPLIT_SYMMETRIC_CASES)
+    )
+    def test_a_symmetric_block_the_split_does_not_take_gets_lapacks_svd(self, A, monkeypatch):
+        # off its reversal, or of odd side
         np.testing.assert_array_equal(A, A.T)
-        assert not np.array_equal(A, A[::-1, ::-1])
+        assert A.shape[0] % 2 == 1 or not np.array_equal(A, A[::-1, ::-1])
         U, sigma, Vt = np.linalg.svd(A)
 
         def fail(A):
-            raise AssertionError("eigh ran on a matrix off its reversal")
+            raise AssertionError("eigh ran on a block the split does not take")
 
         monkeypatch.setattr(np.linalg, "eigh", fail)
         f = isvp.full_svd(A)

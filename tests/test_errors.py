@@ -1,12 +1,14 @@
 """Each error belongs to one family, and the driver and the CLI act on the family."""
 
 import inspect
+import re
 
 import numpy as np
 import pytest
 
 import isvp
-from isvp import cli, errors
+from isvp import cayley_free, cli, errors
+from isvp.core import make_instance
 from isvp.cli import EXIT_NONCONVERGED, EXIT_USAGE
 from isvp.errors import DegenerateDraw, InputError, IsvpError, NonFiniteInput, NumericalError
 from isvp.harness import Algorithm
@@ -116,8 +118,8 @@ def test_other_errors_in_a_step_propagate(algorithm, exc_type, monkeypatch):
 
 
 # each basis form and the LAPACK routine full_svd runs on its exact points:
-# eigh on a symmetric block, svd otherwise; a dense case is named by its
-# algorithm alone
+# eigh on a symmetric block of even side, svd otherwise; a dense case is
+# named by its algorithm alone
 K0_CASES = [
     pytest.param(algorithm, generate, routine, id=algorithm.value + suffix)
     for algorithm in Algorithm
@@ -131,7 +133,8 @@ K0_CASES = [
 @pytest.mark.parametrize("algorithm, generate, routine", K0_CASES)
 def test_failures_while_building_k0_raise(algorithm, generate, routine, monkeypatch):
     # every solver builds its k = 0 state through the exact SVD of A(c0)
-    inst, c_star = generate(12, 5, 7)
+    # n is even, so the Toeplitz block takes the split and its eigh
+    inst, c_star = generate(12, 6, 7)
     c0 = isvp.perturb_c_star(c_star, 1e-2, 2)
     c_nan = c0.copy()
     c_nan[0] = np.nan
@@ -144,3 +147,46 @@ def test_failures_while_building_k0_raise(algorithm, generate, routine, monkeypa
     monkeypatch.setattr(np.linalg, routine, fail)
     with pytest.raises(NumericalError, match="did not converge: did not converge$"):
         solve(algorithm, inst, c0, c_star=c_star)
+
+
+# caller arrays of a dtype that is not integer or float, each built from a
+# real array of the same shape
+NOT_REAL = {
+    "complex": lambda a: a + 3j,
+    "string": lambda a: np.asarray(a).astype(str),
+}
+
+# every entry point that takes a caller array: the argument's name in the
+# error, and a call with that argument made by ``bad``
+REAL_INPUT_SITES = {
+    "evaluate_A": ("c", lambda inst, c, bad: isvp.evaluate_A(inst, bad(c))),
+    "full_svd": ("A", lambda inst, c, bad: isvp.full_svd(bad(isvp.evaluate_A(inst, c)))),
+    "build_instance-basis": (
+        "basis[1]",
+        lambda inst, c, bad: isvp.build_instance(
+            [inst.basis[0], bad(inst.basis[1]), *inst.basis[2:]], inst.sigma_star
+        ),
+    ),
+    "build_instance-sigma_star": (
+        "sigma_star",
+        lambda inst, c, bad: isvp.build_instance(inst.basis, bad(inst.sigma_star)),
+    ),
+    "make_instance": (
+        "sigma_star",
+        lambda inst, c, bad: make_instance(inst.operator, bad(inst.sigma_star)),
+    ),
+    "initialize": ("c", lambda inst, c, bad: cayley_free.initialize(inst, bad(c))),
+    "solve-c0": ("c", lambda inst, c, bad: isvp.solve(inst, bad(c), np.eye(inst.n))),
+    "solve-B0": ("B0", lambda inst, c, bad: isvp.solve(inst, c, bad(np.eye(inst.n)))),
+    "newton_exact_solve": ("c", lambda inst, c, bad: isvp.newton_exact_solve(inst, bad(c))),
+    "perturb_c_star": ("c*", lambda inst, c, bad: isvp.perturb_c_star(bad(c), 1e-3, 1)),
+}
+
+
+@pytest.mark.parametrize("bad", NOT_REAL.values(), ids=list(NOT_REAL))
+@pytest.mark.parametrize("name, call", REAL_INPUT_SITES.values(), ids=list(REAL_INPUT_SITES))
+def test_a_caller_array_that_is_not_real_is_an_input_error(name, call, bad, small_instance):
+    # converting it to float would drop an imaginary part or parse text
+    inst, c_star = small_instance
+    with pytest.raises(InputError, match=f"^{re.escape(name)} must hold real numbers, not "):
+        call(inst, c_star, bad)

@@ -123,6 +123,10 @@ class TestBuildB0:
         with pytest.raises(NumericalError, match="^J0 is singular: "):
             isvp.build_B0(np.zeros((3, 3)), 0.0, 1)
 
+    def test_a_jacobian_that_is_not_square_is_an_input_error(self):
+        with pytest.raises(InputError, match=r"^J0 must be square, got shape \(3, 2\)$"):
+            isvp.build_B0(np.ones((3, 2)), 0.0, 0)
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_jacobian(self, bad):
         J0 = np.eye(2)
