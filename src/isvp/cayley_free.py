@@ -148,15 +148,14 @@ def _check_updated(*named: tuple[str, np.ndarray]) -> None:
 class SolverState:
     """Complete mutable state of one outer iteration.
 
-    ``U`` is r x r and ``W`` = U^T A(c) V is r x n, over the
-    ``instance.r`` rows of A(c) that :func:`core.evaluate_A` returns
-    (see :class:`core.IsvpInstance`), except on a Newton iterate, which
-    carries the thin factor: an r x n ``U`` and an n x n ``W``.  ``W``
-    is formed once per iterate: its diagonal is the paper's residual
-    model J c + b, and the driver reads d_k off it.  At an exact point
-    (see :func:`_exact_point`) ``W`` is Sigma, the singular values of
-    A(c) on the diagonal of a zero matrix with as many rows as ``U`` has
-    columns.
+    ``U`` is r x r and ``W`` = U^T A(c) V is r x n, over the ``instance.r``
+    rows of A(c) that :func:`core.evaluate_A` returns (m for a dense basis,
+    n for a Toeplitz one), except on a Newton iterate, which carries the
+    thin factor: an r x n ``U`` and an n x n ``W``.  ``W`` is formed once
+    per iterate: its diagonal is the paper's residual model J c + b, and
+    the driver reads d_k off it.  At an exact point (see
+    :func:`_exact_point`) ``W`` is Sigma, the singular values of A(c) on
+    the diagonal of a zero matrix with as many rows as ``U`` has columns.
     ``B`` approximates the inverse of the approximate Jacobian ``J``; it
     is ``None`` from :func:`initialize` until the caller chooses B_0.
     Newton's iterates are exact points of this class too, and their

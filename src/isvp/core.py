@@ -30,7 +30,10 @@ MIN_GAP = 1e-10
 
 def _real_array(name: str, a) -> np.ndarray:
     """``a`` as a finite float array, else an ``InputError`` naming ``name``."""
-    a = np.asarray(a)
+    try:
+        a = np.asarray(a)
+    except ValueError as exc:
+        raise InputError(f"{name} must be a rectangular array: {exc}") from exc
     if a.dtype.kind not in "iuf":
         raise InputError(f"{name} must hold real numbers, not {a.dtype}")
     if not np.all(np.isfinite(a)):
@@ -50,14 +53,11 @@ class DenseBasis:
     ``rows[i, k]`` is row i of A_k, and ``basis`` is the (n+1, m, n) view
     of the same buffer, so ``basis[k]`` is A_k without a copy.  Takes
     ownership of ``rows`` and marks it read-only, so no caller can change
-    it afterwards.  ``r`` is found once, here: trailing rows that are
-    zero in every A_k are zero in every A(c), so ``r`` is m less their
-    count, and never below n.  A random basis has a nonzero last row, so
-    this reads one row.  A(c) is one GEMV per leading row, r rows in all.
-    The Jacobian walks the matrices in blocks of about 2 MiB of products,
-    each one GEMM of U_r^T against the (r, k n) view of the block (inner
-    dimension r) and one einsum against V_n, so its working memory does
-    not grow with the basis.
+    it afterwards.  A(c) may fill every row, so ``r = m``, and A(c) is
+    one GEMV per row.  The Jacobian walks the matrices in blocks of about
+    2 MiB of products, each one GEMM of U^T against the (m, k n) view of
+    the block (inner dimension m) and one einsum against V_n, so its
+    working memory does not grow with the basis.
     """
 
     def __init__(self, rows: np.ndarray):
@@ -69,27 +69,23 @@ class DenseBasis:
         rows.flags.writeable = False
         self.rows = rows
         self.basis = rows.transpose(1, 0, 2)
-        r = m
-        while r > n and not rows[r - 1].any():
-            r -= 1
-        self.m, self.n, self.r = m, n, r
+        self.m, self.n, self.r = m, n, m
 
     def evaluate(self, c: np.ndarray) -> np.ndarray:
-        rows = self.rows[: self.r]
-        return rows[:, 0] + c @ rows[:, 1:]
+        return self.rows[:, 0] + c @ self.rows[:, 1:]
 
     def jacobian(self, Un: np.ndarray, Vn: np.ndarray) -> np.ndarray:
-        r, n = self.r, self.n
+        m, n = self.m, self.n
         step = max(1, _JACOBIAN_BLOCK_BYTES // (n * n * 8))
         J = np.empty((n, n))
         # every block's products go into this one buffer, so one block is alive at a time
         buf = np.empty(n * min(step, n) * n)
         for j0 in range(0, n, step):
-            block = self.rows[:r, 1 + j0 : 1 + j0 + step]
+            block = self.rows[:, 1 + j0 : 1 + j0 + step]
             k = block.shape[1]
             # products[i, j, s] = (u_i^T A_{j0+j})_s
             products = np.matmul(
-                Un[:r].T, block.reshape(r, k * n), out=buf[: n * k * n].reshape(n, k * n)
+                Un.T, block.reshape(m, k * n), out=buf[: n * k * n].reshape(n, k * n)
             )
             J[:, j0 : j0 + k] = np.einsum("ijs,si->ij", products.reshape(n, k, n), Vn)
         return J
@@ -168,11 +164,11 @@ class IsvpInstance:
     both give ``evaluate(c)``, ``jacobian(Un, Vn)`` and the dense
     ``basis`` stack, whose entry 0 is the affine offset A_0 and entries
     1..n are the coefficient matrices A_1, ..., A_n, all of shape (m, n)
-    with m >= n.  Rows r and beyond of every A(c) are zero, and the
-    operator finds ``r`` from its own data.  :func:`evaluate_A` returns
-    only the leading r rows, so the two-step methods carry an r x r
-    ``U`` and the Newton oracle an r x n one, from :func:`full_svd` of
-    those rows.
+    with m >= n.  Rows r and beyond of every A(c) are zero, and the form
+    states ``r``: m for a dense basis, n for a Toeplitz one.
+    :func:`evaluate_A` returns only the leading r rows, so the two-step
+    methods carry an r x r ``U`` and the Newton oracle an r x n one, from
+    :func:`full_svd` of those rows.
     ``sigma_star`` holds the n targets, strictly decreasing and positive
     with a :func:`spectral_gap` above ``MIN_GAP``.
     """
@@ -348,12 +344,12 @@ def full_svd(A, full_matrices: bool = True) -> SvdFactorization:
 def approx_jacobian(U: np.ndarray, V: np.ndarray, instance: IsvpInstance) -> np.ndarray:
     """Approximate Jacobian [J]_ij = u_i^T A_j v_i from the leading columns of U, V.
 
-    U needs r rows or more (the rest meet zero rows of every A_j), V
+    U needs r to m rows (those past r meet zero rows of every A_j), V
     exactly n, and both n columns or more; else ``InputError``.
     """
-    n, r = instance.n, instance.r
-    if U.shape[0] < r or U.shape[1] < n:
-        raise InputError(f"U must have at least {r} rows and {n} columns, got {U.shape}")
+    m, n, r = instance.m, instance.n, instance.r
+    if not r <= U.shape[0] <= m or U.shape[1] < n:
+        raise InputError(f"U must have {r} to {m} rows and at least {n} columns, got {U.shape}")
     if V.shape[0] != n or V.shape[1] < n:
         raise InputError(f"V must have {n} rows and at least {n} columns, got {V.shape}")
     _real_array("U", U)
@@ -405,17 +401,20 @@ def residual_d(W: np.ndarray, sigma_star: np.ndarray) -> float:
 def save_instance(instance: IsvpInstance, path) -> None:
     """Write the instance text format.
 
-    Line 1 holds "m n"; then n+1 blocks of m lines with n space-separated
-    values each (row-major A_0..A_n); the final line holds sigma*.  Values
-    carry 17 significant digits so a round-trip is exact.  Every basis
-    form is written densely, so a Toeplitz instance reads back as a dense
-    one with the same A(c) and the same ``r``.
+    Line 1 names the basis form.  A dense basis has "m n", then n+1
+    blocks of m lines with n space-separated values each (row-major
+    A_0..A_n); a Toeplitz basis has "toeplitz m n" and nothing more.  The
+    final line holds sigma*.  Values carry 17 significant digits so a
+    round-trip is exact.
     """
     try:
         with open(path, "w") as fh:
-            fh.write(f"{instance.m} {instance.n}\n")
-            for a in instance.basis:
-                np.savetxt(fh, a, fmt="%.17g")
+            if isinstance(instance.operator, ToeplitzBasis):
+                fh.write(f"toeplitz {instance.m} {instance.n}\n")
+            else:
+                fh.write(f"{instance.m} {instance.n}\n")
+                for a in instance.basis:
+                    np.savetxt(fh, a, fmt="%.17g")
             np.savetxt(fh, instance.sigma_star[None], fmt="%.17g")
     except OSError as exc:
         raise InputError(f"cannot write instance to {path}: {exc}") from exc
@@ -434,10 +433,10 @@ def _read_block(fh, shape: tuple[int, int], what: str, max_rows: int | None = No
 
 
 def load_instance(path) -> IsvpInstance:
-    """Read the instance text format written by :func:`save_instance`.
+    """Read a file :func:`save_instance` wrote, into the form line 1 names.
 
-    Each basis matrix is parsed on its own and written straight into the
-    instance's row-major array, so loading holds one basis-sized array.
+    Each dense basis matrix is parsed on its own and written straight into
+    the instance's row-major array, so loading holds one basis-sized array.
     """
     try:
         fh = open(path)
@@ -447,16 +446,22 @@ def load_instance(path) -> IsvpInstance:
         # loadtxt only warns when the file ends before a block; that is malformed too
         warnings.simplefilter("error", UserWarning)
         try:
-            m, n = (int(tok) for tok in fh.readline().split())
+            header = fh.readline().split()
+            toeplitz = header[:1] == ["toeplitz"]
+            m, n = (int(tok) for tok in header[toeplitz:])
+            values = n if toeplitz else (n + 1) * m * n + n
             # every value takes at least one digit and one separator; a pipe
             # reports size 0, so only the allocation can reject its header
-            if 0 < os.fstat(fh.fileno()).st_size < 2 * ((n + 1) * m * n + n):
+            if 0 < os.fstat(fh.fileno()).st_size < 2 * values:
                 raise ValueError(f"header {m} {n} asks for more values than the file holds")
-            rows = np.empty((m, n + 1, n))
-            for k in range(n + 1):
-                rows[:, k] = _read_block(fh, (m, n), f"A_{k}", max_rows=m)
+            if toeplitz:
+                operator = ToeplitzBasis(m, n)
+            else:
+                rows = np.empty((m, n + 1, n))
+                for k in range(n + 1):
+                    rows[:, k] = _read_block(fh, (m, n), f"A_{k}", max_rows=m)
+                operator = DenseBasis(_real_array("basis", rows))
             sigma = _read_block(fh, (1, n), "sigma*")[0]
         except (ValueError, OSError, UserWarning, MemoryError) as exc:
             raise InputError(f"malformed instance file {path}: {exc}") from exc
-    _real_array("basis", rows)
-    return make_instance(DenseBasis(rows), sigma)
+    return make_instance(operator, sigma)

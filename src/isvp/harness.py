@@ -193,7 +193,8 @@ def generate_toeplitz_instance(m: int, n: int, seed: int) -> tuple[IsvpInstance,
     """Structured alternative: A_0 = 0 and A_k the k-th symmetric Toeplitz
     shift (A_1 = I), zero-padded to m x n.  Only c* is random.  The
     instance keeps the O(n) Toeplitz form of the basis, whose A(c) is its
-    n x n block (r = n), and sigma* is the spectrum of that block."""
+    n x n block (r = n), and sigma* is the spectrum of that block.
+    :func:`core.save_instance` writes it in that form."""
     operator = ToeplitzBasis(m, n)
     return _draw_instance(lambda rng: (operator, rng.random(n)), seed)
 

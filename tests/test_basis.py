@@ -47,16 +47,6 @@ def square_twin():
     return dense_twin(inst), c_star
 
 
-def dense_with_zero_rows(m, n, seed, zero_rows=4):
-    """A random dense instance whose last ``zero_rows`` rows are zero in
-    every A_k, with sigma* the spectrum of its A(c*)."""
-    generated, c_star = isvp.generate_instance(m, n, seed)
-    basis = np.array(generated.basis)
-    basis[:, m - zero_rows :] = 0.0
-    A = basis[0] + np.tensordot(c_star, basis[1:], axes=1)
-    return isvp.build_instance(basis, np.linalg.svd(A, compute_uv=False)), c_star
-
-
 # the routine full_svd runs on every exact point of a solve: two half-size
 # eigh on a block of even side equal to its transpose and to its reversal
 # (every such Toeplitz block, whatever its basis form), and svd on a tall
@@ -71,14 +61,15 @@ SELECTION_CASES = {
 class TestToeplitzForm:
     @pytest.mark.parametrize("m,n", SHAPES)
     def test_evaluate_matches_dense_sum(self, m, n):
+        # the twin's A(c) keeps all m rows: the leading n are the block, the rest zero
         inst, c_star = isvp.generate_toeplitz_instance(m, n, 4)
         assert isinstance(inst.operator, ToeplitzBasis)
         twin = dense_twin(inst)
         rng = np.random.default_rng(m * 100 + n)
         for c in [c_star] + [rng.uniform(-2.0, 2.0, n) for _ in range(4)]:
-            np.testing.assert_array_equal(
-                isvp.evaluate_A(inst, c), isvp.evaluate_A(twin, c)
-            )
+            dense = isvp.evaluate_A(twin, c)
+            np.testing.assert_array_equal(isvp.evaluate_A(inst, c), dense[:n])
+            assert not dense[n:].any()
 
     @pytest.mark.parametrize("m,n", SHAPES)
     def test_evaluate_A_is_r_by_n_and_the_basis_keeps_m_rows(self, m, n):
@@ -91,16 +82,11 @@ class TestToeplitzForm:
             A = isvp.evaluate_A(inst, c)
             assert A.shape == (n, n) and A.flags.c_contiguous
 
-    # at 30 x 20 a Toeplitz basis has r = n, a random dense one r = m, and a
-    # dense one over 4 zero trailing rows r = m - 4
+    # at 30 x 20 a Toeplitz basis has r = n and a dense one r = m
     @pytest.mark.parametrize(
         "generate,r",
-        [
-            (isvp.generate_toeplitz_instance, 20),
-            (isvp.generate_instance, 30),
-            (dense_with_zero_rows, 26),
-        ],
-        ids=["toeplitz", "dense", "dense-zero-rows"],
+        [(isvp.generate_toeplitz_instance, 20), (isvp.generate_instance, 30)],
+        ids=["toeplitz", "dense"],
     )
     @pytest.mark.parametrize("algorithm", list(Algorithm))
     def test_solver_states_carry_an_r_by_r_U(self, algorithm, generate, r, monkeypatch):
@@ -215,13 +201,12 @@ class TestToeplitzForm:
 
     @pytest.mark.parametrize("algorithm", list(Algorithm))
     def test_solvers_take_the_steps_of_the_dense_twin(self, algorithm):
-        # the twin finds r = n from its zero rows; widened back to r = m it
-        # runs the uncompressed m x m path, the oracle for the r x r one
+        # a dense basis has r = m over zero rows too, so the twin runs the
+        # uncompressed m x m path, the oracle for the r x r one
         for m, n in [(30, 20), (40, 20), (11, 7), (240, 160)]:
             inst, c_star = isvp.generate_toeplitz_instance(m, n, 3)
             twin = dense_twin(inst)
-            assert (inst.r, twin.r) == (n, n)
-            twin.operator.r = m
+            assert (inst.r, twin.r) == (n, m)
             c0 = isvp.perturb_c_star(c_star, 1e-5, 3)
             structured = solve(algorithm, inst, c0)
             dense = solve(algorithm, twin, c0)
@@ -263,27 +248,6 @@ class TestDenseStorage:
             for r in range(7):
                 for k in range(4):
                     np.testing.assert_array_equal(rows[r, k], generated.basis[k][r])
-
-    @pytest.mark.parametrize(
-        "zero_rows,nonzero,r",
-        [(0, None, 30), (4, None, 26), (10, None, 20), (13, None, 20), (4, (7, 29, 3), 30)],
-        ids=["none", "four", "m-n", "past-m-n", "one-entry-in-the-last-row"],
-    )
-    def test_r_is_found_from_zero_trailing_rows(self, zero_rows, nonzero, r):
-        # r never drops below n, and one nonzero entry of one A_k keeps its row
-        basis = np.random.default_rng(8).random((21, 30, 20))
-        basis[:, 30 - zero_rows :] = 0.0
-        if nonzero is not None:
-            basis[nonzero] = 1.0
-        inst = isvp.build_instance(basis, np.arange(20.0, 0.0, -1.0))
-        assert (inst.m, inst.r) == (30, r)
-        assert inst.basis.shape == (21, 30, 20)
-        c = np.random.default_rng(9).random(20)
-        A = isvp.evaluate_A(inst, c)
-        assert A.shape == (r, 20)
-        dense = basis[0] + np.tensordot(c, basis[1:], axes=1)
-        np.testing.assert_allclose(A, dense[:r], rtol=1e-14, atol=1e-14)
-        assert not dense[r:].any()
 
     def test_load_holds_one_basis_sized_array(self, tmp_path):
         m, n = 200, 100
@@ -366,43 +330,27 @@ class TestDenseKernels:
 
 
 class TestToeplitzRoundTrip:
-    def test_reads_back_as_dense_with_same_A_of_c(self, tmp_path):
-        inst, c_star = isvp.generate_toeplitz_instance(9, 5, 2)
+    def test_reads_back_as_toeplitz(self, tmp_path):
+        inst, _ = isvp.generate_toeplitz_instance(9, 5, 2)
         path = tmp_path / "toeplitz.txt"
         isvp.save_instance(inst, path)
         back = isvp.load_instance(path)
-        assert isinstance(back.operator, DenseBasis)
-        assert (back.m, back.n) == (inst.m, inst.n)
+        assert isinstance(back.operator, ToeplitzBasis)
+        assert (back.m, back.n, back.r) == (9, 5, 5)
         np.testing.assert_array_equal(back.sigma_star, inst.sigma_star)
-        rng = np.random.default_rng(5)
-        for c in [c_star] + [rng.uniform(-2.0, 2.0, 5) for _ in range(3)]:
-            np.testing.assert_array_equal(isvp.evaluate_A(back, c), isvp.evaluate_A(inst, c))
-
-    def test_a_loaded_instance_carries_an_n_by_n_U(self, tmp_path):
-        inst, c_star = isvp.generate_toeplitz_instance(24, 16, 2)
-        path = tmp_path / "toeplitz.txt"
-        isvp.save_instance(inst, path)
-        back = isvp.load_instance(path)
-        assert back.r == 16
-        state = cayley_free.initialize(back, isvp.perturb_c_star(c_star, 1e-5, 2))
-        assert state.U.shape == (16, 16)
-        assert state.W.shape == (16, 16)
+        # the form line and sigma*, not the (n+1) m n values of the dense basis
+        lines = path.read_text().splitlines()
+        assert lines[0] == "toeplitz 9 5" and len(lines) == 2
 
     @pytest.mark.parametrize("algorithm", list(Algorithm))
-    def test_a_loaded_instance_solves_with_no_svd(self, algorithm, tmp_path, monkeypatch):
-        # the loaded basis finds r = n from its zero rows, so its A(c) is the
-        # Toeplitz block, which full_svd splits as on the generated form
+    def test_a_loaded_instance_solves_as_the_generated_one(self, algorithm, tmp_path):
         inst, c_star = isvp.generate_toeplitz_instance(30, 20, 4)
         path = tmp_path / "toeplitz.txt"
         isvp.save_instance(inst, path)
-        back = isvp.load_instance(path)
         c0 = isvp.perturb_c_star(c_star, 1e-5, 3)
         generated = solve(algorithm, inst, c0)
-
-        def fail(*args, **kwargs):
-            raise AssertionError("LAPACK's SVD ran on a Toeplitz A(c)")
-
-        monkeypatch.setattr(np.linalg, "svd", fail)
-        loaded = solve(algorithm, back, c0)
+        loaded = solve(algorithm, isvp.load_instance(path), c0)
         assert loaded.status is generated.status is SolveStatus.CONVERGED
         assert loaded.iterations == generated.iterations
+        assert [rec.d for rec in loaded.records] == [rec.d for rec in generated.records]
+        np.testing.assert_array_equal(loaded.c_final, generated.c_final)

@@ -323,6 +323,24 @@ class TestGenAndSolve:
         )
         np.testing.assert_array_equal(sidecar, c_star)
 
+    @pytest.mark.parametrize("algorithm", [a.value for a in isvp.Algorithm])
+    def test_solve_reads_a_toeplitz_file(self, algorithm, tmp_path, capsys):
+        # the file names its form, so `isvp solve` takes the generated instance's steps
+        inst, c_star = isvp.generate_toeplitz_instance(30, 20, 4)
+        inst_path = tmp_path / "toeplitz.txt"
+        isvp.save_instance(inst, inst_path)
+        cli._write_vector(Path(str(inst_path) + ".cstar"), c_star)
+        code = main([
+            "solve", "--instance", str(inst_path), "--beta", "1e-5", "--algorithm", algorithm,
+        ])
+        assert code == EXIT_OK
+        printed = [ln for ln in capsys.readouterr().out.splitlines() if ln.startswith("k=")]
+        c0 = isvp.perturb_c_star(c_star, 1e-5, 0)
+        report, _ = isvp.harness.run_solver(algorithm, inst, c0, isvp.SolverConfig(), 0.0, 0)
+        assert printed == [
+            f"k={rec.k} d={rec.d:.5e} cond_J={rec.cond_j:.5e}" for rec in report.records
+        ]
+        assert len(printed) >= 2
 
     def test_solve_matches_run_trial(self, tmp_path, capsys):
         # same (instance, c0, mu, seed) through `isvp solve` and the sweep harness

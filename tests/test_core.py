@@ -355,12 +355,14 @@ class TestApproxJacobian:
     )
     def test_a_short_U_or_V_is_an_input_error(self, generate):
         # 8 x 5: r is 8 on the dense basis and 5 on the Toeplitz one, whose
-        # FFT would zero-pad a short U into a wrong J
+        # FFT would zero-pad a short U into a wrong J; no A_j has a row past m
         inst, _ = generate(8, 5, 1)
         r = inst.r
         assert isvp.approx_jacobian(np.eye(8)[:r], np.eye(5), inst).shape == (5, 5)
-        with pytest.raises(InputError, match=rf"^U must have at least {r} rows and 5 columns"):
-            isvp.approx_jacobian(np.eye(8)[: r - 1], np.eye(5), inst)
+        assert isvp.approx_jacobian(np.eye(8), np.eye(5), inst).shape == (5, 5)
+        for U in (np.eye(8)[: r - 1], np.eye(9)):
+            with pytest.raises(InputError, match=rf"^U must have {r} to 8 rows and at least 5 columns"):
+                isvp.approx_jacobian(U, np.eye(5), inst)
         with pytest.raises(InputError, match="^V must have 5 rows and at least 5 columns"):
             isvp.approx_jacobian(np.eye(8), np.eye(5)[:4], inst)
 
@@ -473,3 +475,23 @@ class TestInstanceFile:
     def test_missing_file(self, tmp_path):
         with pytest.raises(InputError, match=r"^cannot read instance from .*nope\.txt: "):
             isvp.load_instance(tmp_path / "nope.txt")
+
+    # line 1 names the form: an unknown word, a wide or short Toeplitz
+    # header, and a Toeplitz file with sigma* missing or lines after it
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("circulant 4 3\n3 2 1\n", "^malformed instance file "),
+            ("toeplitz 3 4\n4 3 2 1\n", "^require m >= n >= 1, got m=3, n=4$"),
+            ("toeplitz 5\n3 2 1\n", "^malformed instance file "),
+            ("toeplitz 5 3\n", "^malformed instance file "),
+            ("toeplitz 5 3\n3 2 1\n1 1 1\n", r"sigma\*: expected 1 lines of 3 values, found 2 of 3$"),
+            ("toeplitz 900 900\n3 2 1\n", "header 900 900 asks for more values than the file holds$"),
+        ],
+        ids=["unknown-form", "wide", "n-missing", "sigma-missing", "extra-line", "too-short"],
+    )
+    def test_form_line_errors(self, tmp_path, text, message):
+        path = tmp_path / "instance.txt"
+        path.write_text(text)
+        with pytest.raises(InputError, match=message):
+            isvp.load_instance(path)

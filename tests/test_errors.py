@@ -149,11 +149,14 @@ def test_failures_while_building_k0_raise(algorithm, generate, routine, monkeypa
         solve(algorithm, inst, c0, c_star=c_star)
 
 
-# caller arrays of a dtype that is not integer or float, each built from a
-# real array of the same shape
+# caller arrays that are not real arrays, each built from a real array of
+# the same shape, and the start of the error: a dtype that is not integer
+# or float, or rows nested to different depths that numpy cannot make one
+# array of
 NOT_REAL = {
-    "complex": lambda a: a + 3j,
-    "string": lambda a: np.asarray(a).astype(str),
+    "complex": (lambda a: a + 3j, "must hold real numbers, not "),
+    "string": (lambda a: np.asarray(a).astype(str), "must hold real numbers, not "),
+    "ragged": (lambda a: [a[0], list(a[1:3]), *a[3:]], "must be a rectangular array: "),
 }
 
 # every entry point that takes a caller array: the argument's name in the
@@ -183,10 +186,11 @@ REAL_INPUT_SITES = {
 }
 
 
-@pytest.mark.parametrize("bad", NOT_REAL.values(), ids=list(NOT_REAL))
+@pytest.mark.parametrize("bad, error", NOT_REAL.values(), ids=list(NOT_REAL))
 @pytest.mark.parametrize("name, call", REAL_INPUT_SITES.values(), ids=list(REAL_INPUT_SITES))
-def test_a_caller_array_that_is_not_real_is_an_input_error(name, call, bad, small_instance):
-    # converting it to float would drop an imaginary part or parse text
+def test_a_caller_array_that_is_not_real_is_an_input_error(name, call, bad, error, small_instance):
+    # converting it to float would drop an imaginary part or parse text, and
+    # numpy's own ValueError for a ragged one would not name the argument
     inst, c_star = small_instance
-    with pytest.raises(InputError, match=f"^{re.escape(name)} must hold real numbers, not "):
+    with pytest.raises(InputError, match=f"^{re.escape(name)} {error}"):
         call(inst, c_star, bad)
