@@ -115,7 +115,7 @@ def alg1_outer_step(state: SolverState, instance: IsvpInstance) -> SolverState:
         s = sigma if state.k == 0 else sigma + t - J @ (B @ t)
         _check_updated(("s", s))
         y = c - B @ t
-        if not np.all(np.isfinite(y)):
+        if not np.isfinite(y).all():
             raise NumericalError("first coefficient update is non-finite")
         A_y = evaluate_A(instance, y)
         D = U.T @ (A_y @ V)
@@ -126,7 +126,7 @@ def alg1_outer_step(state: SolverState, instance: IsvpInstance) -> SolverState:
         sigma_bar = alg1_offset_vector(W_y)
 
         c_next = y - B @ (sigma_bar - sigma)
-        if not np.all(np.isfinite(c_next)):
+        if not np.isfinite(c_next).all():
             raise NumericalError("second coefficient update is non-finite")
         t_bar = sigma_bar - sigma
         s_bar = sigma + t_bar - J @ (B @ t_bar)

@@ -20,6 +20,7 @@ iteration driver that the Cayley baseline and the Newton oracle share.
 
 from __future__ import annotations
 
+import functools
 import numbers
 import time
 from dataclasses import dataclass
@@ -140,7 +141,7 @@ def _jacobian_source(state, instance: IsvpInstance):
 
 def _check_updated(*named: tuple[str, np.ndarray]) -> None:
     for name, a in named:
-        if not np.all(np.isfinite(a)):
+        if not np.isfinite(a).all():
             raise NumericalError(f"updated {name} is non-finite")
 
 
@@ -214,6 +215,39 @@ class CorrectionPair:
     right: np.ndarray
 
 
+# sigma* of the last call with a read-only sigma*, and its target tables
+_TABLES_MEMO: tuple = (None, None)
+
+
+def _target_tables(sigma_star: np.ndarray):
+    """s^2, the gaps s_i^2 - s_j^2 (1 on the diagonal) and s_i s_j.
+
+    They depend on the targets alone, so for a read-only ``sigma_star``
+    (an instance's is) they are built on its first call and kept for
+    the calls that follow with the same array; a writeable one gets
+    fresh tables on every call, so changing it in place is seen.
+    """
+    global _TABLES_MEMO
+    memo_sigma, tables = _TABLES_MEMO
+    if memo_sigma is sigma_star and not sigma_star.flags.writeable:
+        return tables
+    s = sigma_star
+    s2 = s * s
+    den = s2[:, None] - s2[None, :]
+    np.fill_diagonal(den, 1.0)
+    tables = (s2, den, s[:, None] * s[None, :])
+    if not sigma_star.flags.writeable:
+        _TABLES_MEMO = (sigma_star, tables)
+    return tables
+
+
+@functools.lru_cache(maxsize=8)
+def _strict_lower(size: int) -> np.ndarray:
+    mask = np.tri(size, size, -1, dtype=bool)
+    mask.flags.writeable = False
+    return mask
+
+
 def correction_matrices(
     U: np.ndarray, V: np.ndarray, W: np.ndarray, sigma_star: np.ndarray
 ) -> CorrectionPair:
@@ -222,7 +256,9 @@ def correction_matrices(
     The pair satisfies left + left^T = U^T U - I and
     right + right^T = V^T V - I up to roundoff, and solves the linearized
     alignment equations on the leading-column index pairs.  The trailing
-    off-diagonal block of ``left`` is symmetric by construction.
+    off-diagonal block of ``left`` is symmetric by construction.  The
+    tables of the targets alone come from :func:`_target_tables`, built
+    once for a read-only ``sigma_star``.
     """
     m = U.shape[0]
     n = V.shape[0]
@@ -231,33 +267,38 @@ def correction_matrices(
     for name, a in (("U", U), ("V", V), ("W", W)):
         _real_array(name, a)
     s = sigma_star
-    s2 = s * s
+    s2, den, ss = _target_tables(sigma_star)
     Gu = U.T @ U
     Gv = V.T @ V
     Wn = W[:n, :n]
     Gun = Gu[:n, :n]
-    den = s2[:, None] - s2[None, :]
-    np.fill_diagonal(den, 1.0)
-    ss = s[:, None] * s[None, :]
-    idx = np.arange(n)
 
     left = np.empty((m, m))
-    num_l = s[:, None] * Wn.T + s[None, :] * Wn - s2[None, :] * Gun - ss * Gv
-    block = num_l / den
-    block[idx, idx] = 0.5 * (Gun[idx, idx] - 1.0)
-    left[:n, :n] = block
+    # s_i W_ji + s_j W_ij is symmetric, so one product and its transpose give it
+    sw = s[None, :] * Wn
+    block = left[:n, :n]
+    np.add(sw.T, sw, out=block)
+    block -= s2 * Gun
+    block -= ss * Gv
+    block /= den
     if m > n:
-        left[n:, :n] = Gu[n:, :n] - W[n:, :] / s[None, :]
-        left[:n, n:] = W[n:, :].T / s[:, None]
+        # the upper off block is the transpose of W[n:] / s
+        upper = left[:n, n:]
+        np.divide(W[n:, :], s, out=upper.T)
+        np.subtract(Gu[n:, :n], upper.T, out=left[n:, :n])
         # trailing block: mirrored explicitly so symmetry is exact
-        upper = np.triu(0.5 * Gu[n:, n:], 1)
-        trailing = upper + upper.T
-        np.fill_diagonal(trailing, 0.5 * (np.diagonal(Gu)[n:] - 1.0))
-        left[n:, n:] = trailing
+        trailing = left[n:, n:]
+        np.multiply(Gu[n:, n:], 0.5, out=trailing)
+        np.copyto(trailing, trailing.T, where=_strict_lower(m - n))
+    # the diagonals of the leading and trailing blocks, in one pass
+    np.fill_diagonal(left, 0.5 * (np.diagonal(Gu) - 1.0))
 
-    num_r = s[:, None] * Wn + s[None, :] * Wn.T - ss * Gun - s2[None, :] * Gv
-    right = num_r / den
-    right[idx, idx] = 0.5 * (Gv[idx, idx] - 1.0)
+    sw = s[:, None] * Wn
+    right = sw + sw.T
+    right -= ss * Gun
+    right -= s2 * Gv
+    right /= den
+    np.fill_diagonal(right, 0.5 * (np.diagonal(Gv) - 1.0))
     return CorrectionPair(left=left, right=right)
 
 
@@ -275,8 +316,13 @@ def chebyshev_update(B: np.ndarray, J_next: np.ndarray) -> np.ndarray:
     cubic root-convergence of the outer loop.
     """
     n = B.shape[0]
-    R = np.eye(n) - J_next @ B
-    return B + B @ ((np.eye(n) + R) @ R)
+    # R = I - J'B as 0 - J'B, then 1 on its diagonal (1 + (0 - x) is 1 - x):
+    # no identity matrix is built, and no off-diagonal zero turns to -0
+    R = np.subtract(0.0, J_next @ B)
+    R.reshape(-1)[:: n + 1] += 1.0
+    S = R.copy()
+    S.reshape(-1)[:: n + 1] += 1.0
+    return B + B @ (S @ R)
 
 
 def _form_jacobian(state: SolverState, instance: IsvpInstance) -> None:
@@ -313,7 +359,7 @@ def outer_step(state: SolverState, instance: IsvpInstance) -> SolverState:
     c, U, V, B = state.c, state.U, state.V, state.B
     with np.errstate(over="ignore", invalid="ignore"):
         c_bar = c - B @ generalized_residual_vector(U, V, np.diagonal(state.W), sigma)
-        if not np.all(np.isfinite(c_bar)):
+        if not np.isfinite(c_bar).all():
             raise NumericalError("first coefficient update is non-finite")
         A_bar = evaluate_A(instance, c_bar)
         W = U.T @ (A_bar @ V)
@@ -324,7 +370,7 @@ def outer_step(state: SolverState, instance: IsvpInstance) -> SolverState:
         w_bar = np.einsum("ji,ji->i", U_bar[:, : sigma.size], A_bar @ V_bar)
         rho = generalized_residual_vector(U_bar, V_bar, w_bar, sigma)
         c_next = c_bar - B @ rho
-        if not np.all(np.isfinite(c_next)):
+        if not np.isfinite(c_next).all():
             raise NumericalError("second coefficient update is non-finite")
         A_next = evaluate_A(instance, c_next)
         W_bar = U_bar.T @ (A_next @ V_bar)

@@ -36,7 +36,7 @@ def _real_array(name: str, a) -> np.ndarray:
         raise InputError(f"{name} must be a rectangular array: {exc}") from exc
     if a.dtype.kind not in "iuf":
         raise InputError(f"{name} must hold real numbers, not {a.dtype}")
-    if not np.all(np.isfinite(a)):
+    if not np.isfinite(a).all():
         raise NonFiniteInput(f"{name} contains NaN or infinity")
     return a.astype(float, copy=False)
 

@@ -40,7 +40,7 @@ class IterationRecord:
         with np.errstate(over="ignore", invalid="ignore"):
             J = self.jacobian()
             self.jacobian = None
-            if not np.all(np.isfinite(J)):
+            if not np.isfinite(J).all():
                 return np.inf
             return float(np.linalg.cond(J, 2))
 

@@ -104,6 +104,45 @@ def loop_outer_step(instance, state):
     return out
 
 
+def vectorized_correction_pair(U, V, W, sigma):
+    """The correction formulas as whole-array numpy expressions, written
+    the plain way (tables from sigma on every call, ``np.triu`` for the
+    trailing block, fancy-indexed diagonals); the kernel must match it
+    bit for bit."""
+    m = U.shape[0]
+    n = V.shape[0]
+    s = sigma
+    s2 = s * s
+    Gu = U.T @ U
+    Gv = V.T @ V
+    Wn = W[:n, :n]
+    Gun = Gu[:n, :n]
+    den = s2[:, None] - s2[None, :]
+    np.fill_diagonal(den, 1.0)
+    ss = s[:, None] * s[None, :]
+    idx = np.arange(n)
+    left = np.empty((m, m))
+    num_l = s[:, None] * Wn.T + s[None, :] * Wn - s2[None, :] * Gun - ss * Gv
+    block = num_l / den
+    block[idx, idx] = 0.5 * (Gun[idx, idx] - 1.0)
+    left[:n, :n] = block
+    if m > n:
+        left[n:, :n] = Gu[n:, :n] - W[n:, :] / s[None, :]
+        left[:n, n:] = W[n:, :].T / s[:, None]
+        upper = np.triu(0.5 * Gu[n:, n:], 1)
+        trailing = upper + upper.T
+        np.fill_diagonal(trailing, 0.5 * (np.diagonal(Gu)[n:] - 1.0))
+        left[n:, n:] = trailing
+    num_r = s[:, None] * Wn + s[None, :] * Wn.T - ss * Gun - s2[None, :] * Gv
+    right = num_r / den
+    right[idx, idx] = 0.5 * (Gv[idx, idx] - 1.0)
+    return left, right
+
+
+def assert_same_bits(got, want):
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
 def assert_close(got, want, rtol=1e-14):
     got = np.asarray(got)
     want = np.asarray(want)
@@ -165,6 +204,45 @@ class TestCorrectionMatrices:
         np.testing.assert_array_equal(tail, tail.T)
 
 
+    @pytest.mark.parametrize("m, n", [(7, 3), (12, 5), (6, 6), (60, 30)])
+    @pytest.mark.parametrize("read_only", [True, False], ids=["read-only", "writeable"])
+    def test_matches_the_array_formulas_bit_for_bit(self, m, n, read_only):
+        rng = np.random.default_rng(m * 100 + n)
+        sigma = separated_sigma(rng, n)
+        sigma.flags.writeable = not read_only
+        for _ in range(3):
+            U = near_orthogonal(rng, m)
+            V = near_orthogonal(rng, n)
+            W = isvp.diag_embed(sigma, m) + 0.3 * rng.standard_normal((m, n))
+            pair = isvp.correction_matrices(U, V, W, sigma)
+            left, right = vectorized_correction_pair(U, V, W, sigma)
+            assert_same_bits(pair.left, left)
+            assert_same_bits(pair.right, right)
+
+    def test_target_tables_are_kept_only_for_a_read_only_sigma(self):
+        sigma = separated_sigma(np.random.default_rng(5), 4)
+        fresh = cayley_free._target_tables(sigma)
+        assert cayley_free._target_tables(sigma) is not fresh
+        sigma.flags.writeable = False
+        kept = cayley_free._target_tables(sigma)
+        assert cayley_free._target_tables(sigma) is kept
+
+    def test_a_writeable_sigma_changed_in_place_gives_new_tables(self):
+        rng = np.random.default_rng(11)
+        m, n = 9, 4
+        sigma = separated_sigma(rng, n)
+        U = near_orthogonal(rng, m)
+        V = near_orthogonal(rng, n)
+        W = isvp.diag_embed(sigma, m) + 0.3 * rng.standard_normal((m, n))
+        first = isvp.correction_matrices(U, V, W, sigma)
+        sigma *= 1.5
+        second = isvp.correction_matrices(U, V, W, sigma)
+        left, right = vectorized_correction_pair(U, V, W, sigma)
+        assert_same_bits(second.left, left)
+        assert_same_bits(second.right, right)
+        assert not np.array_equal(first.right, second.right)
+
+
 class TestMultiplicativeRefine:
     def test_zero_correction_is_identity(self):
         M = np.arange(6.0).reshape(2, 3)
@@ -200,6 +278,20 @@ class TestChebyshevUpdate:
         B = np.linalg.inv(J)
         B_next = isvp.chebyshev_update(B, J)
         np.testing.assert_allclose(B_next, B, atol=1e-12 * np.linalg.norm(B))
+
+    @pytest.mark.parametrize("n", [1, 4, 30])
+    @pytest.mark.parametrize("diagonal", [False, True], ids=["dense", "diagonal"])
+    def test_matches_the_identity_formula_bit_for_bit(self, n, diagonal):
+        # diagonal J and B leave exact zeros off the diagonal of J B, where
+        # I - J B holds +0 and a plain negation would hold -0
+        rng = np.random.default_rng(n)
+        J = rng.standard_normal((n, n)) + n * np.eye(n)
+        B = np.linalg.inv(J) + 1e-3 * rng.standard_normal((n, n))
+        if diagonal:
+            J, B = np.diag(np.diag(J)), np.diag(np.diag(B))
+        I = np.eye(n)
+        R = I - J @ B
+        assert_same_bits(isvp.chebyshev_update(B, J), B + B @ ((I + R) @ R))
 
     def test_scalar_cubing(self):
         B_next = isvp.chebyshev_update(np.array([[0.5]]), np.array([[1.0]]))
