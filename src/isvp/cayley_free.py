@@ -267,7 +267,7 @@ def correction_matrices(
     for name, a in (("U", U), ("V", V), ("W", W)):
         _real_array(name, a)
     s = sigma_star
-    s2, den, ss = _target_tables(sigma_star)
+    s2, den, ss = _target_tables(s)
     Gu = U.T @ U
     Gv = V.T @ V
     Wn = W[:n, :n]

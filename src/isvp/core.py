@@ -43,7 +43,7 @@ def _real_array(name: str, a) -> np.ndarray:
 
 # Bytes of u_i^T A_j products the dense Jacobian holds at once: each
 # block of basis matrices this size stays in cache between its GEMM and
-# its einsum.
+# its batched GEMV against V_n.
 _JACOBIAN_BLOCK_BYTES = 2 << 20
 
 
@@ -56,8 +56,9 @@ class DenseBasis:
     it afterwards.  A(c) may fill every row, so ``r = m``, and A(c) is
     one GEMV per row.  The Jacobian walks the matrices in blocks of about
     2 MiB of products, each one GEMM of U^T against the (m, k n) view of
-    the block (inner dimension m) and one einsum against V_n, so its
-    working memory does not grow with the basis.
+    the block (inner dimension m) and one batched matmul against V_n (a
+    k x n GEMV with v_i for each i), so its working memory does not grow
+    with the basis.
     """
 
     def __init__(self, rows: np.ndarray):
@@ -87,7 +88,8 @@ class DenseBasis:
             products = np.matmul(
                 Un.T, block.reshape(m, k * n), out=buf[: n * k * n].reshape(n, k * n)
             )
-            J[:, j0 : j0 + k] = np.einsum("ijs,si->ij", products.reshape(n, k, n), Vn)
+            # J[i, j0 + j] = products[i, j] . v_i: n GEMVs of size k x n, one per i
+            np.matmul(products.reshape(n, k, n), Vn.T[:, :, None], out=J[:, j0 : j0 + k, None])
         return J
 
 
