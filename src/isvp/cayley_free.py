@@ -12,7 +12,8 @@ The correction matrices are filled entrywise over a partition of the
 index pairs: both indices in the leading n x n block (gap-weighted
 mixing of W, U^T U and V^T V), the two off blocks coupling the trailing
 rows of U (divisions by single targets), the trailing off-diagonal block
-(symmetric, from U^T U alone), and the diagonals.
+(symmetric, from U^T U alone), and the diagonals; the tables of the
+targets alone are kept for the last sigma*, looked up by its values.
 
 The module also holds the stopping rule (:class:`SolverConfig`) and the
 iteration driver that the Cayley baseline and the Newton oracle share.
@@ -21,7 +22,6 @@ iteration driver that the Cayley baseline and the Newton oracle share.
 from __future__ import annotations
 
 import functools
-import numbers
 import time
 from dataclasses import dataclass
 
@@ -29,6 +29,8 @@ import numpy as np
 
 from .core import (
     IsvpInstance,
+    _is_integer,
+    _is_real,
     _real_array,
     approx_jacobian,
     diag_embed,
@@ -46,14 +48,6 @@ _STEP_FAILURES = (NumericalError, NonFiniteInput)
 
 # a solve diverges once d_k exceeds this multiple of max(d_0, 1)
 _DIVERGENCE_FACTOR = 1e6
-
-
-def _is_integer(x) -> bool:
-    return isinstance(x, numbers.Integral) and not isinstance(x, bool)
-
-
-def _is_real(x) -> bool:
-    return isinstance(x, numbers.Real) and not isinstance(x, bool)
 
 
 @dataclass(frozen=True)
@@ -215,37 +209,23 @@ class CorrectionPair:
     right: np.ndarray
 
 
-# sigma* of the last call with a read-only sigma*, and its target tables
-_TABLES_MEMO: tuple = (None, None)
+@functools.lru_cache(maxsize=1)
+def _target_tables(key: bytes):
+    """s^2, the gaps s_i^2 - s_j^2 (1 on the diagonal) and s_i s_j of the
+    targets whose float64 bytes are ``key``, as read-only arrays.
 
-
-def _target_tables(sigma_star: np.ndarray):
-    """s^2, the gaps s_i^2 - s_j^2 (1 on the diagonal) and s_i s_j.
-
-    They depend on the targets alone, so for a read-only ``sigma_star``
-    (an instance's is) they are built on its first call and kept for
-    the calls that follow with the same array; a writeable one gets
-    fresh tables on every call, so changing it in place is seen.
+    They depend on the targets' values alone, so the tables of the last
+    targets seen are kept: a solve builds them once, and a sigma* with
+    other values, a changed one included, gets new ones.
     """
-    global _TABLES_MEMO
-    memo_sigma, tables = _TABLES_MEMO
-    if memo_sigma is sigma_star and not sigma_star.flags.writeable:
-        return tables
-    s = sigma_star
+    s = np.frombuffer(key)
     s2 = s * s
     den = s2[:, None] - s2[None, :]
     np.fill_diagonal(den, 1.0)
     tables = (s2, den, s[:, None] * s[None, :])
-    if not sigma_star.flags.writeable:
-        _TABLES_MEMO = (sigma_star, tables)
+    for table in tables:
+        table.flags.writeable = False
     return tables
-
-
-@functools.lru_cache(maxsize=8)
-def _strict_lower(size: int) -> np.ndarray:
-    mask = np.tri(size, size, -1, dtype=bool)
-    mask.flags.writeable = False
-    return mask
 
 
 def correction_matrices(
@@ -256,9 +236,9 @@ def correction_matrices(
     The pair satisfies left + left^T = U^T U - I and
     right + right^T = V^T V - I up to roundoff, and solves the linearized
     alignment equations on the leading-column index pairs.  The trailing
-    off-diagonal block of ``left`` is symmetric by construction.  The
-    tables of the targets alone come from :func:`_target_tables`, built
-    once for a read-only ``sigma_star``.
+    off-diagonal block of ``left`` is half of U^T U's, symmetric bit for
+    bit: numpy forms U^T U of a C-ordered U by one symmetric rank-k update.
+    The target tables come from :func:`_target_tables`, keyed by value.
     """
     m = U.shape[0]
     n = V.shape[0]
@@ -267,7 +247,9 @@ def correction_matrices(
     for name, a in (("U", U), ("V", V), ("W", W)):
         _real_array(name, a)
     s = sigma_star
-    s2, den, ss = _target_tables(s)
+    s2, den, ss = _target_tables(np.asarray(s, dtype=float).tobytes())
+    # numpy takes its symmetric rank-k path only for a U it need not copy first
+    U = np.ascontiguousarray(U)
     Gu = U.T @ U
     Gv = V.T @ V
     Wn = W[:n, :n]
@@ -286,10 +268,7 @@ def correction_matrices(
         upper = left[:n, n:]
         np.divide(W[n:, :], s, out=upper.T)
         np.subtract(Gu[n:, :n], upper.T, out=left[n:, :n])
-        # trailing block: mirrored explicitly so symmetry is exact
-        trailing = left[n:, n:]
-        np.multiply(Gu[n:, n:], 0.5, out=trailing)
-        np.copyto(trailing, trailing.T, where=_strict_lower(m - n))
+        np.multiply(Gu[n:, n:], 0.5, out=left[n:, n:])
     # the diagonals of the leading and trailing blocks, in one pass
     np.fill_diagonal(left, 0.5 * (np.diagonal(Gu) - 1.0))
 

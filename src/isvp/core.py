@@ -16,6 +16,7 @@ residual d = ||U^T A(c) V - Sigma*||_F.
 
 from __future__ import annotations
 
+import numbers
 import os
 import warnings
 from dataclasses import dataclass
@@ -26,6 +27,23 @@ from .errors import InputError, NonFiniteInput, NumericalError
 
 # singular values closer than this, or this close to zero, collide
 MIN_GAP = 1e-10
+
+
+def _is_integer(x) -> bool:
+    return isinstance(x, numbers.Integral) and not isinstance(x, bool)
+
+
+def _is_real(x) -> bool:
+    return isinstance(x, numbers.Real) and not isinstance(x, bool)
+
+
+def _check_shape(m, n) -> tuple[int, int]:
+    """(m, n) as ints if both are integers, not bools, with m >= n >= 1."""
+    if not (_is_integer(m) and _is_integer(n)):
+        raise InputError(f"m and n must be integers, got m={m!r}, n={n!r}")
+    if m < n or n < 1:
+        raise InputError(f"require m >= n >= 1, got m={m}, n={n}")
+    return int(m), int(n)
 
 
 def _real_array(name: str, a) -> np.ndarray:
@@ -63,8 +81,7 @@ class DenseBasis:
 
     def __init__(self, rows: np.ndarray):
         m, depth, n = rows.shape
-        if m < n or n < 1:
-            raise InputError(f"require m >= n >= 1, got m={m}, n={n}")
+        _check_shape(m, n)
         if depth != n + 1:
             raise InputError(f"n={n} needs {n + 1} basis matrices, got {depth}")
         rows.flags.writeable = False
@@ -121,8 +138,7 @@ class ToeplitzBasis:
     """
 
     def __init__(self, m: int, n: int):
-        if m < n or n < 1:
-            raise InputError(f"require m >= n >= 1, got m={m}, n={n}")
+        m, n = _check_shape(m, n)
         self.m, self.n, self.r = m, n, n
 
     @property

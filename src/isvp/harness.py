@@ -27,8 +27,11 @@ import numpy as np
 
 from . import __version__, cayley_free
 from .baselines import alg1_solve, newton_exact_solve
-from .cayley_free import SolverConfig, SolverState, _is_integer, _is_real
-from .core import DenseBasis, IsvpInstance, ToeplitzBasis, _real_array, jacobian_inverse, make_instance
+from .cayley_free import SolverConfig, SolverState
+from .core import (
+    DenseBasis, IsvpInstance, ToeplitzBasis, _check_shape, _is_integer, _is_real, _real_array,
+    jacobian_inverse, make_instance,
+)
 from .errors import DegenerateDraw, InputError, IsvpError, NumericalError
 from .report import SolveReport, SolveStatus
 
@@ -176,6 +179,7 @@ def _draw_instance(draw, seed: int) -> tuple[IsvpInstance, np.ndarray]:
 
 def generate_instance(m: int, n: int, seed: int) -> tuple[IsvpInstance, np.ndarray]:
     """Draw one random instance and its generating vector c*."""
+    m, n = _check_shape(m, n)
 
     def draw(rng):
         # A_0..A_n row-major, one matrix at a time through one buffer, then c*

@@ -22,12 +22,7 @@ import numpy as np
 from .baselines import alg1_skew_pair, cayley_orthogonalize
 from .cayley_free import SolverConfig, chebyshev_update, correction_matrices
 from .core import (
-    ToeplitzBasis,
-    approx_jacobian,
-    diag_embed,
-    evaluate_A,
-    full_svd,
-    spectral_gap,
+    ToeplitzBasis, _is_integer, approx_jacobian, diag_embed, evaluate_A, full_svd, spectral_gap,
 )
 from .harness import Algorithm, generate_instance, generate_toeplitz_instance, run_solver
 
@@ -285,6 +280,6 @@ ALL_CHECKS: list[Callable[[int, int], CheckResult]] = [
 
 
 def run_all_checks(trials: int = 50, seed: int = 20240601) -> list[CheckResult]:
-    if trials < 1:
-        raise ValueError("trials must be at least 1")
+    if not _is_integer(trials) or trials < 1:
+        raise ValueError(f"trials must be at least 1 and an integer, got {trials!r}")
     return [check(trials, seed) for check in ALL_CHECKS]

@@ -193,16 +193,27 @@ class TestCorrectionMatrices:
             assert_close(pair.left, left)
             assert_close(pair.right, right)
 
-    def test_trailing_block_exactly_symmetric(self):
+    @pytest.mark.parametrize("layout", ["C", "F", "strided", "negative-stride"])
+    def test_trailing_block_exactly_symmetric(self, layout):
+        # at m = 207 numpy forms U^T U of a strided U, copied first, as a
+        # general product whose two triangles differ in the last bits
         rng = np.random.default_rng(67)
-        sigma = separated_sigma(rng, 3)
-        U = near_orthogonal(rng, 8)
-        V = near_orthogonal(rng, 3)
-        W = rng.standard_normal((8, 3))
-        pair = isvp.correction_matrices(U, V, W, sigma)
-        tail = pair.left[3:, 3:]
+        m, n = 207, 3
+        sigma = separated_sigma(rng, n)
+        U = near_orthogonal(rng, m)
+        V = near_orthogonal(rng, n)
+        W = rng.standard_normal((m, n))
+        given = {
+            "C": U,
+            "F": np.asfortranarray(U),
+            "strided": np.repeat(np.repeat(U, 2, axis=0), 2, axis=1)[::2, ::2],
+            "negative-stride": U[::-1, ::-1].copy()[::-1, ::-1],
+        }[layout]
+        assert np.array_equal(given, U)
+        pair = isvp.correction_matrices(given, V, W, sigma)
+        tail = pair.left[n:, n:]
         np.testing.assert_array_equal(tail, tail.T)
-
+        assert_same_bits(pair.left, isvp.correction_matrices(U, V, W, sigma).left)
 
     @pytest.mark.parametrize("m, n", [(7, 3), (12, 5), (6, 6), (60, 30)])
     @pytest.mark.parametrize("read_only", [True, False], ids=["read-only", "writeable"])
@@ -219,13 +230,42 @@ class TestCorrectionMatrices:
             assert_same_bits(pair.left, left)
             assert_same_bits(pair.right, right)
 
-    def test_target_tables_are_kept_only_for_a_read_only_sigma(self):
-        sigma = separated_sigma(np.random.default_rng(5), 4)
-        fresh = cayley_free._target_tables(sigma)
-        assert cayley_free._target_tables(sigma) is not fresh
-        sigma.flags.writeable = False
-        kept = cayley_free._target_tables(sigma)
-        assert cayley_free._target_tables(sigma) is kept
+    def test_target_tables_are_reused_for_equal_values(self):
+        rng = np.random.default_rng(5)
+        m, n = 9, 4
+        sigma = separated_sigma(rng, n)
+        U = near_orthogonal(rng, m)
+        V = near_orthogonal(rng, n)
+        W = isvp.diag_embed(sigma, m) + 0.3 * rng.standard_normal((m, n))
+        frozen = sigma.copy()
+        frozen.flags.writeable = False
+        isvp.correction_matrices(U, V, W, sigma)
+        before = cayley_free._target_tables.cache_info()
+        # writeable, read-only, and a strided view: equal values, whatever the flags
+        for same in (sigma, frozen, np.repeat(sigma, 2)[::2]):
+            isvp.correction_matrices(U, V, W, same)
+        after = cayley_free._target_tables.cache_info()
+        assert (after.hits - before.hits, after.misses - before.misses) == (3, 0)
+        tables = cayley_free._target_tables(sigma.tobytes())
+        assert not any(table.flags.writeable for table in tables)
+        isvp.correction_matrices(U, V, W, 2.0 * sigma)
+        assert cayley_free._target_tables.cache_info().misses == after.misses + 1
+
+    def test_a_read_only_view_of_a_changed_array_gives_new_tables(self):
+        rng = np.random.default_rng(13)
+        m, n = 6, 3
+        base = np.array([3.0, 2.0, 1.0])
+        view = base.view()
+        view.flags.writeable = False
+        U = near_orthogonal(rng, m)
+        V = near_orthogonal(rng, n)
+        W = isvp.diag_embed(base, m) + 0.3 * rng.standard_normal((m, n))
+        isvp.correction_matrices(U, V, W, view)
+        base[:] = [5.0, 4.0, 0.5]
+        pair = isvp.correction_matrices(U, V, W, view)
+        left, right = vectorized_correction_pair(U, V, W, base)
+        assert_same_bits(pair.left, left)
+        assert_same_bits(pair.right, right)
 
     def test_a_writeable_sigma_changed_in_place_gives_new_tables(self):
         rng = np.random.default_rng(11)

@@ -491,6 +491,11 @@ class TestVerifyCommand:
         assert main(["verify", "--trials", trials]) == EXIT_USAGE
         assert "trials must be at least 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("trials", [2.5, True, "3"])
+    def test_trials_must_be_an_integer(self, trials):
+        with pytest.raises(ValueError, match="^trials must be at least 1 and an integer, got "):
+            verification.run_all_checks(trials=trials)
+
     @pytest.mark.parametrize("seed", [63, 112, 130, 137])
     def test_finite_difference_check_draws_every_seed(self, seed):
         # the check skips spectra with a gap below 0.1 itself; these seeds draw some

@@ -59,6 +59,38 @@ class TestGenerateInstance:
         assert report.status is SolveStatus.CONVERGED
 
 
+GENERATORS = pytest.mark.parametrize(
+    "generate", [isvp.generate_instance, isvp.generate_toeplitz_instance], ids=["dense", "toeplitz"]
+)
+
+
+@GENERATORS
+@pytest.mark.parametrize(
+    "m, n, message",
+    [
+        (6.0, 3, r"^m and n must be integers, got m=6\.0, n=3$"),
+        (6, True, "^m and n must be integers, got m=6, n=True$"),
+        (-1, 3, "^require m >= n >= 1, got m=-1, n=3$"),
+        (3, 0, "^require m >= n >= 1, got m=3, n=0$"),
+    ],
+)
+def test_both_forms_take_one_shape_check(generate, m, n, message):
+    with pytest.raises(InputError, match=message):
+        generate(m, n, 1)
+
+
+@GENERATORS
+def test_an_instance_of_numpy_integer_shape_loads_back(generate, tmp_path):
+    inst, _ = generate(np.int64(6), np.int64(4), 1)
+    assert (type(inst.m), type(inst.n)) == (int, int)
+    path = tmp_path / "instance.txt"
+    isvp.save_instance(inst, path)
+    back = isvp.load_instance(path)
+    assert type(back.operator) is type(inst.operator) and (back.m, back.n) == (6, 4)
+    np.testing.assert_array_equal(back.basis, inst.basis)
+    np.testing.assert_array_equal(back.sigma_star, inst.sigma_star)
+
+
 class TestPerturb:
     def test_beta_zero_is_identity(self):
         c_star = np.array([0.3, 0.7, 0.1])

@@ -1,7 +1,8 @@
 """Every name a module of the package or of its tests imports is used in
 that module, every name a function there assigns is read, and every
 module-level function, class and constant that either defines is named
-somewhere in the package, its tests or its benchmarks."""
+somewhere in the package, its tests or its benchmarks, and no function
+of the package rebinds a module-level name through ``global``."""
 
 import ast
 from pathlib import Path
@@ -97,6 +98,16 @@ def orphaned_helpers(source: str, used: set[str]) -> list[str]:
     return hits
 
 
+def global_statements(source: str) -> list[str]:
+    """The names of every ``global`` statement in a module, with its line."""
+    return [
+        f"{name} (line {node.lineno})"
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Global)
+        for name in node.names
+    ]
+
+
 def test_the_check_sees_an_unused_import():
     assert unused_imports("import os\nfrom a import b, c as d\nd()\n") == [
         "os (line 1)",
@@ -133,6 +144,22 @@ def test_the_check_sees_an_orphaned_helper():
         "orphan (line 3)",
         "Spare (line 4)",
     ]
+
+
+def test_the_check_sees_a_global_statement():
+    source = (
+        "MEMO = None\n"
+        "def f():\n"
+        "    class C:\n"
+        "        def g(self):\n"
+        "            global MEMO, SEEN\n"
+    )
+    assert global_statements(source) == ["MEMO (line 5)", "SEEN (line 5)"]
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.name)
+def test_no_global_statements(path):
+    assert global_statements(path.read_text()) == []
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
