@@ -17,11 +17,10 @@ import time
 import numpy as np
 
 from .cayley_free import (
-    SolverConfig, SolverState, _check_updated, _exact_point, _form_jacobian, _iterate, initialize,
+    SolverConfig, SolverState, _check_updated, _exact_point, _form_jacobian, _iterate,
+    two_step_start,
 )
-from .core import (
-    MIN_GAP, IsvpInstance, _real_array, approx_jacobian, evaluate_A, jacobian_inverse, spectral_gap,
-)
+from .core import MIN_GAP, IsvpInstance, approx_jacobian, evaluate_A, spectral_gap
 from .errors import InputError, NumericalError
 from .report import SolveReport
 
@@ -141,34 +140,23 @@ def alg1_outer_step(state: SolverState, instance: IsvpInstance) -> SolverState:
     return SolverState(k=state.k + 1, c=c_next, W=W_next, U=U_next, V=V_next, B=B, J=None)
 
 
-def alg1_initialize(instance: IsvpInstance, c0) -> SolverState:
-    """The k = 0 state of :func:`initialize` with the baseline's start:
-    it forms J_0, which the first step's shifts read too, and B_0 is
-    always the exact inverse of J_0.  A singular J_0 raises
-    ``NumericalError``.
-    """
-    state = initialize(instance, c0)
-    state.J = approx_jacobian(state.U, state.V, instance)
-    state.B = jacobian_inverse(state.J)
-    return state
-
-
 def alg1_solve(
     instance: IsvpInstance,
     c0,
     config: SolverConfig | None = None,
     c_star=None,
 ) -> SolveReport:
-    """Run the Cayley baseline from the state :func:`alg1_initialize` builds at c0."""
+    """Run the Cayley baseline from :func:`cayley_free.two_step_start` at c0."""
     t_start = time.perf_counter()
-    state = alg1_initialize(instance, c0)
+    state = two_step_start(instance, c0)
     return _iterate(alg1_outer_step, state, instance, config, c_star, t_start)
 
 
-def _newton_point(instance: IsvpInstance, c: np.ndarray, k: int) -> SolverState:
-    """The exact point at c (:func:`cayley_free._exact_point`) from the
-    thin SVD, a plain state with an r x n ``U``, whose n x n ``W`` is
-    Sigma and whose ``B`` stays ``None``.
+def _newton_point(instance: IsvpInstance, c, k: int = 0) -> SolverState:
+    """Newton's iterate ``k``, its start by default: the exact point at c
+    (:func:`cayley_free._exact_point`) from the thin SVD, a plain state
+    with an r x n ``U``, whose n x n ``W`` is Sigma and whose ``B`` stays
+    ``None``.
 
     Singular values are matched to the targets by sorted order, so they
     must stay simple (gap above ``MIN_GAP``).
@@ -210,6 +198,5 @@ def newton_exact_solve(
     like a singular Jacobian, ends the solve as ``DIVERGED``.
     """
     t_start = time.perf_counter()
-    c = _real_array("c", c0).reshape(-1).copy()
-    state = _newton_point(instance, c, 0)
+    state = _newton_point(instance, c0)
     return _iterate(_newton_step, state, instance, config, c_star, t_start)

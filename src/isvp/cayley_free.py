@@ -15,8 +15,9 @@ rows of U (divisions by single targets), the trailing off-diagonal block
 (symmetric, from U^T U alone), and the diagonals; the tables of the
 targets alone are kept for the last sigma*, looked up by its values.
 
-The module also holds the stopping rule (:class:`SolverConfig`) and the
-iteration driver that the Cayley baseline and the Newton oracle share.
+The module also holds the stopping rule (:class:`SolverConfig`), the
+iteration driver that the Cayley baseline and the Newton oracle share,
+and the start both two-step methods share (:func:`two_step_start`).
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ from .core import (
     evaluate_A,
     full_svd,
     generalized_residual_vector,
+    jacobian_inverse,
     residual_d,
 )
 from .errors import InputError, NonFiniteInput, NumericalError
@@ -155,10 +157,10 @@ class SolverState:
     is ``None`` from :func:`initialize` until the caller chooses B_0.
     Newton's iterates are exact points of this class too, and their
     ``B`` stays ``None``.
-    At k = 0, ``J`` is J_0 only when the start formed it to build B_0
-    (:func:`harness.cayley_free_start`, :func:`baselines.alg1_initialize`);
-    the Cayley-free step never reads it, and alg1's first step reads it
-    in its second shift.
+    At k = 0, ``J`` is J_0 only when the start formed it to build B_0:
+    :func:`two_step_start`, the start of both two-step methods, does;
+    :func:`solve`, handed its B_0, does not.  The Cayley-free step never
+    reads it, and alg1's first step reads it in its second shift.
 
     On an iterate that a step has produced, ``J`` is ``None`` and ``B``
     still holds B_{k-1}: the step that starts from the iterate forms J_k
@@ -175,13 +177,12 @@ class SolverState:
     J: np.ndarray | None
 
 
-def _exact_point(
-    instance: IsvpInstance, c: np.ndarray, k: int, full_matrices: bool
-) -> SolverState:
+def _exact_point(instance: IsvpInstance, c, k: int, full_matrices: bool) -> SolverState:
     """Iterate ``k`` at ``c`` from the exact SVD of the r x n A(c) that
     :func:`core.evaluate_A` returns: ``U`` and ``V`` are its factors,
     and ``W`` = U^T A(c) V is Sigma = diag_embed(sigma, q), q the column
     count of ``U``, so no product with A(c) is formed.  ``B`` and ``J`` are ``None``.
+    The state keeps a flat float copy of ``c``, checked by ``_real_array``.
 
     ``full_matrices`` is the caller's: a two-step start
     (:func:`initialize`) needs the trailing columns of an r x r ``U``,
@@ -195,6 +196,7 @@ def _exact_point(
     inverts J_0 forms it, and every iterate after k = 0 has its J_k
     formed by the step that starts from it.
     """
+    c = _real_array("c", c).reshape(-1).copy()
     factors = full_svd(evaluate_A(instance, c), full_matrices=full_matrices)
     W = diag_embed(factors.sigma, factors.U.shape[1])
     return SolverState(k=k, c=c, W=W, U=factors.U, V=factors.V, B=None, J=None)
@@ -246,8 +248,10 @@ def correction_matrices(
         raise InputError("correction_matrices expects U m x m, V n x n, W m x n")
     for name, a in (("U", U), ("V", V), ("W", W)):
         _real_array(name, a)
-    s = sigma_star
-    s2, den, ss = _target_tables(np.asarray(s, dtype=float).tobytes())
+    s = _real_array("sigma_star", sigma_star)
+    if s.shape != (n,):
+        raise InputError(f"sigma_star must have shape ({n},), got {s.shape}")
+    s2, den, ss = _target_tables(s.tobytes())
     # numpy takes its symmetric rank-k path only for a U it need not copy first
     U = np.ascontiguousarray(U)
     Gu = U.T @ U
@@ -292,8 +296,11 @@ def chebyshev_update(B: np.ndarray, J_next: np.ndarray) -> np.ndarray:
     """Chebyshev recurrence B' = B + B (2I - J'B)(I - J'B).
 
     In exact arithmetic I - B'J' = (I - B J')^3, which is what drives the
-    cubic root-convergence of the outer loop.
+    cubic root-convergence of the outer loop.  B and J' must be square
+    with the same side, else ``InputError``.
     """
+    if B.ndim != 2 or B.shape != J_next.shape or B.shape[0] != B.shape[1]:
+        raise InputError("chebyshev_update expects B and J' square with the same side")
     n = B.shape[0]
     # R = I - J'B as 0 - J'B, then 1 on its diagonal (1 + (0 - x) is 1 - x):
     # no identity matrix is built, and no off-diagonal zero turns to -0
@@ -365,12 +372,22 @@ def initialize(instance: IsvpInstance, c0) -> SolverState:
     """The k = 0 state: the exact point at c0 (:func:`_exact_point`),
     with the full r x r ``U`` a two-step method updates, and ``W`` Sigma.
 
-    ``B`` and ``J`` are left ``None``.  The caller sets B_0; a start that
-    builds B_0 from J_0 forms it and writes it onto the state too, and
-    otherwise record 0 forms J_0 only if its ``cond_j`` is read.
+    ``B`` and ``J`` are left ``None``.  The caller sets B_0:
+    :func:`two_step_start` builds it from J_0 and keeps J_0 on the state
+    too, while :func:`solve` takes the caller's, and then record 0 forms
+    J_0 only if its ``cond_j`` is read.
     """
-    c = _real_array("c", c0).reshape(-1).copy()
-    return _exact_point(instance, c, 0, full_matrices=True)
+    return _exact_point(instance, c0, 0, full_matrices=True)
+
+
+def two_step_start(instance: IsvpInstance, c0) -> SolverState:
+    """The k = 0 state of both two-step methods: :func:`initialize` at c0,
+    with ``J`` = J_0 and ``B`` = B_0 = :func:`core.jacobian_inverse` of it.
+    A singular J_0 raises ``NumericalError``."""
+    state = initialize(instance, c0)
+    state.J = approx_jacobian(state.U, state.V, instance)
+    state.B = jacobian_inverse(state.J)
+    return state
 
 
 def solve(

@@ -25,9 +25,8 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, cayley_free
-from .baselines import alg1_solve, newton_exact_solve
-from .cayley_free import SolverConfig, SolverState
+from . import __version__, baselines, cayley_free
+from .cayley_free import SolverConfig, _iterate
 from .core import (
     DenseBasis, IsvpInstance, ToeplitzBasis, _check_shape, _is_integer, _is_real, _real_array,
     jacobian_inverse, make_instance,
@@ -70,6 +69,15 @@ class Algorithm(str, Enum):
     CAYLEY_FREE = "cayley-free"
     ALG1 = "alg1"
     NEWTON = "newton"
+
+
+# per Algorithm, the (module, name) of start(instance, c0) and step(state, instance),
+# looked up when a solve runs, so a function patched into the module is the one that runs
+SOLVERS = {
+    Algorithm.CAYLEY_FREE: ((cayley_free, "two_step_start"), (cayley_free, "outer_step")),
+    Algorithm.ALG1: ((cayley_free, "two_step_start"), (baselines, "alg1_outer_step")),
+    Algorithm.NEWTON: ((baselines, "_newton_point"), (baselines, "_newton_step")),
+}
 
 
 def _check_start(algorithm, mu: float) -> Algorithm:
@@ -214,35 +222,24 @@ def perturb_c_star(c_star: np.ndarray, beta: float, seed: int) -> np.ndarray:
     return c_star + rng.uniform(-radius, radius, c_star.size)
 
 
-def build_B0(J0: np.ndarray, mu: float, seed: int) -> np.ndarray:
-    """Construct B_0 with ||I - B_0 J_0||_2 equal to mu.
-
-    mu = 0 returns the LU inverse :func:`core.jacobian_inverse` of J_0.
-    For mu > 0 the inverse is premultiplied by I + P where P is a seeded
-    Gaussian matrix rescaled so its 2-norm is exactly mu, which makes
-    I - B_0 J_0 = -P up to roundoff.
-    """
-    _check_mu(mu)
-    _check_seed(seed)
-    B_inv = jacobian_inverse(J0)
+def _apply_mu(B_inv, mu: float, seed: int):
+    """The inverse ``B_inv`` of J_0 premultiplied by I + P, P a seeded Gaussian
+    matrix rescaled to 2-norm ``mu``, so that I - B_0 J_0 = -P up to
+    roundoff; ``B_inv`` itself at mu = 0."""
     if mu == 0.0:
         return B_inv
-    n = J0.shape[0]
+    n = B_inv.shape[0]
     P = _rng(seed, _ROLE_B0).standard_normal((n, n))
     P *= mu / np.linalg.norm(P, 2)
     return (np.eye(n) + P) @ B_inv
 
 
-def cayley_free_start(
-    instance: IsvpInstance, c0, mu: float = 0.0, seed: int = 0
-) -> SolverState:
-    """The Cayley-free k = 0 state: :func:`cayley_free.initialize` at c0,
-    with J_0 formed and B_0 from :func:`build_B0` applied to it.  ``J``
-    keeps J_0, so the achieved mu and record 0's ``cond_j`` reuse it."""
-    state = cayley_free.initialize(instance, c0)
-    state.J = cayley_free.approx_jacobian(state.U, state.V, instance)
-    state.B = build_B0(state.J, mu, seed)
-    return state
+def build_B0(J0: np.ndarray, mu: float, seed: int) -> np.ndarray:
+    """B_0 with ||I - B_0 J_0||_2 equal to mu: :func:`_apply_mu` of the LU
+    inverse :func:`core.jacobian_inverse` of J_0, the inverse itself at mu = 0."""
+    _check_mu(mu)
+    _check_seed(seed)
+    return _apply_mu(jacobian_inverse(J0), mu, seed)
 
 
 def residual_log_ratios(d) -> list[float]:
@@ -293,23 +290,23 @@ def run_solver(
     """Solve from c0 with one algorithm; return the report and, for the
     Cayley-free method, the achieved ||I - B_0 J_0||_2.
 
-    ``algorithm`` is an :class:`Algorithm` or its value.  ``mu`` must
-    lie in [0, 1), and be 0 for alg1 and newton, which build no B_0 from
-    it.  The Cayley-free method starts from :func:`cayley_free_start`
-    with ``mu`` and ``seed``, and building that start counts towards the
-    solve time.
+    ``algorithm`` is an :class:`Algorithm` or its value, and its
+    :data:`SOLVERS` row names the start and the step.  ``mu`` must lie in
+    [0, 1), and be 0 for alg1 and newton, which build no B_0 from it.
+    The start's B_0 gets ``mu`` and ``seed`` through :func:`_apply_mu`
+    (at mu = 0 it stays the exact inverse of J_0, and Newton's stays
+    ``None``), and the start counts towards the solve time.
     """
     algorithm = _check_start(algorithm, mu)
     _check_seed(seed)
-    if algorithm is Algorithm.ALG1:
-        return alg1_solve(instance, c0, config, c_star=c_star), None
-    if algorithm is Algorithm.NEWTON:
-        return newton_exact_solve(instance, c0, config, c_star=c_star), None
+    (start_module, start), (step_module, step) = SOLVERS[algorithm]
     t_start = time.perf_counter()
-    state = cayley_free_start(instance, c0, mu, seed)
-    report = cayley_free._iterate(cayley_free.outer_step, state, instance, config, c_star, t_start)
-    achieved_mu = float(np.linalg.norm(np.eye(instance.n) - state.B @ state.J, 2))
-    return report, achieved_mu
+    state = getattr(start_module, start)(instance, c0)
+    state.B = _apply_mu(state.B, mu, seed)
+    report = _iterate(getattr(step_module, step), state, instance, config, c_star, t_start)
+    if algorithm is not Algorithm.CAYLEY_FREE:
+        return report, None
+    return report, float(np.linalg.norm(np.eye(instance.n) - state.B @ state.J, 2))
 
 
 def run_trial(config: ExperimentConfig, seed: int) -> TrialResult:

@@ -1,22 +1,13 @@
 import pytest
 
 import isvp
-from isvp import baselines, cayley_free
 from isvp.cayley_free import SolverConfig
-from isvp.harness import Algorithm, run_solver
-
-# each solver's step, as the module and name where its solve looks it up
-STEPS = {
-    Algorithm.CAYLEY_FREE: (cayley_free, "outer_step"),
-    Algorithm.ALG1: (baselines, "alg1_outer_step"),
-    Algorithm.NEWTON: (baselines, "_newton_step"),
-}
+from isvp.harness import run_solver
 
 
 def solve(algorithm, instance, c0, config=None, c_star=None):
-    """The one solver table of the tests: any ``Algorithm`` from c0, run
-    the way the harness runs it; the Cayley-free method starts from
-    ``cayley_free_start`` at mu = 0, so B_0 = inv(J_0)."""
+    """Any ``Algorithm`` from c0, run the way the harness runs it, through
+    its ``harness.SOLVERS`` row at mu = 0, so a two-step B_0 = inv(J_0)."""
     report, _ = run_solver(
         algorithm, instance, c0, config or SolverConfig(), 0.0, 0, c_star=c_star
     )

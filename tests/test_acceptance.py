@@ -30,9 +30,9 @@ import pytest
 
 import isvp
 import isvp.cayley_free as cayley_free_module
-from isvp.baselines import alg1_initialize, alg1_outer_step
-from isvp.cayley_free import SolverConfig
-from isvp.harness import cayley_free_start, run_solver
+from isvp.baselines import alg1_outer_step
+from isvp.cayley_free import SolverConfig, two_step_start
+from isvp.harness import run_solver
 from isvp.report import SolveStatus
 from isvp.verification import run_all_checks
 
@@ -175,7 +175,7 @@ def test_criterion_5_structural_no_solves(monkeypatch):
     m, n = 30, 12
     inst, c_star = isvp.generate_instance(m, n, 2)
     c0 = isvp.perturb_c_star(c_star, 1e-3, 2)
-    B0 = cayley_free_start(inst, c0).B
+    B0 = two_step_start(inst, c0).B
 
     counting_solve = _CountingSolve(np.linalg.solve)
     counting_inv = _CountingInv(np.linalg.inv)
@@ -187,7 +187,7 @@ def test_criterion_5_structural_no_solves(monkeypatch):
     assert counting_solve.calls == 0
     assert counting_inv.calls == 0
 
-    state = alg1_initialize(inst, c0)
+    state = two_step_start(inst, c0)
     counting_solve.calls = counting_solve.rhs_columns = 0
     alg1_outer_step(state, inst)
     assert counting_solve.calls == 4

@@ -5,14 +5,14 @@ import pytest
 
 import isvp
 from isvp import baselines
-from isvp.baselines import alg1_initialize, alg1_outer_step
-from isvp.cayley_free import SolverConfig
+from isvp.baselines import alg1_outer_step
+from isvp.cayley_free import SolverConfig, two_step_start
 from isvp.core import residual_d
 from isvp.errors import NumericalError
-from isvp.harness import Algorithm, build_B0, cayley_free_start
+from isvp.harness import SOLVERS, Algorithm, build_B0
 from isvp.report import SolveStatus
 
-from conftest import STEPS, solve
+from conftest import solve
 
 
 def loop_skew_pair(D, s):
@@ -102,7 +102,7 @@ class TestAlg1OuterStep:
     def test_matches_transliteration_oracle(self, monkeypatch):
         inst, c_star = isvp.generate_instance(4, 2, 31)
         c0 = isvp.perturb_c_star(c_star, 1e-2, 31)
-        state = alg1_initialize(inst, c0)
+        state = two_step_start(inst, c0)
         # a B_0 off inv(J_0) keeps I - J_k B_k well above roundoff, so the
         # shifts s_k differ from sigma* and the oracle checks their formula
         state.B = build_B0(state.J, 0.5, 31)
@@ -172,7 +172,7 @@ class TestAlg1Solve:
     def test_orthogonality_maintained_throughout(self, medium_instance):
         inst, c_star = medium_instance
         c0 = isvp.perturb_c_star(c_star, 1e-3, 2)
-        state = alg1_initialize(inst, c0)
+        state = two_step_start(inst, c0)
         for _ in range(3):
             state = alg1_outer_step(state, inst)
             assert np.linalg.norm(state.U.T @ state.U - np.eye(inst.m)) <= 1e-10 * inst.m
@@ -230,17 +230,13 @@ class TestNewtonOracle:
             isvp.newton_exact_solve(inst, np.zeros(3))
 
 
-@pytest.mark.parametrize("method", ["cayley-free", "alg1"])
-def test_two_step_methods_ignore_the_tail_basis_of_U(method):
+@pytest.mark.parametrize("step", [isvp.outer_step, alg1_outer_step], ids=["cayley-free", "alg1"])
+def test_two_step_methods_ignore_the_tail_basis_of_U(step):
     # full_svd may complete u_1..u_n with any orthonormal basis of the
     # complement; rotating that tail must not change the iterates
-    if method == "cayley-free":
-        start, step = cayley_free_start, isvp.outer_step
-    else:
-        start, step = alg1_initialize, alg1_outer_step
     inst, c_star = isvp.generate_instance(60, 30, 4)
     c0 = isvp.perturb_c_star(c_star, 1e-3, 4)
-    state = start(inst, c0)
+    state = two_step_start(inst, c0)
     Q = np.linalg.qr(np.random.default_rng(11).standard_normal((30, 30)))[0]
     U = state.U.copy()
     U[:, 30:] = U[:, 30:] @ Q
@@ -267,11 +263,11 @@ def test_singular_initial_jacobian(method):
         solve(Algorithm(method), inst, np.array([0.3, 0.4]))
 
 
-@pytest.mark.parametrize("algorithm", sorted(STEPS))
+@pytest.mark.parametrize("algorithm", sorted(SOLVERS))
 def test_every_iterate_carries_W_and_its_record_reads_d_off_it(algorithm, monkeypatch):
     inst, c_star = isvp.generate_instance(40, 20, 2)
     c0 = isvp.perturb_c_star(c_star, 1e-3, 2)
-    module, step = STEPS[algorithm]
+    _, (module, step) = SOLVERS[algorithm]
     states = []
     original = getattr(module, step)
 

@@ -12,11 +12,11 @@ import isvp
 from isvp import cayley_free
 from isvp.core import _JACOBIAN_BLOCK_BYTES, DenseBasis, ToeplitzBasis, _fft_length
 from isvp.errors import InputError
-from isvp.harness import Algorithm
+from isvp.harness import SOLVERS, Algorithm
 from isvp.report import SolveStatus
 from isvp.verification import near_orthogonal
 
-from conftest import STEPS, solve
+from conftest import solve
 
 # n = 1, m == n and m > n; the Jacobian's FFT length is 2n - 1 = 15 at
 # (9, 8), the shortest with no wrap-around, 24 after the prime 2n - 1 = 23
@@ -92,7 +92,7 @@ class TestToeplitzForm:
     def test_solver_states_carry_an_r_by_r_U(self, algorithm, generate, r, monkeypatch):
         inst, c_star = generate(30, 20, 3)
         assert inst.r == r
-        module, step = STEPS[algorithm]
+        _, (module, step) = SOLVERS[algorithm]
         original = getattr(module, step)
         states = []
 

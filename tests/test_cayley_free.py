@@ -5,11 +5,11 @@ import pytest
 
 import isvp
 import isvp.cayley_free as cayley_free
-from isvp.baselines import alg1_initialize, alg1_outer_step
-from isvp.cayley_free import SolverConfig, outer_step
+from isvp.baselines import alg1_outer_step
+from isvp.cayley_free import SolverConfig, outer_step, two_step_start
 from isvp.core import jacobian_inverse
 from isvp.errors import InputError, NonFiniteInput, NumericalError
-from isvp.harness import Algorithm, cayley_free_start, run_solver
+from isvp.harness import Algorithm, run_solver
 from isvp.report import SolveStatus
 from isvp.verification import near_orthogonal, separated_sigma
 
@@ -267,6 +267,20 @@ class TestCorrectionMatrices:
         assert_same_bits(pair.left, left)
         assert_same_bits(pair.right, right)
 
+    @pytest.mark.parametrize(
+        "sigma, error, message",
+        [
+            ([2.0, 1.0], InputError, r"^sigma_star must have shape \(3,\), got \(2,\)$"),
+            ([[3.0, 2.0, 1.0]], InputError, r"^sigma_star must have shape \(3,\), got \(1, 3\)$"),
+            ([3.0, np.nan, 1.0], NonFiniteInput, "^sigma_star contains NaN or infinity$"),
+        ],
+        ids=["short", "row", "nan"],
+    )
+    def test_rejects_a_bad_sigma_star(self, sigma, error, message):
+        # each escaped as numpy's ValueError, or, for NaN, gave a NaN left
+        with pytest.raises(error, match=message):
+            isvp.correction_matrices(np.eye(5), np.eye(3), np.zeros((5, 3)), np.array(sigma))
+
     def test_a_writeable_sigma_changed_in_place_gives_new_tables(self):
         rng = np.random.default_rng(11)
         m, n = 9, 4
@@ -296,7 +310,7 @@ class TestMultiplicativeRefine:
     def test_improves_orthogonality_near_solution(self):
         inst, c_star = isvp.generate_instance(30, 12, 5)
         c0 = isvp.perturb_c_star(c_star, 1e-4, 5)
-        state = outer_step(cayley_free_start(inst, c0), inst)
+        state = outer_step(two_step_start(inst, c0), inst)
         # state.U is now first-order orthogonal; one more correction round
         g = isvp.generalized_residual_vector(
             state.U, state.V, np.diagonal(state.W), inst.sigma_star
@@ -338,12 +352,21 @@ class TestChebyshevUpdate:
         np.testing.assert_allclose(B_next, [[0.875]])
         assert 1.0 - 0.875 == 0.5**3
 
+    @pytest.mark.parametrize(
+        "B_shape, J_shape", [((3, 2), (2, 3)), ((3, 2), (3, 2)), ((3, 3), (4, 4)), ((3,), (3,))]
+    )
+    def test_rejects_B_and_J_that_are_not_square_with_one_side(self, B_shape, J_shape):
+        # a 3 x 2 B against a 2 x 3 J returned a 3 x 2 matrix; a 3 x 3 B
+        # against a 4 x 4 J escaped as numpy's own ValueError
+        with pytest.raises(InputError, match="^chebyshev_update expects B and J' square with the same side$"):
+            isvp.chebyshev_update(np.ones(B_shape), np.ones(J_shape))
+
 
 class TestOuterStep:
     def test_state_carries_the_aligned_product(self, medium_instance):
         inst, c_star = medium_instance
         c0 = isvp.perturb_c_star(c_star, 1e-3, 2)
-        state = cayley_free_start(inst, c0)
+        state = two_step_start(inst, c0)
         for s in (state, outer_step(state, inst)):
             W = s.U.T @ (isvp.evaluate_A(inst, s.c) @ s.V)
             assert np.linalg.norm(s.W - W) <= 1e-14 * np.linalg.norm(W)
@@ -351,7 +374,7 @@ class TestOuterStep:
     def test_matches_transliteration_oracle(self):
         inst, c_star = isvp.generate_instance(4, 2, 31)
         c0 = isvp.perturb_c_star(c_star, 1e-2, 31)
-        state = cayley_free_start(inst, c0)
+        state = two_step_start(inst, c0)
         oracle = loop_outer_step(inst, state)
 
         # stage by stage against the public operations
@@ -394,23 +417,19 @@ class TestOuterStep:
 
     def test_breakdown_on_nonfinite_state(self, small_instance):
         inst, c_star = small_instance
-        state = cayley_free_start(inst, c_star)
+        state = two_step_start(inst, c_star)
         state.B = np.full_like(state.B, np.inf)
         with pytest.raises(NumericalError, match="^first coefficient update is non-finite$"):
             outer_step(state, inst)
 
 
-@pytest.mark.parametrize(
-    "step, start",
-    [(outer_step, cayley_free_start), (alg1_outer_step, alg1_initialize)],
-    ids=["outer_step", "alg1_outer_step"],
-)
-def test_a_step_uses_the_jacobian_it_finds_on_its_iterate(step, start, medium_instance, monkeypatch):
+@pytest.mark.parametrize("step", [outer_step, alg1_outer_step], ids=["outer_step", "alg1_outer_step"])
+def test_a_step_uses_the_jacobian_it_finds_on_its_iterate(step, medium_instance, monkeypatch):
     # the hook a safeguarded step builds on: a J_k and B_k written onto an
     # iterate are the ones the step from it reads, and it forms neither again
     inst, c_star = medium_instance
     c0 = isvp.perturb_c_star(c_star, 1e-3, 2)
-    state = step(start(inst, c0), inst)
+    state = step(two_step_start(inst, c0), inst)
     assert state.k == 1 and state.J is None
     state.J = isvp.approx_jacobian(state.U, state.V, inst)
     state.B = B = jacobian_inverse(state.J)  # not the Chebyshev update of B_0
@@ -433,7 +452,7 @@ class TestSolve:
     def test_case_a_pattern_medium(self, medium_instance):
         inst, c_star = medium_instance
         c0 = isvp.perturb_c_star(c_star, 1e-3, 2)
-        B0 = cayley_free_start(inst, c0).B
+        B0 = two_step_start(inst, c0).B
         report = isvp.solve(inst, c0, B0, c_star=c_star)
         assert report.status is SolveStatus.CONVERGED
         assert report.iterations <= 4
@@ -451,7 +470,7 @@ class TestSolve:
     def test_cubing_identity_along_solve(self, medium_instance):
         inst, c_star = medium_instance
         c0 = isvp.perturb_c_star(c_star, 1e-3, 2)
-        states = [cayley_free_start(inst, c0)]
+        states = [two_step_start(inst, c0)]
         for _ in range(4):
             states.append(outer_step(states[-1], inst))
         # the step from each of the first four iterates has formed its J and B
@@ -466,13 +485,19 @@ class TestSolve:
         + [(isvp.generate_toeplitz_instance, 240, 160, 1e-5, seed) for seed in (1, 2)],
         ids=["dense-1", "dense-2", "dense-3", "toeplitz-1", "toeplitz-2"],
     )
-    def test_equals_the_harness_path_bit_for_bit(self, generate, m, n, beta, seed):
-        # the direct solve forms no J_0 and runs no Chebyshev update at k = 0;
-        # record 0 forms J_0 on read, from copies of U_0[:, :n] and V_0
+    @pytest.mark.parametrize("algorithm", list(Algorithm))
+    def test_equals_the_harness_path_bit_for_bit(self, algorithm, generate, m, n, beta, seed):
+        # the entry points the benchmark times are the harness's rows: the
+        # direct Cayley-free solve forms no J_0 and runs no Chebyshev update
+        # at k = 0, and record 0 forms J_0 on read, from copies of U_0[:, :n] and V_0
         inst, c_star = generate(m, n, seed)
         c0 = isvp.perturb_c_star(c_star, beta, seed)
-        direct = isvp.solve(inst, c0, cayley_free_start(inst, c0).B)
-        harness, _ = run_solver(Algorithm.CAYLEY_FREE, inst, c0, SolverConfig(), 0.0, seed)
+        direct = {
+            Algorithm.CAYLEY_FREE: lambda: isvp.solve(inst, c0, two_step_start(inst, c0).B),
+            Algorithm.ALG1: lambda: isvp.alg1_solve(inst, c0),
+            Algorithm.NEWTON: lambda: isvp.newton_exact_solve(inst, c0),
+        }[algorithm]()
+        harness, _ = run_solver(algorithm, inst, c0, SolverConfig(), 0.0, seed)
 
         def trace(report):
             return (
@@ -487,7 +512,7 @@ class TestSolve:
     def test_divergence_reported_not_raised(self):
         inst, c_star = isvp.generate_instance(20, 8, 2)
         c0 = isvp.perturb_c_star(c_star, 1e-3, 2)
-        B0 = 3.0 * cayley_free_start(inst, c0).B  # far from the inverse: cubing blows up
+        B0 = 3.0 * two_step_start(inst, c0).B  # far from the inverse: cubing blows up
         report = isvp.solve(inst, c0, B0)
         assert report.status is SolveStatus.DIVERGED
 
@@ -503,7 +528,7 @@ class TestSolve:
     def test_square_instance_supported(self):
         inst, c_star = isvp.generate_instance(8, 8, 3)
         c0 = isvp.perturb_c_star(c_star, 1e-3, 3)
-        B0 = cayley_free_start(inst, c0).B
+        B0 = two_step_start(inst, c0).B
         report = isvp.solve(inst, c0, B0, SolverConfig(tol=1e-12))
         assert report.status is SolveStatus.CONVERGED
         assert np.linalg.norm(report.c_final - c_star) <= 1e-8 * (1 + np.linalg.norm(c_star))

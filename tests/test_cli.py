@@ -14,8 +14,7 @@ from isvp import cli, core, verification
 from isvp.baselines import alg1_skew_pair
 from isvp.cayley_free import correction_matrices
 from isvp.cli import EXIT_NONCONVERGED, EXIT_OK, EXIT_USAGE, main, parse_seeds
-
-from conftest import STEPS
+from isvp.harness import SOLVERS
 
 
 class TestParseSeeds:
@@ -459,7 +458,7 @@ WRONG_KERNEL_CASES = [
         verification.check_solver_fixed_points, module, step, _drifting(getattr(module, step)),
         id=f"check_solver_fixed_points-{algorithm.value}",
     )
-    for algorithm, (module, step) in STEPS.items()
+    for algorithm, (_, (module, step)) in SOLVERS.items()
 ]
 
 

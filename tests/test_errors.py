@@ -179,6 +179,12 @@ REAL_INPUT_SITES = {
         lambda inst, c, bad: make_instance(inst.operator, bad(inst.sigma_star)),
     ),
     "initialize": ("c", lambda inst, c, bad: cayley_free.initialize(inst, bad(c))),
+    "correction_matrices": (
+        "sigma_star",
+        lambda inst, c, bad: isvp.correction_matrices(
+            np.eye(inst.n), np.eye(inst.n), np.zeros((inst.n, inst.n)), bad(inst.sigma_star)
+        ),
+    ),
     "solve-c0": ("c", lambda inst, c, bad: isvp.solve(inst, bad(c), np.eye(inst.n))),
     "solve-B0": ("B0", lambda inst, c, bad: isvp.solve(inst, c, bad(np.eye(inst.n)))),
     "newton_exact_solve": ("c", lambda inst, c, bad: isvp.newton_exact_solve(inst, bad(c))),

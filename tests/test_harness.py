@@ -8,7 +8,8 @@ import isvp
 from isvp import harness
 from isvp.core import DenseBasis
 from isvp.errors import DegenerateDraw, InputError, NonFiniteInput, NumericalError
-from isvp.harness import TRACE_HEADER, cayley_free_start, run_trial, trace_rows
+from isvp.cayley_free import two_step_start
+from isvp.harness import SOLVERS, TRACE_HEADER, run_trial, trace_rows
 from isvp.report import SolveStatus
 
 
@@ -140,16 +141,23 @@ class TestPerturb:
 class TestBuildB0:
     def test_mu_zero_gives_exact_inverse(self, small_instance):
         inst, c_star = small_instance
-        state = cayley_free_start(inst, c_star)
+        state = two_step_start(inst, c_star)
         res = np.linalg.norm(np.eye(inst.n) - state.B @ state.J)
         assert res <= 1e-12 * inst.n
+        np.testing.assert_array_equal(isvp.build_B0(state.J, 0.0, 7), state.B)
 
     def test_mu_hits_target_exactly(self, small_instance):
+        # run_solver applies mu to its start's B_0 as build_B0 does to J_0's inverse
         inst, c_star = small_instance
+        J0 = two_step_start(inst, c_star).J
+        one_step = isvp.SolverConfig(max_iter=1)
         for mu in [0.001, 0.05, 0.3]:
-            state = cayley_free_start(inst, c_star, mu, 7)
-            achieved = np.linalg.norm(np.eye(inst.n) - state.B @ state.J, 2)
+            achieved = np.linalg.norm(np.eye(inst.n) - isvp.build_B0(J0, mu, 7) @ J0, 2)
             assert abs(achieved - mu) <= 1e-10
+            _, by_run_solver = harness.run_solver(
+                isvp.Algorithm.CAYLEY_FREE, inst, c_star, one_step, mu, 7
+            )
+            assert by_run_solver == achieved
 
     def test_singular_jacobian(self):
         with pytest.raises(NumericalError, match="^J0 is singular: "):
@@ -182,7 +190,16 @@ class TestBuildB0:
     def test_mu_out_of_range(self, small_instance):
         inst, c_star = small_instance
         with pytest.raises(ValueError, match="mu must lie in"):
-            cayley_free_start(inst, c_star, 1.0, 1)
+            isvp.build_B0(np.eye(inst.n), 1.0, 1)
+        with pytest.raises(ValueError, match="mu must lie in"):
+            harness.run_solver(isvp.Algorithm.CAYLEY_FREE, inst, c_star, isvp.SolverConfig(), 1.0, 1)
+
+
+def test_every_algorithm_has_one_solver_row_of_callables():
+    assert set(SOLVERS) == set(isvp.Algorithm)
+    for start, step in SOLVERS.values():
+        for module, name in (start, step):
+            assert callable(getattr(module, name))
 
 
 def _run_solver(algorithm):
@@ -344,16 +361,18 @@ class TestRunExperiment:
             self._config(algorithm=algorithm, mu=0.3)
 
     def test_a_raising_seed_becomes_an_error_trial(self, monkeypatch, tmp_path):
-        # the second solve of the sweep (seed 2) raises before any record exists
+        # the start of the second solve of the sweep (seed 2) raises before any record exists
         calls = []
+        (module, start), _ = SOLVERS[isvp.Algorithm.ALG1]
+        original = getattr(module, start)
 
-        def fail_on_second_call(*args, **kwargs):
+        def fail_on_second_call(*args):
             calls.append(1)
             if len(calls) == 2:
                 raise NumericalError("J0 is singular")
-            return isvp.alg1_solve(*args, **kwargs)
+            return original(*args)
 
-        monkeypatch.setattr(harness, "alg1_solve", fail_on_second_call)
+        monkeypatch.setattr(module, start, fail_on_second_call)
         bundle = isvp.run_experiment(self._config(algorithm=isvp.Algorithm.ALG1))
         failed = bundle.trials[1]
         assert failed.seed == 2

@@ -1,8 +1,11 @@
 """Every name a module of the package or of its tests imports is used in
 that module, every name a function there assigns is read, and every
 module-level function, class and constant that either defines is named
-somewhere in the package, its tests or its benchmarks, and no function
-of the package rebinds a module-level name through ``global``."""
+somewhere in the package, its tests or its benchmarks, no function
+of the package rebinds a module-level name through ``global``, and no
+package module but ``harness.py``, whose ``SOLVERS`` table is the one
+dispatch on the algorithm, compares anything with an ``Algorithm``
+member."""
 
 import ast
 from pathlib import Path
@@ -108,6 +111,34 @@ def global_statements(source: str) -> list[str]:
     ]
 
 
+_EQUALITY_OPS = (ast.Is, ast.IsNot, ast.Eq, ast.NotEq)
+
+
+def _is_algorithm_member(node) -> bool:
+    """``Algorithm.X``, or ``<module>.Algorithm.X``."""
+    if not isinstance(node, ast.Attribute):
+        return False
+    owner = node.value
+    return (isinstance(owner, ast.Name) and owner.id == "Algorithm") or (
+        isinstance(owner, ast.Attribute) and owner.attr == "Algorithm"
+    )
+
+
+def algorithm_comparisons(source: str) -> list[str]:
+    """Every ``is``, ``is not``, ``==`` or ``!=`` with an ``Algorithm``
+    member on either side, with its line, in source order."""
+    hits = []
+    compares = [node for node in ast.walk(ast.parse(source)) if isinstance(node, ast.Compare)]
+    for node in sorted(compares, key=lambda node: (node.lineno, node.col_offset)):
+        operands = [node.left, *node.comparators]
+        for op, left, right in zip(node.ops, operands, operands[1:]):
+            if isinstance(op, _EQUALITY_OPS) and (
+                _is_algorithm_member(left) or _is_algorithm_member(right)
+            ):
+                hits.append(f"{ast.unparse(left)} {ast.unparse(right)} (line {node.lineno})")
+    return hits
+
+
 def test_the_check_sees_an_unused_import():
     assert unused_imports("import os\nfrom a import b, c as d\nd()\n") == [
         "os (line 1)",
@@ -155,6 +186,30 @@ def test_the_check_sees_a_global_statement():
         "            global MEMO, SEEN\n"
     )
     assert global_statements(source) == ["MEMO (line 5)", "SEEN (line 5)"]
+
+
+def test_the_check_sees_an_algorithm_comparison():
+    source = (
+        "if a is Algorithm.ALG1 or b == harness.Algorithm.NEWTON:\n"
+        "    pass\n"
+        "x = Algorithm.CAYLEY_FREE != a\n"
+        "y = a is not isvp.harness.Algorithm.ALG1\n"
+        "z = Algorithm.ALG1.value\n"
+        "w = a in (Algorithm.ALG1,) or a < b\n"
+    )
+    assert algorithm_comparisons(source) == [
+        "a Algorithm.ALG1 (line 1)",
+        "b harness.Algorithm.NEWTON (line 1)",
+        "Algorithm.CAYLEY_FREE a (line 3)",
+        "a isvp.harness.Algorithm.ALG1 (line 4)",
+    ]
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in PACKAGE if p.name != "harness.py"], ids=lambda p: p.name
+)
+def test_only_the_harness_compares_with_an_algorithm_member(path):
+    assert algorithm_comparisons(path.read_text()) == []
 
 
 @pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.name)

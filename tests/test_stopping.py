@@ -8,11 +8,11 @@ import pytest
 
 import isvp
 from isvp import baselines, cayley_free, core
-from isvp.cayley_free import SolverConfig
-from isvp.harness import Algorithm, ExperimentConfig, cayley_free_start, run_trial
+from isvp.cayley_free import SolverConfig, two_step_start
+from isvp.harness import SOLVERS, Algorithm, ExperimentConfig, run_trial
 from isvp.report import IterationRecord, SolveStatus
 
-from conftest import STEPS, solve
+from conftest import solve
 
 
 @pytest.fixture(scope="module")
@@ -109,7 +109,7 @@ def test_a_solve_forms_only_the_jacobians_its_steps_use(path, medium_instance, m
     # its steps use J_1 .. J_{K-1}, and J_0 waits for record 0's cond_j too
     inst, c_star = medium_instance
     c0 = isvp.perturb_c_star(c_star, 1e-3, 2)
-    B0 = cayley_free_start(inst, c0).B
+    B0 = two_step_start(inst, c0).B
     jacobians, conds = [], []
     approx_jacobian, cond = core.approx_jacobian, np.linalg.cond
 
@@ -141,7 +141,7 @@ def test_a_direct_solve_frees_every_state_it_makes(medium_instance, monkeypatch)
     # to form it from, not the iterate with its r x r U and W
     inst, c_star = medium_instance
     c0 = isvp.perturb_c_star(c_star, 1e-3, 2)
-    B0 = cayley_free_start(inst, c0).B
+    B0 = two_step_start(inst, c0).B
     states = []
 
     def spying(fn):
@@ -164,11 +164,11 @@ def test_a_direct_solve_frees_every_state_it_makes(medium_instance, monkeypatch)
 @pytest.mark.parametrize(
     "generate", [isvp.generate_instance, isvp.generate_toeplitz_instance], ids=["dense", "toeplitz"]
 )
-@pytest.mark.parametrize("algorithm", sorted(STEPS))
+@pytest.mark.parametrize("algorithm", sorted(SOLVERS))
 def test_each_record_reads_cond_of_its_iterates_jacobian(algorithm, generate, monkeypatch):
     inst, c_star = generate(40, 20, 2)
     c0 = isvp.perturb_c_star(c_star, 1e-3, 2)
-    module, step = STEPS[algorithm]
+    _, (module, step) = SOLVERS[algorithm]
     original = getattr(module, step)
     starts = []
 
