@@ -59,10 +59,13 @@ def _real_array(name: str, a) -> np.ndarray:
     return a.astype(float, copy=False)
 
 
-# Bytes of u_i^T A_j products the dense Jacobian holds at once: each
-# block of basis matrices this size stays in cache between its GEMM and
-# its batched GEMV against V_n.
-_JACOBIAN_BLOCK_BYTES = 2 << 20
+# Bytes of u_i^T A_j products the dense Jacobian holds at once.  Each
+# panel of basis matrices is one GEMM, and every GEMM packs U_n^T and
+# starts the BLAS threads again, so fewer, wider panels are faster: at
+# 400 x 200 (2 OpenBLAS threads) 8 MiB panels, 8 GEMMs per J, form J
+# about 11% faster than 2 MiB ones (34 GEMMs), and 16 MiB is within
+# noise of 8 MiB.
+_JACOBIAN_BLOCK_BYTES = 8 << 20
 
 
 class DenseBasis:
@@ -72,11 +75,13 @@ class DenseBasis:
     of the same buffer, so ``basis[k]`` is A_k without a copy.  Takes
     ownership of ``rows`` and marks it read-only, so no caller can change
     it afterwards.  A(c) may fill every row, so ``r = m``, and A(c) is
-    one GEMV per row.  The Jacobian walks the matrices in blocks of about
-    2 MiB of products, each one GEMM of U^T against the (m, k n) view of
-    the block (inner dimension m) and one batched matmul against V_n (a
-    k x n GEMV with v_i for each i), so its working memory does not grow
-    with the basis.
+    one GEMV per row.  The Jacobian walks the matrices in panels of at
+    most ``_JACOBIAN_BLOCK_BYTES`` of products, each one GEMM of U^T
+    against the (m, k n) view of the panel (inner dimension m) and one
+    batched matmul against V_n (a k x n GEMV with v_i for each i), so its
+    working memory does not grow with the basis.  The cap is set for
+    fewer, wider GEMMs, each of which pays a fixed packing and threading
+    cost; (m, n) fixes the split, and with it the order of J's sums.
     """
 
     def __init__(self, rows: np.ndarray):
@@ -96,14 +101,14 @@ class DenseBasis:
         m, n = self.m, self.n
         step = max(1, _JACOBIAN_BLOCK_BYTES // (n * n * 8))
         J = np.empty((n, n))
-        # every block's products go into this one buffer, so one block is alive at a time
+        # every panel's products go into this one buffer, so one panel is alive at a time
         buf = np.empty(n * min(step, n) * n)
         for j0 in range(0, n, step):
-            block = self.rows[:, 1 + j0 : 1 + j0 + step]
-            k = block.shape[1]
+            panel = self.rows[:, 1 + j0 : 1 + j0 + step]
+            k = panel.shape[1]
             # products[i, j, s] = (u_i^T A_{j0+j})_s
             products = np.matmul(
-                Un.T, block.reshape(m, k * n), out=buf[: n * k * n].reshape(n, k * n)
+                Un.T, panel.reshape(m, k * n), out=buf[: n * k * n].reshape(n, k * n)
             )
             # J[i, j0 + j] = products[i, j] . v_i: n GEMVs of size k x n, one per i
             np.matmul(products.reshape(n, k, n), Vn.T[:, :, None], out=J[:, j0 : j0 + k, None])

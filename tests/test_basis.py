@@ -9,8 +9,8 @@ import numpy as np
 import pytest
 
 import isvp
-from isvp import cayley_free
-from isvp.core import _JACOBIAN_BLOCK_BYTES, DenseBasis, ToeplitzBasis, _fft_length
+from isvp import cayley_free, core
+from isvp.core import DenseBasis, ToeplitzBasis, _fft_length
 from isvp.errors import InputError
 from isvp.harness import SOLVERS, Algorithm
 from isvp.report import SolveStatus
@@ -280,29 +280,58 @@ class TestDenseStorage:
         assert peak <= 0.5 * inst.basis.nbytes
 
 
+# the dense Jacobian's panel cap before it was widened, which still splits
+# the 100-column shapes below into several panels
+TWO_MIB = 2 << 20
+
+
+def panel_products(m, n, monkeypatch):
+    """Bytes of products each GEMM of ``DenseBasis.jacobian`` writes on an
+    all-zero m x n basis at the current cap: one entry per panel."""
+    written = []
+    matmul = np.matmul
+
+    def spy(a, b, *args, out=None, **kwargs):
+        if a.ndim == 2:  # U_n^T times a panel; the batched GEMVs pass 3-d products
+            written.append(out.nbytes)
+        return matmul(a, b, *args, out=out, **kwargs)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(np, "matmul", spy)
+        DenseBasis(np.zeros((m, n + 1, n))).jacobian(np.zeros((m, n)), np.zeros((n, n)))
+    return written
+
+
+def per_entry_oracle(inst, U, V):
+    n = inst.n
+    oracle = np.empty((n, n))
+    for j in range(n):
+        AV = inst.basis[j + 1] @ V
+        oracle[:, j] = [U[:, i] @ AV[:, i] for i in range(n)]
+    return oracle
+
+
 class TestDenseKernels:
-    # (120, 100) and (100, 100) split into several blocks with a shorter
-    # last one (26, 26, 26, 22 matrices); (60, 30) is one block; then
-    # n = 1 and m == n
+    # at 2 MiB, (120, 100) and (100, 100) split into several panels with a
+    # shorter last one (26, 26, 26, 22 matrices); (60, 30) is one panel;
+    # then n = 1 and m == n
     @pytest.mark.parametrize("m,n,blocks", [
         (120, 100, 4), (100, 100, 4), (60, 30, 1), (4, 1, 1), (6, 6, 1),
     ])
-    def test_jacobian_matches_per_entry_oracle(self, m, n, blocks):
-        per_block = max(1, _JACOBIAN_BLOCK_BYTES // (n * n * 8))
-        assert -(-n // per_block) == blocks
+    def test_jacobian_matches_per_entry_oracle(self, m, n, blocks, monkeypatch):
+        monkeypatch.setattr(core, "_JACOBIAN_BLOCK_BYTES", TWO_MIB)
+        assert len(panel_products(m, n, monkeypatch)) == blocks
         inst, _ = isvp.generate_instance(m, n, 5)
         rng = np.random.default_rng(m * 1000 + n)
         U = near_orthogonal(rng, m)
         V = near_orthogonal(rng, n)
         J = isvp.approx_jacobian(U, V, inst)
-        oracle = np.empty((n, n))
-        for j in range(n):
-            AV = inst.basis[j + 1] @ V
-            oracle[:, j] = [U[:, i] @ AV[:, i] for i in range(n)]
+        oracle = per_entry_oracle(inst, U, V)
         assert J.shape == (n, n)
         assert np.linalg.norm(J - oracle) <= 1e-13 * np.linalg.norm(oracle)
 
-    def test_jacobian_working_memory_is_a_fraction_of_the_basis(self):
+    def test_jacobian_working_memory_is_a_fraction_of_the_basis(self, monkeypatch):
+        monkeypatch.setattr(core, "_JACOBIAN_BLOCK_BYTES", TWO_MIB)
         inst, _ = isvp.generate_instance(200, 100, 1)
         rng = np.random.default_rng(7)
         U = near_orthogonal(rng, 200)
@@ -317,8 +346,51 @@ class TestDenseKernels:
         # a products array for the whole stack alone is n m n * 8 bytes,
         # about the size of the basis
         assert peak < 0.5 * inst.basis.nbytes
-        # one block of products at a time, plus J itself
-        assert peak <= 1.25 * _JACOBIAN_BLOCK_BYTES + 100 * 100 * 8
+        # one panel of products at a time, plus J itself
+        assert peak <= 1.25 * core._JACOBIAN_BLOCK_BYTES + 100 * 100 * 8
+
+    def test_shipped_cap_splits_only_large_bases(self, monkeypatch):
+        large = panel_products(400, 200, monkeypatch)
+        assert 2 <= len(large) <= 8
+        assert max(large) <= core._JACOBIAN_BLOCK_BYTES
+        # the 60 x 30 grid and the benchmark's --tiny shapes are one panel, so
+        # their J sums run in one order whatever the cap was when the
+        # fingerprint was recorded
+        for m, n in [(60, 30), (16, 8), (10, 5), (12, 8)]:
+            assert len(panel_products(m, n, monkeypatch)) == 1
+
+    def test_every_panel_split_matches_the_oracle_repeatably(self, monkeypatch):
+        inst, _ = isvp.generate_instance(120, 100, 5)
+        rng = np.random.default_rng(120 * 1000 + 100)
+        U = near_orthogonal(rng, 120)
+        V = near_orthogonal(rng, 100)
+        oracle = per_entry_oracle(inst, U, V)
+        splits = []
+        for cap in (64 << 10, TWO_MIB, core._JACOBIAN_BLOCK_BYTES):
+            monkeypatch.setattr(core, "_JACOBIAN_BLOCK_BYTES", cap)
+            splits.append(len(panel_products(120, 100, monkeypatch)))
+            J = isvp.approx_jacobian(U, V, inst)
+            assert np.linalg.norm(J - oracle) <= 1e-13 * np.linalg.norm(oracle)
+            for _ in range(2):
+                np.testing.assert_array_equal(isvp.approx_jacobian(U, V, inst), J)
+        assert splits == [100, 4, 1]
+
+    @pytest.mark.parametrize("algorithm", [Algorithm.CAYLEY_FREE, Algorithm.NEWTON])
+    def test_solves_do_not_hang_on_the_panel_split(self, algorithm, monkeypatch):
+        inst, c_star = isvp.generate_instance(120, 100, 5)
+        c0 = isvp.perturb_c_star(c_star, 1e-3, 5)
+        assert len(panel_products(120, 100, monkeypatch)) == 1
+        one_panel = solve(algorithm, inst, c0)
+        monkeypatch.setattr(core, "_JACOBIAN_BLOCK_BYTES", TWO_MIB)
+        multi_panel = solve(algorithm, inst, c0)
+        assert one_panel.status is multi_panel.status is SolveStatus.CONVERGED
+        assert one_panel.iterations == multi_panel.iterations
+        # near convergence d_k is known only to roundoff in U^T A V, whose
+        # entries reach sigma_1, so the 1e-8 relative bound gets that floor
+        np.testing.assert_allclose(
+            multi_panel.residuals, one_panel.residuals,
+            rtol=1e-8, atol=1e-14 * np.linalg.norm(inst.sigma_star),
+        )
 
     def test_repeated_evaluations_are_bitwise_equal(self):
         inst, c_star = isvp.generate_instance(40, 25, 3)
