@@ -3,7 +3,9 @@
 The Cayley baseline keeps U and V exactly orthogonal by updating them
 through Cayley transforms of skew-symmetric correction matrices, at the
 price of 2(r + n) linear-system right-hand sides per outer iteration,
-for an r x r U (see :class:`core.IsvpInstance`).
+for an r x r U (see :class:`core.IsvpInstance`).  Its skew pair is the
+Cayley-free alignment kernel at identity Gram matrices, negated, with
+the shifts s_k in place of the targets.
 The Newton oracle recomputes a thin SVD every iteration (it reads only
 the n leading left singular vectors) and solves the exact Jacobian
 equation; it is slow but serves as ground truth for cross-checking both
@@ -17,8 +19,8 @@ import time
 import numpy as np
 
 from .cayley_free import (
-    SolverConfig, SolverState, _check_updated, _exact_point, _form_jacobian, _iterate,
-    two_step_start,
+    SolverConfig, SolverState, _alignment_pair, _check_updated, _exact_point, _form_jacobian,
+    _iterate, _target_tables, two_step_start,
 )
 from .core import MIN_GAP, IsvpInstance, approx_jacobian, evaluate_A, spectral_gap
 from .errors import InputError, NumericalError
@@ -53,27 +55,17 @@ def _check_shift(s: np.ndarray) -> None:
 def alg1_skew_pair(D: np.ndarray, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Skew-symmetric correction pair (X m x m, Y n x n) from D and shifts s.
 
-    Entries are staged in one triangle and mirrored, so X = -X^T and
-    Y = -Y^T hold bitwise.  The trailing off-diagonal block of X is zero.
+    The negated kernel :func:`cayley_free._alignment_pair` at identity
+    Gram, so X = -X^T and Y = -Y^T bit for bit, and X's trailing
+    off-diagonal block is zero.  Its tables skip the targets' cache.
     """
     m, n = D.shape
     if s.shape != (n,):
         raise InputError("shift vector length must match D's column count")
     _check_shift(s)
-    den = s[None, :] ** 2 - s[:, None] ** 2
-    np.fill_diagonal(den, 1.0)
-    Dn = D[:n, :n]
-
-    upper = np.zeros((m, m))
-    upper[:n, :n] = np.triu((s[:, None] * Dn.T + s[None, :] * Dn) / den, 1)
-    if m > n:
-        # stage the mirror image of the (i > n, j <= n) definition D_ij / s_j
-        upper[:n, n:] = -(D[n:, :] / s[None, :]).T
-    X = upper - upper.T
-
-    upper_y = np.triu((s[:, None] * Dn + s[None, :] * Dn.T) / den, 1)
-    Y = upper_y - upper_y.T
-    return X, Y
+    tables = _target_tables.__wrapped__(np.asarray(s, dtype=float).tobytes())
+    left, right = _alignment_pair(np.eye(m), np.eye(n), D, s, tables)
+    return np.negative(left, out=left), np.negative(right, out=right)
 
 
 def cayley_orthogonalize(Q: np.ndarray, S: np.ndarray) -> np.ndarray:

@@ -8,12 +8,12 @@ solves and no matrix inversions: orthogonality of U and V is maintained
 only to first order through the correction matrices, which is what makes
 the per-iteration cost a handful of dense multiplications.
 
-The correction matrices are filled entrywise over a partition of the
-index pairs: both indices in the leading n x n block (gap-weighted
-mixing of W, U^T U and V^T V), the two off blocks coupling the trailing
-rows of U (divisions by single targets), the trailing off-diagonal block
-(symmetric, from U^T U alone), and the diagonals; the tables of the
-targets alone are kept for the last sigma*, looked up by its values.
+Both two-step methods build their corrections from one alignment kernel,
+:func:`_alignment_pair`, filled entrywise over a partition of the index
+pairs: the leading n x n block (gap-weighted mixing of W, U^T U and
+V^T V), the two off blocks coupling the trailing rows of U (divisions by
+single targets), the trailing off-diagonal block (half of U^T U's) and
+the diagonals.
 
 The module also holds the stopping rule (:class:`SolverConfig`), the
 iteration driver that the Cayley baseline and the Newton oracle share,
@@ -230,32 +230,13 @@ def _target_tables(key: bytes):
     return tables
 
 
-def correction_matrices(
-    U: np.ndarray, V: np.ndarray, W: np.ndarray, sigma_star: np.ndarray
-) -> CorrectionPair:
-    """Build the correction pair from U, V and W = U^T A(c) V.
-
-    The pair satisfies left + left^T = U^T U - I and
-    right + right^T = V^T V - I up to roundoff, and solves the linearized
-    alignment equations on the leading-column index pairs.  The trailing
-    off-diagonal block of ``left`` is half of U^T U's, symmetric bit for
-    bit: numpy forms U^T U of a C-ordered U by one symmetric rank-k update.
-    The target tables come from :func:`_target_tables`, keyed by value.
-    """
-    m = U.shape[0]
-    n = V.shape[0]
-    if U.shape != (m, m) or V.shape != (n, n) or W.shape != (m, n):
-        raise InputError("correction_matrices expects U m x m, V n x n, W m x n")
-    for name, a in (("U", U), ("V", V), ("W", W)):
-        _real_array(name, a)
-    s = _real_array("sigma_star", sigma_star)
-    if s.shape != (n,):
-        raise InputError(f"sigma_star must have shape ({n},), got {s.shape}")
-    s2, den, ss = _target_tables(s.tobytes())
-    # numpy takes its symmetric rank-k path only for a U it need not copy first
-    U = np.ascontiguousarray(U)
-    Gu = U.T @ U
-    Gv = V.T @ V
+def _alignment_pair(Gu, Gv, W, s, tables) -> tuple[np.ndarray, np.ndarray]:
+    """The correction pair (left r x r, right n x n) of the alignment
+    equations for the r x n W = U^T M V, with Gram matrices Gu = U^T U and
+    Gv = V^T V, targets or shifts ``s`` and their :func:`_target_tables`.
+    At Gu = I and Gv = I each Gram term subtracts an exact zero."""
+    s2, den, ss = tables
+    m, n = W.shape
     Wn = W[:n, :n]
     Gun = Gu[:n, :n]
 
@@ -282,7 +263,33 @@ def correction_matrices(
     right -= s2 * Gv
     right /= den
     np.fill_diagonal(right, 0.5 * (np.diagonal(Gv) - 1.0))
-    return CorrectionPair(left=left, right=right)
+    return left, right
+
+
+def correction_matrices(
+    U: np.ndarray, V: np.ndarray, W: np.ndarray, sigma_star: np.ndarray
+) -> CorrectionPair:
+    """Build the correction pair from U, V and W = U^T A(c) V.
+
+    The pair satisfies left + left^T = U^T U - I and
+    right + right^T = V^T V - I up to roundoff, and solves the linearized
+    alignment equations on the leading-column index pairs.  The trailing
+    off-diagonal block of ``left`` is half of U^T U's, symmetric bit for
+    bit: numpy forms U^T U of a C-ordered U by one symmetric rank-k update.
+    The target tables come from :func:`_target_tables`, keyed by value.
+    """
+    m = U.shape[0]
+    n = V.shape[0]
+    if U.shape != (m, m) or V.shape != (n, n) or W.shape != (m, n):
+        raise InputError("correction_matrices expects U m x m, V n x n, W m x n")
+    for name, a in (("U", U), ("V", V), ("W", W)):
+        _real_array(name, a)
+    s = _real_array("sigma_star", sigma_star)
+    if s.shape != (n,):
+        raise InputError(f"sigma_star must have shape ({n},), got {s.shape}")
+    # numpy takes its symmetric rank-k path only for a U it need not copy first
+    U = np.ascontiguousarray(U)
+    return CorrectionPair(*_alignment_pair(U.T @ U, V.T @ V, W, s, _target_tables(s.tobytes())))
 
 
 def multiplicative_refine(M: np.ndarray, C: np.ndarray) -> np.ndarray:

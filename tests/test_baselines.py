@@ -4,13 +4,14 @@ import numpy as np
 import pytest
 
 import isvp
-from isvp import baselines
+from isvp import baselines, cayley_free
 from isvp.baselines import alg1_outer_step
 from isvp.cayley_free import SolverConfig, two_step_start
 from isvp.core import residual_d
 from isvp.errors import NumericalError
 from isvp.harness import SOLVERS, Algorithm, build_B0
 from isvp.report import SolveStatus
+from isvp.verification import separated_sigma
 
 from conftest import solve
 
@@ -69,6 +70,19 @@ class TestSkewPair:
             isvp.alg1_skew_pair(D, np.array([2.0, 1e-14, 0.5]))
         with pytest.raises(NumericalError, match="^two shift entries cancel$"):
             isvp.alg1_skew_pair(D, np.array([2.0, 1.0, -1.0 + 1e-13]))
+
+    @pytest.mark.parametrize("m, n", [(12, 1), (7, 3), (8, 5), (30, 30), (60, 30), (400, 200)])
+    def test_is_the_negated_correction_pair_at_identity(self, m, n):
+        # with U = I and V = I every Gram term subtracts an exact zero, so the
+        # skew pair and the Cayley-free pair solve one alignment system
+        rng = np.random.default_rng(100 * m + n)
+        for _ in range(5):
+            D = rng.standard_normal((m, n))
+            s = separated_sigma(rng, n)
+            X, Y = isvp.alg1_skew_pair(D, s)
+            pair = isvp.correction_matrices(np.eye(m), np.eye(n), D, s)
+            assert np.array_equal(X, -pair.left)
+            assert np.array_equal(Y, -pair.right)
 
 
 class TestCayleyOrthogonalize:
@@ -292,3 +306,15 @@ def test_every_iterate_carries_W_and_its_record_reads_d_off_it(algorithm, monkey
             sigma = isvp.full_svd(A_c).sigma
             rows = inst.n if algorithm is Algorithm.NEWTON else inst.r
             assert np.array_equal(state.W, isvp.diag_embed(sigma, rows))
+
+
+def test_alg1_leaves_the_target_tables_cached():
+    # alg1's shifts change at every step; were they keyed into the one-entry
+    # cache, the next Cayley-free solve would rebuild sigma*'s tables
+    inst, c_star = isvp.generate_instance(60, 30, 3)
+    c0 = isvp.perturb_c_star(c_star, 1e-3, 3)
+    solve(Algorithm.CAYLEY_FREE, inst, c0)
+    misses = cayley_free._target_tables.cache_info().misses
+    assert solve(Algorithm.ALG1, inst, c0).iterations >= 2
+    solve(Algorithm.CAYLEY_FREE, inst, c0)
+    assert cayley_free._target_tables.cache_info().misses == misses

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 import isvp
 from isvp import cayley_free
-from isvp.core import SvdFactorization
+from isvp.core import DenseBasis, SvdFactorization, make_instance
 from isvp.harness import Algorithm, run_solver
 from isvp.verification import (
     check_chebyshev_cubing,
@@ -126,6 +126,33 @@ def test_solves_ignore_the_signs_of_singular_vector_pairs(algorithm, case, monke
             rng = np.random.default_rng(seed)
             patch.setattr(cayley_free, "full_svd", _flipping_pairs(cayley_free.full_svd, rng))
             assert solve() == reference
+
+
+def _signed_trace(algorithm, instance, c0, seed, signs):
+    # c_final is multiplied by ``signs``, which maps a flipped solve's back exactly
+    report, _ = run_solver(algorithm, instance, c0, isvp.SolverConfig(), 0.0, seed)
+    return (
+        report.status,
+        report.iterations,
+        [rec.d.hex() for rec in report.records],
+        [float(x).hex() for x in signs * report.c_final],
+    )
+
+
+@pytest.mark.parametrize("algorithm", list(Algorithm), ids=[a.value for a in Algorithm])
+def test_solves_map_under_basis_sign_flips(algorithm):
+    # negating A_k and c_k leaves A(c) unchanged and negates column k of
+    # every Jacobian exactly, so a solve keeps its trace and its c_final
+    # changes only in the flipped entries' signs
+    for seed in range(1, 41):
+        instance, c_star = isvp.generate_instance(60, 30, seed)
+        c0 = isvp.perturb_c_star(c_star, 1e-2, seed)
+        signs = np.where(np.random.default_rng(seed).random(instance.n) < 0.5, -1.0, 1.0)
+        rows = instance.operator.rows.copy()
+        rows[:, 1:] *= signs[:, None]
+        flipped = make_instance(DenseBasis(rows), instance.sigma_star)
+        reference = _signed_trace(algorithm, instance, c0, seed, np.ones(instance.n))
+        assert _signed_trace(algorithm, flipped, signs * c0, seed, signs) == reference, seed
 
 
 @given(
