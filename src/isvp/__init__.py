@@ -6,7 +6,6 @@ from .core import (
     IsvpInstance,
     approx_jacobian,
     build_instance,
-    diag_embed,
     evaluate_A,
     full_svd,
     generalized_residual_vector,
@@ -18,7 +17,6 @@ from .cayley_free import (
     SolverConfig,
     chebyshev_update,
     correction_matrices,
-    multiplicative_refine,
     outer_step,
     solve,
 )
@@ -32,7 +30,6 @@ from .harness import (
     generate_instance,
     generate_toeplitz_instance,
     perturb_c_star,
-    residual_log_ratios,
     run_experiment,
 )
 from .report import SolveReport, SolveStatus

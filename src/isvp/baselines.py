@@ -5,7 +5,11 @@ through Cayley transforms of skew-symmetric correction matrices, at the
 price of 2(r + n) linear-system right-hand sides per outer iteration,
 for an r x r U (see :class:`core.IsvpInstance`).  Its skew pair is the
 Cayley-free alignment kernel at identity Gram matrices, negated, with
-the shifts s_k in place of the targets.
+the shifts s_k in place of the targets and their tables from the same
+builder, :func:`cayley_free._tables`.  The shifts pass the targets' gap
+rule: :func:`core.spectral_gap` of their sorted absolute values must
+exceed ``MIN_GAP``, which rules out shifts that collide, cancel or
+vanish.
 The Newton oracle recomputes a thin SVD every iteration (it reads only
 the n leading left singular vectors) and solves the exact Jacobian
 equation; it is slow but serves as ground truth for cross-checking both
@@ -20,9 +24,9 @@ import numpy as np
 
 from .cayley_free import (
     SolverConfig, SolverState, _alignment_pair, _check_updated, _exact_point, _form_jacobian,
-    _iterate, _target_tables, two_step_start,
+    _iterate, _tables, two_step_start,
 )
-from .core import MIN_GAP, IsvpInstance, approx_jacobian, evaluate_A, spectral_gap
+from .core import MIN_GAP, IsvpInstance, _real_array, approx_jacobian, evaluate_A, spectral_gap
 from .errors import InputError, NumericalError
 from .report import SolveReport
 
@@ -41,15 +45,11 @@ def alg1_offset_vector(W: np.ndarray) -> np.ndarray:
 
 
 def _check_shift(s: np.ndarray) -> None:
-    if np.any(np.abs(s) <= MIN_GAP):
-        raise NumericalError("shift entry too close to zero")
-    diff = np.abs(s[:, None] - s[None, :])
-    np.fill_diagonal(diff, np.inf)
-    if diff.min() <= MIN_GAP:
-        raise NumericalError("two shift entries collide")
-    ssum = np.abs(s[:, None] + s[None, :])
-    if ssum.min() <= MIN_GAP:
-        raise NumericalError("two shift entries cancel")
+    # min(|s_i - s_j|, |s_i + s_j|) = ||s_i| - |s_j||, and rounding is monotone, so
+    # the smallest such gap over all pairs is an adjacent gap of the sorted |s|
+    gap = spectral_gap(np.sort(np.abs(s))[::-1])
+    if gap <= MIN_GAP:
+        raise NumericalError(f"shift entries collide, cancel or vanish (gap {gap:.3e})")
 
 
 def alg1_skew_pair(D: np.ndarray, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -59,12 +59,13 @@ def alg1_skew_pair(D: np.ndarray, s: np.ndarray) -> tuple[np.ndarray, np.ndarray
     Gram, so X = -X^T and Y = -Y^T bit for bit, and X's trailing
     off-diagonal block is zero.  Its tables skip the targets' cache.
     """
-    m, n = D.shape
-    if s.shape != (n,):
-        raise InputError("shift vector length must match D's column count")
+    D = _real_array("D", D)
+    s = _real_array("s", s)
+    if D.ndim != 2 or s.shape != D.shape[1:]:
+        raise InputError("alg1_skew_pair expects D m x n and shifts s of length n")
     _check_shift(s)
-    tables = _target_tables.__wrapped__(np.asarray(s, dtype=float).tobytes())
-    left, right = _alignment_pair(np.eye(m), np.eye(n), D, s, tables)
+    m, n = D.shape
+    left, right = _alignment_pair(np.eye(m), np.eye(n), D, s, _tables(s))
     return np.negative(left, out=left), np.negative(right, out=right)
 
 
@@ -77,9 +78,11 @@ def cayley_orthogonalize(Q: np.ndarray, S: np.ndarray) -> np.ndarray:
     Q' = 2 X^T - Q from one dense LU solve (I + S/2) X = Q^T with partial
     pivoting, and no product with I - S/2.
     """
-    side = S.shape[0]
-    if S.shape != (side, side) or Q.shape[1] != side:
+    Q = _real_array("Q", Q)
+    S = _real_array("S", S)
+    if Q.ndim != 2 or S.shape != (Q.shape[1], Q.shape[1]):
         raise InputError("S must be square with side equal to Q's column count")
+    side = Q.shape[1]
     try:
         X = np.linalg.solve(np.eye(side) + 0.5 * S, Q.T)
     except np.linalg.LinAlgError as exc:

@@ -202,29 +202,25 @@ def _exact_point(instance: IsvpInstance, c, k: int, full_matrices: bool) -> Solv
     return SolverState(k=k, c=c, W=W, U=factors.U, V=factors.V, B=None, J=None)
 
 
-@dataclass(frozen=True)
-class CorrectionPair:
-    """Non-skew correction matrices for the left (r x r) and right (n x n)
-    factors, r the row count of the solver's ``U``."""
-
-    left: np.ndarray
-    right: np.ndarray
+def _tables(s: np.ndarray):
+    """s^2, the gaps s_i^2 - s_j^2 (1 on the diagonal) and s_i s_j of the
+    targets or shifts ``s``."""
+    s2 = s * s
+    den = s2[:, None] - s2[None, :]
+    np.fill_diagonal(den, 1.0)
+    return s2, den, s[:, None] * s[None, :]
 
 
 @functools.lru_cache(maxsize=1)
 def _target_tables(key: bytes):
-    """s^2, the gaps s_i^2 - s_j^2 (1 on the diagonal) and s_i s_j of the
-    targets whose float64 bytes are ``key``, as read-only arrays.
+    """:func:`_tables` of the targets whose float64 bytes are ``key``, as
+    read-only arrays.
 
     They depend on the targets' values alone, so the tables of the last
     targets seen are kept: a solve builds them once, and a sigma* with
     other values, a changed one included, gets new ones.
     """
-    s = np.frombuffer(key)
-    s2 = s * s
-    den = s2[:, None] - s2[None, :]
-    np.fill_diagonal(den, 1.0)
-    tables = (s2, den, s[:, None] * s[None, :])
+    tables = _tables(np.frombuffer(key))
     for table in tables:
         table.flags.writeable = False
     return tables
@@ -233,7 +229,7 @@ def _target_tables(key: bytes):
 def _alignment_pair(Gu, Gv, W, s, tables) -> tuple[np.ndarray, np.ndarray]:
     """The correction pair (left r x r, right n x n) of the alignment
     equations for the r x n W = U^T M V, with Gram matrices Gu = U^T U and
-    Gv = V^T V, targets or shifts ``s`` and their :func:`_target_tables`.
+    Gv = V^T V, targets or shifts ``s`` and their :func:`_tables`.
     At Gu = I and Gv = I each Gram term subtracts an exact zero."""
     s2, den, ss = tables
     m, n = W.shape
@@ -268,8 +264,8 @@ def _alignment_pair(Gu, Gv, W, s, tables) -> tuple[np.ndarray, np.ndarray]:
 
 def correction_matrices(
     U: np.ndarray, V: np.ndarray, W: np.ndarray, sigma_star: np.ndarray
-) -> CorrectionPair:
-    """Build the correction pair from U, V and W = U^T A(c) V.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Build the correction pair (left, right) from U, V and W = U^T A(c) V.
 
     The pair satisfies left + left^T = U^T U - I and
     right + right^T = V^T V - I up to roundoff, and solves the linearized
@@ -289,7 +285,7 @@ def correction_matrices(
         raise InputError(f"sigma_star must have shape ({n},), got {s.shape}")
     # numpy takes its symmetric rank-k path only for a U it need not copy first
     U = np.ascontiguousarray(U)
-    return CorrectionPair(*_alignment_pair(U.T @ U, V.T @ V, W, s, _target_tables(s.tobytes())))
+    return _alignment_pair(U.T @ U, V.T @ V, W, s, _target_tables(s.tobytes()))
 
 
 def multiplicative_refine(M: np.ndarray, C: np.ndarray) -> np.ndarray:
@@ -356,9 +352,9 @@ def outer_step(state: SolverState, instance: IsvpInstance) -> SolverState:
             raise NumericalError("first coefficient update is non-finite")
         A_bar = evaluate_A(instance, c_bar)
         W = U.T @ (A_bar @ V)
-        first = correction_matrices(U, V, W, sigma)
-        U_bar = multiplicative_refine(U, first.left)
-        V_bar = multiplicative_refine(V, first.right)
+        X, Y = correction_matrices(U, V, W, sigma)
+        U_bar = multiplicative_refine(U, X)
+        V_bar = multiplicative_refine(V, Y)
 
         w_bar = np.einsum("ji,ji->i", U_bar[:, : sigma.size], A_bar @ V_bar)
         rho = generalized_residual_vector(U_bar, V_bar, w_bar, sigma)
@@ -367,9 +363,9 @@ def outer_step(state: SolverState, instance: IsvpInstance) -> SolverState:
             raise NumericalError("second coefficient update is non-finite")
         A_next = evaluate_A(instance, c_next)
         W_bar = U_bar.T @ (A_next @ V_bar)
-        second = correction_matrices(U_bar, V_bar, W_bar, sigma)
-        U_next = multiplicative_refine(U_bar, second.left)
-        V_next = multiplicative_refine(V_bar, second.right)
+        E, F = correction_matrices(U_bar, V_bar, W_bar, sigma)
+        U_next = multiplicative_refine(U_bar, E)
+        V_next = multiplicative_refine(V_bar, F)
         W_next = U_next.T @ (A_next @ V_next)
     _check_updated(("U", U_next), ("V", V_next))
     return SolverState(k=state.k + 1, c=c_next, W=W_next, U=U_next, V=V_next, B=B, J=None)

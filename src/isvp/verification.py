@@ -82,9 +82,9 @@ def check_correction_symmetrization(trials: int, seed: int) -> CheckResult:
     worst = 0.0
     for _ in range(trials):
         m, n, sigma, U, V, W = _correction_inputs(rng)
-        pair = correction_matrices(U, V, W, sigma)
-        res_l = np.linalg.norm(pair.left + pair.left.T - (U.T @ U - np.eye(m)))
-        res_r = np.linalg.norm(pair.right + pair.right.T - (V.T @ V - np.eye(n)))
+        left, right = correction_matrices(U, V, W, sigma)
+        res_l = np.linalg.norm(left + left.T - (U.T @ U - np.eye(m)))
+        res_r = np.linalg.norm(right + right.T - (V.T @ V - np.eye(n)))
         worst = _worst(worst, res_l / m, res_r / m)
     return CheckResult("correction symmetrization", worst, 1e-12)
 
@@ -96,14 +96,14 @@ def check_correction_linear_system(trials: int, seed: int) -> CheckResult:
     worst = 0.0
     for _ in range(trials):
         m, n, sigma, U, V, W = _correction_inputs(rng)
-        pair = correction_matrices(U, V, W, sigma)
+        left, right = correction_matrices(U, V, W, sigma)
         S = diag_embed(sigma, m)
         mask = np.ones((m, n), dtype=bool)
         mask[np.arange(n), np.arange(n)] = False
         lhs1 = (U.T @ U) @ S - W
-        rhs1 = pair.left @ S - S @ pair.right
+        rhs1 = left @ S - S @ right
         lhs2 = S @ (V.T @ V) - W
-        rhs2 = S @ pair.right.T - pair.left.T @ S
+        rhs2 = S @ right.T - left.T @ S
         rel1 = np.linalg.norm((lhs1 - rhs1)[mask]) / (1.0 + np.linalg.norm(lhs1[mask]))
         rel2 = np.linalg.norm((lhs2 - rhs2)[mask]) / (1.0 + np.linalg.norm(lhs2[mask]))
         worst = _worst(worst, rel1, rel2)

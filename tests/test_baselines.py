@@ -7,8 +7,8 @@ import isvp
 from isvp import baselines, cayley_free
 from isvp.baselines import alg1_outer_step
 from isvp.cayley_free import SolverConfig, two_step_start
-from isvp.core import residual_d
-from isvp.errors import NumericalError
+from isvp.core import MIN_GAP, diag_embed, residual_d
+from isvp.errors import InputError, NumericalError
 from isvp.harness import SOLVERS, Algorithm, build_B0
 from isvp.report import SolveStatus
 from isvp.verification import separated_sigma
@@ -34,10 +34,20 @@ def loop_skew_pair(D, s):
     return X, Y
 
 
+def pairwise_shift_rejects(s):
+    # reference rule: an entry within MIN_GAP of zero, or two entries that
+    # collide or cancel within it, each found over all n x n pairs
+    if np.any(np.abs(s) <= MIN_GAP):
+        return True
+    diff = np.abs(s[:, None] - s[None, :])
+    np.fill_diagonal(diff, np.inf)
+    return diff.min() <= MIN_GAP or np.abs(s[:, None] + s[None, :]).min() <= MIN_GAP
+
+
 class TestSkewPair:
     def test_diagonal_input_gives_zero(self):
         s = np.array([3.0, 1.5])
-        D = isvp.diag_embed(s, 5)
+        D = diag_embed(s, 5)
         X, Y = isvp.alg1_skew_pair(D, s)
         np.testing.assert_array_equal(X, np.zeros((5, 5)))
         np.testing.assert_array_equal(Y, np.zeros((2, 2)))
@@ -63,13 +73,55 @@ class TestSkewPair:
         np.testing.assert_allclose(Y, Y_ref, rtol=1e-14, atol=1e-15)
 
     def test_degenerate_shifts_rejected(self):
+        # two that collide, one near zero, two that cancel: one message
         D = np.ones((4, 3))
-        with pytest.raises(NumericalError, match="^two shift entries collide$"):
-            isvp.alg1_skew_pair(D, np.array([2.0, 1.0, 1.0 + 1e-13]))
-        with pytest.raises(NumericalError, match="^shift entry too close to zero$"):
-            isvp.alg1_skew_pair(D, np.array([2.0, 1e-14, 0.5]))
-        with pytest.raises(NumericalError, match="^two shift entries cancel$"):
-            isvp.alg1_skew_pair(D, np.array([2.0, 1.0, -1.0 + 1e-13]))
+        for s, gap in [([2.0, 1.0, 1.0 + 1e-13], "9.992e-14"), ([2.0, 1e-14, 0.5], "1.000e-14"),
+                       ([2.0, 1.0, -1.0 + 1e-13], "1.000e-13")]:
+            message = rf"^shift entries collide, cancel or vanish \(gap {gap}\)$"
+            with pytest.raises(NumericalError, match=message):
+                isvp.alg1_skew_pair(D, np.array(s))
+
+    def test_shift_rule_matches_the_pairwise_tests(self):
+        # the sorted-magnitude gap decides as the three pairwise tests do, on
+        # ties, +- pairs, near collisions, near cancellations and near-zero
+        # entries, at n = 1..7 and magnitudes 1e-12..1e2
+        rng = np.random.default_rng(2024)
+        vectors = [np.array([MIN_GAP, 2.0]), np.array([-MIN_GAP])]
+        for _ in range(10_000):
+            n = int(rng.integers(1, 8))
+            s = 10.0 ** rng.uniform(-12.0, 2.0, n) * rng.choice([-1.0, 1.0], n)
+            i, j = rng.integers(0, n, 2)
+            near = rng.uniform(0.5, 1.5) * MIN_GAP * rng.choice([-1.0, 1.0])
+            kind = rng.integers(0, 6)
+            if kind in (1, 2):
+                s[j] = s[i] if kind == 1 else -s[i]
+            elif kind in (3, 4):
+                s[j] = (s[i] if kind == 3 else -s[i]) + near
+            elif kind == 5:
+                s[i] = near
+            vectors.append(s)
+        rejected = 0
+        for s in vectors:
+            try:
+                baselines._check_shift(s)
+                new = False
+            except NumericalError:
+                new = True
+            assert new == pairwise_shift_rejects(s), s
+            rejected += new
+        assert 0 < rejected < len(vectors)
+
+    def test_accepts_lists(self):
+        D = np.arange(12.0).reshape(4, 3)
+        s = [3.0, 2.0, 1.0]
+        pairs = zip(isvp.alg1_skew_pair(D.tolist(), s), isvp.alg1_skew_pair(D, np.array(s)))
+        assert all(np.array_equal(got, want) for got, want in pairs)
+
+    @pytest.mark.parametrize("D, s", [(np.ones(3), [3.0, 2.0, 1.0]), (np.ones((4, 3)), [2.0, 1.0])],
+                             ids=["vector-D", "short-s"])
+    def test_rejects_mismatched_shapes(self, D, s):
+        with pytest.raises(InputError, match="^alg1_skew_pair expects D m x n and shifts s"):
+            isvp.alg1_skew_pair(D, s)
 
     @pytest.mark.parametrize("m, n", [(12, 1), (7, 3), (8, 5), (30, 30), (60, 30), (400, 200)])
     def test_is_the_negated_correction_pair_at_identity(self, m, n):
@@ -80,9 +132,9 @@ class TestSkewPair:
             D = rng.standard_normal((m, n))
             s = separated_sigma(rng, n)
             X, Y = isvp.alg1_skew_pair(D, s)
-            pair = isvp.correction_matrices(np.eye(m), np.eye(n), D, s)
-            assert np.array_equal(X, -pair.left)
-            assert np.array_equal(Y, -pair.right)
+            left, right = isvp.correction_matrices(np.eye(m), np.eye(n), D, s)
+            assert np.array_equal(X, -left)
+            assert np.array_equal(Y, -right)
 
 
 class TestCayleyOrthogonalize:
@@ -236,7 +288,7 @@ class TestNewtonOracle:
 
     def test_singular_value_collision_detected(self):
         # A(0) has two nearly equal singular values closer than MIN_GAP
-        base = isvp.diag_embed(np.array([2.0, 2.0 + 1e-12, 1.0]), 4)
+        base = diag_embed(np.array([2.0, 2.0 + 1e-12, 1.0]), 4)
         rng = np.random.default_rng(9)
         basis = [base] + [1e-3 * rng.random((4, 3)) for _ in range(3)]
         inst = isvp.build_instance(basis, [3.0, 2.0, 1.0])
@@ -305,7 +357,7 @@ def test_every_iterate_carries_W_and_its_record_reads_d_off_it(algorithm, monkey
         if state.k == 0 or algorithm is Algorithm.NEWTON:
             sigma = isvp.full_svd(A_c).sigma
             rows = inst.n if algorithm is Algorithm.NEWTON else inst.r
-            assert np.array_equal(state.W, isvp.diag_embed(sigma, rows))
+            assert np.array_equal(state.W, diag_embed(sigma, rows))
 
 
 def test_alg1_leaves_the_target_tables_cached():

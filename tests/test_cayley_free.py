@@ -6,8 +6,8 @@ import pytest
 import isvp
 import isvp.cayley_free as cayley_free
 from isvp.baselines import alg1_outer_step
-from isvp.cayley_free import SolverConfig, outer_step, two_step_start
-from isvp.core import jacobian_inverse
+from isvp.cayley_free import SolverConfig, multiplicative_refine, outer_step, two_step_start
+from isvp.core import diag_embed, jacobian_inverse
 from isvp.errors import InputError, NonFiniteInput, NumericalError
 from isvp.harness import Algorithm, run_solver
 from isvp.report import SolveStatus
@@ -175,9 +175,9 @@ class TestCorrectionMatrices:
         inst, c_star = small_instance
         f = isvp.full_svd(isvp.evaluate_A(inst, c_star))
         W = f.U.T @ isvp.evaluate_A(inst, c_star) @ f.V
-        pair = isvp.correction_matrices(f.U, f.V, W, inst.sigma_star)
-        assert np.abs(pair.left).max() <= 1e-12
-        assert np.abs(pair.right).max() <= 1e-12
+        X, Y = isvp.correction_matrices(f.U, f.V, W, inst.sigma_star)
+        assert np.abs(X).max() <= 1e-12
+        assert np.abs(Y).max() <= 1e-12
 
     def test_matches_loop_oracle(self):
         rng = np.random.default_rng(53)
@@ -187,11 +187,11 @@ class TestCorrectionMatrices:
             sigma = separated_sigma(rng, n)
             U = near_orthogonal(rng, m)
             V = near_orthogonal(rng, n)
-            W = isvp.diag_embed(sigma, m) + 0.3 * rng.standard_normal((m, n))
-            pair = isvp.correction_matrices(U, V, W, sigma)
+            W = diag_embed(sigma, m) + 0.3 * rng.standard_normal((m, n))
+            X, Y = isvp.correction_matrices(U, V, W, sigma)
             left, right = loop_correction_pair(U, V, W, sigma)
-            assert_close(pair.left, left)
-            assert_close(pair.right, right)
+            assert_close(X, left)
+            assert_close(Y, right)
 
     @pytest.mark.parametrize("layout", ["C", "F", "strided", "negative-stride"])
     def test_trailing_block_exactly_symmetric(self, layout):
@@ -210,10 +210,10 @@ class TestCorrectionMatrices:
             "negative-stride": U[::-1, ::-1].copy()[::-1, ::-1],
         }[layout]
         assert np.array_equal(given, U)
-        pair = isvp.correction_matrices(given, V, W, sigma)
-        tail = pair.left[n:, n:]
+        X, _ = isvp.correction_matrices(given, V, W, sigma)
+        tail = X[n:, n:]
         np.testing.assert_array_equal(tail, tail.T)
-        assert_same_bits(pair.left, isvp.correction_matrices(U, V, W, sigma).left)
+        assert_same_bits(X, isvp.correction_matrices(U, V, W, sigma)[0])
 
     @pytest.mark.parametrize("m, n", [(7, 3), (12, 5), (6, 6), (60, 30)])
     @pytest.mark.parametrize("read_only", [True, False], ids=["read-only", "writeable"])
@@ -224,11 +224,11 @@ class TestCorrectionMatrices:
         for _ in range(3):
             U = near_orthogonal(rng, m)
             V = near_orthogonal(rng, n)
-            W = isvp.diag_embed(sigma, m) + 0.3 * rng.standard_normal((m, n))
-            pair = isvp.correction_matrices(U, V, W, sigma)
+            W = diag_embed(sigma, m) + 0.3 * rng.standard_normal((m, n))
+            X, Y = isvp.correction_matrices(U, V, W, sigma)
             left, right = vectorized_correction_pair(U, V, W, sigma)
-            assert_same_bits(pair.left, left)
-            assert_same_bits(pair.right, right)
+            assert_same_bits(X, left)
+            assert_same_bits(Y, right)
 
     def test_target_tables_are_reused_for_equal_values(self):
         rng = np.random.default_rng(5)
@@ -236,7 +236,7 @@ class TestCorrectionMatrices:
         sigma = separated_sigma(rng, n)
         U = near_orthogonal(rng, m)
         V = near_orthogonal(rng, n)
-        W = isvp.diag_embed(sigma, m) + 0.3 * rng.standard_normal((m, n))
+        W = diag_embed(sigma, m) + 0.3 * rng.standard_normal((m, n))
         frozen = sigma.copy()
         frozen.flags.writeable = False
         isvp.correction_matrices(U, V, W, sigma)
@@ -259,13 +259,13 @@ class TestCorrectionMatrices:
         view.flags.writeable = False
         U = near_orthogonal(rng, m)
         V = near_orthogonal(rng, n)
-        W = isvp.diag_embed(base, m) + 0.3 * rng.standard_normal((m, n))
+        W = diag_embed(base, m) + 0.3 * rng.standard_normal((m, n))
         isvp.correction_matrices(U, V, W, view)
         base[:] = [5.0, 4.0, 0.5]
-        pair = isvp.correction_matrices(U, V, W, view)
+        X, Y = isvp.correction_matrices(U, V, W, view)
         left, right = vectorized_correction_pair(U, V, W, base)
-        assert_same_bits(pair.left, left)
-        assert_same_bits(pair.right, right)
+        assert_same_bits(X, left)
+        assert_same_bits(Y, right)
 
     @pytest.mark.parametrize(
         "sigma, error, message",
@@ -287,24 +287,24 @@ class TestCorrectionMatrices:
         sigma = separated_sigma(rng, n)
         U = near_orthogonal(rng, m)
         V = near_orthogonal(rng, n)
-        W = isvp.diag_embed(sigma, m) + 0.3 * rng.standard_normal((m, n))
-        first = isvp.correction_matrices(U, V, W, sigma)
+        W = diag_embed(sigma, m) + 0.3 * rng.standard_normal((m, n))
+        _, Y = isvp.correction_matrices(U, V, W, sigma)
         sigma *= 1.5
-        second = isvp.correction_matrices(U, V, W, sigma)
+        X_new, Y_new = isvp.correction_matrices(U, V, W, sigma)
         left, right = vectorized_correction_pair(U, V, W, sigma)
-        assert_same_bits(second.left, left)
-        assert_same_bits(second.right, right)
-        assert not np.array_equal(first.right, second.right)
+        assert_same_bits(X_new, left)
+        assert_same_bits(Y_new, right)
+        assert not np.array_equal(Y, Y_new)
 
 
 class TestMultiplicativeRefine:
     def test_zero_correction_is_identity(self):
         M = np.arange(6.0).reshape(2, 3)
-        np.testing.assert_array_equal(isvp.multiplicative_refine(M, np.zeros((3, 3))), M)
+        np.testing.assert_array_equal(multiplicative_refine(M, np.zeros((3, 3))), M)
 
     def test_diagonal_correction(self):
         eps = np.array([0.1, 0.2, 0.3])
-        out = isvp.multiplicative_refine(np.eye(3), np.diag(eps))
+        out = multiplicative_refine(np.eye(3), np.diag(eps))
         np.testing.assert_allclose(out, np.diag(1.0 - eps))
 
     def test_improves_orthogonality_near_solution(self):
@@ -318,8 +318,8 @@ class TestMultiplicativeRefine:
         c_bar = state.c - state.B @ g
         A_bar = isvp.evaluate_A(inst, c_bar)
         W = state.U.T @ (A_bar @ state.V)
-        pair = isvp.correction_matrices(state.U, state.V, W, inst.sigma_star)
-        refined = isvp.multiplicative_refine(state.U, pair.left)
+        X, _ = isvp.correction_matrices(state.U, state.V, W, inst.sigma_star)
+        refined = multiplicative_refine(state.U, X)
         before = np.linalg.norm(state.U.T @ state.U - np.eye(30))
         after = np.linalg.norm(refined.T @ refined - np.eye(30))
         assert after < before
@@ -386,11 +386,11 @@ class TestOuterStep:
         A_bar = isvp.evaluate_A(inst, c_bar)
         W = state.U.T @ (A_bar @ state.V)
         assert_close(W, oracle["W"])
-        pair1 = isvp.correction_matrices(state.U, state.V, W, inst.sigma_star)
-        assert_close(pair1.left, oracle["X"])
-        assert_close(pair1.right, oracle["Y"])
-        U_bar = isvp.multiplicative_refine(state.U, pair1.left)
-        V_bar = isvp.multiplicative_refine(state.V, pair1.right)
+        X, Y = isvp.correction_matrices(state.U, state.V, W, inst.sigma_star)
+        assert_close(X, oracle["X"])
+        assert_close(Y, oracle["Y"])
+        U_bar = multiplicative_refine(state.U, X)
+        V_bar = multiplicative_refine(state.V, Y)
         assert_close(U_bar, oracle["U_bar"])
         assert_close(V_bar, oracle["V_bar"])
         w_bar = np.diagonal(U_bar.T @ (A_bar @ V_bar))
@@ -401,9 +401,9 @@ class TestOuterStep:
         A_next = isvp.evaluate_A(inst, c_next)
         W_bar = U_bar.T @ (A_next @ V_bar)
         assert_close(W_bar, oracle["W_bar"])
-        pair2 = isvp.correction_matrices(U_bar, V_bar, W_bar, inst.sigma_star)
-        assert_close(pair2.left, oracle["E"])
-        assert_close(pair2.right, oracle["F"])
+        E, F = isvp.correction_matrices(U_bar, V_bar, W_bar, inst.sigma_star)
+        assert_close(E, oracle["E"])
+        assert_close(F, oracle["F"])
 
         # end to end against the production step
         next_state = outer_step(state, inst)

@@ -362,8 +362,8 @@ class TestGenAndSolve:
 
 
 def _doubled_left(U, V, W, sigma_star):
-    pair = correction_matrices(U, V, W, sigma_star)
-    return dataclasses.replace(pair, left=2.0 * pair.left)
+    left, right = correction_matrices(U, V, W, sigma_star)
+    return 2.0 * left, right
 
 
 def _non_skew_pair(D, sigma):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import isvp
-from isvp.core import ToeplitzBasis
+from isvp.core import ToeplitzBasis, diag_embed
 from isvp.errors import InputError, NonFiniteInput, NumericalError
 
 
@@ -104,7 +104,7 @@ class TestFullSvd:
             assert np.linalg.norm(f.U.T @ f.U - np.eye(m)) <= 1e-12 * m
             assert np.linalg.norm(f.V.T @ f.V - np.eye(n)) <= 1e-12 * n
             assert np.all(np.diff(f.sigma) <= 0) and np.all(f.sigma >= 0)
-            res = np.linalg.norm(f.U.T @ A @ f.V - isvp.diag_embed(f.sigma, m))
+            res = np.linalg.norm(f.U.T @ A @ f.V - diag_embed(f.sigma, m))
             assert res <= 1e-10 * np.linalg.norm(A)
 
     def test_determinism(self):
@@ -370,7 +370,7 @@ class TestApproxJacobian:
 class TestGeneralizedResidualVector:
     def test_zero_at_embedded_targets(self):
         sigma = np.array([3.0, 2.0, 1.0])
-        w = np.diagonal(isvp.diag_embed(sigma, 5))
+        w = np.diagonal(diag_embed(sigma, 5))
         g = isvp.generalized_residual_vector(np.eye(5), np.eye(3), w, sigma)
         np.testing.assert_array_equal(g, np.zeros(3))
 
@@ -400,7 +400,7 @@ class TestGeneralizedResidualVector:
     def test_rejects_the_matrix_in_place_of_its_diagonal(self):
         sigma = np.array([3.0, 2.0, 1.0])
         # an m x n matrix would broadcast against the length-n terms into a wrong result
-        for w in (isvp.diag_embed(sigma, 3), isvp.diag_embed(sigma, 5), sigma[:2]):
+        for w in (diag_embed(sigma, 3), diag_embed(sigma, 5), sigma[:2]):
             with pytest.raises(InputError, match=r"^w must have shape \(3,\), got \("):
                 isvp.generalized_residual_vector(np.eye(5), np.eye(3), w, sigma)
 
@@ -410,7 +410,7 @@ class TestResidualD:
         rng = np.random.default_rng(29)
         sigma = np.array([3.0, 1.5])
         E = rng.standard_normal((4, 2))
-        A = isvp.diag_embed(sigma, 4) + E
+        A = diag_embed(sigma, 4) + E
         d = isvp.residual_d(A, sigma)
         np.testing.assert_allclose(d, np.linalg.norm(E), rtol=1e-14)
 
@@ -422,7 +422,7 @@ class TestResidualD:
         A = rng.random((m, n))
         sigma = np.array([3.0, 2.0, 1.0])
         got = isvp.residual_d(U.T @ A @ V, sigma)
-        R = U.T @ A @ V - isvp.diag_embed(sigma, m)
+        R = U.T @ A @ V - diag_embed(sigma, m)
         expected = np.sqrt(sum(R[i, j] ** 2 for i in range(m) for j in range(n)))
         np.testing.assert_allclose(got, expected, rtol=1e-14)
 

@@ -51,7 +51,7 @@ SITUATIONS = {
     "IoFailure": (InputError, "cannot read start vector c0.txt: no such file"),
     "NumericalFailure": (NumericalError, "SVD did not converge: SVD did not converge"),
     "NumericalBreakdown": (NumericalError, "first coefficient update is non-finite"),
-    "DegenerateShift": (NumericalError, "two shift entries collide"),
+    "DegenerateShift": (NumericalError, "shift entries collide, cancel or vanish (gap 9.992e-14)"),
     "SingularSystem": (NumericalError, "Cayley system is singular: singular matrix"),
     "SingularJacobian": (NumericalError, "J0 is singular: singular matrix"),
     "SingularValueCollision": (
@@ -151,10 +151,11 @@ def test_failures_while_building_k0_raise(algorithm, generate, routine, monkeypa
 
 # caller arrays that are not real arrays, each built from a real array of
 # the same shape, and the start of the error: a dtype that is not integer
-# or float, or rows nested to different depths that numpy cannot make one
-# array of
+# or float, rows nested to different depths that numpy cannot make one
+# array of, or an entry that is NaN
 NOT_REAL = {
     "complex": (lambda a: a + 3j, "must hold real numbers, not "),
+    "nan": (lambda a: np.full(np.shape(a), np.nan), "contains NaN or infinity"),
     "string": (lambda a: np.asarray(a).astype(str), "must hold real numbers, not "),
     "ragged": (lambda a: [a[0], list(a[1:3]), *a[3:]], "must be a rectangular array: "),
 }
@@ -189,6 +190,22 @@ REAL_INPUT_SITES = {
     "solve-B0": ("B0", lambda inst, c, bad: isvp.solve(inst, c, bad(np.eye(inst.n)))),
     "newton_exact_solve": ("c", lambda inst, c, bad: isvp.newton_exact_solve(inst, bad(c))),
     "perturb_c_star": ("c*", lambda inst, c, bad: isvp.perturb_c_star(bad(c), 1e-3, 1)),
+    "alg1_skew_pair-D": (
+        "D",
+        lambda inst, c, bad: isvp.alg1_skew_pair(bad(np.ones((inst.r, inst.n))), inst.sigma_star),
+    ),
+    "alg1_skew_pair-s": (
+        "s",
+        lambda inst, c, bad: isvp.alg1_skew_pair(np.ones((inst.r, inst.n)), bad(inst.sigma_star)),
+    ),
+    "cayley_orthogonalize-Q": (
+        "Q",
+        lambda inst, c, bad: isvp.cayley_orthogonalize(bad(np.eye(inst.n)), np.eye(inst.n)),
+    ),
+    "cayley_orthogonalize-S": (
+        "S",
+        lambda inst, c, bad: isvp.cayley_orthogonalize(np.eye(inst.n), bad(np.eye(inst.n))),
+    ),
 }
 
 

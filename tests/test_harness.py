@@ -9,7 +9,7 @@ from isvp import harness
 from isvp.core import DenseBasis
 from isvp.errors import DegenerateDraw, InputError, NonFiniteInput, NumericalError
 from isvp.cayley_free import two_step_start
-from isvp.harness import SOLVERS, TRACE_HEADER, run_trial, trace_rows
+from isvp.harness import SOLVERS, TRACE_HEADER, residual_log_ratios, run_trial, trace_rows
 from isvp.report import SolveStatus
 
 
@@ -245,7 +245,7 @@ class TestRootRateEstimator:
         # a typical 3-step superquadratic decay trace; the first base sits
         # above 1/2 so only the trailing two ratios count
         d = [7.38e-1, 3.56e-3, 7.89e-7, 1.87e-14]
-        ratios = isvp.residual_log_ratios(d)
+        ratios = residual_log_ratios(d)
         np.testing.assert_allclose(ratios, [2.4926, 2.2494], atol=2e-3)
         rate = isvp.estimate_root_rate(d)
         assert abs(rate - np.mean(ratios)) < 1e-12
@@ -253,11 +253,11 @@ class TestRootRateEstimator:
     def test_first_ratio_excluded_when_base_near_one(self):
         # 0.738 > 1/2, so log(d_1)/log(d_0) would be wild and is dropped
         d = [7.38e-1, 3.56e-3, 7.89e-7]
-        assert len(isvp.residual_log_ratios(d)) == 1
+        assert len(residual_log_ratios(d)) == 1
 
     def test_roundoff_floor_excluded(self):
         d = [0.5, 1e-3, 1e-7, 1e-18, 0.9e-18]
-        ratios = isvp.residual_log_ratios(d)
+        ratios = residual_log_ratios(d)
         assert len(ratios) == 2  # pairs into and out of 1e-18 are dropped
 
     def test_insufficient_data(self):
