@@ -61,8 +61,8 @@ def alg1_skew_pair(D: np.ndarray, s: np.ndarray) -> tuple[np.ndarray, np.ndarray
     """
     D = _real_array("D", D)
     s = _real_array("s", s)
-    if D.ndim != 2 or s.shape != D.shape[1:]:
-        raise InputError("alg1_skew_pair expects D m x n and shifts s of length n")
+    if D.ndim != 2 or s.shape != D.shape[1:] or D.shape[0] < D.shape[1]:
+        raise InputError("alg1_skew_pair expects D m x n and shifts s of length n, m >= n")
     _check_shift(s)
     m, n = D.shape
     left, right = _alignment_pair(np.eye(m), np.eye(n), D, s, _tables(s))

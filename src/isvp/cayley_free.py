@@ -87,11 +87,12 @@ def _iterate(step, state, instance, config, c_star, t_start) -> SolveReport:
     Every iterate gets one record: d_k from its ``W``, the time since the
     previous record (since ``t_start``, when the solve began, for k = 0)
     and, when ``c_star`` is given, the distance of c_k to it.  After the
-    step from iterate k, record k is handed the J_k that the step (or, at
-    k = 0, the start) formed; for an iterate that carries none, such as
-    the last, the record keeps the factors J_k needs and forms it only if
-    its ``cond_j`` is read.  A step that raises one of the numerical failures
-    ends the solve as ``DIVERGED``.
+    step from iterate k, record k holds the J_k that the step (or, at
+    k = 0, the start) formed, or ``None`` where none was formed: the last
+    iterate, unless a step from it formed J_k and then failed, and
+    iterate 0 of a solve handed its B_0.  No Jacobian is formed for a
+    record.  A step that raises one of the numerical
+    failures ends the solve as ``DIVERGED``.
     """
     config = config or SolverConfig()
     records, status, t_prev = [], None, t_start
@@ -117,22 +118,9 @@ def _iterate(step, state, instance, config, c_star, t_start) -> SolveReport:
                 state = step(state, instance)
             except _STEP_FAILURES:
                 status = SolveStatus.DIVERGED
-        rec.jacobian = _jacobian_source(iterate, instance)
+        rec.jacobian = iterate.J
     total_ms = (time.perf_counter() - t_start) * 1e3
     return SolveReport(status, records, c_final=state.c, iterations=state.k, total_ms=total_ms)
-
-
-def _jacobian_source(state, instance: IsvpInstance):
-    """A function returning J_k of ``state``: the one it carries, or, when
-    it carries none, one that keeps only the ``U[:, :n]`` and ``V`` that
-    J_k is formed from, not the state with its r x r ``U`` and ``W``."""
-    J = state.J
-    if J is not None:
-        return lambda: J
-    U, V = state.U, state.V
-    if U.shape[1] > instance.n:
-        U = U[:, : instance.n].copy()
-    return lambda: approx_jacobian(U, V, instance)
 
 
 def _check_updated(*named: tuple[str, np.ndarray]) -> None:
@@ -165,7 +153,8 @@ class SolverState:
     On an iterate that a step has produced, ``J`` is ``None`` and ``B``
     still holds B_{k-1}: the step that starts from the iterate forms J_k
     and B_k and writes them onto it (see :func:`_form_jacobian`), so the
-    last iterate of a solve never pays for them.
+    last iterate of a solve never pays for them and its record holds no
+    J_k.
     """
 
     k: int
@@ -193,8 +182,8 @@ def _exact_point(instance: IsvpInstance, c, k: int, full_matrices: bool) -> Solv
     up in this module when called, which takes two half-size ``eigh``
     problems for a centrosymmetric block (every Toeplitz one) and
     LAPACK's SVD for any other.  It forms no Jacobian: a start that
-    inverts J_0 forms it, and every iterate after k = 0 has its J_k
-    formed by the step that starts from it.
+    inverts J_0 forms it, and a later iterate has its J_k formed by the
+    step that starts from it, if one does.
     """
     c = _real_array("c", c).reshape(-1).copy()
     factors = full_svd(evaluate_A(instance, c), full_matrices=full_matrices)
@@ -276,8 +265,8 @@ def correction_matrices(
     """
     m = U.shape[0]
     n = V.shape[0]
-    if U.shape != (m, m) or V.shape != (n, n) or W.shape != (m, n):
-        raise InputError("correction_matrices expects U m x m, V n x n, W m x n")
+    if U.shape != (m, m) or V.shape != (n, n) or W.shape != (m, n) or m < n:
+        raise InputError("correction_matrices expects U m x m, V n x n, W m x n, m >= n")
     for name, a in (("U", U), ("V", V), ("W", W)):
         _real_array(name, a)
     s = _real_array("sigma_star", sigma_star)
@@ -377,8 +366,8 @@ def initialize(instance: IsvpInstance, c0) -> SolverState:
 
     ``B`` and ``J`` are left ``None``.  The caller sets B_0:
     :func:`two_step_start` builds it from J_0 and keeps J_0 on the state
-    too, while :func:`solve` takes the caller's, and then record 0 forms
-    J_0 only if its ``cond_j`` is read.
+    too, while :func:`solve` takes the caller's and forms no J_0, so its
+    record 0 holds none.
     """
     return _exact_point(instance, c0, 0, full_matrices=True)
 
@@ -403,8 +392,8 @@ def solve(
     """Run the Cayley-free iteration from c0 with the supplied B0.
 
     Returns a report whose records include the k = 0 diagnostics.  The
-    iteration never reads J_0, so the solve forms it only if record 0's
-    ``cond_j`` is read.  A numerical failure inside an outer step becomes
+    iteration never reads J_0, so the solve never forms it, and record 0's
+    ``cond_j`` is ``None``.  A numerical failure inside an outer step becomes
     a ``DIVERGED`` status rather than an exception.  When ``c_star`` is
     given, records carry the distance to it.
     """

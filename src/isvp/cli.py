@@ -180,7 +180,8 @@ def _cmd_solve(args) -> int:
     config = SolverConfig(tol=args.tol, max_iter=args.max_iter)
     report, _ = run_solver(args.algorithm, instance, c0, config, args.mu, args.seed)
     for rec in report.records:
-        print(f"k={rec.k} d={rec.d:.5e} cond_J={rec.cond_j:.5e}")
+        cond = "n/a" if rec.cond_j is None else format(rec.cond_j, ".5e")
+        print(f"k={rec.k} d={rec.d:.5e} cond_J={cond}")
     print(f"{report.status.value} after {report.iterations} iterations")
     return EXIT_OK if report.status is SolveStatus.CONVERGED else EXIT_NONCONVERGED
 

@@ -401,11 +401,16 @@ def generalized_residual_vector(
 
     With M = A(c) it is affine in c, J c + g(U, V, diag(U^T A_0 V)): the
     model of the first coefficient update.  With refined vectors it is the
-    second-step residual rho.  Raises ``InputError`` for any other w.
+    second-step residual rho.  Raises ``InputError`` for any other w, and
+    for a U or V that is not a 2-D array with n columns or more.
     """
     n = sigma_star.size
     if w.shape != (n,):
         raise InputError(f"w must have shape ({n},), got {w.shape}")
+    for name, a in (("U", U), ("V", V)):
+        if not isinstance(a, np.ndarray) or a.ndim != 2 or a.shape[1] < n:
+            got = getattr(a, "shape", type(a).__name__)
+            raise InputError(f"{name} must be a 2-D array with at least {n} columns, got {got}")
     Un = U[:, :n]
     Vn = V[:, :n]
     uu = np.einsum("ji,ji->i", Un, Un)
@@ -414,8 +419,14 @@ def generalized_residual_vector(
 
 
 def residual_d(W: np.ndarray, sigma_star: np.ndarray) -> float:
-    """Frobenius residual d = ||W - Sigma*||_F of the aligned product W = U^T A(c) V."""
+    """Frobenius residual d = ||W - Sigma*||_F of the aligned product W = U^T A(c) V.
+
+    A W that is not a 2-D array of at least n x n is an ``InputError``;
+    its values go unchecked, so a non-finite W gives a non-finite d."""
     n = sigma_star.size
+    if not isinstance(W, np.ndarray) or W.ndim != 2 or min(W.shape) < n:
+        got = getattr(W, "shape", type(W).__name__)
+        raise InputError(f"W must be a 2-D array of at least {n} x {n}, got {got}")
     M = W.copy()
     M[np.arange(n), np.arange(n)] -= sigma_star
     return float(np.linalg.norm(M))

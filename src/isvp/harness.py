@@ -323,10 +323,6 @@ def run_trial(config: ExperimentConfig, seed: int) -> TrialResult:
             status=f"error:{type(exc).__name__}",
             error=str(exc),
         )
-    # cond(J_k) is computed on first read; read it now, so a sweep keeps
-    # one float per record rather than each record's Jacobian or iterate
-    for rec in report.records:
-        rec.cond_j
     return TrialResult(
         seed=seed,
         status=report.status.value,
@@ -352,7 +348,8 @@ def _fmt(x: float | None) -> str:
 
 
 def trace_rows(bundle: ExperimentBundle) -> list[list[str]]:
-    """Flatten a bundle into trace CSV rows (header excluded)."""
+    """Flatten a bundle into trace CSV rows (header excluded); cond_J is
+    empty for a record without a J_k, and err_c for one without c*."""
     rows = []
     algorithm = bundle.config.algorithm.value
     for trial in bundle.trials:

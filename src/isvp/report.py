@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from collections.abc import Callable
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
@@ -21,28 +20,29 @@ class IterationRecord:
     """One outer iteration: residual, timing and Jacobian conditioning.
 
     ``err_c`` is the distance to the generating coefficient vector and is
-    only present when the caller knows the ground truth.  ``jacobian``
-    returns J_k; :attr:`cond_j` calls it on first read and then drops it,
-    so a record holds at most one n x n Jacobian (or the factors to form
-    it from) until then, and a float after.
+    only present when the caller knows the ground truth.  ``jacobian`` is
+    the n x n J_k that the start or a step formed for iterate k, or
+    ``None`` where none was formed: the last iterate, unless a step from
+    it formed J_k and then failed, and iterate 0 of a solve handed its B_0.
     """
 
     k: int
     d: float
     wall_ms: float
     err_c: float | None = None
-    jacobian: Callable[[], np.ndarray] | None = field(default=None, repr=False, compare=False)
+    jacobian: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     @cached_property
-    def cond_j(self) -> float:
+    def cond_j(self) -> float | None:
         """2-norm condition number of J_k, computed on first read; ``inf``
-        for a non-finite J_k, which never reaches LAPACK."""
-        with np.errstate(over="ignore", invalid="ignore"):
-            J = self.jacobian()
-            self.jacobian = None
-            if not np.isfinite(J).all():
-                return np.inf
-            return float(np.linalg.cond(J, 2))
+        for a non-finite J_k, which never reaches LAPACK, and ``None``
+        without a J_k."""
+        J = self.jacobian
+        if J is None:
+            return None
+        if not np.isfinite(J).all():
+            return np.inf
+        return float(np.linalg.cond(J, 2))
 
 
 @dataclass

@@ -17,16 +17,18 @@ of each set's full traces.
     python tests/fingerprint.py --compare a.json # worst change in d_k against a.json
 
 Every run prints the SHA-256 of the full traces (status, iterations and
-every d_k, cond(J_k) and c_final entry as hex floats), over all solves
+every d_k, cond(J_k) and c_final entry as hex floats, with ``null`` for
+a record that holds no J_k), over all solves
 and over each set, says for each set whether its traces are
 bit-identical to the golden ones (by SHA-256; for information only),
 prints how many solves converged per set, algorithm and beta, and lists
 the rows that differ from the golden file.
 ``--compare`` reports the worst relative change in d_k where the other
-run's d_k is above 1e-8, the worst absolute change in d_k, and the worst
-change in an entry of c_final, over all solves and again over the solves
-that converged in both runs.  It exits 1 when a status or an iteration
-count differs, and 0 otherwise.
+run's d_k is above 1e-8, the worst absolute change in d_k, the worst
+change in an entry of c_final and the worst relative change in cond(J_k)
+over the records that carry it in both runs, over all solves and again
+over the solves that converged in both runs.  It exits 1 when a status
+or an iteration count differs, and 0 otherwise.
 """
 
 from __future__ import annotations
@@ -93,7 +95,8 @@ def run_all() -> list[dict]:
                         "status": report.status.value,
                         "iterations": report.iterations,
                         "d": [rec.d.hex() for rec in report.records],
-                        "cond_j": [rec.cond_j.hex() for rec in report.records],
+                        "cond_j": [None if rec.cond_j is None else rec.cond_j.hex()
+                                   for rec in report.records],
                         "c_final": [float(x).hex() for x in report.c_final],
                     })
     return solves
@@ -137,9 +140,11 @@ def read_golden() -> tuple[dict[str, str], list[list[str]]]:
 def worst_changes(pairs: list[tuple[dict, dict]]) -> dict[str, tuple[float, list]]:
     """The largest change of each solve against its reference solve in
     ``pairs``, with where it occurs, of d_k relative to a d_k' above
-    ``RELATIVE_FLOOR``, of d_k absolute, and of one c_final entry, over the
-    iterates and entries both runs share."""
-    worst = {name: (0.0, None) for name in ("relative d_k", "absolute d_k", "c_final entry")}
+    ``RELATIVE_FLOOR``, of d_k absolute, of one c_final entry, and of
+    cond(J_k) relative to cond(J_k)', over the iterates and entries both
+    runs share, and for cond(J_k) over the records that carry it in both."""
+    names = ("relative d_k", "absolute d_k", "c_final entry", "relative cond_J")
+    worst = {name: (0.0, None) for name in names}
 
     def note(name, a, b, where, scale=1.0):
         if a == b:
@@ -156,6 +161,10 @@ def worst_changes(pairs: list[tuple[dict, dict]]) -> dict[str, tuple[float, list
                 note("relative d_k", a, b, s["key"] + [f"k={k}"], scale=abs(b))
         for i, (a, b) in enumerate(zip(s["c_final"], r["c_final"])):
             note("c_final entry", float.fromhex(a), float.fromhex(b), s["key"] + [f"i={i}"])
+        for k, (a, b) in enumerate(zip(s["cond_j"], r["cond_j"])):
+            if a is not None and b is not None:
+                a, b = float.fromhex(a), float.fromhex(b)
+                note("relative cond_J", a, b, s["key"] + [f"k={k}"], scale=abs(b))
     return worst
 
 

@@ -117,9 +117,14 @@ class TestSkewPair:
         pairs = zip(isvp.alg1_skew_pair(D.tolist(), s), isvp.alg1_skew_pair(D, np.array(s)))
         assert all(np.array_equal(got, want) for got, want in pairs)
 
-    @pytest.mark.parametrize("D, s", [(np.ones(3), [3.0, 2.0, 1.0]), (np.ones((4, 3)), [2.0, 1.0])],
-                             ids=["vector-D", "short-s"])
+    @pytest.mark.parametrize(
+        "D, s",
+        [(np.ones(3), [3.0, 2.0, 1.0]), (np.ones((4, 3)), [2.0, 1.0]),
+         (np.ones((2, 3)), [3.0, 2.0, 1.0])],
+        ids=["vector-D", "short-s", "wide-D"],
+    )
     def test_rejects_mismatched_shapes(self, D, s):
+        # a wide D passed the other checks and met numpy's broadcast ValueError
         with pytest.raises(InputError, match="^alg1_skew_pair expects D m x n and shifts s"):
             isvp.alg1_skew_pair(D, s)
 

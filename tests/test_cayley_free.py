@@ -281,6 +281,17 @@ class TestCorrectionMatrices:
         with pytest.raises(error, match=message):
             isvp.correction_matrices(np.eye(5), np.eye(3), np.zeros((5, 3)), np.array(sigma))
 
+    @pytest.mark.parametrize(
+        "m, U, V, W",
+        [(5, np.eye(4), np.eye(3), np.zeros((5, 3))), (5, np.eye(5), np.eye(3), np.zeros((3, 5))),
+         (2, np.eye(2), np.eye(3), np.zeros((2, 3)))],
+        ids=["short-U", "transposed-W", "wide"],
+    )
+    def test_rejects_mismatched_shapes(self, m, U, V, W):
+        # the wide case, m < n, passed the shape check and met numpy's broadcast ValueError
+        with pytest.raises(InputError, match="^correction_matrices expects U m x m, V n x n"):
+            isvp.correction_matrices(U, V, W, np.array([3.0, 2.0, 1.0]))
+
     def test_a_writeable_sigma_changed_in_place_gives_new_tables(self):
         rng = np.random.default_rng(11)
         m, n = 9, 4
@@ -489,7 +500,7 @@ class TestSolve:
     def test_equals_the_harness_path_bit_for_bit(self, algorithm, generate, m, n, beta, seed):
         # the entry points the benchmark times are the harness's rows: the
         # direct Cayley-free solve forms no J_0 and runs no Chebyshev update
-        # at k = 0, and record 0 forms J_0 on read, from copies of U_0[:, :n] and V_0
+        # at k = 0, so its record 0 holds no J_0; no last record holds a J_k
         inst, c_star = generate(m, n, seed)
         c0 = isvp.perturb_c_star(c_star, beta, seed)
         direct = {
@@ -502,12 +513,16 @@ class TestSolve:
         def trace(report):
             return (
                 [rec.d.hex() for rec in report.records],
-                [rec.cond_j.hex() for rec in report.records],
+                [None if rec.cond_j is None else rec.cond_j.hex() for rec in report.records],
                 [float(x).hex() for x in report.c_final],
             )
 
         assert len(direct.records) >= 2
-        assert trace(direct) == trace(harness)
+        want = trace(harness)
+        assert want[1][0] is not None and want[1][-1] is None
+        if algorithm is Algorithm.CAYLEY_FREE:
+            want[1][0] = None
+        assert trace(direct) == want
 
     def test_divergence_reported_not_raised(self):
         inst, c_star = isvp.generate_instance(20, 8, 2)

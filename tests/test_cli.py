@@ -59,8 +59,9 @@ class TestRunCommand:
         assert main(argv + ["--allow-nonconverged"]) == EXIT_OK
 
     def test_a_run_whose_jacobians_overflow_writes_its_trace(self, tmp_path):
-        # every seed diverges; seed 13 ends on an iterate whose J_k overflows,
-        # and its cond_J reads inf without LAPACK printing a parameter error
+        # every seed diverges; seed 13 ends on an iterate whose d_k overflows,
+        # which takes no step, so no J_k is formed for it and its cond_J is
+        # empty; LAPACK prints no parameter error
         env = {**os.environ, "PYTHONPATH": str(Path(isvp.__file__).parents[1])}
         proc = subprocess.run(
             [
@@ -75,7 +76,7 @@ class TestRunCommand:
         assert {t["status"] for t in summary["trials"]} == {"diverged"}
         rows = (tmp_path / "trace.csv").read_text().splitlines()
         last = [row.split(",") for row in rows if row.startswith("13,")][-1]
-        assert last[3:5] == ["inf", "inf"]
+        assert last[3:5] == ["inf", ""]
 
     def test_invalid_mu_rejected(self, tmp_path):
         argv = [
@@ -336,9 +337,7 @@ class TestGenAndSolve:
         printed = [ln for ln in capsys.readouterr().out.splitlines() if ln.startswith("k=")]
         c0 = isvp.perturb_c_star(c_star, 1e-5, 0)
         report, _ = isvp.harness.run_solver(algorithm, inst, c0, isvp.SolverConfig(), 0.0, 0)
-        assert printed == [
-            f"k={rec.k} d={rec.d:.5e} cond_J={rec.cond_j:.5e}" for rec in report.records
-        ]
+        assert printed == _solve_lines(report.records)
         assert len(printed) >= 2
 
     def test_solve_matches_run_trial(self, tmp_path, capsys):
@@ -355,10 +354,16 @@ class TestGenAndSolve:
         config = isvp.ExperimentConfig(m=16, n=6, beta=1e-3, mu=0.3, seeds=(4,))
         trial = isvp.harness.run_trial(config, 4)
         assert trial.achieved_mu == pytest.approx(0.3, rel=1e-12)
-        assert printed == [
-            f"k={rec.k} d={rec.d:.5e} cond_J={rec.cond_j:.5e}" for rec in trial.report.records
-        ]
+        assert printed == _solve_lines(trial.report.records)
         assert len(printed) >= 2
+
+
+def _solve_lines(records):
+    # every record but the last holds the J_k its step formed; the last holds none
+    *stepped, last = records
+    return [f"k={rec.k} d={rec.d:.5e} cond_J={rec.cond_j:.5e}" for rec in stepped] + [
+        f"k={last.k} d={last.d:.5e} cond_J=n/a"
+    ]
 
 
 def _doubled_left(U, V, W, sigma_star):

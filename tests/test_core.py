@@ -404,6 +404,19 @@ class TestGeneralizedResidualVector:
             with pytest.raises(InputError, match=r"^w must have shape \(3,\), got \("):
                 isvp.generalized_residual_vector(np.eye(5), np.eye(3), w, sigma)
 
+    @pytest.mark.parametrize(
+        "U, V, name, got",
+        [(np.eye(5)[:, :2], np.eye(3), "U", r"\(5, 2\)"), (np.ones(5), np.eye(3), "U", r"\(5,\)"),
+         (np.eye(5).tolist(), np.eye(3), "U", "list"), (np.eye(5), np.eye(3)[:, :2], "V", r"\(3, 2\)")],
+        ids=["narrow-U", "vector-U", "nested-list-U", "narrow-V"],
+    )
+    def test_rejects_factors_with_too_few_columns(self, U, V, name, got):
+        # each escaped as numpy's broadcast ValueError, an IndexError or a TypeError
+        sigma = np.array([3.0, 2.0, 1.0])
+        message = rf"^{name} must be a 2-D array with at least 3 columns, got {got}$"
+        with pytest.raises(InputError, match=message):
+            isvp.generalized_residual_vector(U, V, sigma, sigma)
+
 
 class TestResidualD:
     def test_collapses_to_perturbation_norm(self):
@@ -425,6 +438,25 @@ class TestResidualD:
         R = U.T @ A @ V - diag_embed(sigma, m)
         expected = np.sqrt(sum(R[i, j] ** 2 for i in range(m) for j in range(n)))
         np.testing.assert_allclose(got, expected, rtol=1e-14)
+
+    @pytest.mark.parametrize(
+        "W, got",
+        [(np.ones((2, 3)), r"\(2, 3\)"), (np.ones((3, 2)), r"\(3, 2\)"), (np.ones(3), r"\(3,\)"),
+         (np.eye(3).tolist(), "list")],
+        ids=["short", "narrow", "vector", "nested-list"],
+    )
+    def test_rejects_a_W_without_an_n_by_n_block(self, W, got):
+        # each escaped as an IndexError, or for the list a TypeError
+        with pytest.raises(InputError, match=rf"^W must be a 2-D array of at least 3 x 3, got {got}$"):
+            isvp.residual_d(W, np.array([3.0, 2.0, 1.0]))
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_a_nonfinite_W_gives_a_nonfinite_d(self, bad):
+        # the solvers read a non-finite d as divergence, so values are not checked
+        W = diag_embed(np.array([3.0, 2.0, 1.0]), 5)
+        W[4, 0] = bad
+        with np.errstate(invalid="ignore"):
+            assert not np.isfinite(isvp.residual_d(W, np.array([3.0, 2.0, 1.0])))
 
 
 class TestInstanceFile:

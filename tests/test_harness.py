@@ -424,7 +424,9 @@ class TestRunExperiment:
             bundle = isvp.run_experiment(self._config(m=30, n=12, seeds=(seed,)))
             (trial,) = bundle.trials
             assert trial.status == "converged"
-            for rec in trial.report.records:
+            # every record but the last holds the J_k its step formed
+            assert trial.report.records[-1].cond_j is None
+            for rec in trial.report.records[:-1]:
                 assert rec.cond_j <= 10 * cond_star
                 assert rec.cond_j >= cond_star / 10
 

@@ -93,7 +93,7 @@ def _trace(report):
         report.status,
         report.iterations,
         [rec.d.hex() for rec in report.records],
-        [rec.cond_j.hex() for rec in report.records],
+        [None if rec.cond_j is None else rec.cond_j.hex() for rec in report.records],
         [float(x).hex() for x in report.c_final],
     )
 

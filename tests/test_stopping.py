@@ -104,9 +104,9 @@ def test_overflowing_residual_is_diverged_without_a_warning():
 
 @pytest.mark.parametrize("path", [*Algorithm, "solve"])
 def test_a_solve_forms_only_the_jacobians_its_steps_use(path, medium_instance, monkeypatch):
-    # K steps use J_0 .. J_{K-1}; the last iterate's J_K and every cond(J_k)
-    # wait until a record's cond_j is read.  ``isvp.solve`` is handed B_0, so
-    # its steps use J_1 .. J_{K-1}, and J_0 waits for record 0's cond_j too
+    # K steps form J_0 .. J_{K-1}, and the last iterate's J_K is never formed.
+    # ``isvp.solve`` is handed B_0, so its steps form J_1 .. J_{K-1} only.
+    # Reading every cond_j forms no Jacobian and runs one cond per J_k formed
     inst, c_star = medium_instance
     c0 = isvp.perturb_c_star(c_star, 1e-3, 2)
     B0 = two_step_start(inst, c0).B
@@ -126,19 +126,19 @@ def test_a_solve_forms_only_the_jacobians_its_steps_use(path, medium_instance, m
     monkeypatch.setattr(np.linalg, "cond", counting_cond)
     report = isvp.solve(inst, c0, B0) if path == "solve" else solve(path, inst, c0)
     assert report.status is SolveStatus.CONVERGED
-    assert report.iterations >= 2
-    formed = report.iterations - (path == "solve")
+    K = report.iterations
+    assert K >= 2
+    formed = K - (path == "solve")
     assert (len(jacobians), len(conds)) == (formed, 0)
     for _ in range(2):  # the second read is cached
-        assert report.records[-1].cond_j >= 1.0
-    assert (len(jacobians), len(conds)) == (formed + 1, 1)
-    assert report.records[0].cond_j >= 1.0
-    assert (len(jacobians), len(conds)) == (formed + 1 + (path == "solve"), 2)
+        carried = [rec.cond_j is not None for rec in report.records]
+    assert carried == [path != "solve"] + [True] * (K - 1) + [False]
+    assert (len(jacobians), len(conds)) == (formed, formed)
 
 
 def test_a_direct_solve_frees_every_state_it_makes(medium_instance, monkeypatch):
-    # record 0 and the last record carry no J_k; they keep U[:, :n] and V
-    # to form it from, not the iterate with its r x r U and W
+    # records hold a J_k or nothing, never an iterate or the factors of one;
+    # record 0 and the last record of a direct solve hold nothing
     inst, c_star = medium_instance
     c0 = isvp.perturb_c_star(c_star, 1e-3, 2)
     B0 = two_step_start(inst, c0).B
@@ -158,7 +158,8 @@ def test_a_direct_solve_frees_every_state_it_makes(medium_instance, monkeypatch)
     assert report.status is SolveStatus.CONVERGED
     assert inst.r > inst.n and len(states) == report.iterations + 1
     assert [ref() for ref in states] == [None] * len(states)
-    assert report.records[0].cond_j >= 1.0 and report.records[-1].cond_j >= 1.0
+    ends = report.records[0], report.records[-1]
+    assert [(rec.jacobian, rec.cond_j) for rec in ends] == [(None, None)] * 2
 
 
 @pytest.mark.parametrize(
@@ -179,14 +180,33 @@ def test_each_record_reads_cond_of_its_iterates_jacobian(algorithm, generate, mo
     monkeypatch.setattr(module, step, spy)
     report = solve(algorithm, inst, c0)
     assert report.status is SolveStatus.CONVERGED
+    assert len(starts) == report.iterations == len(report.records) - 1
     # step by hand from the solve's k = 0 state; each step forms the J_k of
-    # the iterate it starts from, the last iterate's included
+    # the iterate it starts from, and the last iterate takes no step
     state = starts[0]
-    for record in report.records:
+    for record in report.records[:-1]:
         next_state = original(state, inst)
         assert record.k == state.k
+        assert np.array_equal(record.jacobian, state.J)
         assert record.cond_j == float(np.linalg.cond(state.J, 2))
         state = next_state
+    assert report.records[-1].k == state.k
+    assert (report.records[-1].jacobian, report.records[-1].cond_j) == (None, None)
+
+
+@pytest.mark.parametrize("algorithm", sorted(SOLVERS))
+def test_every_record_holds_an_n_by_n_jacobian_or_none(algorithm):
+    # 60 x 30 seeds 1..6 at beta 1e-2 include diverging cf and alg1 solves
+    statuses = set()
+    for seed in range(1, 7):
+        inst, c_star = isvp.generate_instance(60, 30, seed)
+        report = solve(algorithm, inst, isvp.perturb_c_star(c_star, 1e-2, seed))
+        statuses.add(report.status)
+        for rec in report.records[:-1]:
+            assert type(rec.jacobian) is np.ndarray and rec.jacobian.shape == (30, 30)
+        last = report.records[-1].jacobian
+        assert last is None or (type(last) is np.ndarray and last.shape == (30, 30))
+    assert SolveStatus.CONVERGED in statuses
 
 
 @pytest.mark.parametrize(
@@ -201,6 +221,27 @@ def test_cond_j_of_a_nonfinite_jacobian_is_inf(J, monkeypatch):
         raise AssertionError("a non-finite J reached np.linalg.cond")
 
     monkeypatch.setattr(np.linalg, "cond", lapack)
-    record = IterationRecord(k=1, d=np.inf, wall_ms=0.0, jacobian=lambda: J)
+    record = IterationRecord(k=1, d=np.inf, wall_ms=0.0, jacobian=J)
     assert record.cond_j == np.inf
-    assert record.jacobian is None
+    assert record.jacobian is J
+
+
+@pytest.mark.parametrize("algorithm", [Algorithm.CAYLEY_FREE, Algorithm.ALG1])
+def test_a_step_that_forms_a_nonfinite_jacobian_records_it(algorithm, monkeypatch):
+    # J_1 overflows: the step writes it onto iterate 1 before its check
+    # raises, so the solve diverges and record 1 reads cond_J = inf
+    inst, c_star = isvp.generate_instance(20, 8, 2)
+    c0 = isvp.perturb_c_star(c_star, 1e-2, 2)
+    exact = inst.operator.jacobian
+    calls = []
+
+    def overflow_after_first(Un, Vn):
+        calls.append(1)
+        return exact(Un, Vn) if len(calls) == 1 else np.full((8, 8), np.inf)
+
+    monkeypatch.setattr(inst.operator, "jacobian", overflow_after_first)
+    report = solve(algorithm, inst, c0)
+    assert report.status is SolveStatus.DIVERGED
+    assert [rec.k for rec in report.records] == [0, 1]
+    assert report.records[0].cond_j >= 1.0
+    assert report.records[1].cond_j == np.inf
