@@ -23,8 +23,8 @@ import time
 import numpy as np
 
 from .cayley_free import (
-    SolverConfig, SolverState, _alignment_pair, _check_updated, _exact_point, _form_jacobian,
-    _iterate, _tables, two_step_start,
+    SolverConfig, SolverState, _alignment_pair, _alignment_right, _check_updated, _exact_point,
+    _form_jacobian, _iterate, _tables, _tied_input, two_step_start,
 )
 from .core import MIN_GAP, IsvpInstance, _real_array, approx_jacobian, evaluate_A, spectral_gap
 from .errors import InputError, NumericalError
@@ -56,17 +56,35 @@ def alg1_skew_pair(D: np.ndarray, s: np.ndarray) -> tuple[np.ndarray, np.ndarray
     """Skew-symmetric correction pair (X m x m, Y n x n) from D and shifts s.
 
     The negated kernel :func:`cayley_free._alignment_pair` at identity
-    Gram, so X = -X^T and Y = -Y^T bit for bit, and X's trailing
-    off-diagonal block is zero.  Its tables skip the targets' cache.
+    Gram, which it skips rather than build, so X = -X^T and Y = -Y^T bit
+    for bit, and X's trailing off-diagonal block is zero.  Its tables
+    skip the targets' cache.
     """
     D = _real_array("D", D)
     s = _real_array("s", s)
     if D.ndim != 2 or s.shape != D.shape[1:] or D.shape[0] < D.shape[1]:
         raise InputError("alg1_skew_pair expects D m x n and shifts s of length n, m >= n")
     _check_shift(s)
-    m, n = D.shape
-    left, right = _alignment_pair(np.eye(m), np.eye(n), D, s, _tables(s))
+    left, right = _alignment_pair(D, s, _tables(s))
     return np.negative(left, out=left), np.negative(right, out=right)
+
+
+def _tied_skew(D: np.ndarray, s: np.ndarray, signs: np.ndarray) -> np.ndarray:
+    """The right skew factor Y of a tied iterate (U = V S, S = diag(``signs``)),
+    from :func:`cayley_free._tied_input` of D; its left factor is S Y S."""
+    _check_shift(s)
+    right = _alignment_right(_tied_input(D, signs), s, _tables(s))
+    return np.negative(right, out=right)
+
+
+def _cayley_pair(U, V, D, s, signs):
+    """U and V through the Cayley transforms of D's skew pair at shifts s;
+    on a tied iterate (``signs`` set) only V, with U's transform V S."""
+    if signs is None:
+        X, Y = alg1_skew_pair(D, s)
+        return cayley_orthogonalize(U, X), cayley_orthogonalize(V, Y)
+    V = cayley_orthogonalize(V, _tied_skew(D, s, signs))
+    return V * signs, V
 
 
 def cayley_orthogonalize(Q: np.ndarray, S: np.ndarray) -> np.ndarray:
@@ -98,8 +116,10 @@ def alg1_outer_step(state: SolverState, instance: IsvpInstance) -> SolverState:
     replaces the targets inside the skew-matrix denominators, is sigma*
     at k = 0 and is formed from J_k and B_k after that; it is a value of
     the step, not of the state.  Two skew/Cayley correction rounds then
-    bracket the two coefficient updates.  The new state carries ``B`` =
-    B_k and no ``J``.  A non-finite update raises ``NumericalError``.
+    bracket the two coefficient updates; on a tied iterate each round
+    transforms V alone and sets U = V S (:func:`_cayley_pair`).  The new
+    state carries ``B`` = B_k, no ``J`` and the iterate's ``signs``.  A
+    non-finite update raises ``NumericalError``.
     """
     sigma = instance.sigma_star
     _form_jacobian(state, instance)
@@ -113,9 +133,7 @@ def alg1_outer_step(state: SolverState, instance: IsvpInstance) -> SolverState:
             raise NumericalError("first coefficient update is non-finite")
         A_y = evaluate_A(instance, y)
         D = U.T @ (A_y @ V)
-        X, Y = alg1_skew_pair(D, s)
-        Z = cayley_orthogonalize(U, X)
-        N = cayley_orthogonalize(V, Y)
+        Z, N = _cayley_pair(U, V, D, s, state.signs)
         W_y = Z.T @ (A_y @ N)
         sigma_bar = alg1_offset_vector(W_y)
 
@@ -127,12 +145,12 @@ def alg1_outer_step(state: SolverState, instance: IsvpInstance) -> SolverState:
 
         A_next = evaluate_A(instance, c_next)
         D_bar = U.T @ (A_next @ V) - D + W_y
-        X_bar, Y_bar = alg1_skew_pair(D_bar, s_bar)
-        U_next = cayley_orthogonalize(Z, X_bar)
-        V_next = cayley_orthogonalize(N, Y_bar)
+        U_next, V_next = _cayley_pair(Z, N, D_bar, s_bar, state.signs)
         W_next = U_next.T @ (A_next @ V_next)
     _check_updated(("U", U_next), ("V", V_next))
-    return SolverState(k=state.k + 1, c=c_next, W=W_next, U=U_next, V=V_next, B=B, J=None)
+    return SolverState(
+        k=state.k + 1, c=c_next, W=W_next, U=U_next, V=V_next, B=B, J=None, signs=state.signs
+    )
 
 
 def alg1_solve(

@@ -13,7 +13,9 @@ Both two-step methods build their corrections from one alignment kernel,
 pairs: the leading n x n block (gap-weighted mixing of W, U^T U and
 V^T V), the two off blocks coupling the trailing rows of U (divisions by
 single targets), the trailing off-diagonal block (half of U^T U's) and
-the diagonals.
+the diagonals.  Its left and right halves are separate functions: on a
+symmetric family, where U = V S holds (see :func:`initialize`), both
+methods build only the right half, from :func:`_tied_input`.
 
 The module also holds the stopping rule (:class:`SolverConfig`), the
 iteration driver that the Cayley baseline and the Newton oracle share,
@@ -155,6 +157,11 @@ class SolverState:
     and B_k and writes them onto it (see :func:`_form_jacobian`), so the
     last iterate of a solve never pays for them and its record holds no
     J_k.
+
+    ``signs`` is set on a tied iterate of a two-step method, one whose
+    ``U`` equals ``V * signs`` bit for bit on a symmetric family (see
+    :func:`initialize`); its steps update ``V`` alone and keep the tie.
+    Everywhere else it is ``None``.
     """
 
     k: int
@@ -164,6 +171,7 @@ class SolverState:
     V: np.ndarray
     B: np.ndarray | None
     J: np.ndarray | None
+    signs: np.ndarray | None = None
 
 
 def _exact_point(instance: IsvpInstance, c, k: int, full_matrices: bool) -> SolverState:
@@ -215,40 +223,79 @@ def _target_tables(key: bytes):
     return tables
 
 
-def _alignment_pair(Gu, Gv, W, s, tables) -> tuple[np.ndarray, np.ndarray]:
-    """The correction pair (left r x r, right n x n) of the alignment
-    equations for the r x n W = U^T M V, with Gram matrices Gu = U^T U and
-    Gv = V^T V, targets or shifts ``s`` and their :func:`_tables`.
-    At Gu = I and Gv = I each Gram term subtracts an exact zero."""
+def _alignment_left(W, s, tables, Gu=None, Gv=None) -> np.ndarray:
+    """The left r x r correction of the alignment equations for the r x n
+    W = U^T M V, with Gram matrices Gu = U^T U and Gv = V^T V, targets or
+    shifts ``s`` and their :func:`_tables`.  Gu = Gv = ``None`` stands for
+    identity Gram, whose terms it skips: the result is the one that
+    subtracting their exact zeros gives, bit for bit where s_i s_j > 0
+    (elsewhere a zero entry may differ in sign)."""
     s2, den, ss = tables
     m, n = W.shape
-    Wn = W[:n, :n]
-    Gun = Gu[:n, :n]
 
     left = np.empty((m, m))
     # s_i W_ji + s_j W_ij is symmetric, so one product and its transpose give it
-    sw = s[None, :] * Wn
+    sw = s[None, :] * W[:n, :n]
     block = left[:n, :n]
     np.add(sw.T, sw, out=block)
-    block -= s2 * Gun
-    block -= ss * Gv
+    if Gu is not None:
+        block -= s2 * Gu[:n, :n]
+        block -= ss * Gv
     block /= den
     if m > n:
-        # the upper off block is the transpose of W[n:] / s
+        # the upper off block is the transpose of W[n:] / s; the lower is
+        # Gu's block minus upper^T, and 0 - upper^T at identity Gram, so a
+        # zero keeps the sign the Gram path gives it
         upper = left[:n, n:]
         np.divide(W[n:, :], s, out=upper.T)
-        np.subtract(Gu[n:, :n], upper.T, out=left[n:, :n])
-        np.multiply(Gu[n:, n:], 0.5, out=left[n:, n:])
+        np.subtract(0.0 if Gu is None else Gu[n:, :n], upper.T, out=left[n:, :n])
+        if Gu is None:
+            left[n:, n:] = 0.0
+        else:
+            np.multiply(Gu[n:, n:], 0.5, out=left[n:, n:])
     # the diagonals of the leading and trailing blocks, in one pass
-    np.fill_diagonal(left, 0.5 * (np.diagonal(Gu) - 1.0))
+    np.fill_diagonal(left, 0.0 if Gu is None else 0.5 * (np.diagonal(Gu) - 1.0))
+    return left
 
-    sw = s[:, None] * Wn
+
+def _alignment_right(W, s, tables, Gun=None, Gv=None) -> np.ndarray:
+    """The right n x n correction of the alignment equations for W, as
+    :func:`_alignment_left`, from the leading n x n block Gun of U^T U
+    and from Gv; ``None`` for both stands for identity Gram."""
+    s2, den, ss = tables
+    n = W.shape[1]
+    sw = s[:, None] * W[:n, :n]
     right = sw + sw.T
-    right -= ss * Gun
-    right -= s2 * Gv
+    if Gv is not None:
+        right -= ss * Gun
+        right -= s2 * Gv
     right /= den
-    np.fill_diagonal(right, 0.5 * (np.diagonal(Gv) - 1.0))
-    return left, right
+    np.fill_diagonal(right, 0.0 if Gv is None else 0.5 * (np.diagonal(Gv) - 1.0))
+    return right
+
+
+def _alignment_pair(W, s, tables, Gu=None, Gv=None) -> tuple[np.ndarray, np.ndarray]:
+    """The correction pair (left r x r, right n x n) of the alignment
+    equations: :func:`_alignment_left` and :func:`_alignment_right`."""
+    n = W.shape[1]
+    Gun = None if Gu is None else Gu[:n, :n]
+    return _alignment_left(W, s, tables, Gu, Gv), _alignment_right(W, s, tables, Gun, Gv)
+
+
+def _tied_input(W: np.ndarray, signs: np.ndarray) -> np.ndarray:
+    """S (S W + (S W)^T) / 2 for the n x n W = U^T M V of a tied iterate,
+    U = V S with S = diag(``signs``) and M symmetric.
+
+    There S W = V^T M V is symmetric in exact arithmetic, and the left
+    correction equals S right S, so U (I - left) = V (I - right) S: one
+    factor update serves both.  The computed S W is symmetric only to
+    roundoff, and a right correction from the raw W keeps that error in
+    every step, which leaves d_k on a floor some ten times higher than the
+    untied path's; from the symmetric part it reaches the same floor."""
+    H = signs[:, None] * W
+    H += H.T
+    H *= 0.5 * signs[:, None]
+    return H
 
 
 def correction_matrices(
@@ -274,7 +321,17 @@ def correction_matrices(
         raise InputError(f"sigma_star must have shape ({n},), got {s.shape}")
     # numpy takes its symmetric rank-k path only for a U it need not copy first
     U = np.ascontiguousarray(U)
-    return _alignment_pair(U.T @ U, V.T @ V, W, s, _target_tables(s.tobytes()))
+    return _alignment_pair(W, s, _target_tables(s.tobytes()), U.T @ U, V.T @ V)
+
+
+def _tied_correction(V: np.ndarray, W: np.ndarray, signs: np.ndarray, sigma_star) -> np.ndarray:
+    """The right correction of a tied iterate (U = V S, S = diag(``signs``),
+    M symmetric) from :func:`_tied_input` of W, with the leading block of
+    U^T U taken as S V^T V S, so U^T U is never formed."""
+    Gv = V.T @ V
+    Gun = signs[:, None] * Gv * signs
+    tables = _target_tables(sigma_star.tobytes())
+    return _alignment_right(_tied_input(W, signs), sigma_star, tables, Gun, Gv)
 
 
 def multiplicative_refine(M: np.ndarray, C: np.ndarray) -> np.ndarray:
@@ -321,6 +378,17 @@ def _form_jacobian(state: SolverState, instance: IsvpInstance) -> None:
     state.B = B
 
 
+def _refined_pair(U, V, W, sigma_star, signs):
+    """U (I - X) and V (I - Y) for the correction pair (X, Y) of W; on a
+    tied iterate (``signs`` set) only V's, from :func:`_tied_correction`,
+    and U = V S."""
+    if signs is None:
+        X, Y = correction_matrices(U, V, W, sigma_star)
+        return multiplicative_refine(U, X), multiplicative_refine(V, Y)
+    V = multiplicative_refine(V, _tied_correction(V, W, signs, sigma_star))
+    return V * signs, V
+
+
 def outer_step(state: SolverState, instance: IsvpInstance) -> SolverState:
     """Advance one outer iteration.
 
@@ -329,7 +397,9 @@ def outer_step(state: SolverState, instance: IsvpInstance) -> SolverState:
     diagonal of W; first correction pair from U^T A V at the predicted
     point; refinement; second coefficient update from the refined
     residual rho; second correction pair from the updated point; second
-    refinement; new W.  The new state carries ``B`` = B_k and no ``J``.
+    refinement; new W.  On a tied iterate each refinement updates V
+    alone and sets U = V S (:func:`_refined_pair`).  The new state
+    carries ``B`` = B_k, no ``J`` and the iterate's ``signs``.
     A non-finite update raises ``NumericalError``.
     """
     _form_jacobian(state, instance)
@@ -341,9 +411,7 @@ def outer_step(state: SolverState, instance: IsvpInstance) -> SolverState:
             raise NumericalError("first coefficient update is non-finite")
         A_bar = evaluate_A(instance, c_bar)
         W = U.T @ (A_bar @ V)
-        X, Y = correction_matrices(U, V, W, sigma)
-        U_bar = multiplicative_refine(U, X)
-        V_bar = multiplicative_refine(V, Y)
+        U_bar, V_bar = _refined_pair(U, V, W, sigma, state.signs)
 
         w_bar = np.einsum("ji,ji->i", U_bar[:, : sigma.size], A_bar @ V_bar)
         rho = generalized_residual_vector(U_bar, V_bar, w_bar, sigma)
@@ -352,24 +420,39 @@ def outer_step(state: SolverState, instance: IsvpInstance) -> SolverState:
             raise NumericalError("second coefficient update is non-finite")
         A_next = evaluate_A(instance, c_next)
         W_bar = U_bar.T @ (A_next @ V_bar)
-        E, F = correction_matrices(U_bar, V_bar, W_bar, sigma)
-        U_next = multiplicative_refine(U_bar, E)
-        V_next = multiplicative_refine(V_bar, F)
+        U_next, V_next = _refined_pair(U_bar, V_bar, W_bar, sigma, state.signs)
         W_next = U_next.T @ (A_next @ V_next)
     _check_updated(("U", U_next), ("V", V_next))
-    return SolverState(k=state.k + 1, c=c_next, W=W_next, U=U_next, V=V_next, B=B, J=None)
+    return SolverState(
+        k=state.k + 1, c=c_next, W=W_next, U=U_next, V=V_next, B=B, J=None, signs=state.signs
+    )
 
 
 def initialize(instance: IsvpInstance, c0) -> SolverState:
     """The k = 0 state: the exact point at c0 (:func:`_exact_point`),
     with the full r x r ``U`` a two-step method updates, and ``W`` Sigma.
 
+    On a family that its basis declares symmetric (every A(c) square
+    and symmetric, as a Toeplitz one is), the start is tied when its
+    ``U`` equals ``V * signs`` bit for bit, ``signs`` the signs of the
+    eigenvalues, as :func:`core.full_svd`'s eigendecomposition gives it
+    at even n.  Then ``signs`` goes on the state, and every step keeps
+    U = V diag(signs) (Chu and Golub, *Inverse Eigenvalue Problems*,
+    OUP 2005: on a symmetric family the ISVP is an inverse eigenvalue
+    problem).  Any other start, an odd-n one from LAPACK's SVD
+    included, leaves ``signs`` ``None``.
+
     ``B`` and ``J`` are left ``None``.  The caller sets B_0:
     :func:`two_step_start` builds it from J_0 and keeps J_0 on the state
     too, while :func:`solve` takes the caller's and forms no J_0, so its
     record 0 holds none.
     """
-    return _exact_point(instance, c0, 0, full_matrices=True)
+    state = _exact_point(instance, c0, 0, full_matrices=True)
+    if instance.operator.symmetric:
+        signs = np.where(np.einsum("ij,ij->j", state.U, state.V) < 0.0, -1.0, 1.0)
+        if np.array_equal(state.U, state.V * signs):
+            state.signs = signs
+    return state
 
 
 def two_step_start(instance: IsvpInstance, c0) -> SolverState:

@@ -27,8 +27,11 @@ the rows that differ from the golden file.
 run's d_k is above 1e-8, the worst absolute change in d_k, the worst
 change in an entry of c_final and the worst relative change in cond(J_k)
 over the records that carry it in both runs, over all solves and again
-over the solves that converged in both runs.  It exits 1 when a status
-or an iteration count differs, and 0 otherwise.
+over the solves that converged in both runs.  For each set it also
+prints the worst ratio of final d_k, this run's over the other's, among
+the solves that converged in both, so a solve that now ends on a higher
+residual floor shows even where no status moves.  It exits 1 when a
+status or an iteration count differs, and 0 otherwise.
 """
 
 from __future__ import annotations
@@ -168,6 +171,18 @@ def worst_changes(pairs: list[tuple[dict, dict]]) -> dict[str, tuple[float, list
     return worst
 
 
+def worst_final_ratio(pairs: list[tuple[dict, dict]]) -> tuple[float, list | None]:
+    """The largest final d_k of a solve over that of its reference solve
+    in ``pairs``, with the solve's key; 1 for no pairs."""
+    worst = (1.0, None)
+    for s, r in pairs:
+        a, b = float.fromhex(s["d"][-1]), float.fromhex(r["d"][-1])
+        ratio = a / b if b > 0.0 else (1.0 if a == b else math.inf)
+        if ratio > worst[0]:
+            worst = (ratio, s["key"])
+    return worst
+
+
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("--write", action="store_true", help="rewrite the golden file")
@@ -203,6 +218,10 @@ def main(argv=None) -> int:
             for name, (worst, where) in worst_changes(chosen).items():
                 print(f"worst {name} change{scope}: {worst:.3e}"
                       + (f" at {' '.join(where)}" if where else ""))
+        for name, *_ in SETS:
+            worst, where = worst_final_ratio([p for p in converged if p[0]["key"][0] == name])
+            print(f"worst final d_k ratio in {name} over solves converged in both: {worst:.3f}"
+                  + (f" at {' '.join(where)}" if where else ""))
     if args.write:
         shas = [["# sha256", name, sha] for name, sha in set_shas.items()]
         GOLDEN.write_text("\n".join("\t".join(row) for row in shas + [HEADER] + rows) + "\n")

@@ -130,16 +130,20 @@ class TestSkewPair:
 
     @pytest.mark.parametrize("m, n", [(12, 1), (7, 3), (8, 5), (30, 30), (60, 30), (400, 200)])
     def test_is_the_negated_correction_pair_at_identity(self, m, n):
-        # with U = I and V = I every Gram term subtracts an exact zero, so the
-        # skew pair and the Cayley-free pair solve one alignment system
+        # with U = I and V = I every Gram term subtracts an exact zero, which
+        # the skew pair skips, so both solve one alignment system to the bit,
+        # signed zeros included, also where D holds zeros of either sign
         rng = np.random.default_rng(100 * m + n)
-        for _ in range(5):
+        for case in range(6):
             D = rng.standard_normal((m, n))
+            if case == 5:
+                D[rng.random((m, n)) < 0.3] = 0.0
+                D[rng.random((m, n)) < 0.1] = -0.0
             s = separated_sigma(rng, n)
             X, Y = isvp.alg1_skew_pair(D, s)
             left, right = isvp.correction_matrices(np.eye(m), np.eye(n), D, s)
-            assert np.array_equal(X, -left)
-            assert np.array_equal(Y, -right)
+            assert X.tobytes() == (-left).tobytes()
+            assert Y.tobytes() == (-right).tobytes()
 
 
 class TestCayleyOrthogonalize:

@@ -1,17 +1,20 @@
 import inspect
+import time
 
 import numpy as np
 import pytest
 
 import isvp
 import isvp.cayley_free as cayley_free
-from isvp.baselines import alg1_outer_step
+from isvp.baselines import _newton_point, _newton_step, alg1_outer_step
 from isvp.cayley_free import SolverConfig, multiplicative_refine, outer_step, two_step_start
-from isvp.core import diag_embed, jacobian_inverse
+from isvp.core import ToeplitzBasis, diag_embed, jacobian_inverse
 from isvp.errors import InputError, NonFiniteInput, NumericalError
 from isvp.harness import Algorithm, run_solver
 from isvp.report import SolveStatus
 from isvp.verification import near_orthogonal, separated_sigma
+
+from conftest import solve
 
 
 def loop_correction_pair(U, V, W, sigma):
@@ -547,6 +550,89 @@ class TestSolve:
         report = isvp.solve(inst, c0, B0, SolverConfig(tol=1e-12))
         assert report.status is SolveStatus.CONVERGED
         assert np.linalg.norm(report.c_final - c_star) <= 1e-8 * (1 + np.linalg.norm(c_star))
+
+
+def iterates_of(step, instance, c0):
+    """Every iterate of a two-step solve from ``two_step_start`` at c0."""
+    seen = [two_step_start(instance, c0)]
+
+    def recording(state, instance):
+        seen.append(step(state, instance))
+        return seen[-1]
+
+    cayley_free._iterate(recording, seen[0], instance, None, None, time.perf_counter())
+    return seen
+
+
+TWO_STEP = {Algorithm.CAYLEY_FREE: outer_step, Algorithm.ALG1: alg1_outer_step}
+
+
+class TestTiedPath:
+    """On a symmetric family a start with U = V S, S = diag(signs), keeps
+    that tie in every two-step iterate, and each step updates V alone."""
+
+    @pytest.mark.parametrize("algorithm", list(TWO_STEP), ids=lambda a: a.value)
+    def test_every_iterate_of_a_toeplitz_solve_is_tied_bit_for_bit(self, algorithm):
+        inst, c_star = isvp.generate_toeplitz_instance(240, 160, 1)
+        states = iterates_of(TWO_STEP[algorithm], inst, isvp.perturb_c_star(c_star, 1e-5, 1))
+        signs = states[0].signs
+        assert signs is not None and signs.min() == -1.0 and signs.max() == 1.0
+        assert len(states) >= 3
+        for state in states:
+            assert state.signs is signs
+            assert_same_bits(state.U, state.V * signs)
+
+    def test_untied_starts_and_iterates_carry_no_signs(self, medium_instance):
+        inst, c_star = medium_instance
+        c0 = isvp.perturb_c_star(c_star, 1e-3, 2)
+        for step in TWO_STEP.values():
+            assert all(state.signs is None for state in iterates_of(step, inst, c0))
+        # Newton's iterates, even on a Toeplitz family
+        toeplitz, t_star = isvp.generate_toeplitz_instance(40, 24, 1)
+        state = _newton_point(toeplitz, isvp.perturb_c_star(t_star, 1e-5, 1))
+        assert state.signs is None and _newton_step(state, toeplitz).signs is None
+        # an odd-n Toeplitz start takes LAPACK's SVD, whose U is not V S bit for bit
+        odd, o_star = isvp.generate_toeplitz_instance(40, 21, 1)
+        assert two_step_start(odd, isvp.perturb_c_star(o_star, 1e-5, 1)).signs is None
+        # a square dense twin factors by eigh too, but its basis declares no symmetry
+        twin = isvp.build_instance(toeplitz.basis[:, :24], toeplitz.sigma_star)
+        start = two_step_start(twin, isvp.perturb_c_star(t_star, 1e-5, 1))
+        signs = np.where(np.einsum("ij,ij->j", start.U, start.V) < 0.0, -1.0, 1.0)
+        assert_same_bits(start.U, start.V * signs)
+        assert start.signs is None
+
+    def test_the_left_correction_is_the_right_one_conjugated_by_the_signs(self):
+        # so U (I - left) = V (I - right) S: the tied step builds only the right one
+        rng = np.random.default_rng(5)
+        n = 12
+        sigma = separated_sigma(rng, n)
+        signs = rng.choice([-1.0, 1.0], n)
+        V = near_orthogonal(rng, n)
+        H = rng.standard_normal((n, n))
+        W = signs[:, None] * (np.diag(sigma) + 1e-2 * (H + H.T))
+        W += 1e-14 * rng.standard_normal((n, n))  # the asymmetry of a computed product
+        W_sym = cayley_free._tied_input(W, signs)
+        left, right = isvp.correction_matrices(V * signs, V, W_sym, sigma)
+        assert_close(left, signs[:, None] * right * signs)
+        assert_close(cayley_free._tied_correction(V, W, signs, sigma), right)
+
+    @pytest.mark.parametrize("algorithm", list(TWO_STEP), ids=lambda a: a.value)
+    def test_converges_in_as_many_steps_as_the_untied_path(self, algorithm, monkeypatch):
+        # a tied correction from the raw W, not its symmetric part, leaves d_k
+        # above 1e-12 on half of these solves until max_iterations
+        config = SolverConfig(tol=1e-12)
+        outcomes = {}
+        for tied in (True, False):
+            monkeypatch.setattr(ToeplitzBasis, "symmetric", tied)
+            for seed in range(1, 7):
+                inst, c_star = isvp.generate_toeplitz_instance(240, 160, seed)
+                c0 = isvp.perturb_c_star(c_star, 1e-5, seed)
+                assert (two_step_start(inst, c0).signs is not None) is tied
+                report = solve(algorithm, inst, c0, config)
+                outcomes[tied, seed] = (report.status, report.iterations)
+        for seed in range(1, 7):
+            assert outcomes[True, seed] == outcomes[False, seed]
+            assert outcomes[True, seed][0] is SolveStatus.CONVERGED
 
 
 class TestStructuralNoSolves:

@@ -404,6 +404,16 @@ class TestGeneralizedResidualVector:
             with pytest.raises(InputError, match=r"^w must have shape \(3,\), got \("):
                 isvp.generalized_residual_vector(np.eye(5), np.eye(3), w, sigma)
 
+    def test_converts_lists_and_rejects_a_sigma_star_that_is_not_a_vector(self):
+        # a list w or sigma_star escaped as an AttributeError
+        sigma = np.array([3.0, 2.0, 1.0])
+        want = isvp.generalized_residual_vector(np.eye(5), np.eye(3), sigma - 1.0, sigma)
+        w = [2.0, 1.0, 0.0]
+        got = isvp.generalized_residual_vector(np.eye(5), np.eye(3), w, sigma.tolist())
+        assert got.tobytes() == want.tobytes()
+        with pytest.raises(InputError, match=r"^sigma_star must be a vector, got shape \(1, 3\)$"):
+            isvp.generalized_residual_vector(np.eye(5), np.eye(3), sigma, sigma[None])
+
     @pytest.mark.parametrize(
         "U, V, name, got",
         [(np.eye(5)[:, :2], np.eye(3), "U", r"\(5, 2\)"), (np.ones(5), np.eye(3), "U", r"\(5,\)"),
@@ -449,6 +459,14 @@ class TestResidualD:
         # each escaped as an IndexError, or for the list a TypeError
         with pytest.raises(InputError, match=rf"^W must be a 2-D array of at least 3 x 3, got {got}$"):
             isvp.residual_d(W, np.array([3.0, 2.0, 1.0]))
+
+    def test_converts_a_list_and_rejects_a_sigma_star_that_is_not_a_vector(self):
+        # a list sigma_star escaped as an AttributeError
+        assert isvp.residual_d(np.eye(3), [3.0, 2.0, 1.0]) == isvp.residual_d(
+            np.eye(3), np.array([3.0, 2.0, 1.0])
+        )
+        with pytest.raises(InputError, match=r"^sigma_star must be a vector, got shape \(\)$"):
+            isvp.residual_d(np.eye(3), 3.0)
 
     @pytest.mark.parametrize("bad", [np.inf, np.nan])
     def test_a_nonfinite_W_gives_a_nonfinite_d(self, bad):

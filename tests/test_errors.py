@@ -186,6 +186,22 @@ REAL_INPUT_SITES = {
             np.eye(inst.n), np.eye(inst.n), np.zeros((inst.n, inst.n)), bad(inst.sigma_star)
         ),
     ),
+    "residual_d": (
+        "sigma_star",
+        lambda inst, c, bad: isvp.residual_d(np.eye(inst.n), bad(inst.sigma_star)),
+    ),
+    "generalized_residual_vector-w": (
+        "w",
+        lambda inst, c, bad: isvp.generalized_residual_vector(
+            np.eye(inst.n), np.eye(inst.n), bad(inst.sigma_star), inst.sigma_star
+        ),
+    ),
+    "generalized_residual_vector-sigma_star": (
+        "sigma_star",
+        lambda inst, c, bad: isvp.generalized_residual_vector(
+            np.eye(inst.n), np.eye(inst.n), inst.sigma_star, bad(inst.sigma_star)
+        ),
+    ),
     "solve-c0": ("c", lambda inst, c, bad: isvp.solve(inst, bad(c), np.eye(inst.n))),
     "solve-B0": ("B0", lambda inst, c, bad: isvp.solve(inst, c, bad(np.eye(inst.n)))),
     "newton_exact_solve": ("c", lambda inst, c, bad: isvp.newton_exact_solve(inst, bad(c))),
